@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +154,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _parallel_grid_min(A: SymTensor, resolution: int, threads: int):
+    # imported here so that no other command loads the thread pool machinery
+    from concurrent.futures import ThreadPoolExecutor
     pts = [tuple(Fraction(c, resolution) for c in comp)
            for comp in oracle._compositions(resolution, A.n)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

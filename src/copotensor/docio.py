@@ -1,7 +1,8 @@
 """JSON document formats: tensors in, certificates out.
 
 Rational values travel as strings ("p/q" or a decimal literal) so that exact
-paths never pass through floats.  Certificates carry the input tensor's
+paths never pass through floats; a JSON number is taken at its exact binary
+value, and NaN or infinity is rejected.  Certificates carry the input tensor's
 digest so a later `verify` run can re-check a witness with no access to the
 producing run's state.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Any
@@ -29,7 +31,9 @@ def parse_scalar(value: Any) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return value
+        if not math.isfinite(value):
+            raise DocumentError(f"bad scalar: {value!r}")
+        return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)

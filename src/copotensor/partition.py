@@ -3,13 +3,22 @@ copositivity certifier.
 
 All geometry is exact rational: vertices are Fraction points, longest-edge
 selection compares squared edge lengths exactly, and every verdict-bearing
-inequality is evaluated in rationals.  Floating point appears only in the
+inequality is evaluated exactly.  Floating point appears only in the
 reported diameter.
+
+The certifier carries, with each simplex, the values <A, v_k1 (x) ... (x) v_kd>
+over every multiset of its vertex indices: the simplicial Bernstein
+coefficients of the form (Leroy 2008), as Python ints scaled by a positive
+constant.  The diagonal coefficients are the vertex values, so one array
+refutes (a negative vertex value) and prunes (all coefficients non-negative,
+the full vertex-tuple test of Bundfuss & Dur 2008).  Bisecting an edge is a
+de Casteljau step on the coefficients rather than a recomputation.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import deque
@@ -54,8 +63,8 @@ def _sq_dist(u: Point, v: Point) -> Fraction:
     return sum((a - b) ** 2 for a, b in zip(u, v))
 
 
-def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
-    """Split at the midpoint of a longest edge; ties broken by the
+def _longest_edge(s: Simplex) -> tuple[int, int]:
+    """Vertex indices (i, j), i < j, of a longest edge; ties broken by the
     lexicographically smallest (sorted) vertex pair, for determinism.
     """
     if len(s.vertices) < 2:
@@ -71,12 +80,24 @@ def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
             best_len = d2
     if best_len == 0:
         raise ValueError("degenerate simplex: longest edge has length 0")
-    i, j, _ = best
+    return best[0], best[1]
+
+
+def _split(s: Simplex, i: int, j: int) -> tuple[Simplex, Simplex]:
+    """The children of s in which vertex i, respectively j, becomes the
+    midpoint of the edge (i, j)."""
     u, v = s.vertices[i], s.vertices[j]
     mid = tuple((a + b) / 2 for a, b in zip(u, v))
     child_i = tuple(mid if k == i else w for k, w in enumerate(s.vertices))
     child_j = tuple(mid if k == j else w for k, w in enumerate(s.vertices))
     return (Simplex(child_i, s.depth + 1), Simplex(child_j, s.depth + 1))
+
+
+def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
+    """Split at the midpoint of a longest edge; ties broken by the
+    lexicographically smallest (sorted) vertex pair, for determinism.
+    """
+    return _split(s, *_longest_edge(s))
 
 
 @dataclass
@@ -181,7 +202,7 @@ def member_I_P(A: SymTensor, P: Partition) -> bool:
     """Pairwise inner cone: vertex powers and all two-vertex splits along the
     partition's edges must pair non-negatively with A.  This reproduces the
     edge-based definition; for d > 2 it is weaker than
-    :func:`inner_test_full`, which is what the certifier prunes with.
+    :func:`inner_test_full`, the condition the certifier prunes on.
     """
     for v in P.vertex_set:
         if eval_form(A, v) < 0:
@@ -195,6 +216,49 @@ def member_I_P(A: SymTensor, P: Partition) -> bool:
 def member_O_P(A: SymTensor, P: Partition) -> bool:
     """Outer cone: the form is non-negative at every partition vertex."""
     return all(eval_form(A, v) >= 0 for v in P.vertex_set)
+
+
+def _root_coefficients(A: SymTensor) -> list[int]:
+    """Bernstein coefficients on the standard simplex, in canonical tuple
+    order: A's entries times the lcm L of their denominators (and the
+    default's), so every value is an int."""
+    values = [Fraction(a) for _, a in A.items()]
+    scale = math.lcm(Fraction(A.default).denominator,
+                     *(v.denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
+@functools.lru_cache(maxsize=32)
+def _casteljau_tables(n: int, d: int):
+    """Index tables for the coefficients of a simplex with n vertices, keyed
+    by 0-based vertex multisets in canonical order.
+
+    Returns (diag, steps): diag[k] is the position of the multiset (k,)*d,
+    the value at vertex k; steps[i, j] maps a parent's coefficients to those
+    of the child in which vertex i becomes the midpoint of edge (i, j).  A
+    multiset holding i k times gets sum over t of C(k, t) * 2^(d-k) times the
+    parent coefficient with t of those i replaced by j, i.e. the exact value
+    scaled by 2^d, which keeps every coefficient an int.
+    """
+    keys = list(itertools.combinations_with_replacement(range(n), d))
+    index = {key: p for p, key in enumerate(keys)}
+    diag = tuple(index[(k,) * d] for k in range(n))
+    steps = {}
+    for i, j in itertools.permutations(range(n), 2):
+        rows = []
+        for key in keys:
+            k = key.count(i)
+            rest = tuple(x for x in key if x != i)
+            rows.append(tuple(
+                (math.comb(k, t) << (d - k),
+                 index[tuple(sorted(rest + (j,) * t + (i,) * (k - t)))])
+                for t in range(k + 1)))
+        steps[i, j] = tuple(rows)
+    return diag, steps
+
+
+def _casteljau_step(b: list[int], rows) -> list[int]:
+    return [sum([w * b[src] for w, src in row]) for row in rows]
 
 
 class Verdict(enum.Enum):
@@ -235,8 +299,10 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
 
     A negative form value at any encountered vertex refutes copositivity with
     that vertex as witness; a simplex passing the full vertex-tuple test is
-    pruned; everything else is bisected.  An empty work list certifies
-    copositivity, and running out of depth or simplex budget yields
+    pruned; everything else is bisected.  Both tests read the simplex's
+    integer Bernstein coefficients (see the module docstring), so float
+    entries are decided on their exact binary values.  An empty work list
+    certifies copositivity, and running out of depth or simplex budget yields
     StrictlyIndeterminate (boundary tensors may never terminate otherwise).
     """
     if max_depth < 0 or simplex_budget < 1:
@@ -254,32 +320,35 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
                            eval_form(A, witness),
                            PartitionStats(0, 0, 0), method="screen")
 
-    work: deque[Simplex] = deque([standard_simplex(A.n)])
+    diag, steps = _casteljau_tables(A.n, A.d)
+    work: deque[tuple[Simplex, list[int]]] = deque(
+        [(standard_simplex(A.n), _root_coefficients(A))])
     pop = work.popleft if order == "fifo" else work.pop
     processed = 0
     max_depth_seen = 0
     unresolved: list[Simplex] = []
-    evaluated: dict[Point, Scalar] = {}
     while work:
         if processed >= simplex_budget:
-            unresolved.extend(work)
+            unresolved.extend(s for s, _ in work)
             break
-        s = pop()
+        s, b = pop()
         processed += 1
         max_depth_seen = max(max_depth_seen, s.depth)
-        for v in s.vertices:
-            if v not in evaluated:
-                evaluated[v] = eval_form(A, v)
-            if evaluated[v] < 0:
+        for k, p in enumerate(diag):
+            if b[p] < 0:
+                v = s.vertices[k]
                 return Certificate(
-                    Verdict.NOT_COPOSITIVE, v, evaluated[v],
+                    Verdict.NOT_COPOSITIVE, v, eval_form(A, v),
                     PartitionStats(max_depth_seen, processed, len(work)))
-        if inner_test_full(A, s):
+        if min(b) >= 0:
             continue
         if s.depth >= max_depth:
             unresolved.append(s)
             continue
-        work.extend(bisect_longest_edge(s))
+        i, j = _longest_edge(s)
+        child_i, child_j = _split(s, i, j)
+        work.append((child_i, _casteljau_step(b, steps[i, j])))
+        work.append((child_j, _casteljau_step(b, steps[j, i])))
     if unresolved:
         dia = max(math.sqrt(float(_sq_dist(u, v)))
                   for s in unresolved

@@ -16,7 +16,7 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import enumerate_exponents, tuple_multiplicity
+from .combinatorics import tuple_multiplicity
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -248,8 +248,9 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     """Necessary conditions for copositivity; a fail proves non-copositivity.
 
     Fails when some diagonal entry is negative, or when a zero diagonal entry
-    at index i coexists with a negative entry whose index tuple mixes i with
-    other indices.
+    at index i coexists with a negative entry a_{i^(d-1) j}: along
+    e_i + t e_j the form is d * a_{i^(d-1) j} * t + O(t^2).  Other mixed
+    entries involving i are not constrained by a zero diagonal when d >= 3.
     """
     for i in range(1, A.n + 1):
         diag = A.get((i,) * A.d)
@@ -259,22 +260,13 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     for i in range(1, A.n + 1):
         if A.get((i,) * A.d) != 0:
             continue
-        for key, v in A.items():
-            if v < 0 and i in key and key != (i,) * A.d:
+        for j in range(1, A.n + 1):
+            if j == i:
+                continue
+            key = canonicalize((i,) * (A.d - 1) + (j,), A.n)
+            if A.get(key) < 0:
                 return ScreenResult(
                     False,
                     f"zero diagonal at index {i} with negative mixed entry {key}",
                     key)
     return ScreenResult(True)
-
-
-def as_float(A: SymTensor) -> SymTensor:
-    """Float-mode copy (used by the sampling oracle and the SOS solver)."""
-    b = SymTensorBuilder(A.n, A.d, float(A.default))
-    for key, v in A.entries.items():
-        b.set(key, float(v))
-    return b.build()
-
-
-def num_canonical_tuples(n: int, d: int) -> int:
-    return len(enumerate_exponents(n, d))

@@ -47,10 +47,12 @@ class TestScalars:
 
     def test_ints_exact_floats_passthrough(self):
         assert parse_scalar(4) == F(4) and isinstance(parse_scalar(4), F)
-        assert parse_scalar(0.5) == 0.5 and isinstance(parse_scalar(0.5), float)
+        assert parse_scalar(0.5) == F(1, 2) and isinstance(parse_scalar(0.5), F)
+        assert parse_scalar(0.1) == F(3602879701896397, 36028797018963968)
 
     def test_bad_scalars(self):
-        for bad in ("x", "1/0", True, None, [1]):
+        for bad in ("x", "1/0", True, None, [1], float("nan"), float("inf"),
+                    float("-inf")):
             with pytest.raises(DocumentError):
                 parse_scalar(bad)
 
@@ -178,6 +180,15 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["screen", str(p)])
         assert exc.value.code == 3
+
+    def test_non_finite_number_exit_3(self, tmp_path):
+        for token in ("NaN", "Infinity", "-Infinity"):
+            p = tmp_path / "nonfinite.json"
+            p.write_text('{"n": 2, "d": 2, "entries": '
+                         f'[{{"idx": [1, 2], "val": {token}}}]}}')
+            with pytest.raises(SystemExit) as exc:
+                main(["certify", str(p)])
+            assert exc.value.code == 3
 
 
 class TestVerify:

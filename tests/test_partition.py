@@ -1,15 +1,21 @@
+import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from copotensor.oracle import barycentric_grid_min, simplex_grid_min
-from copotensor.partition import (Partition, Simplex, Verdict,
+from copotensor.partition import (Certificate, Partition, PartitionStats,
+                                  Simplex, Verdict, _casteljau_step,
+                                  _casteljau_tables, _longest_edge,
+                                  _root_coefficients, _split,
                                   bisect_longest_edge, certify_copositivity,
                                   diameter, grid_partition, inner_test_full,
                                   member_I_P, member_O_P, refine, refine_once,
                                   standard_simplex, trivial_partition)
-from copotensor.tensor import SymTensorBuilder, eval_form, from_matrix
+from copotensor.tensor import (SymTensorBuilder, eval_form, from_matrix,
+                               multi_product)
 from conftest import (rand_diag_dominant_tensor, rand_nonneg_tensor,
                       rand_rational_tensor)
 
@@ -257,3 +263,94 @@ class TestCertify:
             certify_copositivity(example31, max_depth=-1)
         with pytest.raises(ValueError):
             certify_copositivity(example31, simplex_budget=0)
+
+
+def reference_certify(A, max_depth=32, simplex_budget=100_000, order="fifo"):
+    """The literal branch-and-bound: per-vertex eval_form, then
+    inner_test_full, then bisect_longest_edge (order d >= 2)."""
+    work = deque([standard_simplex(A.n)])
+    pop = work.popleft if order == "fifo" else work.pop
+    processed = 0
+    max_depth_seen = 0
+    unresolved = []
+    evaluated = {}
+    while work:
+        if processed >= simplex_budget:
+            unresolved.extend(work)
+            break
+        s = pop()
+        processed += 1
+        max_depth_seen = max(max_depth_seen, s.depth)
+        for v in s.vertices:
+            if v not in evaluated:
+                evaluated[v] = eval_form(A, v)
+            if evaluated[v] < 0:
+                return Certificate(
+                    Verdict.NOT_COPOSITIVE, v, evaluated[v],
+                    PartitionStats(max_depth_seen, processed, len(work)))
+        if inner_test_full(A, s):
+            continue
+        if s.depth >= max_depth:
+            unresolved.append(s)
+            continue
+        work.extend(bisect_longest_edge(s))
+    if unresolved:
+        dia = max(math.sqrt(float(sum((a - b) ** 2 for a, b in zip(u, v))))
+                  for s in unresolved
+                  for u, v in itertools.combinations(s.vertices, 2))
+        return Certificate(
+            Verdict.INDETERMINATE,
+            stats=PartitionStats(max_depth_seen, processed, len(unresolved), dia))
+    return Certificate(Verdict.COPOSITIVE,
+                       stats=PartitionStats(max_depth_seen, processed, 0))
+
+
+class TestBernsteinCoefficients:
+    def test_match_multi_product_along_bisection_paths(self, rng):
+        for n, d in itertools.product((1, 2, 3, 4), (2, 3, 4)):
+            A = rand_rational_tensor(rng, n, d, denom=rng.choice((1, 3, 8)))
+            scale = math.lcm(*(F(a).denominator for _, a in A.items()),
+                             F(A.default).denominator)
+            diag, steps = _casteljau_tables(n, d)
+            s, b = standard_simplex(n), _root_coefficients(A)
+            assert all(isinstance(c, int) for c in b)
+            for depth in range(5 if n > 1 else 1):
+                keys = itertools.combinations_with_replacement(range(n), d)
+                for key, c in zip(keys, b):
+                    expect = multi_product(A, [s.vertices[k] for k in key])
+                    assert F(c, scale * 2 ** (d * depth)) == expect
+                for k, p in enumerate(diag):
+                    assert F(b[p], scale * 2 ** (d * depth)) == \
+                        eval_form(A, s.vertices[k])
+                if n == 1:
+                    break
+                i, j = _longest_edge(s)
+                children = _split(s, i, j)
+                assert children == bisect_longest_edge(s)
+                if rng.random() < 0.5:
+                    s, b = children[0], _casteljau_step(b, steps[i, j])
+                else:
+                    s, b = children[1], _casteljau_step(b, steps[j, i])
+
+    def test_float_entries_use_their_exact_values(self):
+        A = from_matrix([[0.1, -0.1], [-0.1, 0.1]])
+        assert _root_coefficients(A) == [3602879701896397, -3602879701896397,
+                                         3602879701896397]
+
+
+class TestCertifyMatchesReference:
+    @pytest.mark.parametrize("order", ["fifo", "lifo"])
+    def test_same_certificate(self, rng, order):
+        suite = [from_matrix([[F(1), F(-1)], [F(-1), F(1)]])]
+        for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3)):
+            suite.append(rand_rational_tensor(rng, n, d))
+            suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=4))
+            suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=8))
+        verdicts = set()
+        for A in suite:
+            for max_depth, budget in ((6, 40), (10, 400)):
+                got = certify_copositivity(A, max_depth, budget, order)
+                want = reference_certify(A, max_depth, budget, order)
+                assert got == want
+                verdicts.add(got.verdict)
+        assert verdicts == set(Verdict)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copotensor.oracle import simplex_grid_min
+from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                diag_tensor, eval_form, from_matrix,
                                inner_product, mixed_rank_one, multi_product,
@@ -174,6 +175,30 @@ class TestNecessaryScreen:
 
     def test_nonnegative_passes(self, example31):
         assert necessary_screen(example31).passed
+
+    def test_zero_diag_constrains_only_the_adjacent_entry(self):
+        # x2 * (3 x1^2 - 3 x1 x2 + x2^2) is non-negative on the orthant
+        A = (SymTensorBuilder(2, 3).set((1, 1, 2), 1).set((1, 2, 2), -1)
+             .set((2, 2, 2), 1).build())
+        assert necessary_screen(A).passed
+        assert certify_copositivity(A).verdict is Verdict.COPOSITIVE
+        B = SymTensorBuilder(2, 3).set((1, 1, 2), -1).set((2, 2, 2), 1).build()
+        res = necessary_screen(B)
+        assert not res.passed and res.witness_index == (1, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4)]), st.data())
+    def test_fail_is_never_certified_copositive(self, shape, data):
+        n, d = shape
+        # small entries with many zeros, so zero diagonals are common
+        vals = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2)])
+        b = SymTensorBuilder(n, d)
+        for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+            b.set(key, data.draw(vals))
+        A = b.build()
+        if not necessary_screen(A).passed:
+            cert = certify_copositivity(A, max_depth=12, simplex_budget=300)
+            assert cert.verdict is not Verdict.COPOSITIVE
 
     def test_never_fails_on_oracle_copositive(self, rng):
         # screen must pass whenever the dense-grid oracle confirms
