@@ -11,8 +11,7 @@ from .partition import (Certificate, Partition, Simplex, Verdict,
                         bisect_longest_edge, certify_copositivity, diameter,
                         grid_partition, inner_test_full, member_I_P,
                         member_O_P, refine, standard_simplex, trivial_partition)
-from .polycone import (PolyExpansion, expand_Pr, expand_Pr_closed_form,
-                       expand_Pr_convolved, member_C_r)
+from .polycone import PolyExpansion, expand_Pr, expand_Pr_closed_form, member_C_r
 from .soscone import (GramProblem, build_gram_problem, check_certificate,
                       member_K_r, solve_gram)
 from .tensor import (SymTensor, SymTensorBuilder, canonicalize, diag_tensor,

@@ -1,7 +1,8 @@
 """Command-line surface tying the hierarchy modules together.
 
 Exit codes: 0 = Member/Copositive/pass, 1 = NotMember/NotCopositive/fail,
-2 = Unknown/Indeterminate, 3 = usage or parse error.
+2 = Unknown/Indeterminate (and, for verify, a verdict it cannot re-check),
+3 = usage or parse error.
 All randomized paths take --seed and default to a fixed constant, so runs
 are reproducible by default.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import docio, gridcone, oracle, polycone, soscone
@@ -125,7 +125,7 @@ def _cmd_certify(args) -> int:
 def _cmd_expand(args) -> int:
     A = _load_tensor(args.tensor)
     expander = (polycone.expand_Pr_closed_form if args.closed_form
-                else polycone.expand_auto)
+                else polycone.expand_Pr)
     exp = expander(A, args.level)
     rows = [{"theta": list(theta), "coefficient": emit_scalar(c)}
             for theta, c in sorted(exp.coeffs.items())]
@@ -137,10 +137,7 @@ def _cmd_expand(args) -> int:
 def _cmd_oracle(args) -> int:
     A = _load_tensor(args.tensor)
     if args.resolution is not None:
-        if args.threads > 1:
-            report = _parallel_grid_min(A, args.resolution, args.threads)
-        else:
-            report = oracle.simplex_grid_min(A, args.resolution)
+        report = oracle.simplex_grid_min(A, args.resolution)
         doc = {"min_value": emit_scalar(report.min_value),
                "argmin": [emit_scalar(c) for c in report.argmin],
                "resolution": report.resolution}
@@ -151,17 +148,6 @@ def _cmd_oracle(args) -> int:
                "samples": report.samples, "seed": report.seed}
     _emit(doc, args.out)
     return EXIT_MEMBER if report.min_value >= 0 else EXIT_NOT_MEMBER
-
-
-def _parallel_grid_min(A: SymTensor, resolution: int, threads: int):
-    # imported here so that no other command loads the thread pool machinery
-    from concurrent.futures import ThreadPoolExecutor
-    pts = [tuple(Fraction(c, resolution) for c in comp)
-           for comp in oracle._compositions(resolution, A.n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        vals = list(pool.map(lambda p: eval_form(A, p), pts))
-    k = min(range(len(vals)), key=vals.__getitem__)
-    return oracle.OracleReport(vals[k], pts[k], resolution=resolution)
 
 
 def _cmd_compare(args) -> int:
@@ -199,7 +185,22 @@ def _cmd_compare(args) -> int:
     return EXIT_UNKNOWN
 
 
+def _verified(ok: bool, detail: str) -> int:
+    print(f"verify: {'OK' if ok else 'FAIL'} ({detail})")
+    return EXIT_MEMBER if ok else EXIT_NOT_MEMBER
+
+
+def _cert_level(cert: dict) -> int:
+    level = cert.get("level")
+    if type(level) is not int or level < 0:
+        raise DocumentError(f"certificate level {level!r} is not a non-negative integer")
+    return level
+
+
 def _cmd_verify(args) -> int:
+    """Re-derive the evidence behind a verdict: a witness is re-evaluated,
+    a coef verdict re-expanded, a grid Member re-enumerated.  Verdicts that
+    carry no checkable evidence exit 2."""
     try:
         cert = docio.load_certificate(Path(args.certificate).read_text())
     except (OSError, DocumentError) as exc:
@@ -207,21 +208,29 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     A = _load_tensor(args.tensor)
     if cert["input_digest"] != docio.tensor_digest(A):
-        print("verify: FAIL (input digest mismatch)")
-        return EXIT_NOT_MEMBER
-    verdict = cert["verdict"]
-    if "witness" in cert:
+        return _verified(False, "input digest mismatch")
+    verdict, method = cert["verdict"], cert.get("method")
+    if "witness" in cert and verdict in ("NotMember", "NotCopositive"):
         point = tuple(docio.parse_scalar(c) for c in cert["witness"]["point"])
         value = eval_form(A, point)
-        if verdict in ("NotMember", "NotCopositive"):
-            ok = value < 0 and all(c >= 0 for c in point)
-            if "value" in cert["witness"]:
-                ok = ok and value == docio.parse_scalar(cert["witness"]["value"])
-            print(f"verify: {'OK' if ok else 'FAIL'} "
-                  f"(witness value {emit_scalar(value)})")
-            return EXIT_MEMBER if ok else EXIT_NOT_MEMBER
-    print(f"verify: OK (digest matches; verdict {verdict} carries no witness)")
-    return EXIT_MEMBER
+        ok = value < 0 and all(c >= 0 for c in point)
+        if "value" in cert["witness"]:
+            ok = ok and value == docio.parse_scalar(cert["witness"]["value"])
+        return _verified(ok, f"witness value {emit_scalar(value)}")
+    if method == "coef" and verdict in ("Member", "NotMember"):
+        v = polycone.member_C_r(A, _cert_level(cert))
+        if verdict == "Member":
+            return _verified(v.member, f"level-{v.r} coefficients recomputed")
+        stats = cert.get("stats")
+        ok = (not v.member and isinstance(stats, dict)
+              and stats.get("worst_theta") == list(v.worst_theta)
+              and stats.get("worst_value") == emit_scalar(v.worst_value))
+        return _verified(ok, f"level-{v.r} worst coefficient recomputed")
+    if method == "grid" and verdict == "Member":
+        v = gridcone.member_O_r(A, _cert_level(cert))
+        return _verified(v.member, f"level-{v.r} grid re-evaluated")
+    print(f"verify: UNCHECKED (verdict {verdict} carries no checkable evidence)")
+    return EXIT_UNKNOWN
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--resolution", type=int)
     group.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("compare", help="run all hierarchies over levels 0..R")

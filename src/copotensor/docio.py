@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from numbers import Rational
 from typing import Any
 
 from .tensor import Scalar, SymTensor, SymTensorBuilder
@@ -43,10 +42,8 @@ def parse_scalar(value: Any) -> Scalar:
 
 
 def emit_scalar(value: Scalar) -> str:
-    if isinstance(value, Rational):
-        f = Fraction(value)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return repr(float(value))
+    """The exact value as "p/q", or "p" when it is an integer."""
+    return str(Fraction(value))
 
 
 def parse_tensor(text: str) -> SymTensor:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combinatorics import enumerate_exponents
 from .tensor import Scalar, SymTensor, eval_form
 
 Point = tuple[Fraction, ...]
@@ -27,14 +28,7 @@ class RationalGrid:
 
 def _level_points(n: int, m: int) -> list[Point]:
     # compositions of m into n parts, lexicographic, scaled by 1/m
-    def rec(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in rec(total - first, parts - 1):
-                yield (first,) + rest
-    return [tuple(Fraction(c, m) for c in comp) for comp in rec(m, n)]
+    return [tuple(Fraction(c, m) for c in comp) for comp in enumerate_exponents(n, m)]
 
 
 def grid_points(n: int, r: int) -> RationalGrid:

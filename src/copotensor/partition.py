@@ -24,16 +24,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .tensor import (Scalar, SymTensor, canonical_tuples, eval_form,
                      multi_product, necessary_screen)
 
 Point = tuple[Fraction, ...]
-
-
-def _as_point(coords: Sequence[Scalar]) -> Point:
-    return tuple(Fraction(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -222,8 +217,8 @@ def _root_coefficients(A: SymTensor) -> list[int]:
     """Bernstein coefficients on the standard simplex, in canonical tuple
     order: A's entries times the lcm L of their denominators (and the
     default's), so every value is an int."""
-    values = [Fraction(a) for _, a in A.items()]
-    scale = math.lcm(Fraction(A.default).denominator,
+    values = [a for _, a in A.items()]
+    scale = math.lcm(A.default.denominator,
                      *(v.denominator for v in values))
     return [int(v * scale) for v in values]
 

@@ -2,7 +2,10 @@
 
 Level r tests whether every coefficient of P(y) = f_A(y o y) (sum y_k^2)^r is
 non-negative.  Coefficients are indexed by exponent vectors theta of degree
-s = r + d (the monomial y^(2 theta)) and computed exactly in rationals.
+s = r + d (the monomial y^(2 theta)) and computed exactly in rationals, as
+every tensor value is a Fraction.  :func:`expand_Pr` is the production route;
+:func:`expand_Pr_closed_form` reproduces the paper's closed form and serves
+as a cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Mapping
 from .combinatorics import (elementary_symmetric, enumerate_exponents,
                             falling_factorial, index_counts, multinomial,
                             tuple_multiplicity)
-from .tensor import Scalar, SymTensor
+from .tensor import SymTensor
 
 Exponent = tuple[int, ...]
 
@@ -24,7 +27,7 @@ class PolyExpansion:
     n: int
     d: int
     r: int
-    coeffs: Mapping[Exponent, Scalar]
+    coeffs: Mapping[Exponent, Fraction]
 
     @property
     def s(self) -> int:
@@ -46,13 +49,12 @@ def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
     For each theta of degree r+d the coefficient is the sum over all index
     tuples of multinomial(theta - e_{i_1} - ... - e_{i_d}) * a_{i_1..i_d};
     iterated over canonical tuples with permutation multiplicities.
-    Rational mode only.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    terms = [(index_counts(key, A.n), tuple_multiplicity(key) * Fraction(a))
+    terms = [(index_counts(key, A.n), tuple_multiplicity(key) * a)
              for key, a in A.items() if a != 0]
-    coeffs: dict[Exponent, Scalar] = {}
+    coeffs: dict[Exponent, Fraction] = {}
     for theta in enumerate_exponents(A.n, r + A.d):
         total = Fraction(0)
         for counts, wa in terms:
@@ -61,31 +63,6 @@ def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
                 total += c * wa
         coeffs[theta] = total
     return PolyExpansion(A.n, A.d, r, coeffs)
-
-
-def convolve_up(exp: PolyExpansion) -> PolyExpansion:
-    """Coefficients of P at level r+1 from level r, using
-    P^(r+1)(y) = (sum y_k^2) P^(r)(y): each theta gains the sum of the
-    level-r coefficients at theta - e_k.
-    """
-    n = exp.n
-    coeffs: dict[Exponent, Scalar] = {}
-    for theta in enumerate_exponents(n, exp.s + 1):
-        total = Fraction(0)
-        for k in range(n):
-            if theta[k] > 0:
-                prev = tuple(t - (1 if i == k else 0) for i, t in enumerate(theta))
-                total += exp.coeffs[prev]
-        coeffs[theta] = total
-    return PolyExpansion(n, exp.d, exp.r + 1, coeffs)
-
-
-def expand_Pr_convolved(A: SymTensor, r: int) -> PolyExpansion:
-    """Production path for large r: expand level 0, then convolve up."""
-    exp = expand_Pr(A, 0)
-    for _ in range(r):
-        exp = convolve_up(exp)
-    return exp
 
 
 def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
@@ -117,8 +94,8 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
             continue
         counts = index_counts(key, A.n)
         mult = tuple_multiplicity(key)
-        terms.append((counts, mult * Fraction(a)))
-    coeffs: dict[Exponent, Scalar] = {}
+        terms.append((counts, mult * a))
+    coeffs: dict[Exponent, Fraction] = {}
     for theta in enumerate_exponents(A.n, s):
         bracket = Fraction(0)
         # diagonal entries: sum_k (-1)^k beta_k theta_i^(d-k) = fall(theta_i, d)
@@ -127,7 +104,7 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
             if a == 0:
                 continue
             w = sum((-1) ** k * betas[k] * theta[i] ** (d - k) for k in range(d))
-            bracket += Fraction(a) * w
+            bracket += a * w
         # off-diagonal tuples: product of per-index falling factorials
         for counts, wa in terms:
             if max(counts) == d:
@@ -144,53 +121,22 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
     return PolyExpansion(A.n, d, r, coeffs)
 
 
-def expand_auto(A: SymTensor, r: int) -> PolyExpansion:
-    """Exact expansion for rational tensors, float expansion otherwise."""
-    return expand_Pr(A, r) if A.is_rational() else _expand_float(A, r)
-
-
 @dataclass(frozen=True)
 class CoefficientVerdict:
     member: bool
     r: int
     expansion: PolyExpansion
     worst_theta: Exponent | None = None
-    worst_value: Scalar | None = None
+    worst_value: Fraction | None = None
 
 
-def member_C_r(A: SymTensor, r: int, tol: float | None = None) -> CoefficientVerdict:
-    """Membership in the non-negative-coefficient cone at level r.
-
-    Exact (no tolerance) for rational tensors.  For float tensors the test is
-    coefficient >= -tol, with tol defaulting to 1e-12 * max|entry|.
-    """
-    exp = expand_auto(A, r)
-    if A.is_rational():
-        threshold: Scalar = 0
-    else:
-        if tol is None:
-            tol = 1e-12 * float(A.max_abs_entry())
-        threshold = -tol
-    worst_theta = None
-    worst_value = None
-    for theta in enumerate_exponents(A.n, r + A.d):
-        v = exp.coeffs[theta]
-        if worst_value is None or v < worst_value:
-            worst_theta, worst_value = theta, v
-    if worst_value is not None and worst_value < threshold:
+def member_C_r(A: SymTensor, r: int) -> CoefficientVerdict:
+    """Membership in the non-negative-coefficient cone at level r, decided
+    exactly: the lexicographically first most negative coefficient is the
+    worst, and the tensor is a member when it is >= 0."""
+    exp = expand_Pr(A, r)
+    worst_theta = min(enumerate_exponents(A.n, r + A.d), key=exp.coeffs.__getitem__)
+    worst_value = exp.coeffs[worst_theta]
+    if worst_value < 0:
         return CoefficientVerdict(False, r, exp, worst_theta, worst_value)
     return CoefficientVerdict(True, r, exp)
-
-
-def _expand_float(A: SymTensor, r: int) -> PolyExpansion:
-    terms = [(index_counts(key, A.n), tuple_multiplicity(key) * float(a))
-             for key, a in A.items() if a != 0]
-    coeffs: dict[Exponent, Scalar] = {}
-    for theta in enumerate_exponents(A.n, r + A.d):
-        total = 0.0
-        for counts, wa in terms:
-            c = multinomial(_shifted(theta, counts))
-            if c:
-                total += c * wa
-        coeffs[theta] = total
-    return PolyExpansion(A.n, A.d, r, coeffs)

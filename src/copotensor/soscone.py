@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polycone
 from .combinatorics import enumerate_exponents
-from .polycone import expand_auto, member_C_r
 from .tensor import SymTensor
 
 DEFAULT_EIG_TOL = 1e-8
@@ -39,6 +39,7 @@ class GramProblem:
     targets: dict[Exponent, float]            # even exponent -> coefficient
     # per target: list of (block position, i, j) with i <= j inside the block
     constraints: dict[Exponent, list[tuple[int, int, int]]]
+    expansion: polycone.PolyExpansion         # exact coefficients behind targets
 
 
 @dataclass
@@ -68,15 +69,16 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
     for idx, mono in enumerate(basis):
         parity.setdefault(tuple(e % 2 for e in mono), []).append(idx)
     blocks = tuple(tuple(v) for _, v in sorted(parity.items()))
+    expansion = polycone.expand_Pr(A, r)
     targets = {tuple(2 * t for t in theta): float(c)
-               for theta, c in expand_auto(A, r).coeffs.items()}
+               for theta, c in expansion.coeffs.items()}
     constraints: dict[Exponent, list[tuple[int, int, int]]] = {g: [] for g in targets}
     for b, members in enumerate(blocks):
         for ai in range(len(members)):
             for aj in range(ai, len(members)):
                 g = tuple(x + y for x, y in zip(basis[members[ai]], basis[members[aj]]))
                 constraints[g].append((b, ai, aj))
-    return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints)
+    return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints, expansion)
 
 
 def jacobi_eigh(M: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
@@ -287,8 +289,7 @@ def member_K_r(A: SymTensor, r: int,
     re-checked independently before being trusted.
     """
     problem = build_gram_problem(A, r)
-    coef = member_C_r(A, r) if A.is_rational() else member_C_r(A, r, tol=0.0)
-    if coef.member:
+    if all(c >= 0 for c in problem.expansion.coeffs.values()):
         cert = _diagonal_certificate(problem)
         if check_certificate(problem, cert, eig_tol, match_tol):
             return SosVerdict(True, r, cert, cert.residual, cert.min_eig,

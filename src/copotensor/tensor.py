@@ -2,14 +2,16 @@
 
 Entries are keyed by sorted (non-decreasing) 1-based index tuples; a single
 default value covers every canonical tuple absent from the map, which matches
-the "value v otherwise" shape of the motivating examples.  Values may be exact
-``fractions.Fraction`` (rational mode) or floats; the hierarchy modules state
-which mode they require.
+the "value v otherwise" shape of the motivating examples.  Every stored value
+is an exact ``fractions.Fraction``: ints and Fractions convert as they are, a
+float keeps its exact binary value (0.1 is 3602879701896397/2^55), and NaN,
+infinities and non-numbers raise ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -20,6 +22,12 @@ from .combinatorics import tuple_multiplicity
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
+
+
+def _exact(value: object) -> Fraction:
+    if isinstance(value, Rational) or (isinstance(value, float) and math.isfinite(value)):
+        return Fraction(value)
+    raise ValueError(f"tensor value {value!r} is not an int, Fraction or finite float")
 
 
 def canonicalize(idx: Sequence[int], n: int) -> Index:
@@ -40,12 +48,15 @@ def canonical_tuples(n: int, d: int) -> Iterator[Index]:
 
 @dataclass(frozen=True)
 class SymTensor:
-    """Immutable symmetric tensor; mutate through :class:`SymTensorBuilder`."""
+    """Immutable symmetric tensor; mutate through :class:`SymTensorBuilder`.
+
+    The default and every entry are stored as exact Fractions.
+    """
 
     n: int
     d: int
-    entries: Mapping[Index, Scalar] = field(default_factory=dict)
-    default: Scalar = 0
+    entries: Mapping[Index, Fraction] = field(default_factory=dict)
+    default: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -55,30 +66,22 @@ class SymTensor:
                 raise ValueError(f"key {key} has length {len(key)}, expected {self.d}")
             if canonicalize(key, self.n) != key:
                 raise ValueError(f"key {key} is not in canonical sorted form")
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "default", _exact(self.default))
+        object.__setattr__(self, "entries", MappingProxyType(
+            {key: _exact(v) for key, v in self.entries.items()}))
 
-    def get(self, idx: Sequence[int]) -> Scalar:
+    def get(self, idx: Sequence[int]) -> Fraction:
         key = canonicalize(idx, self.n)
         if len(key) != self.d:
             raise ValueError(f"index length {len(key)} does not match order {self.d}")
         return self.entries.get(key, self.default)
 
-    def is_rational(self) -> bool:
-        """True when every value (including the default) is exact."""
-        if not isinstance(self.default, Rational):
-            return False
-        return all(isinstance(v, Rational) for v in self.entries.values())
-
-    def max_abs_entry(self) -> float:
-        vals = [abs(self.default)] + [abs(v) for v in self.entries.values()]
-        return max(vals)
-
-    def items(self) -> Iterator[tuple[Index, Scalar]]:
+    def items(self) -> Iterator[tuple[Index, Fraction]]:
         """All (canonical tuple, value) pairs, defaults included, lex order."""
         for key in canonical_tuples(self.n, self.d):
             yield key, self.entries.get(key, self.default)
 
-    def nonzero_items(self) -> Iterator[tuple[Index, Scalar]]:
+    def nonzero_items(self) -> Iterator[tuple[Index, Fraction]]:
         if self.default != 0:
             yield from self.items()
             return
@@ -87,7 +90,7 @@ class SymTensor:
             if v != 0:
                 yield key, v
 
-    def diag_vector(self) -> tuple[Scalar, ...]:
+    def diag_vector(self) -> tuple[Fraction, ...]:
         return tuple(self.get((i,) * self.d) for i in range(1, self.n + 1))
 
 
@@ -178,8 +181,7 @@ def mixed_rank_one(u: Sequence[Scalar], v: Sequence[Scalar], a: int, d: int) -> 
             total = total + term
             nchoices += 1
         if total != 0:
-            b.set(key, Fraction(total, nchoices) if isinstance(total, (int, Fraction))
-                  else total / nchoices)
+            b.set(key, Fraction(total) / nchoices)
     return b.build()
 
 

@@ -142,14 +142,6 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert parse_scalar(doc["min_value"]) == F(-1, 2)
 
-    def test_oracle_threads_agree(self, example_file, capsys):
-        assert main(["oracle", "--resolution", "6", example_file]) == 0
-        single = json.loads(capsys.readouterr().out)
-        assert main(["oracle", "--resolution", "6", "--threads", "4",
-                     example_file]) == 0
-        multi = json.loads(capsys.readouterr().out)
-        assert single["min_value"] == multi["min_value"]
-
     def test_oracle_samples_deterministic_default_seed(self, example_file, capsys):
         main(["oracle", "--samples", "200", example_file])
         first = json.loads(capsys.readouterr().out)
@@ -215,3 +207,41 @@ class TestVerify:
         cert_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 1
+
+    def test_forged_copositive_is_unchecked(self, tmp_path, capsys):
+        A = from_matrix([[1, -2], [-2, 1]])          # not copositive
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(emit_tensor(A))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(
+            docio.certificate_document("Copositive", "partition", tensor=A)))
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 2
+        assert "OK" not in capsys.readouterr().out
+
+    def test_forged_coef_member_fails(self, boundary_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(docio.certificate_document(
+            "Member", "coef", level=0, tensor=parse_tensor(BOUNDARY))))
+        assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["coef", "grid"])
+    def test_member_round_trip(self, example_file, tmp_path, capsys, method):
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["check", "--method", method, "--level", "2", example_file,
+                     "--out", cert_path]) == 0
+        capsys.readouterr()
+        assert main(["verify", cert_path, "--tensor", example_file]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_coef_not_member_round_trip_and_tamper(self, boundary_file, tmp_path,
+                                                   capsys):
+        cert_path = tmp_path / "cert.json"
+        assert main(["check", "--method", "coef", "--level", "1", boundary_file,
+                     "--out", str(cert_path)]) == 1
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 0
+        doc = json.loads(cert_path.read_text())
+        doc["stats"]["worst_value"] = "-2"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1

@@ -5,9 +5,8 @@ import pytest
 
 from copotensor.combinatorics import enumerate_exponents, tuple_multiplicity
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
-from copotensor.polycone import (PolyExpansion, convolve_up, expand_Pr,
-                                 expand_Pr_closed_form, expand_Pr_convolved,
-                                 member_C_r)
+from copotensor.polycone import (PolyExpansion, expand_Pr,
+                                 expand_Pr_closed_form, member_C_r)
 from copotensor.tensor import SymTensorBuilder, from_matrix
 from conftest import rand_nonneg_tensor, rand_rational_tensor
 
@@ -22,6 +21,20 @@ def bruteforce_coeffs(A, r):
         assert all(e % 2 == 0 for e in key)
         out[tuple(e // 2 for e in key)] = v
     return out
+
+
+def convolve_up(exp: PolyExpansion) -> PolyExpansion:
+    """Literal reference for the level recursion P^(r+1)(y) = (sum y_k^2)
+    P^(r)(y): each theta gains the level-r coefficients at theta - e_k."""
+    coeffs = {}
+    for theta in enumerate_exponents(exp.n, exp.s + 1):
+        total = Fraction(0)
+        for k in range(exp.n):
+            if theta[k] > 0:
+                prev = tuple(t - (1 if i == k else 0) for i, t in enumerate(theta))
+                total += exp.coeffs[prev]
+        coeffs[theta] = total
+    return PolyExpansion(exp.n, exp.d, exp.r + 1, coeffs)
 
 
 def assert_matches_oracle(exp: PolyExpansion, A, r):
@@ -97,7 +110,10 @@ class TestConvolution:
 
     def test_convolved_path(self, rng):
         A = rand_rational_tensor(rng, 2, 3)
-        assert expand_Pr_convolved(A, 4).coeffs == expand_Pr(A, 4).coeffs
+        exp = expand_Pr(A, 0)
+        for _ in range(4):
+            exp = convolve_up(exp)
+        assert exp.coeffs == expand_Pr(A, 4).coeffs
 
 
 class TestMemberCr:
@@ -145,6 +161,8 @@ class TestMemberCr:
         assert v.worst_theta == firsts[0]
 
     def test_float_mode_tolerance(self):
+        # float entries are taken at their exact binary values: no tolerance
         A = from_matrix([[1.0, -1e-15], [-1e-15, 1.0]])
-        assert member_C_r(A, 0).member          # inside default tolerance
-        assert not member_C_r(A, 0, tol=0.0).member
+        v = member_C_r(A, 0)
+        assert not v.member
+        assert v.worst_value == 2 * Fraction(-1e-15)

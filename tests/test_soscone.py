@@ -1,12 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from copotensor.soscone import (GramProblem, build_gram_problem,
-                                check_certificate, jacobi_eigh,
-                                lift_certificate, member_K_r, solve_gram)
+from copotensor.soscone import (build_gram_problem, check_certificate,
+                                jacobi_eigh, lift_certificate, member_K_r,
+                                solve_gram)
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensorBuilder, from_matrix
 from conftest import rand_nonneg_tensor
@@ -39,7 +40,8 @@ def full_basis_problem(A, r):
             g = tuple(x + y for x, y in zip(p.basis[i], p.basis[j]))
             targets.setdefault(g, 0.0)
             constraints.setdefault(g, []).append((0, i, j))
-    return GramProblem(p.n, p.d, p.r, p.basis, blocks, targets, constraints)
+    return dataclasses.replace(p, blocks=blocks, targets=targets,
+                               constraints=constraints)
 
 
 class TestBuild:

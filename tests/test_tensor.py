@@ -61,6 +61,27 @@ class TestGetSet:
             SymTensor(2, 2, {(2, 1): Fraction(1)})
 
 
+class TestExactValues:
+    def test_values_stored_as_exact_fractions(self):
+        A = from_matrix([[0.1, 2], [2, Fraction(1, 3)]])
+        assert all(type(v) is Fraction for _, v in A.items())
+        assert A.get((1, 1)) == Fraction(3602879701896397, 2 ** 55)
+        B = SymTensor(2, 2, {}, 0.5)
+        assert type(B.default) is Fraction and B.default == Fraction(1, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                     "1/2", None])
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SymTensorBuilder(2, 2).set((1, 2), bad).build()
+        with pytest.raises(ValueError):
+            SymTensorBuilder(2, 2, default=bad).build()
+        with pytest.raises(ValueError):
+            SymTensor(2, 2, {(1, 2): bad})
+        with pytest.raises(ValueError):
+            SymTensor(2, 2, default=bad)
+
+
 class TestEval:
     def test_identity_diag_at_unit_vector(self):
         A = diag_tensor((1, 1, 1), 3)
@@ -147,6 +168,12 @@ class TestMixedRankOne:
             v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
             direct = multi_product(A, [u] * a + [v] * (d - a))
             assert inner_product(A, mixed_rank_one(u, v, a, d)) == direct
+
+    def test_float_vectors_give_fraction_entries(self):
+        M = mixed_rank_one((0.5, 0.25), (1.0, 2.0), 1, 2)
+        assert all(type(v) is Fraction for _, v in M.items())
+        # (u1 v2 + u2 v1) / 2
+        assert M.get((1, 2)) == Fraction(5, 8)
 
     def test_split_out_of_range(self):
         with pytest.raises(ValueError):
