@@ -55,6 +55,7 @@ def _cmd_screen(args) -> int:
     res = necessary_screen(A)
     verdict = "Pass" if res.passed else "NotCopositive"
     doc = certificate_document(verdict, "screen", tensor=A,
+                               witness=res.witness, witness_value=res.witness_value,
                                stats={"reason": res.reason} if res.reason else None)
     _emit(doc, args.out)
     return EXIT_MEMBER if res.passed else EXIT_NOT_MEMBER

@@ -309,10 +309,8 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         if screen.passed:
             return Certificate(Verdict.COPOSITIVE,
                                stats=PartitionStats(0, 0, 0), method="screen")
-        i = screen.witness_index[0]
-        witness = tuple(Fraction(1 if j == i - 1 else 0) for j in range(A.n))
-        return Certificate(Verdict.NOT_COPOSITIVE, witness,
-                           eval_form(A, witness),
+        return Certificate(Verdict.NOT_COPOSITIVE, screen.witness,
+                           screen.witness_value,
                            PartitionStats(0, 0, 0), method="screen")
 
     diag, steps = _casteljau_tables(A.n, A.d)

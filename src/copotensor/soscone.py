@@ -10,6 +10,15 @@ The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
 cone, and any Certified result is re-verified by an independent checker
 before being reported.  Unknown is never a proof of non-membership.
+
+The solver keeps the Gram matrix as one flat float buffer, built once per
+solve: blocks of equal size sit side by side, so each block size is one
+``(k, m, m)`` view and the PSD step is one batched ``eigh`` per size.  The
+affine projection runs on precomputed index arrays over the constraint
+entries (flat upper and lower index, target id, weight): a ``np.bincount``
+per target, then a scatter of the shifts.  The checker
+(:func:`check_certificate`) shares none of this: it loops over the
+constraints itself and takes eigenvalues by cyclic Jacobi rotations.
 """
 
 from __future__ import annotations
@@ -122,36 +131,92 @@ def jacobi_eigh(M: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
 
 
 def _project_psd(G: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to each symmetric matrix in a ``(..., m, m)`` stack."""
     # untrusted hot path; the independent checker re-derives eigenvalues
     # with the Jacobi routine, so LAPACK here cannot smuggle in an error
     w, V = np.linalg.eigh(G)
     w = np.maximum(w, 0.0)
-    out = (V * w) @ V.T
-    return 0.5 * (out + out.T)
+    out = (V * w[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _project_affine(mats: list[np.ndarray], problem: GramProblem) -> list[np.ndarray]:
-    """Exact projection onto the coefficient-matching affine set.
+class _GramLayout:
+    """The solver's storage of a Gram problem's blocks as one flat buffer.
 
-    Constraints for distinct target exponents touch disjoint Gram entries, so
-    the projection decomposes per target: each involved upper-triangle entry
-    shifts by the same amount.
+    Blocks of equal size sit side by side, so the blocks of size m form one
+    ``(k, m, m)`` view and the PSD step is one batched ``eigh`` per size.
+    Every constraint entry (b, i, j) becomes a flat upper index, a flat
+    lower index, a target id and a weight (1 on the diagonal, 2 off it).
+    Each upper-triangle entry matches exactly one target, so the scatters
+    of the affine projection never repeat an index.
     """
-    out = [m.copy() for m in mats]
-    for g, pairs in problem.constraints.items():
-        t = problem.targets[g]
-        cur = 0.0
-        weight = 0
-        for b, i, j in pairs:
-            w = 1 if i == j else 2
-            cur += w * out[b][i, j]
-            weight += w
-        shift = (t - cur) / weight
-        for b, i, j in pairs:
-            out[b][i, j] += shift
-            if i != j:
-                out[b][j, i] += shift
-    return out
+
+    def __init__(self, problem: GramProblem):
+        sizes = [len(bl) for bl in problem.blocks]
+        self.groups: list[tuple[int, int, int]] = []   # (offset, count, size)
+        starts = [0] * len(sizes)
+        offset = 0
+        for m in sorted(set(sizes)):
+            members = [b for b, size in enumerate(sizes) if size == m]
+            for pos, b in enumerate(members):
+                starts[b] = offset + pos * m * m
+            self.groups.append((offset, len(members), m))
+            offset += len(members) * m * m
+        self.size = offset
+        self.spans = [(starts[b], m) for b, m in enumerate(sizes)]
+        upper, lower, tid = [], [], []
+        for g, pairs in enumerate(problem.constraints.values()):
+            for b, i, j in pairs:
+                m = sizes[b]
+                upper.append(starts[b] + i * m + j)
+                lower.append(starts[b] + j * m + i)
+                tid.append(g)
+        self.upper = np.array(upper, dtype=np.intp)
+        self.tid = np.array(tid, dtype=np.intp)
+        lower = np.array(lower, dtype=np.intp)
+        off_diag = self.upper != lower
+        self.lower, self.lower_tid = lower[off_diag], self.tid[off_diag]
+        self.weight = np.where(off_diag, 2.0, 1.0)
+        self.targets = np.array([problem.targets[g] for g in problem.constraints])
+        self.weight_sum = np.bincount(self.tid, weights=self.weight,
+                                      minlength=len(self.targets))
+
+    def views(self, x: np.ndarray) -> list[np.ndarray]:
+        return [x[o:o + k * m * m].reshape(k, m, m) for o, k, m in self.groups]
+
+    def block_matrices(self, x: np.ndarray) -> list[np.ndarray]:
+        """Copies of the blocks, in ``problem.blocks`` order."""
+        return [x[o:o + m * m].reshape(m, m).copy() for o, m in self.spans]
+
+    def matched(self, x: np.ndarray) -> np.ndarray:
+        """Per target, the coefficient that the Gram entries reproduce."""
+        return np.bincount(self.tid, weights=self.weight * x[self.upper],
+                           minlength=len(self.targets))
+
+    def residual(self, x: np.ndarray) -> float:
+        return float(np.max(np.abs(self.matched(x) - self.targets), initial=0.0))
+
+    def project_affine(self, x: np.ndarray) -> np.ndarray:
+        """Exact projection onto the coefficient-matching affine set.
+
+        Constraints for distinct targets touch disjoint Gram entries, so the
+        projection decomposes per target: each involved upper-triangle entry
+        (and its mirror) shifts by the same amount.
+        """
+        shift = (self.targets - self.matched(x)) / self.weight_sum
+        out = x.copy()
+        out[self.upper] += shift[self.tid]
+        out[self.lower] += shift[self.lower_tid]
+        return out
+
+    def project_psd(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        for src, dst in zip(self.views(x), self.views(out)):
+            dst[...] = _project_psd(src)
+        return out
+
+    def min_eig(self, x: np.ndarray) -> float:
+        return min(float(np.linalg.eigvalsh(v)[:, 0].min()) for v in self.views(x))
 
 
 def _residual(mats: list[np.ndarray], problem: GramProblem) -> float:
@@ -169,10 +234,6 @@ def _min_eig(mats: list[np.ndarray]) -> float:
     return min(float(np.min(jacobi_eigh(m)[0])) for m in mats)
 
 
-def _min_eig_fast(mats: list[np.ndarray]) -> float:
-    return min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
-
-
 def check_certificate(problem: GramProblem, cert: GramCertificate,
                       eig_tol: float = DEFAULT_EIG_TOL,
                       match_tol: float = DEFAULT_MATCH_TOL) -> bool:
@@ -186,38 +247,46 @@ def check_certificate(problem: GramProblem, cert: GramCertificate,
     return residual <= match_tol and min_eig >= -eig_tol
 
 
+def _check_options(eig_tol: float, match_tol: float, max_iters: int) -> None:
+    if eig_tol <= 0 or match_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
 def solve_gram(problem: GramProblem,
                eig_tol: float = DEFAULT_EIG_TOL,
                match_tol: float = DEFAULT_MATCH_TOL,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
     """Dykstra-corrected alternating projections between the affine
-    coefficient-matching set and the PSD cone (blockwise).
+    coefficient-matching set and the PSD cone (blockwise, on the layout of
+    :class:`_GramLayout`).
 
     Certified only if the candidate passes :func:`check_certificate`;
     iteration budget exhaustion yields Unknown, which is a verdict, not an
-    error and not a non-membership proof.
+    error and not a non-membership proof.  Non-positive tolerances and a
+    budget below one iteration raise ValueError.
     """
-    if eig_tol <= 0 or match_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    mats = _project_affine([np.zeros((len(bl), len(bl))) for bl in problem.blocks],
-                           problem)
-    corrections = [np.zeros_like(m) for m in mats]
+    _check_options(eig_tol, match_tol, max_iters)
+    layout = _GramLayout(problem)
+    x = layout.project_affine(np.zeros(layout.size))
+    correction = np.zeros_like(x)
     best_residual = float("inf")
     best_min_eig = -float("inf")
     check_every = 25
     it = 0
     while it < max_iters:
         it += 1
-        shifted = [m + p for m, p in zip(mats, corrections)]
-        psd = [_project_psd(m) for m in shifted]
-        corrections = [sh - ps for sh, ps in zip(shifted, psd)]
-        mats = _project_affine(psd, problem)
+        shifted = x + correction
+        psd = layout.project_psd(shifted)
+        correction = shifted - psd
+        x = layout.project_affine(psd)
         if it % check_every == 0 or it == max_iters:
-            me = _min_eig_fast(mats)
+            me = layout.min_eig(x)
             best_min_eig = max(best_min_eig, me)
-            best_residual = min(best_residual, _residual(psd, problem))
+            best_residual = min(best_residual, layout.residual(psd))
             if me >= -eig_tol:
-                cert = GramCertificate([m.copy() for m in mats], 0.0, me)
+                cert = GramCertificate(layout.block_matrices(x), 0.0, me)
                 if check_certificate(problem, cert, eig_tol, match_tol):
                     return SosVerdict(True, problem.r, cert,
                                       cert.residual, cert.min_eig, it)
@@ -288,6 +357,7 @@ def member_K_r(A: SymTensor, r: int,
     feasible set at r touches the PSD boundary.  Every lifted certificate is
     re-checked independently before being trusted.
     """
+    _check_options(eig_tol, match_tol, max_iters)
     problem = build_gram_problem(A, r)
     if all(c >= 0 for c in problem.expansion.coeffs.values()):
         cert = _diagonal_certificate(problem)

@@ -25,6 +25,8 @@ Index = tuple[int, ...]
 
 
 def _exact(value: object) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, Rational) or (isinstance(value, float) and math.isfinite(value)):
         return Fraction(value)
     raise ValueError(f"tensor value {value!r} is not an int, Fraction or finite float")
@@ -244,6 +246,8 @@ class ScreenResult:
     passed: bool
     reason: str | None = None
     witness_index: Index | None = None
+    witness: tuple[Fraction, ...] | None = None   # orthant point, form < 0
+    witness_value: Fraction | None = None
 
 
 def necessary_screen(A: SymTensor) -> ScreenResult:
@@ -253,12 +257,24 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     at index i coexists with a negative entry a_{i^(d-1) j}: along
     e_i + t e_j the form is d * a_{i^(d-1) j} * t + O(t^2).  Other mixed
     entries involving i are not constrained by a zero diagonal when d >= 3.
+    A fail carries a witness: e_i for a negative diagonal, and e_i + t e_j
+    with t = 1/2^k, halved until the form is negative, for a zero one (the
+    linear term dominates for small t, so the halving stops).
     """
+    def refute(reason: str, key: Index, i: int, j: int, t: Fraction) -> ScreenResult:
+        # the point e_i + t e_j (e_i for t = 0), t halved until the form is negative
+        while True:
+            point = tuple(Fraction(k == i) + (t if k == j else 0)
+                          for k in range(1, A.n + 1))
+            value = eval_form(A, point)
+            if value < 0:
+                return ScreenResult(False, reason, key, point, value)
+            t /= 2
+
     for i in range(1, A.n + 1):
-        diag = A.get((i,) * A.d)
-        if diag < 0:
-            return ScreenResult(False, f"diagonal entry at index {i} is negative",
-                                (i,) * A.d)
+        if A.get((i,) * A.d) < 0:
+            return refute(f"diagonal entry at index {i} is negative",
+                          (i,) * A.d, i, i, Fraction(0))
     for i in range(1, A.n + 1):
         if A.get((i,) * A.d) != 0:
             continue
@@ -267,8 +283,7 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
                 continue
             key = canonicalize((i,) * (A.d - 1) + (j,), A.n)
             if A.get(key) < 0:
-                return ScreenResult(
-                    False,
+                return refute(
                     f"zero diagonal at index {i} with negative mixed entry {key}",
-                    key)
+                    key, i, j, Fraction(1))
     return ScreenResult(True)

@@ -156,6 +156,15 @@ class TestCliExitCodes:
         assert doc["hierarchies"]["sos"][0] == "Certified"
         assert code in (0, 2)   # boundary of the cone: either is sound
 
+    @pytest.mark.parametrize("command", [["check", "--method", "sos"], ["compare"]],
+                             ids=["check", "compare"])
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    def test_max_iters_below_one_exit_3(self, boundary_file, capsys, command,
+                                        max_iters):
+        assert main(command + ["--max-iters", max_iters, boundary_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_iters" in captured.err
+
     def test_usage_error_exit_3(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--method", "bogus", "x.json"])
@@ -207,6 +216,16 @@ class TestVerify:
         cert_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 1
+
+    @pytest.mark.parametrize("rows", [[[-1, 0], [0, 1]], [[0, -1], [-1, 1]]])
+    def test_screen_refutation_round_trip(self, tmp_path, capsys, rows):
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(emit_tensor(from_matrix(rows)))
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["screen", str(tensor_path), "--out", cert_path]) == 1
+        capsys.readouterr()
+        assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_forged_copositive_is_unchecked(self, tmp_path, capsys):
         A = from_matrix([[1, -2], [-2, 1]])          # not copositive

@@ -1,18 +1,23 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from copotensor.soscone import (build_gram_problem, check_certificate,
+from copotensor.soscone import (GramCertificate, SosVerdict, _project_psd,
+                                build_gram_problem, check_certificate,
                                 jacobi_eigh, lift_certificate, member_K_r,
                                 solve_gram)
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensorBuilder, from_matrix
-from conftest import rand_nonneg_tensor
+from conftest import rand_diag_dominant_tensor, rand_nonneg_tensor
 
 BOUNDARY = from_matrix([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]])
+# in K^(1) but not PSD plus non-negative (Parrilo 2000)
+HORN = from_matrix([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+                    [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
 
 
 def degree6_example():
@@ -42,6 +47,69 @@ def full_basis_problem(A, r):
             constraints.setdefault(g, []).append((0, i, j))
     return dataclasses.replace(p, blocks=blocks, targets=targets,
                                constraints=constraints)
+
+
+def reference_solve_gram(problem, eig_tol=1e-8, match_tol=1e-8,
+                         max_iters=20000):
+    """Literal reference for :func:`solve_gram`: the per-block loop, with one
+    eigh per parity block and a Python loop over every constraint."""
+
+    def project_psd(G):
+        w, V = np.linalg.eigh(G)
+        w = np.maximum(w, 0.0)
+        out = (V * w) @ V.T
+        return 0.5 * (out + out.T)
+
+    def project_affine(mats):
+        out = [m.copy() for m in mats]
+        for g, pairs in problem.constraints.items():
+            t = problem.targets[g]
+            cur = 0.0
+            weight = 0
+            for b, i, j in pairs:
+                w = 1 if i == j else 2
+                cur += w * out[b][i, j]
+                weight += w
+            shift = (t - cur) / weight
+            for b, i, j in pairs:
+                out[b][i, j] += shift
+                if i != j:
+                    out[b][j, i] += shift
+        return out
+
+    def residual(mats):
+        worst = 0.0
+        for g, pairs in problem.constraints.items():
+            cur = 0.0
+            for b, i, j in pairs:
+                cur += (1 if i == j else 2) * mats[b][i, j]
+            worst = max(worst, abs(cur - problem.targets[g]))
+        return worst
+
+    def min_eig_fast(mats):
+        return min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+
+    mats = project_affine([np.zeros((len(bl), len(bl))) for bl in problem.blocks])
+    corrections = [np.zeros_like(m) for m in mats]
+    best_residual = float("inf")
+    best_min_eig = -float("inf")
+    it = 0
+    while it < max_iters:
+        it += 1
+        shifted = [m + p for m, p in zip(mats, corrections)]
+        psd = [project_psd(m) for m in shifted]
+        corrections = [sh - ps for sh, ps in zip(shifted, psd)]
+        mats = project_affine(psd)
+        if it % 25 == 0 or it == max_iters:
+            me = min_eig_fast(mats)
+            best_min_eig = max(best_min_eig, me)
+            best_residual = min(best_residual, residual(psd))
+            if me >= -eig_tol:
+                cert = GramCertificate([m.copy() for m in mats], 0.0, me)
+                if check_certificate(problem, cert, eig_tol, match_tol):
+                    return SosVerdict(True, problem.r, cert,
+                                      cert.residual, cert.min_eig, it)
+    return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)
 
 
 class TestBuild:
@@ -91,6 +159,13 @@ class TestSolve:
         p = build_gram_problem(BOUNDARY, 0)
         with pytest.raises(ValueError):
             solve_gram(p, eig_tol=0.0)
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        with pytest.raises(ValueError):
+            solve_gram(build_gram_problem(BOUNDARY, 0), max_iters=max_iters)
+        with pytest.raises(ValueError):
+            member_K_r(BOUNDARY, 0, max_iters=max_iters)
 
     def test_degree6_outcome_recorded(self):
         # the naive 3x3 Gram over the cubes is indefinite; the projection
@@ -153,3 +228,49 @@ class TestCertificates:
             blocked = solve_gram(build_gram_problem(A, 0)).certified
             full = solve_gram(full_basis_problem(A, 0)).certified
             assert blocked == full
+
+
+def _dd(seed, off_scale=2):
+    return rand_diag_dominant_tensor(random.Random(seed), 3, 4, off_scale=off_scale)
+
+
+class TestMatchesReference:
+    # (id, problem, max_iters, certified): size-stacked blocks (6, 3, 3, 3),
+    # Horn's nine 1x1 blocks, and the single block of the full basis
+    CASES = [
+        ("boundary-r0", lambda: build_gram_problem(BOUNDARY, 0), 20000, True),
+        ("dd6002-r0", lambda: build_gram_problem(_dd(6002), 0), 20000, True),
+        ("dd6002-r1", lambda: build_gram_problem(_dd(6002), 1), 20000, True),
+        ("dd6003-r0", lambda: build_gram_problem(_dd(6003), 0), 20000, True),
+        ("dd6003-r1", lambda: build_gram_problem(_dd(6003), 1), 20000, True),
+        ("horn-r0", lambda: build_gram_problem(HORN, 0), 200, False),
+        ("horn-r1", lambda: build_gram_problem(HORN, 1), 200, False),
+        ("off6-r0", lambda: build_gram_problem(_dd(2, off_scale=6), 0), 200, False),
+        ("full-basis", lambda: full_basis_problem(BOUNDARY, 0), 20000, True),
+    ]
+
+    @pytest.mark.parametrize("make, max_iters, certified", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_same_verdict_and_blocks(self, make, max_iters, certified):
+        problem = make()
+        got = solve_gram(problem, max_iters=max_iters)
+        want = reference_solve_gram(problem, max_iters=max_iters)
+        assert want.certified is certified
+        assert (got.certified, got.iterations, got.residual, got.min_eig) == \
+            (want.certified, want.iterations, want.residual, want.min_eig)
+        if certified:
+            assert len(got.certificate.block_matrices) == len(problem.blocks)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.certificate.block_matrices,
+                           want.certificate.block_matrices))
+        else:
+            assert got.certificate is None
+
+    def test_stacked_psd_projection_equals_per_matrix(self, rng):
+        for m in range(1, 7):
+            for k in (1, 2, 5):
+                S = np.array([[[rng.uniform(-1, 1) for _ in range(m)]
+                               for _ in range(m)] for _ in range(k)])
+                S = S + np.swapaxes(S, 1, 2)
+                assert np.array_equal(_project_psd(S),
+                                      np.stack([_project_psd(G) for G in S]))

@@ -69,6 +69,11 @@ class TestExactValues:
         B = SymTensor(2, 2, {}, 0.5)
         assert type(B.default) is Fraction and B.default == Fraction(1, 2)
 
+    def test_fractions_kept_unchanged(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        A = SymTensor(2, 2, {(1, 2): half}, third)
+        assert A.get((1, 2)) is half and A.default is third
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
                                      "1/2", None])
     def test_non_numbers_rejected(self, bad):
@@ -212,6 +217,23 @@ class TestNecessaryScreen:
         B = SymTensorBuilder(2, 3).set((1, 1, 2), -1).set((2, 2, 2), 1).build()
         res = necessary_screen(B)
         assert not res.passed and res.witness_index == (1, 1, 2)
+
+    @pytest.mark.parametrize("rows, point, value", [
+        ([[-1, 0], [0, 1]], (1, 0), -1),
+        ([[0, -1], [-1, 1]], (1, 1), -1),
+    ])
+    def test_fail_carries_witness(self, rows, point, value):
+        res = necessary_screen(from_matrix(rows))
+        assert res.witness == point and res.witness_value == value
+        assert eval_form(from_matrix(rows), res.witness) == value
+
+    def test_zero_diag_witness_halves_until_negative(self):
+        # x1^2 x2 coefficient -3 against x2^3 coefficient 100: t = 1/8 is the
+        # first power of two where -3 t + 100 t^3 < 0
+        B = SymTensorBuilder(2, 3).set((1, 1, 2), -1).set((2, 2, 2), 100).build()
+        res = necessary_screen(B)
+        assert res.witness == (1, Fraction(1, 8))
+        assert res.witness_value == eval_form(B, res.witness) < 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(2, 3), (2, 4), (3, 3), (3, 4)]), st.data())
