@@ -12,6 +12,17 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 
+# The most exponent vectors, grid points or monomials one hierarchy level
+# may enumerate; larger levels are refused before any enumeration starts.
+MAX_ENUMERATION = 10_000
+
+
+def check_enumeration_size(count: int, what: str) -> None:
+    """Raise ValueError when ``count`` items would exceed MAX_ENUMERATION."""
+    if count > MAX_ENUMERATION:
+        raise ValueError(f"{what}: {count} exceeds the limit of {MAX_ENUMERATION}")
+
+
 def multinomial(alpha: Sequence[int]) -> int:
     """Multinomial coefficient ``(sum alpha)! / prod(alpha_i!)``.
 

@@ -2,8 +2,14 @@
 
 Level r uses all points x of the simplex with (r+2) x integral; the
 cumulative grid is the union over levels 0..r (the unit vertices sit in
-every level, so starting the union at 0 only makes that explicit).
-Evaluation at grid points is exact; there is no tolerance.
+every level, so starting the union at 0 only makes that explicit).  A grid
+point is enumerated once, at its first appearance: as the composition
+c = m x of the smallest denominator m in 2..r+2 with m x integral.
+Evaluation is exact on ints: with L the lcm of A's denominators, the form at
+c / m is sum multiplicity * a * L * prod c_i over L m^d, and only a reported
+value becomes a Fraction; there is no tolerance.  A level whose grid would
+exceed ``combinatorics.MAX_ENUMERATION`` compositions raises ValueError
+before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -11,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .combinatorics import enumerate_exponents
-from .tensor import Scalar, SymTensor, eval_form
+from .combinatorics import (check_enumeration_size, enumerate_exponents,
+                            tuple_multiplicity)
+from .tensor import Scalar, SymTensor, canonical_tuples, scaled_values
 
 Point = tuple[Fraction, ...]
 
@@ -24,11 +32,6 @@ class RationalGrid:
     r: int
     points: tuple[Point, ...]
     cumulative: bool
-
-
-def _level_points(n: int, m: int) -> list[Point]:
-    # compositions of m into n parts, lexicographic, scaled by 1/m
-    return [tuple(Fraction(c, m) for c in comp) for comp in enumerate_exponents(n, m)]
 
 
 def grid_points(n: int, r: int) -> RationalGrid:
@@ -42,19 +45,33 @@ def grid_points(n: int, r: int) -> RationalGrid:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    pts = _level_points(n, r + 2)
+    m = r + 2
+    pts = tuple(tuple(Fraction(c, m) for c in comp)
+                for comp in enumerate_exponents(n, m))
     assert len(pts) == math.comb(n + r + 1, r + 2)
-    return RationalGrid(n, r, tuple(pts), cumulative=False)
+    return RationalGrid(n, r, pts, cumulative=False)
+
+
+def _first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each point of the cumulative grid once, as (m, composition of m): every
+    composition at m = 2, and at m > 2 those with gcd(m, *c) = 1 (the others
+    reduce to a smaller denominator).  Levels ascend, compositions are
+    lexicographic within a level."""
+    check_enumeration_size(sum(math.comb(n + m - 1, m) for m in range(2, r + 3)),
+                           f"level {r} grid point count")
+    for m in range(2, r + 3):
+        for c in enumerate_exponents(n, m):
+            if m > 2 and math.gcd(m, *c) != 1:
+                continue
+            yield m, c
 
 
 def cumulative_grid(n: int, r: int) -> RationalGrid:
-    """Union of the level grids 0..r, deduplicated; enumeration order is
+    """Union of the level grids 0..r without repeats; enumeration order is
     levels ascending, points lexicographic within a level."""
-    seen: dict[Point, None] = {}
-    for k in range(r + 1):
-        for p in _level_points(n, k + 2):
-            seen.setdefault(p, None)
-    return RationalGrid(n, r, tuple(seen), cumulative=True)
+    points = tuple(tuple(Fraction(ci, m) for ci in c)
+                   for m, c in _first_appearances(n, r))
+    return RationalGrid(n, r, points, cumulative=True)
 
 
 @dataclass(frozen=True)
@@ -69,9 +86,16 @@ def member_O_r(A: SymTensor, r: int) -> GridVerdict:
     """Outer cone membership: the form must be non-negative at every point of
     the cumulative grid.  The first negative point in enumeration order is
     the witness."""
-    grid = cumulative_grid(A.n, r)
-    for p in grid.points:
-        v = eval_form(A, p)
-        if v < 0:
-            return GridVerdict(False, r, p, v)
+    scale, values = scaled_values(A)
+    terms = [(tuple_multiplicity(key) * a, tuple(i - 1 for i in key))
+             for key, a in zip(canonical_tuples(A.n, A.d), values) if a]
+    for m, c in _first_appearances(A.n, r):
+        total = 0
+        for w, key in terms:
+            for i in key:
+                w *= c[i]
+            total += w
+        if total < 0:
+            return GridVerdict(False, r, tuple(Fraction(ci, m) for ci in c),
+                               Fraction(total, scale * m ** A.d))
     return GridVerdict(True, r)

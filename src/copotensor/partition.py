@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .tensor import (Scalar, SymTensor, canonical_tuples, eval_form,
-                     multi_product, necessary_screen)
+                     multi_product, necessary_screen, scaled_values)
 
 Point = tuple[Fraction, ...]
 
@@ -217,10 +217,7 @@ def _root_coefficients(A: SymTensor) -> list[int]:
     """Bernstein coefficients on the standard simplex, in canonical tuple
     order: A's entries times the lcm L of their denominators (and the
     default's), so every value is an int."""
-    values = [a for _, a in A.items()]
-    scale = math.lcm(A.default.denominator,
-                     *(v.denominator for v in values))
-    return [int(v * scale) for v in values]
+    return scaled_values(A)[1]
 
 
 @functools.lru_cache(maxsize=32)

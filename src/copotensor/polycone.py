@@ -2,22 +2,26 @@
 
 Level r tests whether every coefficient of P(y) = f_A(y o y) (sum y_k^2)^r is
 non-negative.  Coefficients are indexed by exponent vectors theta of degree
-s = r + d (the monomial y^(2 theta)) and computed exactly in rationals, as
-every tensor value is a Fraction.  :func:`expand_Pr` is the production route;
-:func:`expand_Pr_closed_form` reproduces the paper's closed form and serves
-as a cross-check.
+s = r + d (the monomial y^(2 theta)) and are exact.  :func:`expand_Pr`, the
+production route, computes each one on Python ints (A's values scaled by the
+lcm of their denominators, an integer falling-factorial bracket) and builds
+one Fraction per coefficient; :func:`expand_Pr_closed_form` reproduces the
+paper's closed form in Fractions and serves as a cross-check.  A level whose
+table would exceed ``combinatorics.MAX_ENUMERATION`` coefficients raises
+ValueError before anything is enumerated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .combinatorics import (elementary_symmetric, enumerate_exponents,
-                            falling_factorial, index_counts, multinomial,
-                            tuple_multiplicity)
-from .tensor import SymTensor
+from .combinatorics import (check_enumeration_size, elementary_symmetric,
+                            enumerate_exponents, falling_factorial,
+                            index_counts, multinomial, tuple_multiplicity)
+from .tensor import SymTensor, canonical_tuples, scaled_values
 
 Exponent = tuple[int, ...]
 
@@ -39,30 +43,42 @@ class PolyExpansion:
             raise ValueError("coefficient domain must be exactly I^n(r+d)")
 
 
-def _shifted(theta: Exponent, counts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(t - c for t, c in zip(theta, counts))
+def _check_level(A: SymTensor, r: int) -> None:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    check_enumeration_size(math.comb(A.n + r + A.d - 1, r + A.d),
+                           f"level {r} coefficient count")
 
 
 def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
-    """Coefficient table of P(y) via the shifted-multinomial sum.
+    """Coefficient table of P(y) from integer falling-factorial brackets.
 
-    For each theta of degree r+d the coefficient is the sum over all index
-    tuples of multinomial(theta - e_{i_1} - ... - e_{i_d}) * a_{i_1..i_d};
-    iterated over canonical tuples with permutation multiplicities.
+    Each coefficient is the sum over index tuples of
+    multinomial(theta - counts) * a_{i_1..i_d}, and
+    multinomial(theta - counts) = multinomial(theta) *
+    prod_i fall(theta_i, counts_i) / fall(s, d).  With L the lcm of A's
+    denominators, the bracket B(theta) = sum over canonical tuples of
+    multiplicity * a * L * prod fall(theta_i, counts_i) is an int, and the
+    coefficient is multinomial(theta) * B(theta) / (fall(s, d) * L).
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    terms = [(index_counts(key, A.n), tuple_multiplicity(key) * a)
-             for key, a in A.items() if a != 0]
+    _check_level(A, r)
+    d, s = A.d, r + A.d
+    scale, values = scaled_values(A)
+    terms = [(tuple_multiplicity(key) * a,
+              tuple((i, c) for i, c in enumerate(index_counts(key, A.n)) if c))
+             for key, a in zip(canonical_tuples(A.n, d), values) if a]
+    fall = [[falling_factorial(t, c) for c in range(d + 1)] for t in range(s + 1)]
+    denom = falling_factorial(s, d) * scale
     coeffs: dict[Exponent, Fraction] = {}
-    for theta in enumerate_exponents(A.n, r + A.d):
-        total = Fraction(0)
-        for counts, wa in terms:
-            c = multinomial(_shifted(theta, counts))
-            if c:
-                total += c * wa
-        coeffs[theta] = total
-    return PolyExpansion(A.n, A.d, r, coeffs)
+    for theta in enumerate_exponents(A.n, s):
+        rows = [fall[t] for t in theta]
+        bracket = 0
+        for w, factors in terms:
+            for i, c in factors:
+                w *= rows[i][c]
+            bracket += w
+        coeffs[theta] = Fraction(multinomial(theta) * bracket, denom)
+    return PolyExpansion(A.n, d, r, coeffs)
 
 
 def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
@@ -80,8 +96,7 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
     so the final bracket is the correction from power weights to falling
     factorials on those tuples.  Agrees exactly with :func:`expand_Pr`.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_level(A, r)
     d = A.d
     if d < 2:
         raise ValueError("closed form requires d >= 2")

@@ -23,12 +23,13 @@ constraints itself and takes eigenvalues by cyclic Jacobi rotations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import polycone
-from .combinatorics import enumerate_exponents
+from .combinatorics import check_enumeration_size, enumerate_exponents
 from .tensor import SymTensor
 
 DEFAULT_EIG_TOL = 1e-8
@@ -73,6 +74,8 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
     """Monomial basis, parity blocks, and coefficient targets for level r."""
     if r < 0:
         raise ValueError("r must be >= 0")
+    check_enumeration_size(math.comb(A.n + A.d + r - 1, A.d + r),
+                           f"level {r} monomial basis size")
     basis = enumerate_exponents(A.n, A.d + r)
     parity: dict[Exponent, list[int]] = {}
     for idx, mono in enumerate(basis):

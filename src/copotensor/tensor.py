@@ -187,6 +187,14 @@ def mixed_rank_one(u: Sequence[Scalar], v: Sequence[Scalar], a: int, d: int) -> 
     return b.build()
 
 
+def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of A's default and of its values, and
+    the values in canonical tuple order times L, as ints."""
+    values = [a for _, a in A.items()]
+    scale = math.lcm(A.default.denominator, *(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Scalar:
     """The associated homogeneous form: sum over all n^d index tuples of
     a_{i_1..i_d} x_{i_1}...x_{i_d}, computed over canonical tuples weighted by

@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from copotensor.tensor import SymTensor, SymTensorBuilder, canonical_tuples
+from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
+                               from_matrix)
+
+BOUNDARY = from_matrix([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]])
+# in K^(1) but not PSD plus non-negative (Parrilo 2000)
+HORN = from_matrix([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+                    [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
 
 
 def rand_rational_tensor(rng: random.Random, n: int, d: int,
@@ -34,6 +41,31 @@ def rand_diag_dominant_tensor(rng: random.Random, n: int, d: int,
         else:
             b.set(key, Fraction(rng.randint(-off_scale, off_scale), denom))
     return b.build()
+
+
+def rand_float_tensor(rng: random.Random, n: int, d: int) -> SymTensor:
+    """Float entries in [-2, 6] on about half the canonical tuples and a
+    float default in [-1, 3], all taken at their exact binary values."""
+    entries = {key: rng.uniform(-2, 6) for key in canonical_tuples(n, d)
+               if rng.random() < 0.5}
+    return SymTensor(n, d, entries, rng.uniform(-1, 3))
+
+
+@st.composite
+def float_tensors(draw) -> SymTensor:
+    """Hypothesis strategy: n and d in 1..4, a non-zero float default and
+    float entries on a random subset of the canonical tuples (every value is
+    taken at its exact binary value, so denominators run up to 2^1074)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=4))
+    value = st.floats(min_value=-2, max_value=6, allow_nan=False)
+    default = draw(value.filter(bool))
+    entries = {}
+    for key in canonical_tuples(n, d):
+        v = draw(st.none() | value)
+        if v is not None:
+            entries[key] = v
+    return SymTensor(n, d, entries, default)
 
 
 def example31_tensor() -> SymTensor:

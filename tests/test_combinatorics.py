@@ -1,8 +1,10 @@
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
-from copotensor.combinatorics import (elementary_symmetric, enumerate_exponents,
+from copotensor.combinatorics import (MAX_ENUMERATION, check_enumeration_size,
+                                      elementary_symmetric, enumerate_exponents,
                                       falling_factorial, index_counts,
                                       multinomial, tuple_multiplicity)
 
@@ -81,3 +83,18 @@ class TestHelpers:
 
     def test_index_counts(self):
         assert index_counts((1, 1, 3), 3) == (2, 0, 1)
+
+
+class TestEnumerationLimit:
+    def test_limit_inclusive(self):
+        check_enumeration_size(MAX_ENUMERATION, "items")
+        with pytest.raises(ValueError, match="items: 10001 exceeds the limit"):
+            check_enumeration_size(MAX_ENUMERATION + 1, "items")
+
+    def test_limit_admits_known_sizes(self):
+        # n=6, d=4 at level 6: the SOS basis of C(15, 10) = 3003 monomials
+        assert math.comb(6 + 4 + 6 - 1, 4 + 6) <= MAX_ENUMERATION
+        # flagship (n=3, d=4) grid at level 30
+        assert sum(math.comb(3 + m - 1, m) for m in range(2, 33)) <= MAX_ENUMERATION
+        # n=10, d=4 at level 10 is refused
+        assert math.comb(10 + 4 + 10 - 1, 4 + 10) > MAX_ENUMERATION

@@ -1,9 +1,10 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from copotensor import docio
+from copotensor import cli, docio
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -190,6 +191,50 @@ class TestCliExitCodes:
             with pytest.raises(SystemExit) as exc:
                 main(["certify", str(p)])
             assert exc.value.code == 3
+
+
+class TestParserReuse:
+    SEQUENCE = [["check", "--method", "coef", "--level", "3"],
+                ["check", "--method", "coef"],
+                ["compare", "--levels", "1", "--max-iters", "5", "--json"],
+                ["check", "--method", "sos"]]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_no_values_leak_between_calls(self, boundary_file, capsys, monkeypatch):
+        runs = []
+        for argv in self.SEQUENCE:
+            code = main(argv + [boundary_file])
+            runs.append((code, capsys.readouterr().out))
+            ns = vars(cli._parser().parse_args(argv + [boundary_file]))
+            assert ns == vars(cli.build_parser().parse_args(argv + [boundary_file]))
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = []
+        for argv in self.SEQUENCE:
+            code = main(argv + [boundary_file])
+            fresh.append((code, capsys.readouterr().out))
+        assert runs == fresh
+        docs = [json.loads(out) for _, out in runs]
+        assert [doc.get("level") for doc in docs] == [3, 0, None, 0]
+        assert docs[2]["hierarchies"]["sos"] == ["Unknown", "Unknown"]
+        assert docs[3]["verdict"] == "Certified" and docs[3]["stats"]["iterations"] > 5
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("command", [["check", "--method", "sos"],
+                                         ["check", "--method", "coef"],
+                                         ["check", "--method", "grid"],
+                                         ["expand"]],
+                             ids=["sos", "coef", "grid", "expand"])
+    def test_oversized_level_exit_3(self, tmp_path, capsys, command):
+        p = tmp_path / "n10d4.json"
+        p.write_text('{"n": 10, "d": 4, "default": "1"}')
+        start = time.perf_counter()
+        assert main(command + ["--level", "10", str(p)]) == 3
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the limit" in captured.err
 
 
 class TestVerify:

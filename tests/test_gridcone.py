@@ -1,14 +1,39 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from copotensor.gridcone import cumulative_grid, grid_points, member_O_r
-from copotensor.tensor import eval_form, from_matrix
-from conftest import rand_nonneg_tensor, rand_rational_tensor
+from copotensor import combinatorics, gridcone
+from copotensor.combinatorics import enumerate_exponents
+from copotensor.gridcone import (GridVerdict, cumulative_grid, grid_points,
+                                 member_O_r)
+from copotensor.tensor import SymTensor, eval_form, from_matrix
+from conftest import (BOUNDARY, HORN, example31_tensor, float_tensors,
+                      rand_float_tensor, rand_nonneg_tensor,
+                      rand_rational_tensor)
 
 F = Fraction
+
+
+def reference_cumulative_grid(n, r):
+    """Literal reference: every level's points as Fractions, deduplicated by
+    a dict in first-insertion order."""
+    seen = {}
+    for k in range(r + 1):
+        for comp in enumerate_exponents(n, k + 2):
+            seen.setdefault(tuple(Fraction(c, k + 2) for c in comp), None)
+    return tuple(seen)
+
+
+def reference_member_O_r(A, r):
+    """Literal reference: eval_form at each point of the reference grid."""
+    for p in reference_cumulative_grid(A.n, r):
+        v = eval_form(A, p)
+        if v < 0:
+            return GridVerdict(False, r, p, v)
+    return GridVerdict(True, r)
 
 
 class TestGridPoints:
@@ -103,3 +128,60 @@ class TestMemberOr:
             ok_small = all(eval_form(A, p) >= 0 for p in small)
             if ok_large:
                 assert ok_small
+
+
+class TestMatchesReference:
+    """Integer evaluation over first appearances gives the reference's grid,
+    in the same order, and the reference's verdict, witness and value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_tensors(), st.integers(min_value=0, max_value=4))
+    def test_random_float_tensors(self, A, r):
+        assert member_O_r(A, r) == reference_member_O_r(A, r)
+
+    @pytest.mark.parametrize("name, A", [
+        ("flagship", example31_tensor()), ("horn", HORN), ("boundary", BOUNDARY),
+        ("hollow", from_matrix([[0, -1], [-1, 0]])),
+        ("float-3-4", rand_float_tensor(random.Random(1), 3, 4)),
+        ("float-4-3", rand_float_tensor(random.Random(2), 4, 3))])
+    def test_fixed_cases(self, name, A):
+        for r in range(5):
+            assert member_O_r(A, r) == reference_member_O_r(A, r)
+
+    def test_witnesses_past_the_first_level(self):
+        # found at denominators 3..6: exercises the gcd skip and the scaling
+        rng = random.Random(3)
+        late = 0
+        for _ in range(60):
+            A = rand_float_tensor(rng, 3, 3)
+            v = member_O_r(A, 4)
+            assert v == reference_member_O_r(A, 4)
+            if not v.member and max(c.denominator for c in v.witness) > 2:
+                late += 1
+                assert eval_form(A, v.witness) == v.value < 0
+        assert late > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cumulative_grid_same_points_same_order(self, n):
+        for r in range(7):
+            assert cumulative_grid(n, r).points == reference_cumulative_grid(n, r)
+
+
+class TestSizeLimit:
+    def test_oversized_level_rejected_before_enumeration(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gridcone, "enumerate_exponents",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            member_O_r(SymTensor(10, 4, {}, 1), 10)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            cumulative_grid(10, 10)
+        assert calls == []
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        count = sum(math.comb(3 + m - 1, m) for m in range(2, 7))
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", count)
+        assert member_O_r(example31_tensor(), 4).member
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", count - 1)
+        with pytest.raises(ValueError):
+            member_O_r(example31_tensor(), 4)

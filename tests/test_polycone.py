@@ -1,16 +1,21 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from copotensor.combinatorics import enumerate_exponents, tuple_multiplicity
+from copotensor import combinatorics, polycone
+from copotensor.combinatorics import (enumerate_exponents, index_counts,
+                                      multinomial, tuple_multiplicity)
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.polycone import (PolyExpansion, expand_Pr,
                                  expand_Pr_closed_form, member_C_r)
-from copotensor.tensor import SymTensorBuilder, from_matrix
-from conftest import rand_nonneg_tensor, rand_rational_tensor
-
-BOUNDARY = from_matrix([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]])
+from copotensor.tensor import SymTensor, SymTensorBuilder, from_matrix
+from conftest import (BOUNDARY, HORN, example31_tensor, float_tensors,
+                      rand_float_tensor, rand_nonneg_tensor,
+                      rand_rational_tensor)
 
 
 def bruteforce_coeffs(A, r):
@@ -35,6 +40,22 @@ def convolve_up(exp: PolyExpansion) -> PolyExpansion:
                 total += exp.coeffs[prev]
         coeffs[theta] = total
     return PolyExpansion(exp.n, exp.d, exp.r + 1, coeffs)
+
+
+def reference_expand_Pr(A, r):
+    """Literal reference: the shifted-multinomial sum in Fractions, one
+    multinomial(theta - counts) per (theta, canonical tuple)."""
+    terms = [(index_counts(key, A.n), tuple_multiplicity(key) * a)
+             for key, a in A.items() if a != 0]
+    coeffs = {}
+    for theta in enumerate_exponents(A.n, r + A.d):
+        total = Fraction(0)
+        for counts, wa in terms:
+            c = multinomial(tuple(t - k for t, k in zip(theta, counts)))
+            if c:
+                total += c * wa
+        coeffs[theta] = total
+    return PolyExpansion(A.n, A.d, r, coeffs)
 
 
 def assert_matches_oracle(exp: PolyExpansion, A, r):
@@ -73,6 +94,54 @@ class TestExpandPr:
             A = rand_rational_tensor(rng, n, d)
             for r in range(3):
                 assert_matches_oracle(expand_Pr(A, r), A, r)
+
+
+class TestMatchesReference:
+    """The integer falling-factorial brackets give the same Fractions as the
+    shifted-multinomial sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_tensors(), st.integers(min_value=0, max_value=4))
+    def test_random_float_tensors(self, A, r):
+        assert expand_Pr(A, r).coeffs == reference_expand_Pr(A, r).coeffs
+
+    @pytest.mark.parametrize("name, A", [
+        ("flagship", example31_tensor()), ("horn", HORN), ("boundary", BOUNDARY),
+        ("float-3-4", rand_float_tensor(random.Random(1), 3, 4)),
+        ("float-4-3", rand_float_tensor(random.Random(2), 4, 3))])
+    def test_fixed_cases(self, name, A):
+        for r in range(5):
+            assert expand_Pr(A, r).coeffs == reference_expand_Pr(A, r).coeffs
+
+    def test_one_multinomial_per_coefficient(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polycone, "multinomial",
+                            lambda alpha: calls.append(alpha) or multinomial(alpha))
+        exp = expand_Pr(example31_tensor(), 6)
+        assert sorted(calls) == sorted(exp.coeffs)
+
+
+class TestSizeLimit:
+    def test_oversized_level_rejected_before_enumeration(self, monkeypatch):
+        A = SymTensor(10, 4, {}, 1)
+        calls = []
+        monkeypatch.setattr(polycone, "enumerate_exponents",
+                            lambda *args: calls.append(args))
+        for expand in (expand_Pr, expand_Pr_closed_form):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                expand(A, 10)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            member_C_r(A, 10)
+        assert calls == []
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        A = example31_tensor()
+        count = math.comb(3 + 5 + 4 - 1, 5 + 4)
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", count)
+        assert len(expand_Pr(A, 5).coeffs) == count
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", count - 1)
+        with pytest.raises(ValueError):
+            expand_Pr(A, 5)
 
 
 class TestClosedForm:

@@ -6,18 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from copotensor import combinatorics
 from copotensor.soscone import (GramCertificate, SosVerdict, _project_psd,
                                 build_gram_problem, check_certificate,
                                 jacobi_eigh, lift_certificate, member_K_r,
                                 solve_gram)
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensorBuilder, from_matrix
-from conftest import rand_diag_dominant_tensor, rand_nonneg_tensor
-
-BOUNDARY = from_matrix([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]])
-# in K^(1) but not PSD plus non-negative (Parrilo 2000)
-HORN = from_matrix([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
-                    [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]])
+from conftest import (BOUNDARY, HORN, rand_diag_dominant_tensor,
+                      rand_nonneg_tensor)
 
 
 def degree6_example():
@@ -130,6 +127,17 @@ class TestBuild:
     def test_every_target_reachable(self):
         p = build_gram_problem(BOUNDARY, 1)
         assert all(p.constraints[g] for g in p.targets)
+
+    def test_oversized_basis_rejected(self):
+        with pytest.raises(ValueError, match="monomial basis size: 817190 exceeds"):
+            build_gram_problem(SymTensorBuilder(10, 4, default=1).build(), 10)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", math.comb(2 + 2 + 2 - 1, 2 + 2))
+        assert len(build_gram_problem(BOUNDARY, 2).basis) == 5
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", 4)
+        with pytest.raises(ValueError):
+            build_gram_problem(BOUNDARY, 2)
 
 
 class TestJacobi:

@@ -10,8 +10,8 @@ from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                diag_tensor, eval_form, from_matrix,
                                inner_product, mixed_rank_one, multi_product,
-                               necessary_screen, rank_one)
-from conftest import rand_rational_tensor
+                               necessary_screen, rank_one, scaled_values)
+from conftest import rand_float_tensor, rand_rational_tensor
 
 
 def literal_eval(A: SymTensor, x) -> Fraction:
@@ -85,6 +85,25 @@ class TestExactValues:
             SymTensor(2, 2, {(1, 2): bad})
         with pytest.raises(ValueError):
             SymTensor(2, 2, default=bad)
+
+
+class TestScaledValues:
+    def test_scaled_ints_over_L_give_back_the_values(self, rng):
+        for n, d in ((1, 1), (2, 3), (3, 4)):
+            for A in (rand_rational_tensor(rng, n, d), rand_float_tensor(rng, n, d)):
+                scale, ints = scaled_values(A)
+                assert all(type(v) is int for v in ints)
+                assert [Fraction(v, scale) for v in ints] == [a for _, a in A.items()]
+
+    def test_scale_is_the_lcm_default_included(self):
+        A = SymTensor(3, 2, {(1, 1): Fraction(1, 2), (2, 3): Fraction(-1, 3)},
+                      Fraction(3, 5))
+        scale, ints = scaled_values(A)
+        assert scale == 30
+        assert ints == [15, 18, 18, 18, -10, 18]
+        # the default counts even when every tuple is set explicitly
+        B = SymTensor(1, 1, {(1,): Fraction(1, 2)}, Fraction(1, 7))
+        assert scaled_values(B) == (14, [7])
 
 
 class TestEval:
