@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from copotensor import (certify_copositivity, member_C_r, member_K_r,
-                        member_O_r)
+from copotensor import (certify_copositivity, member_C_r, member_O_r,
+                        sweep_K_r)
 from copotensor.oracle import simplex_grid_min
 from copotensor.tensor import SymTensorBuilder, canonical_tuples
 
@@ -54,8 +54,7 @@ def sweep(cfg: SweepConfig):
         A = random_tensor(rng, n, d)
         coef = "".join("M" if member_C_r(A, r).member else "."
                        for r in range(cfg.levels + 1))
-        sos = "".join("C" if member_K_r(A, r).certified else "?"
-                      for r in range(cfg.levels + 1))
+        sos = "".join("C" if v.certified else "?" for v in sweep_K_r(A, cfg.levels))
         grid = "".join("M" if member_O_r(A, r).member else "."
                        for r in range(cfg.levels + 1))
         cert = certify_copositivity(A, max_depth=24)

@@ -13,7 +13,7 @@ from .partition import (Certificate, Partition, Simplex, Verdict,
                         member_O_P, refine, standard_simplex, trivial_partition)
 from .polycone import PolyExpansion, expand_Pr, expand_Pr_closed_form, member_C_r
 from .soscone import (GramProblem, build_gram_problem, check_certificate,
-                      member_K_r, solve_gram)
+                      member_K_r, solve_gram, sweep_K_r)
 from .tensor import (SymTensor, SymTensorBuilder, canonicalize, diag_tensor,
                      eval_form, from_matrix, inner_product, mixed_rank_one,
                      multi_product, necessary_screen, rank_one)

@@ -155,14 +155,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_compare(args) -> int:
     A = _load_tensor(args.tensor)
     levels = list(range(args.levels + 1))
-    matrix: dict[str, list[str]] = {"coef": [], "sos": [], "grid": []}
-    for r in levels:
-        matrix["coef"].append("Member" if polycone.member_C_r(A, r).member
-                              else "NotMember")
-        sos = soscone.member_K_r(A, r, max_iters=args.max_iters)
-        matrix["sos"].append("Certified" if sos.certified else "Unknown")
-        matrix["grid"].append("Member" if gridcone.member_O_r(A, r).member
-                              else "NotMember")
+    # the SOS walk first: its size check covers levels 0..R before any work
+    sos = soscone.sweep_K_r(A, args.levels, max_iters=args.max_iters)
+    matrix = {"coef": ["Member" if polycone.member_C_r(A, r).member else "NotMember"
+                       for r in levels],
+              "sos": ["Certified" if v.certified else "Unknown" for v in sos],
+              "grid": ["Member" if gridcone.member_O_r(A, r).member else "NotMember"
+                       for r in levels]}
     cert = certify_copositivity(A, max_depth=args.max_depth, simplex_budget=args.budget)
     screen = necessary_screen(A)
     doc = {"input_digest": docio.tensor_digest(A),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,12 +19,8 @@ import numpy as np
 from .combinatorics import tuple_multiplicity
 from .tensor import Scalar, SymTensor, eval_form
 
-MAX_GRID_POINTS_ENV = "COPOTENSOR_MAX_GRID_POINTS"
-_DEFAULT_MAX_GRID_POINTS = 2_000_000
-
-
-def _grid_cap() -> int:
-    return int(os.environ.get(MAX_GRID_POINTS_ENV, _DEFAULT_MAX_GRID_POINTS))
+# The most grid points or sphere samples one oracle call may evaluate.
+MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -53,10 +48,8 @@ def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     count = math.comb(A.n + resolution - 1, resolution)
-    if count > _grid_cap():
-        raise ValueError(
-            f"grid of {count} points exceeds cap {_grid_cap()} "
-            f"(override via {MAX_GRID_POINTS_ENV})")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {count} points exceeds cap {MAX_GRID_POINTS}")
     best_val = None
     best_pt = None
     for comp in _compositions(resolution, A.n):
@@ -136,8 +129,8 @@ def fullspace_sample_min(A: SymTensor, trials: int, seed: int,
     generator), so both orthants are covered; any directed probes are
     appended after normalization.  Deterministic for a given seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_GRID_POINTS:
+        raise ValueError(f"trials must be between 1 and {MAX_GRID_POINTS}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((trials, A.n))
     norms = np.linalg.norm(pts, axis=1)

@@ -8,17 +8,13 @@ G may be taken block diagonal.
 
 The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
-cone, and any Certified result is re-verified by an independent checker
-before being reported.  Unknown is never a proof of non-membership.
+cone, on the flat buffer of :class:`_GramLayout`.  Any Certified result is
+re-verified by :func:`check_certificate`, which shares none of that: it loops
+over the constraints itself and takes eigenvalues by cyclic Jacobi rotations.
+Unknown is never a proof of non-membership.
 
-The solver keeps the Gram matrix as one flat float buffer, built once per
-solve: blocks of equal size sit side by side, so each block size is one
-``(k, m, m)`` view and the PSD step is one batched ``eigh`` per size.  The
-affine projection runs on precomputed index arrays over the constraint
-entries (flat upper and lower index, target id, weight): a ``np.bincount``
-per target, then a scatter of the shifts.  The checker
-(:func:`check_certificate`) shares none of this: it loops over the
-constraints itself and takes eigenvalues by cyclic Jacobi rotations.
+The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
+upward, lifting a certificate from the level below instead of solving again.
 """
 
 from __future__ import annotations
@@ -296,17 +292,18 @@ def solve_gram(problem: GramProblem,
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)
 
 
+def _block_positions(problem: GramProblem) -> dict[Exponent, tuple[int, int]]:
+    """Basis monomial -> (block, position inside the block)."""
+    return {problem.basis[idx]: (b, k) for b, members in enumerate(problem.blocks)
+            for k, idx in enumerate(members)}
+
+
 def _diagonal_certificate(problem: GramProblem) -> GramCertificate:
     """Non-negative coefficients give P = sum A_theta (y^theta)^2 directly."""
-    pos = {m: i for i, m in enumerate(problem.basis)}
+    where = _block_positions(problem)
     mats = [np.zeros((len(bl), len(bl))) for bl in problem.blocks]
-    lookup = {}
-    for b, members in enumerate(problem.blocks):
-        for k, idx in enumerate(members):
-            lookup[idx] = (b, k)
     for g, t in problem.targets.items():
-        half = tuple(e // 2 for e in g)
-        b, k = lookup[pos[half]]
+        b, k = where[tuple(e // 2 for e in g)]
         mats[b][k, k] = t
     return GramCertificate(mats, 0.0, 0.0)
 
@@ -323,22 +320,15 @@ def lift_certificate(low: GramProblem, cert: GramCertificate,
     """
     if high.r != low.r + 1:
         raise ValueError("can only lift by one level")
-    pos_high = {m: i for i, m in enumerate(high.basis)}
-    lookup_high = {}
-    for b, members in enumerate(high.blocks):
-        for k, idx in enumerate(members):
-            lookup_high[idx] = (b, k)
+    where = _block_positions(high)
     mats = [np.zeros((len(bl), len(bl))) for bl in high.blocks]
     for lb, members in enumerate(low.blocks):
         G = _project_psd(cert.block_matrices[lb])
         for var in range(low.n):
             # where each block monomial lands after multiplying by y_var
-            targets = []
-            for idx in members:
-                mono = low.basis[idx]
-                lifted = tuple(e + (1 if i == var else 0)
-                               for i, e in enumerate(mono))
-                targets.append(lookup_high[pos_high[lifted]])
+            targets = [where[tuple(e + (1 if i == var else 0)
+                                   for i, e in enumerate(low.basis[idx]))]
+                       for idx in members]
             hb = targets[0][0]
             for i, (bi, ki) in enumerate(targets):
                 assert bi == hb  # multiplying by one variable keeps parity class
@@ -347,42 +337,60 @@ def lift_certificate(low: GramProblem, cert: GramCertificate,
     return GramCertificate(mats, 0.0, 0.0)
 
 
+def _fast_path(problem: GramProblem, eig_tol: float,
+               match_tol: float) -> SosVerdict | None:
+    if all(c >= 0 for c in problem.expansion.coeffs.values()):
+        cert = _diagonal_certificate(problem)
+        if check_certificate(problem, cert, eig_tol, match_tol):
+            return SosVerdict(True, problem.r, cert, cert.residual, cert.min_eig,
+                              0, fast_path=True)
+    return None
+
+
+def _check_walk(A: SymTensor, R: int, eig_tol: float, match_tol: float,
+                max_iters: int) -> None:
+    _check_options(eig_tol, match_tol, max_iters)
+    if R < 0:
+        raise ValueError("r must be >= 0")
+    # the sum of C(n+d+r-1, d+r) over r <= R (hockey-stick identity)
+    total = math.comb(A.n + A.d + R, A.n) - math.comb(A.n + A.d - 1, A.n)
+    check_enumeration_size(total, f"levels 0..{R} monomial basis size")
+
+
+def _sweep(A: SymTensor, R: int, eig_tol: float, match_tol: float,
+           max_iters: int, top: GramProblem | None = None) -> list[SosVerdict]:
+    """The walk of :func:`sweep_K_r`; ``top`` is a level-R problem built already."""
+    verdicts: list[SosVerdict] = []
+    for r in range(R + 1):
+        problem = top if r == R and top is not None else build_gram_problem(A, r)
+        v = _fast_path(problem, eig_tol, match_tol)
+        if v is None and r > 0 and verdicts[-1].certified:
+            cert = lift_certificate(low, verdicts[-1].certificate, problem)
+            if check_certificate(problem, cert, eig_tol, match_tol):
+                v = SosVerdict(True, r, cert, cert.residual, cert.min_eig,
+                               verdicts[-1].iterations)
+        verdicts.append(v or solve_gram(problem, eig_tol, match_tol, max_iters))
+        low = problem
+    return verdicts
+
+
+def sweep_K_r(A: SymTensor, R: int, eig_tol: float = DEFAULT_EIG_TOL,
+              match_tol: float = DEFAULT_MATCH_TOL,
+              max_iters: int = DEFAULT_MAX_ITERS) -> list[SosVerdict]:
+    """SOS membership at levels 0..R in one walk up: a level tries the fast
+    path, then one re-checked lift of the certificate below (keeping its
+    iteration count), then a solve.  At most MAX_ENUMERATION monomials in all."""
+    _check_walk(A, R, eig_tol, match_tol, max_iters)
+    return _sweep(A, R, eig_tol, match_tol, max_iters)
+
+
 def member_K_r(A: SymTensor, r: int,
                eig_tol: float = DEFAULT_EIG_TOL,
                match_tol: float = DEFAULT_MATCH_TOL,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
-    """SOS membership at level r; fast path through the coefficient cone.
-
-    A tensor with all-non-negative level-r coefficients certifies with a
-    diagonal Gram matrix immediately.  Otherwise the projection solver runs
-    at levels 0..r in turn: the levels nest, a lower-level certificate lifts
-    to level r, and the lower problems are much better conditioned when the
-    feasible set at r touches the PSD boundary.  Every lifted certificate is
-    re-checked independently before being trusted.
-    """
-    _check_options(eig_tol, match_tol, max_iters)
+    """SOS membership at level r: the coefficient fast path, else the last
+    verdict of :func:`sweep_K_r` up to r, which reuses the level-r problem."""
+    _check_walk(A, r, eig_tol, match_tol, max_iters)
     problem = build_gram_problem(A, r)
-    if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        cert = _diagonal_certificate(problem)
-        if check_certificate(problem, cert, eig_tol, match_tol):
-            return SosVerdict(True, r, cert, cert.residual, cert.min_eig,
-                              0, fast_path=True)
-    problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
-    last = None
-    for rr in range(r + 1):
-        v = solve_gram(problems[rr], eig_tol, match_tol, max_iters)
-        if rr == r:
-            last = v
-        if not v.certified:
-            continue
-        cert = v.certificate
-        ok = True
-        for step in range(rr, r):
-            cert = lift_certificate(problems[step], cert, problems[step + 1])
-            if not check_certificate(problems[step + 1], cert, eig_tol, match_tol):
-                ok = False
-                break
-        if ok:
-            return SosVerdict(True, r, cert, cert.residual, cert.min_eig,
-                              v.iterations)
-    return last
+    return (_fast_path(problem, eig_tol, match_tol)
+            or _sweep(A, r, eig_tol, match_tol, max_iters, top=problem)[-1])

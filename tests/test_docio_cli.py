@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from copotensor import cli, docio
+from copotensor import cli, docio, oracle
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -149,6 +149,13 @@ class TestCliExitCodes:
         main(["oracle", "--samples", "200", example_file])
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+    def test_oracle_samples_above_cap_exit_3(self, example_file, capsys):
+        # refused before the sample array is allocated
+        samples = str(oracle.MAX_GRID_POINTS + 1)
+        assert main(["oracle", "--samples", samples, example_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trials must be between" in captured.err
 
     def test_compare_json(self, boundary_file, capsys):
         code = main(["compare", "--levels", "2", "--json", boundary_file])

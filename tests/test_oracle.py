@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from copotensor.oracle import (MAX_GRID_POINTS_ENV, eval_many,
-                               expand_bruteforce, fullspace_sample_min,
-                               simplex_grid_min)
+from copotensor import oracle
+from copotensor.oracle import (eval_many, expand_bruteforce,
+                               fullspace_sample_min, simplex_grid_min)
 from copotensor.combinatorics import tuple_multiplicity
 from copotensor.tensor import SymTensorBuilder, eval_form, from_matrix
 from conftest import rand_rational_tensor
@@ -41,7 +41,7 @@ class TestSimplexGridMin:
                     simplex_grid_min(A, m).min_value
 
     def test_size_cap(self, monkeypatch, example31):
-        monkeypatch.setenv(MAX_GRID_POINTS_ENV, "10")
+        monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 10)
         with pytest.raises(ValueError):
             simplex_grid_min(example31, 100)
 

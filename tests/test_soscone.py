@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,15 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from copotensor import combinatorics
-from copotensor.soscone import (GramCertificate, SosVerdict, _project_psd,
-                                build_gram_problem, check_certificate,
-                                jacobi_eigh, lift_certificate, member_K_r,
-                                solve_gram)
+from copotensor import cli, combinatorics, docio, soscone
+from copotensor.soscone import (DEFAULT_EIG_TOL, DEFAULT_MATCH_TOL,
+                                DEFAULT_MAX_ITERS, GramCertificate, SosVerdict,
+                                _check_options, _diagonal_certificate,
+                                _project_psd, build_gram_problem,
+                                check_certificate, jacobi_eigh,
+                                lift_certificate, member_K_r, solve_gram,
+                                sweep_K_r)
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensorBuilder, from_matrix
-from conftest import (BOUNDARY, HORN, rand_diag_dominant_tensor,
-                      rand_nonneg_tensor)
+from conftest import (BOUNDARY, HORN, example31_tensor,
+                      rand_diag_dominant_tensor, rand_nonneg_tensor)
 
 
 def degree6_example():
@@ -282,3 +286,129 @@ class TestMatchesReference:
                 S = S + np.swapaxes(S, 1, 2)
                 assert np.array_equal(_project_psd(S),
                                       np.stack([_project_psd(G) for G in S]))
+
+
+def reference_member_K_r(A, r, eig_tol=DEFAULT_EIG_TOL, match_tol=DEFAULT_MATCH_TOL,
+                         max_iters=DEFAULT_MAX_ITERS):
+    """Literal reference for :func:`member_K_r` before the level walk: every
+    level's problem built up front, each lower level solved again and its
+    certificate lifted up the whole chain."""
+    _check_options(eig_tol, match_tol, max_iters)
+    problem = build_gram_problem(A, r)
+    if all(c >= 0 for c in problem.expansion.coeffs.values()):
+        cert = _diagonal_certificate(problem)
+        if check_certificate(problem, cert, eig_tol, match_tol):
+            return SosVerdict(True, r, cert, cert.residual, cert.min_eig,
+                              0, fast_path=True)
+    problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
+    last = None
+    for rr in range(r + 1):
+        v = solve_gram(problems[rr], eig_tol, match_tol, max_iters)
+        if rr == r:
+            last = v
+        if not v.certified:
+            continue
+        cert = v.certificate
+        ok = True
+        for step in range(rr, r):
+            cert = lift_certificate(problems[step], cert, problems[step + 1])
+            if not check_certificate(problems[step + 1], cert, eig_tol, match_tol):
+                ok = False
+                break
+        if ok:
+            return SosVerdict(True, r, cert, cert.residual, cert.min_eig,
+                              v.iterations)
+    return last
+
+
+class TestLevelWalk:
+    # (id, tensor, top level, max_iters): lifted chains (BOUNDARY), stallers
+    # (Horn), solves at each level, the fast path and the zero tensor
+    CASES = [
+        ("boundary", lambda: BOUNDARY, 3, DEFAULT_MAX_ITERS),
+        ("horn", lambda: HORN, 1, 200),
+        ("dd6002", lambda: _dd(6002), 1, DEFAULT_MAX_ITERS),
+        ("dd6003", lambda: _dd(6003), 1, DEFAULT_MAX_ITERS),
+        ("example31", example31_tensor, 1, DEFAULT_MAX_ITERS),
+        ("zero", lambda: SymTensorBuilder(2, 2).build(), 1, DEFAULT_MAX_ITERS),
+    ]
+    IDS = [c[0] for c in CASES]
+
+    @pytest.mark.parametrize("make, top, max_iters", [c[1:] for c in CASES], ids=IDS)
+    def test_member_matches_reference(self, make, top, max_iters):
+        A = make()
+        for r in range(top + 1):
+            got = member_K_r(A, r, max_iters=max_iters)
+            want = reference_member_K_r(A, r, max_iters=max_iters)
+            assert (got.certified, got.r, got.iterations, got.residual,
+                    got.min_eig, got.fast_path) == \
+                (want.certified, want.r, want.iterations, want.residual,
+                 want.min_eig, want.fast_path), f"level {r}"
+            if want.certified:
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(got.certificate.block_matrices,
+                               want.certificate.block_matrices, strict=True))
+            else:
+                assert got.certificate is None
+
+    @pytest.mark.parametrize("make, top, max_iters", [c[1:] for c in CASES], ids=IDS)
+    def test_sweep_matches_reference_per_level(self, make, top, max_iters):
+        A = make()
+        verdicts = sweep_K_r(A, top, max_iters=max_iters)
+        assert [v.r for v in verdicts] == list(range(top + 1))
+        assert [v.certified for v in verdicts] == \
+            [reference_member_K_r(A, r, max_iters=max_iters).certified
+             for r in range(top + 1)]
+
+    def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
+        # Horn is stuck at every level, so nothing lifts: one solve per
+        # level, where re-walking levels 0..r for each r made 1 + 2 + 3
+        calls = []
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem.r)
+            return solve_gram(problem, *args, **kwargs)
+
+        monkeypatch.setattr(soscone, "solve_gram", counting)
+        path = tmp_path / "horn.json"
+        path.write_text(docio.emit_tensor(HORN))
+        code = cli.main(["compare", "--levels", "2", "--max-iters", "50",
+                         "--budget", "50", "--json", str(path)])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hierarchies"]["sos"] == ["Unknown"] * 3
+        assert calls == [0, 1, 2]
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--method", "sos", "--level", "500", "--max-iters", "3"],
+        ["compare", "--levels", "500"]], ids=["check", "compare"])
+    def test_total_basis_over_levels_exit_3(self, tmp_path, capsys, command):
+        # every level's own basis (at most 503) is small; their sum is not
+        path = tmp_path / "boundary.json"
+        path.write_text(docio.emit_tensor(BOUNDARY))
+        assert cli.main(command + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "levels 0..500 monomial basis size: 126753 exceeds" in captured.err
+
+    def test_total_limit_is_inclusive(self, monkeypatch):
+        total = sum(math.comb(2 + 2 + r - 1, 2 + r) for r in range(3))
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", total)
+        assert [v.certified for v in sweep_K_r(BOUNDARY, 2)] == [True] * 3
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", total - 1)
+        with pytest.raises(ValueError, match="levels 0..2 monomial basis size"):
+            sweep_K_r(BOUNDARY, 2)
+        # member_K_r bounds the walk before its fast path builds anything
+        identity = from_matrix([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="levels 0..2 monomial basis size"):
+            member_K_r(identity, 2)
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", total)
+        assert member_K_r(identity, 2).fast_path
+
+    def test_negative_top_level_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            sweep_K_r(BOUNDARY, -1)
+        path = tmp_path / "boundary.json"
+        path.write_text(docio.emit_tensor(BOUNDARY))
+        assert cli.main(["compare", "--levels", "-1", str(path)]) == 3
+        assert capsys.readouterr().out == ""
