@@ -1,8 +1,8 @@
 """Command-line surface tying the hierarchy modules together.
 
-Exit codes: 0 = Member/Copositive/pass, 1 = NotMember/NotCopositive/fail,
-2 = Unknown/Indeterminate (and, for verify, a verdict it cannot re-check),
-3 = usage or parse error.
+Exit codes: a verdict exits with its EXIT_CODE entry (0 member, 1 not, 2
+unknown); verify and oracle exit 0 on pass and 1 on fail (verify 2 on a
+verdict it cannot re-check); 3 = usage or parse error.
 All randomized paths take --seed and default to a fixed constant, so runs
 are reproducible by default.
 """
@@ -12,18 +12,23 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import docio, gridcone, oracle, polycone, soscone
 from .docio import DocumentError, certificate_document, emit_scalar
-from .partition import Verdict, certify_copositivity
+from .partition import certify_copositivity
 from .tensor import SymTensor, eval_form, necessary_screen
 
 EXIT_MEMBER = 0
 EXIT_NOT_MEMBER = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_CODE = {"Member": EXIT_MEMBER, "Certified": EXIT_MEMBER,
+             "Copositive": EXIT_MEMBER, "Pass": EXIT_MEMBER,
+             "NotMember": EXIT_NOT_MEMBER, "NotCopositive": EXIT_NOT_MEMBER,
+             "Unknown": EXIT_UNKNOWN, "StrictlyIndeterminate": EXIT_UNKNOWN}
 
 DEFAULT_SEED = 20240
 
@@ -59,46 +64,32 @@ def _cmd_screen(args) -> int:
                                witness=res.witness, witness_value=res.witness_value,
                                stats={"reason": res.reason} if res.reason else None)
     _emit(doc, args.out)
-    return EXIT_MEMBER if res.passed else EXIT_NOT_MEMBER
+    return EXIT_CODE[verdict]
 
 
 def _cmd_check(args) -> int:
     A = _load_tensor(args.tensor)
     r = args.level
+    witness = value = stats = None
     if args.method == "coef":
         v = polycone.member_C_r(A, r)
-        if v.member:
-            doc = certificate_document("Member", "coef", level=r, tensor=A)
-            _emit(doc, args.out)
-            return EXIT_MEMBER
-        doc = certificate_document(
-            "NotMember", "coef", level=r, tensor=A,
-            stats={"worst_theta": list(v.worst_theta),
-                   "worst_value": emit_scalar(v.worst_value)})
-        _emit(doc, args.out)
-        return EXIT_NOT_MEMBER
-    if args.method == "sos":
+        verdict = "Member" if v.member else "NotMember"
+        if not v.member:
+            stats = {"worst_theta": list(v.worst_theta),
+                     "worst_value": emit_scalar(v.worst_value)}
+    elif args.method == "sos":
         v = soscone.member_K_r(A, r, max_iters=args.max_iters)
+        verdict = "Certified" if v.certified else "Unknown"
         stats = {"iterations": v.iterations, "residual": v.residual,
                  "min_eig": v.min_eig, "fast_path": v.fast_path}
-        if v.certified:
-            doc = certificate_document("Certified", "sos", level=r, tensor=A,
-                                       stats=stats)
-            _emit(doc, args.out)
-            return EXIT_MEMBER
-        doc = certificate_document("Unknown", "sos", level=r, tensor=A, stats=stats)
-        _emit(doc, args.out)
-        return EXIT_UNKNOWN
-    # grid
-    v = gridcone.member_O_r(A, r)
-    if v.member:
-        doc = certificate_document("Member", "grid", level=r, tensor=A)
-        _emit(doc, args.out)
-        return EXIT_MEMBER
-    doc = certificate_document("NotMember", "grid", level=r, tensor=A,
-                               witness=v.witness, witness_value=v.value)
+    else:
+        v = gridcone.member_O_r(A, r)
+        verdict = "Member" if v.member else "NotMember"
+        witness, value = v.witness, v.value
+    doc = certificate_document(verdict, args.method, level=r, tensor=A,
+                               witness=witness, witness_value=value, stats=stats)
     _emit(doc, args.out)
-    return EXIT_NOT_MEMBER
+    return EXIT_CODE[verdict]
 
 
 def _cmd_certify(args) -> int:
@@ -117,11 +108,7 @@ def _cmd_certify(args) -> int:
                                witness=cert.witness, witness_value=cert.witness_value,
                                stats=stats, tensor=A)
     _emit(doc, args.out)
-    if cert.verdict is Verdict.COPOSITIVE:
-        return EXIT_MEMBER
-    if cert.verdict is Verdict.NOT_COPOSITIVE:
-        return EXIT_NOT_MEMBER
-    return EXIT_UNKNOWN
+    return EXIT_CODE[cert.verdict.value]
 
 
 def _cmd_expand(args) -> int:
@@ -155,13 +142,23 @@ def _cmd_oracle(args) -> int:
 def _cmd_compare(args) -> int:
     A = _load_tensor(args.tensor)
     levels = list(range(args.levels + 1))
-    # the SOS walk first: its size check covers levels 0..R before any work
+    # the SOS walk first: its size check covers levels 0..R (and so every
+    # coefficient level) before any work
     sos = soscone.sweep_K_r(A, args.levels, max_iters=args.max_iters)
-    matrix = {"coef": ["Member" if polycone.member_C_r(A, r).member else "NotMember"
-                       for r in levels],
+    # C^(r) grows with r (Polya), so every level after the first Member is one
+    member, coef = False, []
+    for r in levels:
+        member = member or polycone.member_C_r(A, r).member
+        coef.append("Member" if member else "NotMember")
+    # the level-R grid holds every lower level's points and its witness is the
+    # first negative point: it first appears at level m - 2, m the lcm of its
+    # denominators (at least 2), and no point of an earlier level is negative
+    grid = gridcone.member_O_r(A, args.levels)
+    refuted_from = math.inf if grid.member else \
+        max(2, math.lcm(*(c.denominator for c in grid.witness))) - 2
+    matrix = {"coef": coef,
               "sos": ["Certified" if v.certified else "Unknown" for v in sos],
-              "grid": ["Member" if gridcone.member_O_r(A, r).member else "NotMember"
-                       for r in levels]}
+              "grid": ["NotMember" if r >= refuted_from else "Member" for r in levels]}
     cert = certify_copositivity(A, max_depth=args.max_depth, simplex_budget=args.budget)
     screen = necessary_screen(A)
     doc = {"input_digest": docio.tensor_digest(A),
@@ -179,11 +176,7 @@ def _cmd_compare(args) -> int:
             print(f"{name:<7} " + "  ".join(f"{v:>{width}}" for v in matrix[name]))
         if args.out:
             Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    if cert.verdict is Verdict.NOT_COPOSITIVE:
-        return EXIT_NOT_MEMBER
-    if cert.verdict is Verdict.COPOSITIVE:
-        return EXIT_MEMBER
-    return EXIT_UNKNOWN
+    return EXIT_CODE[doc["certify"]]
 
 
 def _verified(ok: bool, detail: str) -> int:

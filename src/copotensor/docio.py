@@ -2,9 +2,10 @@
 
 Rational values travel as strings ("p/q" or a decimal literal) so that exact
 paths never pass through floats; a JSON number is taken at its exact binary
-value, and NaN or infinity is rejected.  Certificates carry the input tensor's
-digest so a later `verify` run can re-check a witness with no access to the
-producing run's state.
+value, and NaN or infinity is rejected.  The sizes n and d and every index
+component must be JSON integers; nothing is truncated or converted.
+Certificates carry the input tensor's digest so a later `verify` run can
+re-check a witness with no access to the producing run's state.
 """
 
 from __future__ import annotations
@@ -53,20 +54,21 @@ def parse_tensor(text: str) -> SymTensor:
         raise DocumentError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("tensor document must be a JSON object")
-    try:
-        n = int(doc["n"])
-        d = int(doc["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError("document needs integer fields 'n' and 'd'") from exc
+    n, d = doc.get("n"), doc.get("d")
+    # `type(...) is int` turns away floats, strings and bools alike
+    if type(n) is not int or type(d) is not int:
+        raise DocumentError("document needs integer fields 'n' and 'd'")
     default = parse_scalar(doc.get("default", 0))
     builder = SymTensorBuilder(n, d, default)
     seen: set[tuple[int, ...]] = set()
     for entry in doc.get("entries", []):
         try:
-            idx = tuple(int(i) for i in entry["idx"])
+            idx = tuple(entry["idx"])
             val = parse_scalar(entry["val"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad entry {entry!r}") from exc
+        if any(type(i) is not int for i in idx):
+            raise DocumentError(f"bad entry {entry!r}: index components must be integers")
         if len(idx) != d:
             raise DocumentError(f"index {idx} has length {len(idx)}, expected {d}")
         if any(not 1 <= i <= n for i in idx):

@@ -56,7 +56,9 @@ def _first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Each point of the cumulative grid once, as (m, composition of m): every
     composition at m = 2, and at m > 2 those with gcd(m, *c) = 1 (the others
     reduce to a smaller denominator).  Levels ascend, compositions are
-    lexicographic within a level."""
+    lexicographic within a level.  A negative r raises ValueError."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
     check_enumeration_size(sum(math.comb(n + m - 1, m) for m in range(2, r + 3)),
                            f"level {r} grid point count")
     for m in range(2, r + 3):

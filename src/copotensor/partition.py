@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combinatorics import check_enumeration_size
 from .tensor import (Scalar, SymTensor, canonical_tuples, eval_form,
                      multi_product, necessary_screen, scaled_values)
 
@@ -220,6 +221,29 @@ def _root_coefficients(A: SymTensor) -> list[int]:
     return scaled_values(A)[1]
 
 
+class _StepTables(dict):
+    """steps[i, j] of :func:`_casteljau_tables`, each built on first use: a
+    run bisects along few of the n * (n - 1) ordered edges, often none."""
+
+    def __init__(self, n: int, d: int):
+        self.d = d
+        self.index = {key: p for p, key in enumerate(
+            itertools.combinations_with_replacement(range(n), d))}
+
+    def __missing__(self, edge: tuple[int, int]):
+        i, j = edge
+        rows = []
+        for key in self.index:   # canonical order
+            k = key.count(i)
+            rest = tuple(x for x in key if x != i)
+            rows.append(tuple(
+                (math.comb(k, t) << (self.d - k),
+                 self.index[tuple(sorted(rest + (j,) * t + (i,) * (k - t)))])
+                for t in range(k + 1)))
+        self[edge] = rows = tuple(rows)
+        return rows
+
+
 @functools.lru_cache(maxsize=32)
 def _casteljau_tables(n: int, d: int):
     """Index tables for the coefficients of a simplex with n vertices, keyed
@@ -232,21 +256,8 @@ def _casteljau_tables(n: int, d: int):
     parent coefficient with t of those i replaced by j, i.e. the exact value
     scaled by 2^d, which keeps every coefficient an int.
     """
-    keys = list(itertools.combinations_with_replacement(range(n), d))
-    index = {key: p for p, key in enumerate(keys)}
-    diag = tuple(index[(k,) * d] for k in range(n))
-    steps = {}
-    for i, j in itertools.permutations(range(n), 2):
-        rows = []
-        for key in keys:
-            k = key.count(i)
-            rest = tuple(x for x in key if x != i)
-            rows.append(tuple(
-                (math.comb(k, t) << (d - k),
-                 index[tuple(sorted(rest + (j,) * t + (i,) * (k - t)))])
-                for t in range(k + 1)))
-        steps[i, j] = tuple(rows)
-    return diag, steps
+    steps = _StepTables(n, d)
+    return tuple(steps.index[(k,) * d] for k in range(n)), steps
 
 
 def _casteljau_step(b: list[int], rows) -> list[int]:
@@ -285,9 +296,9 @@ class Certificate:
 
 
 def certify_copositivity(A: SymTensor, max_depth: int = 32,
-                         simplex_budget: int = 100_000,
-                         order: str = "fifo") -> Certificate:
-    """Branch-and-bound over longest-edge bisections of the standard simplex.
+                         simplex_budget: int = 100_000) -> Certificate:
+    """Branch-and-bound over longest-edge bisections of the standard simplex,
+    first in, first out.
 
     A negative form value at any encountered vertex refutes copositivity with
     that vertex as witness; a simplex passing the full vertex-tuple test is
@@ -296,11 +307,10 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
     entries are decided on their exact binary values.  An empty work list
     certifies copositivity, and running out of depth or simplex budget yields
     StrictlyIndeterminate (boundary tensors may never terminate otherwise).
+    More than MAX_ENUMERATION coefficients per simplex raise ValueError.
     """
     if max_depth < 0 or simplex_budget < 1:
         raise ValueError("budgets must be positive")
-    if order not in ("fifo", "lifo"):
-        raise ValueError("order must be 'fifo' or 'lifo'")
     if A.d == 1:
         screen = necessary_screen(A)
         if screen.passed:
@@ -310,10 +320,11 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
                            screen.witness_value,
                            PartitionStats(0, 0, 0), method="screen")
 
+    check_enumeration_size(math.comb(A.n + A.d - 1, A.d),
+                           "Bernstein coefficients per simplex")
     diag, steps = _casteljau_tables(A.n, A.d)
     work: deque[tuple[Simplex, list[int]]] = deque(
         [(standard_simplex(A.n), _root_coefficients(A))])
-    pop = work.popleft if order == "fifo" else work.pop
     processed = 0
     max_depth_seen = 0
     unresolved: list[Simplex] = []
@@ -321,7 +332,7 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         if processed >= simplex_budget:
             unresolved.extend(s for s, _ in work)
             break
-        s, b = pop()
+        s, b = work.popleft()
         processed += 1
         max_depth_seen = max(max_depth_seen, s.depth)
         for k, p in enumerate(diag):

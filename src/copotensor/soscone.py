@@ -8,10 +8,13 @@ G may be taken block diagonal.
 
 The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
-cone, on the flat buffer of :class:`_GramLayout`.  Any Certified result is
-re-verified by :func:`check_certificate`, which shares none of that: it loops
-over the constraints itself and takes eigenvalues by cyclic Jacobi rotations.
-Unknown is never a proof of non-membership.
+cone, on the flat buffer of :class:`_GramLayout`.  A certificate is the list
+of Gram blocks, and every Certified verdict (solved, fast path or lifted) is
+re-verified by one checker that shares none of that: it loops over the
+constraints itself and takes eigenvalues by cyclic Jacobi rotations.  The
+acceptance rule is fixed: every coefficient matched within MATCH_TOL and
+every eigenvalue at least -EIG_TOL.  Unknown is never a proof of
+non-membership.
 
 The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
@@ -20,6 +23,7 @@ upward, lifting a certificate from the level below instead of solving again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +32,11 @@ from . import polycone
 from .combinatorics import check_enumeration_size, enumerate_exponents
 from .tensor import SymTensor
 
-DEFAULT_EIG_TOL = 1e-8
-DEFAULT_MATCH_TOL = 1e-8
+EIG_TOL = 1e-8      # a certificate's blocks have eigenvalues >= -EIG_TOL
+MATCH_TOL = 1e-8    # and reproduce every coefficient within MATCH_TOL
 DEFAULT_MAX_ITERS = 20000
+JACOBI_SWEEPS = 60
+JACOBI_TOL = 1e-14
 
 Exponent = tuple[int, ...]
 
@@ -48,18 +54,11 @@ class GramProblem:
     expansion: polycone.PolyExpansion         # exact coefficients behind targets
 
 
-@dataclass
-class GramCertificate:
-    block_matrices: list[np.ndarray]
-    residual: float
-    min_eig: float
-
-
 @dataclass(frozen=True)
 class SosVerdict:
     certified: bool
     r: int
-    certificate: GramCertificate | None = None
+    certificate: list[np.ndarray] | None = None   # Gram blocks, problem.blocks order
     residual: float | None = None
     min_eig: float | None = None
     iterations: int = 0
@@ -84,12 +83,12 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
     for b, members in enumerate(blocks):
         for ai in range(len(members)):
             for aj in range(ai, len(members)):
-                g = tuple(x + y for x, y in zip(basis[members[ai]], basis[members[aj]]))
+                g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
                 constraints[g].append((b, ai, aj))
     return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints, expansion)
 
 
-def jacobi_eigh(M: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
+def jacobi_eigh(M: np.ndarray):
     """Symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Deterministic and dependency-free; adequate for the block sizes that
@@ -102,13 +101,13 @@ def jacobi_eigh(M: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
     if m == 1:
         return A.diagonal().copy(), V
     scale = max(1.0, float(np.max(np.abs(A))))
-    for _ in range(sweeps):
+    for _ in range(JACOBI_SWEEPS):
         off = 0.0
         for p in range(m - 1):
             for q in range(p + 1, m):
                 apq = A[p, q]
                 off = max(off, abs(apq))
-                if abs(apq) <= tol * scale:
+                if abs(apq) <= JACOBI_TOL * scale:
                     continue
                 theta = (A[q, q] - A[p, p]) / (2.0 * apq)
                 t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) \
@@ -124,7 +123,7 @@ def jacobi_eigh(M: np.ndarray, sweeps: int = 60, tol: float = 1e-14):
                 vp, vq = V[:, p].copy(), V[:, q].copy()
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
     return A.diagonal().copy(), V
 
@@ -233,40 +232,41 @@ def _min_eig(mats: list[np.ndarray]) -> float:
     return min(float(np.min(jacobi_eigh(m)[0])) for m in mats)
 
 
-def check_certificate(problem: GramProblem, cert: GramCertificate,
-                      eig_tol: float = DEFAULT_EIG_TOL,
-                      match_tol: float = DEFAULT_MATCH_TOL) -> bool:
-    """Independent re-verification: recompute the reconstructed coefficients
-    and the minimum eigenvalue from scratch and test the stated tolerances.
-    """
-    residual = _residual(cert.block_matrices, problem)
-    min_eig = _min_eig(cert.block_matrices)
-    cert.residual = residual
-    cert.min_eig = min_eig
-    return residual <= match_tol and min_eig >= -eig_tol
+def _certified(problem: GramProblem, blocks: list[np.ndarray], iterations: int = 0,
+               fast_path: bool = False) -> SosVerdict | None:
+    """Independent re-verification: the Certified verdict carrying ``blocks``
+    and the residual and minimum eigenvalue recomputed from scratch, or None
+    when they miss MATCH_TOL or EIG_TOL."""
+    residual = _residual(blocks, problem)
+    min_eig = _min_eig(blocks)
+    if residual <= MATCH_TOL and min_eig >= -EIG_TOL:
+        return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations,
+                          fast_path)
+    return None
 
 
-def _check_options(eig_tol: float, match_tol: float, max_iters: int) -> None:
-    if eig_tol <= 0 or match_tol <= 0:
-        raise ValueError("tolerances must be positive")
+def check_certificate(problem: GramProblem, blocks: list[np.ndarray]) -> bool:
+    """Whether the Gram blocks pass the independent re-verification."""
+    return _certified(problem, blocks) is not None
+
+
+def _check_max_iters(max_iters: int) -> None:
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
 
 def solve_gram(problem: GramProblem,
-               eig_tol: float = DEFAULT_EIG_TOL,
-               match_tol: float = DEFAULT_MATCH_TOL,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
     """Dykstra-corrected alternating projections between the affine
     coefficient-matching set and the PSD cone (blockwise, on the layout of
     :class:`_GramLayout`).
 
-    Certified only if the candidate passes :func:`check_certificate`;
+    Certified only if the candidate passes the independent re-verification;
     iteration budget exhaustion yields Unknown, which is a verdict, not an
-    error and not a non-membership proof.  Non-positive tolerances and a
-    budget below one iteration raise ValueError.
+    error and not a non-membership proof.  A budget below one iteration
+    raises ValueError.
     """
-    _check_options(eig_tol, match_tol, max_iters)
+    _check_max_iters(max_iters)
     layout = _GramLayout(problem)
     x = layout.project_affine(np.zeros(layout.size))
     correction = np.zeros_like(x)
@@ -284,11 +284,10 @@ def solve_gram(problem: GramProblem,
             me = layout.min_eig(x)
             best_min_eig = max(best_min_eig, me)
             best_residual = min(best_residual, layout.residual(psd))
-            if me >= -eig_tol:
-                cert = GramCertificate(layout.block_matrices(x), 0.0, me)
-                if check_certificate(problem, cert, eig_tol, match_tol):
-                    return SosVerdict(True, problem.r, cert,
-                                      cert.residual, cert.min_eig, it)
+            if me >= -EIG_TOL:
+                v = _certified(problem, layout.block_matrices(x), it)
+                if v is not None:
+                    return v
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)
 
 
@@ -298,18 +297,18 @@ def _block_positions(problem: GramProblem) -> dict[Exponent, tuple[int, int]]:
             for k, idx in enumerate(members)}
 
 
-def _diagonal_certificate(problem: GramProblem) -> GramCertificate:
+def _diagonal_certificate(problem: GramProblem) -> list[np.ndarray]:
     """Non-negative coefficients give P = sum A_theta (y^theta)^2 directly."""
     where = _block_positions(problem)
     mats = [np.zeros((len(bl), len(bl))) for bl in problem.blocks]
     for g, t in problem.targets.items():
         b, k = where[tuple(e // 2 for e in g)]
         mats[b][k, k] = t
-    return GramCertificate(mats, 0.0, 0.0)
+    return mats
 
 
-def lift_certificate(low: GramProblem, cert: GramCertificate,
-                     high: GramProblem) -> GramCertificate:
+def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
+                     high: GramProblem) -> list[np.ndarray]:
     """Lift a level-r certificate to level r+1.
 
     Multiplying P by sum y_k^2 turns each square q(y)^2 into the squares
@@ -323,7 +322,7 @@ def lift_certificate(low: GramProblem, cert: GramCertificate,
     where = _block_positions(high)
     mats = [np.zeros((len(bl), len(bl))) for bl in high.blocks]
     for lb, members in enumerate(low.blocks):
-        G = _project_psd(cert.block_matrices[lb])
+        G = _project_psd(blocks[lb])
         for var in range(low.n):
             # where each block monomial lands after multiplying by y_var
             targets = [where[tuple(e + (1 if i == var else 0)
@@ -334,22 +333,17 @@ def lift_certificate(low: GramProblem, cert: GramCertificate,
                 assert bi == hb  # multiplying by one variable keeps parity class
                 for j, (bj, kj) in enumerate(targets):
                     mats[hb][ki, kj] += G[i, j]
-    return GramCertificate(mats, 0.0, 0.0)
+    return mats
 
 
-def _fast_path(problem: GramProblem, eig_tol: float,
-               match_tol: float) -> SosVerdict | None:
+def _fast_path(problem: GramProblem) -> SosVerdict | None:
     if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        cert = _diagonal_certificate(problem)
-        if check_certificate(problem, cert, eig_tol, match_tol):
-            return SosVerdict(True, problem.r, cert, cert.residual, cert.min_eig,
-                              0, fast_path=True)
+        return _certified(problem, _diagonal_certificate(problem), fast_path=True)
     return None
 
 
-def _check_walk(A: SymTensor, R: int, eig_tol: float, match_tol: float,
-                max_iters: int) -> None:
-    _check_options(eig_tol, match_tol, max_iters)
+def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
+    _check_max_iters(max_iters)
     if R < 0:
         raise ValueError("r must be >= 0")
     # the sum of C(n+d+r-1, d+r) over r <= R (hockey-stick identity)
@@ -357,40 +351,35 @@ def _check_walk(A: SymTensor, R: int, eig_tol: float, match_tol: float,
     check_enumeration_size(total, f"levels 0..{R} monomial basis size")
 
 
-def _sweep(A: SymTensor, R: int, eig_tol: float, match_tol: float,
-           max_iters: int, top: GramProblem | None = None) -> list[SosVerdict]:
+def _sweep(A: SymTensor, R: int, max_iters: int,
+           top: GramProblem | None = None) -> list[SosVerdict]:
     """The walk of :func:`sweep_K_r`; ``top`` is a level-R problem built already."""
     verdicts: list[SosVerdict] = []
     for r in range(R + 1):
         problem = top if r == R and top is not None else build_gram_problem(A, r)
-        v = _fast_path(problem, eig_tol, match_tol)
+        v = _fast_path(problem)
         if v is None and r > 0 and verdicts[-1].certified:
-            cert = lift_certificate(low, verdicts[-1].certificate, problem)
-            if check_certificate(problem, cert, eig_tol, match_tol):
-                v = SosVerdict(True, r, cert, cert.residual, cert.min_eig,
-                               verdicts[-1].iterations)
-        verdicts.append(v or solve_gram(problem, eig_tol, match_tol, max_iters))
+            v = _certified(problem,
+                           lift_certificate(low, verdicts[-1].certificate, problem),
+                           verdicts[-1].iterations)
+        verdicts.append(v or solve_gram(problem, max_iters))
         low = problem
     return verdicts
 
 
-def sweep_K_r(A: SymTensor, R: int, eig_tol: float = DEFAULT_EIG_TOL,
-              match_tol: float = DEFAULT_MATCH_TOL,
+def sweep_K_r(A: SymTensor, R: int,
               max_iters: int = DEFAULT_MAX_ITERS) -> list[SosVerdict]:
     """SOS membership at levels 0..R in one walk up: a level tries the fast
     path, then one re-checked lift of the certificate below (keeping its
     iteration count), then a solve.  At most MAX_ENUMERATION monomials in all."""
-    _check_walk(A, R, eig_tol, match_tol, max_iters)
-    return _sweep(A, R, eig_tol, match_tol, max_iters)
+    _check_walk(A, R, max_iters)
+    return _sweep(A, R, max_iters)
 
 
 def member_K_r(A: SymTensor, r: int,
-               eig_tol: float = DEFAULT_EIG_TOL,
-               match_tol: float = DEFAULT_MATCH_TOL,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
     """SOS membership at level r: the coefficient fast path, else the last
     verdict of :func:`sweep_K_r` up to r, which reuses the level-r problem."""
-    _check_walk(A, r, eig_tol, match_tol, max_iters)
+    _check_walk(A, r, max_iters)
     problem = build_gram_problem(A, r)
-    return (_fast_path(problem, eig_tol, match_tol)
-            or _sweep(A, r, eig_tol, match_tol, max_iters, top=problem)[-1])
+    return _fast_path(problem) or _sweep(A, r, max_iters, top=problem)[-1]

@@ -290,6 +290,13 @@ def test_criterion_7_nonpositive_offdiagonal_psd_crosscheck():
           f"(worst {worst_sample:.3e})")
 
 
+def _assert_reverifies(problem, v):
+    # the verdict's residual and minimum eigenvalue are the independent
+    # checker's figures, recomputed from the Gram blocks
+    assert check_certificate(problem, v.certificate)
+    assert v.residual <= SOS_RESIDUAL_TOL and v.min_eig >= -SOS_EIG_TOL
+
+
 def test_criterion_8_sos_self_verification():
     rng = random.Random(SEED + 8)
     certified = 0
@@ -297,9 +304,7 @@ def test_criterion_8_sos_self_verification():
     for r in range(4):
         v = member_K_r(BOUNDARY, r)
         assert v.certified
-        problem = build_gram_problem(BOUNDARY, r)
-        assert check_certificate(problem, v.certificate,
-                                 SOS_EIG_TOL, SOS_RESIDUAL_TOL)
+        _assert_reverifies(build_gram_problem(BOUNDARY, r), v)
         certified += 1
     # random PSD matrices (M^T M) are SOS after the y*y substitution
     for _ in range(12):
@@ -312,8 +317,7 @@ def test_criterion_8_sos_self_verification():
         A = b.build()
         v = solve_gram(build_gram_problem(A, 0))
         assert v.certified, dict(A.entries)
-        assert check_certificate(build_gram_problem(A, 0), v.certificate,
-                                 SOS_EIG_TOL, SOS_RESIDUAL_TOL)
+        _assert_reverifies(build_gram_problem(A, 0), v)
         certified += 1
     # diagonal fast-path certificates from coefficient-cone members
     for _ in range(12):
@@ -321,8 +325,7 @@ def test_criterion_8_sos_self_verification():
         A = _rand_tensor(rng, n, d, 0, 8, 8)
         v = member_K_r(A, 1)
         assert v.certified
-        assert check_certificate(build_gram_problem(A, 1), v.certificate,
-                                 SOS_EIG_TOL, SOS_RESIDUAL_TOL)
+        _assert_reverifies(build_gram_problem(A, 1), v)
         certified += 1
     print(f"\nACCEPTANCE 8 PASS: {certified}/{certified} certificates "
           f"re-verified independently (residual <= {SOS_RESIDUAL_TOL}, "

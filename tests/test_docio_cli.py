@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -8,8 +9,11 @@ from copotensor import cli, docio, oracle
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
+from copotensor.gridcone import member_O_r
+from copotensor.polycone import member_C_r
 from copotensor.tensor import from_matrix
-from conftest import EXAMPLE31_JSON, rand_rational_tensor
+from conftest import (EXAMPLE31_JSON, rand_diag_dominant_tensor,
+                      rand_rational_tensor)
 
 F = Fraction
 
@@ -87,6 +91,26 @@ class TestParseTensor:
         with pytest.raises(DocumentError):
             parse_tensor('{"n": 2, "d": 2, "entries": [{"idx": [1, 3], "val": "1"}]}')
 
+    @pytest.mark.parametrize("doc", [
+        '{"n": 2.7, "d": 2}', '{"n": 2, "d": true}', '{"n": "2", "d": 2}',
+        '{"d": 2}',
+        '{"n": 2, "d": 2, "entries": [{"idx": [1.9, 2.2], "val": 1}]}',
+        '{"n": 2, "d": 2, "entries": [{"idx": [true, 2], "val": 1}]}',
+        '{"n": 2, "d": 2, "entries": [{"idx": ["1", 2], "val": 1}]}',
+        '{"n": 2, "d": 2, "entries": [{"idx": [1.0, 2], "val": 1}]}'],
+        ids=["n-float", "d-bool", "n-string", "n-missing", "idx-floats",
+             "idx-bool", "idx-string", "idx-integral-float"])
+    def test_non_integer_fields_rejected(self, doc, tmp_path, capsys):
+        # nothing is truncated: 2.7 is not read as 2, nor true as 1
+        with pytest.raises(DocumentError):
+            parse_tensor(doc)
+        p = tmp_path / "t.json"
+        p.write_text(doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", str(p)])
+        assert exc.value.code == 3
+        assert capsys.readouterr().out == ""
+
     def test_malformed_json(self):
         with pytest.raises(DocumentError):
             parse_tensor("{not json")
@@ -156,6 +180,33 @@ class TestCliExitCodes:
         assert main(["oracle", "--samples", samples, example_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "trials must be between" in captured.err
+
+    @pytest.mark.parametrize("method", ["coef", "sos", "grid"])
+    def test_negative_level_exit_3(self, tmp_path, capsys, method):
+        # [[1,-2],[-2,1]] is not copositive: level 0 of the grid refutes it
+        p = tmp_path / "t.json"
+        p.write_text(emit_tensor(from_matrix([[1, -2], [-2, 1]])))
+        assert main(["check", "--method", method, "--level", "-1", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "r must be >= 0" in captured.err
+
+    def test_certify_size_checked_before_tables(self, tmp_path, capsys):
+        # C(33, 4) = 40920 coefficients per simplex exit 3 at once; n = 20
+        # (8855) prunes at the root without building a bisection table
+        big = tmp_path / "n30.json"
+        big.write_text('{"n": 30, "d": 4, "default": "1"}')
+        start = time.perf_counter()
+        assert main(["certify", str(big)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "40920 exceeds the limit" in captured.err
+        root = tmp_path / "n20.json"
+        root.write_text('{"n": 20, "d": 4, "default": "1"}')
+        start = time.perf_counter()
+        assert main(["certify", str(root)]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["stats"]["simplices"] == 1
 
     def test_compare_json(self, boundary_file, capsys):
         code = main(["compare", "--levels", "2", "--json", boundary_file])
@@ -316,3 +367,26 @@ class TestVerify:
         doc["stats"]["worst_value"] = "-2"
         cert_path.write_text(json.dumps(doc))
         assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1
+
+
+class TestCompareRows:
+    def test_nested_rows_match_per_level_calls(self, tmp_path, capsys):
+        # compare reads the coef row up to its first Member and the grid row
+        # off one top-level call; per-level calls must give the same rows
+        rng = random.Random(20240)
+        p = tmp_path / "t.json"
+        late_refuted = late_member = 0
+        for _ in range(300):
+            n, d = rng.choice(((2, 4), (3, 2), (3, 3), (3, 3), (3, 3)))
+            A = rand_diag_dominant_tensor(rng, n, d, off_scale=rng.randint(16, 20))
+            p.write_text(emit_tensor(A))
+            main(["compare", "--levels", "3", "--max-iters", "1", "--budget", "1",
+                  "--json", str(p)])
+            rows = json.loads(capsys.readouterr().out)["hierarchies"]
+            coef = [member_C_r(A, r).member for r in range(4)]
+            grid = [member_O_r(A, r).member for r in range(4)]
+            assert rows["coef"] == ["Member" if m else "NotMember" for m in coef]
+            assert rows["grid"] == ["Member" if m else "NotMember" for m in grid]
+            late_member += not coef[0] and coef[3]
+            late_refuted += grid[0] and not grid[3]
+        assert late_member >= 30 and late_refuted >= 20

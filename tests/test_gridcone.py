@@ -80,6 +80,13 @@ class TestCumulativeGrid:
             e = tuple(F(1 if j == i else 0) for j in range(3))
             assert e in g.points
 
+    def test_negative_level_rejected(self):
+        # level -1 used to be an empty grid, so any tensor was a Member
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            cumulative_grid(2, -1)
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            member_O_r(from_matrix([[1, -2], [-2, 1]]), -1)
+
     def test_no_duplicates(self):
         pts = cumulative_grid(3, 6).points
         assert len(set(pts)) == len(pts)

@@ -243,13 +243,6 @@ class TestCertify:
         if cert.verdict is Verdict.INDETERMINATE:
             assert cert.stats.diameter_unresolved is not None
 
-    def test_fifo_lifo_same_verdict(self, rng):
-        for _ in range(10):
-            A = rand_rational_tensor(rng, 3, 2)
-            v1 = certify_copositivity(A, max_depth=16, order="fifo").verdict
-            v2 = certify_copositivity(A, max_depth=16, order="lifo").verdict
-            assert v1 == v2
-
     def test_d1_shortcut(self):
         pos = SymTensorBuilder(3, 1).set((1,), F(1)).build()
         assert certify_copositivity(pos).verdict is Verdict.COPOSITIVE
@@ -265,11 +258,10 @@ class TestCertify:
             certify_copositivity(example31, simplex_budget=0)
 
 
-def reference_certify(A, max_depth=32, simplex_budget=100_000, order="fifo"):
+def reference_certify(A, max_depth=32, simplex_budget=100_000):
     """The literal branch-and-bound: per-vertex eval_form, then
     inner_test_full, then bisect_longest_edge (order d >= 2)."""
     work = deque([standard_simplex(A.n)])
-    pop = work.popleft if order == "fifo" else work.pop
     processed = 0
     max_depth_seen = 0
     unresolved = []
@@ -278,7 +270,7 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000, order="fifo"):
         if processed >= simplex_budget:
             unresolved.extend(work)
             break
-        s = pop()
+        s = work.popleft()
         processed += 1
         max_depth_seen = max(max_depth_seen, s.depth)
         for v in s.vertices:
@@ -339,8 +331,7 @@ class TestBernsteinCoefficients:
 
 
 class TestCertifyMatchesReference:
-    @pytest.mark.parametrize("order", ["fifo", "lifo"])
-    def test_same_certificate(self, rng, order):
+    def test_same_certificate(self, rng):
         suite = [from_matrix([[F(1), F(-1)], [F(-1), F(1)]])]
         for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3)):
             suite.append(rand_rational_tensor(rng, n, d))
@@ -349,8 +340,8 @@ class TestCertifyMatchesReference:
         verdicts = set()
         for A in suite:
             for max_depth, budget in ((6, 40), (10, 400)):
-                got = certify_copositivity(A, max_depth, budget, order)
-                want = reference_certify(A, max_depth, budget, order)
+                got = certify_copositivity(A, max_depth, budget)
+                want = reference_certify(A, max_depth, budget)
                 assert got == want
                 verdicts.add(got.verdict)
         assert verdicts == set(Verdict)

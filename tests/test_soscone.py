@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from copotensor import cli, combinatorics, docio, soscone
-from copotensor.soscone import (DEFAULT_EIG_TOL, DEFAULT_MATCH_TOL,
-                                DEFAULT_MAX_ITERS, GramCertificate, SosVerdict,
-                                _check_options, _diagonal_certificate,
-                                _project_psd, build_gram_problem,
+from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, SosVerdict,
+                                _certified, _check_max_iters,
+                                _diagonal_certificate, _project_psd,
+                                build_gram_problem,
                                 check_certificate, jacobi_eigh,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r)
@@ -50,8 +50,7 @@ def full_basis_problem(A, r):
                                constraints=constraints)
 
 
-def reference_solve_gram(problem, eig_tol=1e-8, match_tol=1e-8,
-                         max_iters=20000):
+def reference_solve_gram(problem, max_iters=20000):
     """Literal reference for :func:`solve_gram`: the per-block loop, with one
     eigh per parity block and a Python loop over every constraint."""
 
@@ -105,11 +104,10 @@ def reference_solve_gram(problem, eig_tol=1e-8, match_tol=1e-8,
             me = min_eig_fast(mats)
             best_min_eig = max(best_min_eig, me)
             best_residual = min(best_residual, residual(psd))
-            if me >= -eig_tol:
-                cert = GramCertificate([m.copy() for m in mats], 0.0, me)
-                if check_certificate(problem, cert, eig_tol, match_tol):
-                    return SosVerdict(True, problem.r, cert,
-                                      cert.residual, cert.min_eig, it)
+            if me >= -EIG_TOL:
+                v = _certified(problem, [m.copy() for m in mats], it)
+                if v is not None:
+                    return v
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)
 
 
@@ -167,11 +165,6 @@ class TestSolve:
         assert member_C_r(A, 1).member
         assert solve_gram(build_gram_problem(A, 1)).certified
 
-    def test_bad_tolerances_rejected(self):
-        p = build_gram_problem(BOUNDARY, 0)
-        with pytest.raises(ValueError):
-            solve_gram(p, eig_tol=0.0)
-
     @pytest.mark.parametrize("max_iters", [0, -5])
     def test_max_iters_below_one_rejected(self, max_iters):
         with pytest.raises(ValueError):
@@ -217,10 +210,22 @@ class TestCertificates:
         assert v.certified
         assert check_certificate(p, v.certificate)
 
+    def test_verdict_carries_the_checkers_figures(self):
+        # the residual and minimum eigenvalue are recomputed from the blocks
+        # by the independent checker, which changes nothing it is given
+        p = build_gram_problem(BOUNDARY, 0)
+        v = solve_gram(p)
+        blocks = [b.copy() for b in v.certificate]
+        assert check_certificate(p, v.certificate) is True
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, v.certificate,
+                                                        strict=True))
+        assert (v.residual, v.min_eig) == (soscone._residual(v.certificate, p),
+                                           soscone._min_eig(v.certificate))
+
     def test_tampered_certificate_fails(self):
         p = build_gram_problem(BOUNDARY, 0)
         v = solve_gram(p)
-        v.certificate.block_matrices[0][0, 0] -= 1.0
+        v.certificate[0][0, 0] -= 1.0
         assert not check_certificate(p, v.certificate)
 
     def test_lift_preserves_validity(self):
@@ -271,10 +276,9 @@ class TestMatchesReference:
         assert (got.certified, got.iterations, got.residual, got.min_eig) == \
             (want.certified, want.iterations, want.residual, want.min_eig)
         if certified:
-            assert len(got.certificate.block_matrices) == len(problem.blocks)
+            assert len(got.certificate) == len(problem.blocks)
             assert all(np.array_equal(a, b) for a, b in
-                       zip(got.certificate.block_matrices,
-                           want.certificate.block_matrices))
+                       zip(got.certificate, want.certificate))
         else:
             assert got.certificate is None
 
@@ -288,36 +292,34 @@ class TestMatchesReference:
                                       np.stack([_project_psd(G) for G in S]))
 
 
-def reference_member_K_r(A, r, eig_tol=DEFAULT_EIG_TOL, match_tol=DEFAULT_MATCH_TOL,
-                         max_iters=DEFAULT_MAX_ITERS):
+def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
     """Literal reference for :func:`member_K_r` before the level walk: every
     level's problem built up front, each lower level solved again and its
     certificate lifted up the whole chain."""
-    _check_options(eig_tol, match_tol, max_iters)
+    _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
     if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        cert = _diagonal_certificate(problem)
-        if check_certificate(problem, cert, eig_tol, match_tol):
-            return SosVerdict(True, r, cert, cert.residual, cert.min_eig,
-                              0, fast_path=True)
+        fast = _certified(problem, _diagonal_certificate(problem), fast_path=True)
+        if fast is not None:
+            return fast
     problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
     last = None
     for rr in range(r + 1):
-        v = solve_gram(problems[rr], eig_tol, match_tol, max_iters)
+        v = solve_gram(problems[rr], max_iters)
         if rr == r:
             last = v
         if not v.certified:
             continue
-        cert = v.certificate
-        ok = True
+        lifted = v
         for step in range(rr, r):
-            cert = lift_certificate(problems[step], cert, problems[step + 1])
-            if not check_certificate(problems[step + 1], cert, eig_tol, match_tol):
-                ok = False
+            lifted = _certified(problems[step + 1],
+                                lift_certificate(problems[step], lifted.certificate,
+                                                 problems[step + 1]),
+                                v.iterations)
+            if lifted is None:
                 break
-        if ok:
-            return SosVerdict(True, r, cert, cert.residual, cert.min_eig,
-                              v.iterations)
+        if lifted is not None:
+            return lifted
     return last
 
 
@@ -346,8 +348,7 @@ class TestLevelWalk:
                  want.min_eig, want.fast_path), f"level {r}"
             if want.certified:
                 assert all(np.array_equal(a, b) for a, b in
-                           zip(got.certificate.block_matrices,
-                               want.certificate.block_matrices, strict=True))
+                           zip(got.certificate, want.certificate, strict=True))
             else:
                 assert got.certificate is None
 
