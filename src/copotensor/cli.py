@@ -205,11 +205,15 @@ def _cmd_verify(args) -> int:
         return _verified(False, "input digest mismatch")
     verdict, method = cert["verdict"], cert.get("method")
     if "witness" in cert and verdict in ("NotMember", "NotCopositive"):
-        point = tuple(docio.parse_scalar(c) for c in cert["witness"]["point"])
+        witness = cert["witness"]
+        if not isinstance(witness, dict) or not isinstance(witness.get("point"), list):
+            raise DocumentError(f"certificate witness {witness!r} is not an "
+                                "object with a 'point' array")
+        point = tuple(docio.parse_scalar(c) for c in witness["point"])
         value = eval_form(A, point)
         ok = value < 0 and all(c >= 0 for c in point)
-        if "value" in cert["witness"]:
-            ok = ok and value == docio.parse_scalar(cert["witness"]["value"])
+        if "value" in witness:
+            ok = ok and value == docio.parse_scalar(witness["value"])
         return _verified(ok, f"witness value {emit_scalar(value)}")
     if method == "coef" and verdict in ("Member", "NotMember"):
         v = polycone.member_C_r(A, _cert_level(cert))

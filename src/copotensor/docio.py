@@ -60,8 +60,11 @@ def parse_tensor(text: str) -> SymTensor:
         raise DocumentError("document needs integer fields 'n' and 'd'")
     default = parse_scalar(doc.get("default", 0))
     builder = SymTensorBuilder(n, d, default)
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise DocumentError(f"'entries' must be a JSON array, not {entries!r}")
     seen: set[tuple[int, ...]] = set()
-    for entry in doc.get("entries", []):
+    for entry in entries:
         try:
             idx = tuple(entry["idx"])
             val = parse_scalar(entry["val"])

@@ -56,16 +56,14 @@ def _first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Each point of the cumulative grid once, as (m, composition of m): every
     composition at m = 2, and at m > 2 those with gcd(m, *c) = 1 (the others
     reduce to a smaller denominator).  Levels ascend, compositions are
-    lexicographic within a level.  A negative r raises ValueError."""
+    lexicographic within a level.  A negative r or an oversized grid raises
+    ValueError here, at the call, not when the points are first drawn."""
     if r < 0:
         raise ValueError("r must be >= 0")
     check_enumeration_size(sum(math.comb(n + m - 1, m) for m in range(2, r + 3)),
                            f"level {r} grid point count")
-    for m in range(2, r + 3):
-        for c in enumerate_exponents(n, m):
-            if m > 2 and math.gcd(m, *c) != 1:
-                continue
-            yield m, c
+    return ((m, c) for m in range(2, r + 3) for c in enumerate_exponents(n, m)
+            if m == 2 or math.gcd(m, *c) == 1)
 
 
 def cumulative_grid(n: int, r: int) -> RationalGrid:
@@ -88,10 +86,11 @@ def member_O_r(A: SymTensor, r: int) -> GridVerdict:
     """Outer cone membership: the form must be non-negative at every point of
     the cumulative grid.  The first negative point in enumeration order is
     the witness."""
+    points = _first_appearances(A.n, r)
     scale, values = scaled_values(A)
     terms = [(tuple_multiplicity(key) * a, tuple(i - 1 for i in key))
              for key, a in zip(canonical_tuples(A.n, A.d), values) if a]
-    for m, c in _first_appearances(A.n, r):
+    for m, c in points:
         total = 0
         for w, key in terms:
             for i in key:

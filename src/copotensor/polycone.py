@@ -2,13 +2,17 @@
 
 Level r tests whether every coefficient of P(y) = f_A(y o y) (sum y_k^2)^r is
 non-negative.  Coefficients are indexed by exponent vectors theta of degree
-s = r + d (the monomial y^(2 theta)) and are exact.  :func:`expand_Pr`, the
-production route, computes each one on Python ints (A's values scaled by the
-lcm of their denominators, an integer falling-factorial bracket) and builds
-one Fraction per coefficient; :func:`expand_Pr_closed_form` reproduces the
-paper's closed form in Fractions and serves as a cross-check.  A level whose
-table would exceed ``combinatorics.MAX_ENUMERATION`` coefficients raises
-ValueError before anything is enumerated.
+s = r + d (the monomial y^(2 theta)) and are exact.  The production route,
+:func:`_brackets`, evaluates an integer falling-factorial bracket B(theta)
+for every theta at once on Python ints (A's values scaled by the lcm of
+their denominators); a coefficient is multinomial(theta) * B(theta) over one
+common denominator.  :func:`member_C_r` reads only the signs of the brackets
+on a Member level and builds a single Fraction, the worst coefficient, on a
+NotMember one; :func:`expand_Pr` builds one Fraction per coefficient, and
+:func:`expand_Pr_closed_form` reproduces the paper's closed form in
+Fractions as a cross-check.  A level whose table would exceed
+``combinatorics.MAX_ENUMERATION`` coefficients raises ValueError before
+anything is enumerated.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from .combinatorics import (check_enumeration_size, elementary_symmetric,
                             enumerate_exponents, falling_factorial,
@@ -50,35 +56,49 @@ def _check_level(A: SymTensor, r: int) -> None:
                            f"level {r} coefficient count")
 
 
-def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
-    """Coefficient table of P(y) from integer falling-factorial brackets.
+def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, int]:
+    """The exponents theta of level r in lexicographic order, the integer
+    bracket B(theta) of each, and the common denominator D.
 
     Each coefficient is the sum over index tuples of
     multinomial(theta - counts) * a_{i_1..i_d}, and
     multinomial(theta - counts) = multinomial(theta) *
     prod_i fall(theta_i, counts_i) / fall(s, d).  With L the lcm of A's
-    denominators, the bracket B(theta) = sum over canonical tuples of
+    denominators, B(theta) = sum over canonical tuples of
     multiplicity * a * L * prod fall(theta_i, counts_i) is an int, and the
-    coefficient is multinomial(theta) * B(theta) / (fall(s, d) * L).
+    coefficient is multinomial(theta) * B(theta) / D with D = fall(s, d) * L.
+    Every theta is handled at once: a canonical tuple adds one column
+    product to B, over a Python-int object array indexed by the theta table.
     """
     _check_level(A, r)
     d, s = A.d, r + A.d
     scale, values = scaled_values(A)
-    terms = [(tuple_multiplicity(key) * a,
-              tuple((i, c) for i, c in enumerate(index_counts(key, A.n)) if c))
-             for key, a in zip(canonical_tuples(A.n, d), values) if a]
-    fall = [[falling_factorial(t, c) for c in range(d + 1)] for t in range(s + 1)]
-    denom = falling_factorial(s, d) * scale
-    coeffs: dict[Exponent, Fraction] = {}
-    for theta in enumerate_exponents(A.n, s):
-        rows = [fall[t] for t in theta]
-        bracket = 0
-        for w, factors in terms:
-            for i, c in factors:
-                w *= rows[i][c]
-            bracket += w
-        coeffs[theta] = Fraction(multinomial(theta) * bracket, denom)
-    return PolyExpansion(A.n, d, r, coeffs)
+    thetas = enumerate_exponents(A.n, s)
+    table = np.array(thetas, dtype=np.intp)
+    fall = np.array([[falling_factorial(t, c) for c in range(d + 1)]
+                     for t in range(s + 1)], dtype=object)
+    factors: dict[tuple[int, int], np.ndarray] = {}   # fall(theta_i, c) per (i, c)
+    brackets = np.zeros(len(thetas), dtype=object)
+    for key, a in zip(canonical_tuples(A.n, d), values):
+        if not a:
+            continue
+        column = tuple_multiplicity(key) * a
+        for i, c in enumerate(index_counts(key, A.n)):
+            if c:
+                if (i, c) not in factors:
+                    factors[i, c] = fall[table[:, i], c]
+                column = column * factors[i, c]
+        brackets += column
+    return thetas, brackets, falling_factorial(s, d) * scale
+
+
+def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
+    """Coefficient table of P(y): multinomial(theta) * B(theta) / D for the
+    integer brackets of :func:`_brackets`, one Fraction per coefficient."""
+    thetas, brackets, denom = _brackets(A, r)
+    return PolyExpansion(A.n, A.d, r, {
+        theta: Fraction(multinomial(theta) * b, denom)
+        for theta, b in zip(thetas, brackets)})
 
 
 def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
@@ -140,18 +160,20 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
 class CoefficientVerdict:
     member: bool
     r: int
-    expansion: PolyExpansion
     worst_theta: Exponent | None = None
     worst_value: Fraction | None = None
 
 
 def member_C_r(A: SymTensor, r: int) -> CoefficientVerdict:
     """Membership in the non-negative-coefficient cone at level r, decided
-    exactly: the lexicographically first most negative coefficient is the
-    worst, and the tensor is a member when it is >= 0."""
-    exp = expand_Pr(A, r)
-    worst_theta = min(enumerate_exponents(A.n, r + A.d), key=exp.coeffs.__getitem__)
-    worst_value = exp.coeffs[worst_theta]
-    if worst_value < 0:
-        return CoefficientVerdict(False, r, exp, worst_theta, worst_value)
-    return CoefficientVerdict(True, r, exp)
+    exactly.  multinomial(theta) > 0, so a coefficient has the sign of its
+    bracket: with no negative bracket the tensor is a member, and nothing
+    else is computed.  Otherwise the worst coefficient is the most negative
+    multinomial(theta) * B(theta), the lexicographically first on a tie."""
+    thetas, brackets, denom = _brackets(A, r)
+    negative = np.flatnonzero(brackets < 0)
+    if not len(negative):
+        return CoefficientVerdict(True, r)
+    numerators = {k: multinomial(thetas[k]) * brackets[k] for k in negative.tolist()}
+    worst = min(numerators, key=numerators.__getitem__)
+    return CoefficientVerdict(False, r, thetas[worst], Fraction(numerators[worst], denom))

@@ -258,6 +258,18 @@ class ScreenResult:
     witness_value: Fraction | None = None
 
 
+def _face_roles(key: Index, d: int) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), i != j, with key the canonical form of
+    (i,) * (d - 1) + (j,); both orders of an off-diagonal key when d = 2."""
+    first, last = key[0], key[-1]
+    if first == last:
+        return
+    if key.count(first) == d - 1:
+        yield first, last
+    if key.count(last) == d - 1:
+        yield last, first
+
+
 def necessary_screen(A: SymTensor) -> ScreenResult:
     """Necessary conditions for copositivity; a fail proves non-copositivity.
 
@@ -265,33 +277,53 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     at index i coexists with a negative entry a_{i^(d-1) j}: along
     e_i + t e_j the form is d * a_{i^(d-1) j} * t + O(t^2).  Other mixed
     entries involving i are not constrained by a zero diagonal when d >= 3.
-    A fail carries a witness: e_i for a negative diagonal, and e_i + t e_j
-    with t = 1/2^k, halved until the form is negative, for a zero one (the
-    linear term dominates for small t, so the halving stops).
+    The first such (i, j) in index order is reported.  A fail carries a
+    witness: e_i for a negative diagonal, and e_i + t e_j with t = 1/2^k,
+    halved until the form is negative, for a zero one (the linear term
+    dominates for small t, so the halving stops).  The work is linear in n
+    and in the number of stored entries: an unstored mixed entry equals the
+    default, so only a negative default makes one a candidate.
     """
+    n, d, entries, default = A.n, A.d, A.entries, A.default
+
+    def entry(i: int, j: int, k: int) -> Fraction:
+        # a_{i^(d-k) j^k}
+        key = (i,) * (d - k) + (j,) * k
+        return entries.get(key if i <= j else key[::-1], default)
+
     def refute(reason: str, key: Index, i: int, j: int, t: Fraction) -> ScreenResult:
-        # the point e_i + t e_j (e_i for t = 0), t halved until the form is negative
+        # on the face, f(e_i + t e_j) = sum_k C(d, k) a_{i^(d-k) j^k} t^k;
+        # t is halved until that is negative (t = 0 gives f(e_i))
+        face = [math.comb(d, k) * entry(i, j, k) for k in range(d + 1)]
         while True:
-            point = tuple(Fraction(k == i) + (t if k == j else 0)
-                          for k in range(1, A.n + 1))
-            value = eval_form(A, point)
+            value = sum(c * t ** k for k, c in enumerate(face))
             if value < 0:
-                return ScreenResult(False, reason, key, point, value)
+                point = [Fraction(0)] * n
+                point[i - 1] = Fraction(1)
+                point[j - 1] += t
+                return ScreenResult(False, reason, key, tuple(point), value)
             t /= 2
 
-    for i in range(1, A.n + 1):
-        if A.get((i,) * A.d) < 0:
+    diag = [entries.get((i,) * d, default) for i in range(1, n + 1)]
+    for i, a in enumerate(diag, start=1):
+        if a < 0:
             return refute(f"diagonal entry at index {i} is negative",
-                          (i,) * A.d, i, i, Fraction(0))
-    for i in range(1, A.n + 1):
-        if A.get((i,) * A.d) != 0:
-            continue
-        for j in range(1, A.n + 1):
-            if j == i:
-                continue
-            key = canonicalize((i,) * (A.d - 1) + (j,), A.n)
-            if A.get(key) < 0:
-                return refute(
-                    f"zero diagonal at index {i} with negative mixed entry {key}",
-                    key, i, j, Fraction(1))
+                          (i,) * d, i, i, Fraction(0))
+    if d == 1:
+        return ScreenResult(True)   # a linear form: the diagonal decides
+    if default < 0:
+        # every diagonal is stored, and the scan for an i stops at the first
+        # j whose entry is unstored, so this is linear in the stored entries
+        pairs = ((i, j) for i, a in enumerate(diag, start=1) if a == 0
+                 for j in range(1, n + 1) if j != i)
+    else:
+        pairs = sorted((i, j) for key, a in entries.items() if a < 0
+                       for i, j in _face_roles(key, d) if diag[i - 1] == 0)
+    for i, j in pairs:
+        a = entry(i, j, 1)
+        if a < 0:
+            key = canonicalize((i,) * (d - 1) + (j,), n)
+            return refute(
+                f"zero diagonal at index {i} with negative mixed entry {key}",
+                key, i, j, Fraction(1))
     return ScreenResult(True)

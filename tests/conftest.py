@@ -52,12 +52,13 @@ def rand_float_tensor(rng: random.Random, n: int, d: int) -> SymTensor:
 
 
 @st.composite
-def float_tensors(draw) -> SymTensor:
-    """Hypothesis strategy: n and d in 1..4, a non-zero float default and
-    float entries on a random subset of the canonical tuples (every value is
-    taken at its exact binary value, so denominators run up to 2^1074)."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    d = draw(st.integers(min_value=1, max_value=4))
+def float_tensors(draw, max_n: int = 4, max_d: int = 4) -> SymTensor:
+    """Hypothesis strategy: n in 1..max_n, d in 1..max_d, a non-zero float
+    default and float entries on a random subset of the canonical tuples
+    (every value is taken at its exact binary value, so denominators run up
+    to 2^1074)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    d = draw(st.integers(min_value=1, max_value=max_d))
     value = st.floats(min_value=-2, max_value=6, allow_nan=False)
     default = draw(value.filter(bool))
     entries = {}

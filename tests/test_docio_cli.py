@@ -111,6 +111,18 @@ class TestParseTensor:
         assert exc.value.code == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("entries", ["5", "null", '"12"', "{}"])
+    def test_entries_not_an_array_rejected(self, entries, tmp_path, capsys):
+        doc = f'{{"n": 2, "d": 2, "entries": {entries}}}'
+        with pytest.raises(DocumentError, match="'entries' must be a JSON array"):
+            parse_tensor(doc)
+        p = tmp_path / "t.json"
+        p.write_text(doc)
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", str(p)])
+        assert exc.value.code == 3
+        assert capsys.readouterr().out == ""
+
     def test_malformed_json(self):
         with pytest.raises(DocumentError):
             parse_tensor("{not json")
@@ -207,6 +219,30 @@ class TestCliExitCodes:
         assert main(["certify", str(root)]) == 0
         assert time.perf_counter() - start < 1
         assert json.loads(capsys.readouterr().out)["stats"]["simplices"] == 1
+
+    def test_grid_size_checked_before_scaling(self, tmp_path, capsys):
+        # C(3002, 3) canonical tuples, but the level-0 grid (4 501 500 points)
+        # is refused before any of them is visited
+        p = tmp_path / "n3000.json"
+        p.write_text('{"n": 3000, "d": 3, "default": "1"}')
+        start = time.perf_counter()
+        assert main(["check", "--method", "grid", "--level", "0", str(p)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "4501500 exceeds the limit" in captured.err
+
+    @pytest.mark.parametrize("entries, code", [
+        ("[]", 0), ('[{"idx": [1, 2], "val": "-1"}]', 1)], ids=["pass", "fail"])
+    def test_screen_is_linear_in_n(self, tmp_path, capsys, entries, code):
+        p = tmp_path / "wide.json"
+        p.write_text(f'{{"n": 100000, "d": 2, "entries": {entries}}}')
+        start = time.perf_counter()
+        assert main(["screen", str(p)]) == code
+        assert time.perf_counter() - start < 1
+        doc = json.loads(capsys.readouterr().out)
+        if code:
+            assert doc["witness"]["point"][:3] == ["1", "1", "0"]
+            assert doc["witness"]["value"] == "-2"
 
     def test_compare_json(self, boundary_file, capsys):
         code = main(["compare", "--levels", "2", "--json", boundary_file])
@@ -319,6 +355,19 @@ class TestVerify:
         cert_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 1
+
+    @pytest.mark.parametrize("witness", [[1, 2], {}, {"point": 5}, "1,0"],
+                             ids=["list", "empty", "point-number", "string"])
+    def test_malformed_witness_exit_3(self, hollow_file, tmp_path, capsys, witness):
+        cert_path = tmp_path / "cert.json"
+        main(["certify", hollow_file, "--out", str(cert_path)])
+        doc = json.loads(cert_path.read_text())
+        doc["witness"] = witness
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "witness" in captured.err
 
     @pytest.mark.parametrize("rows", [[[-1, 0], [0, 1]], [[0, -1], [-1, 1]]])
     def test_screen_refutation_round_trip(self, tmp_path, capsys, rows):

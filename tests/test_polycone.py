@@ -96,22 +96,48 @@ class TestExpandPr:
                 assert_matches_oracle(expand_Pr(A, r), A, r)
 
 
+def reference_member_C_r(A, r):
+    """(member, worst_theta, worst_value) read off the literal reference
+    table: the lexicographically first most negative coefficient."""
+    coeffs = reference_expand_Pr(A, r).coeffs
+    worst = min(sorted(coeffs), key=coeffs.__getitem__)
+    if coeffs[worst] >= 0:
+        return True, None, None
+    return False, worst, coeffs[worst]
+
+
+def assert_route_matches_references(A, r):
+    exp = expand_Pr(A, r)
+    assert exp.coeffs == reference_expand_Pr(A, r).coeffs
+    assert_matches_oracle(exp, A, r)
+    v = member_C_r(A, r)
+    assert (v.member, v.worst_theta, v.worst_value) == reference_member_C_r(A, r)
+
+
 class TestMatchesReference:
     """The integer falling-factorial brackets give the same Fractions as the
-    shifted-multinomial sum."""
+    shifted-multinomial sum and the brute-force oracle, and member_C_r,
+    which reads only their signs on a Member level, gives the verdict and
+    worst coefficient of the reference table."""
 
     @settings(max_examples=60, deadline=None)
-    @given(float_tensors(), st.integers(min_value=0, max_value=4))
+    @given(float_tensors(max_n=5, max_d=5), st.integers(min_value=0, max_value=6))
     def test_random_float_tensors(self, A, r):
-        assert expand_Pr(A, r).coeffs == reference_expand_Pr(A, r).coeffs
+        assert_route_matches_references(A, r)
 
     @pytest.mark.parametrize("name, A", [
         ("flagship", example31_tensor()), ("horn", HORN), ("boundary", BOUNDARY),
         ("float-3-4", rand_float_tensor(random.Random(1), 3, 4)),
-        ("float-4-3", rand_float_tensor(random.Random(2), 4, 3))])
+        ("float-4-3", rand_float_tensor(random.Random(2), 4, 3)),
+        ("tie", from_matrix([[1, -1, -1], [-1, 1, 0], [-1, 0, 1]])),
+        ("zero", SymTensor(3, 3, {}, 0)),
+        ("n1-negative", SymTensor(1, 3, {}, -2)),
+        ("n1-positive", SymTensor(1, 4, {}, Fraction(1, 3))),
+        ("d1", rand_rational_tensor(random.Random(3), 4, 1)),
+        ("d1-n1", SymTensor(1, 1, {}, -1))])
     def test_fixed_cases(self, name, A):
         for r in range(5):
-            assert expand_Pr(A, r).coeffs == reference_expand_Pr(A, r).coeffs
+            assert_route_matches_references(A, r)
 
     def test_one_multinomial_per_coefficient(self, monkeypatch):
         calls = []
@@ -119,6 +145,20 @@ class TestMatchesReference:
                             lambda alpha: calls.append(alpha) or multinomial(alpha))
         exp = expand_Pr(example31_tensor(), 6)
         assert sorted(calls) == sorted(exp.coeffs)
+
+    def test_member_level_builds_no_fraction_and_no_multinomial(self, monkeypatch):
+        multinomials, fractions = [], []
+        monkeypatch.setattr(polycone, "multinomial",
+                            lambda alpha: multinomials.append(alpha) or multinomial(alpha))
+        monkeypatch.setattr(polycone, "Fraction",
+                            lambda *args: fractions.append(args) or Fraction(*args))
+        assert member_C_r(example31_tensor(), 6).member
+        assert multinomials == fractions == []
+        # a NotMember level: one multinomial per negative bracket, one Fraction
+        v = member_C_r(BOUNDARY, 3)
+        assert not v.member
+        assert sorted(multinomials) == [(2, 3), (3, 2)]
+        assert fractions == [(-40, 20)]
 
 
 class TestSizeLimit:
@@ -198,7 +238,7 @@ class TestMemberCr:
     def test_zero_tensor_member(self):
         Z = SymTensorBuilder(3, 2).build()
         for r in range(4):
-            assert member_C_r(Z, r).member
+            assert member_C_r(Z, r) == polycone.CoefficientVerdict(True, r)
 
     def test_level0_characterization(self, rng):
         for _ in range(20):
@@ -223,11 +263,25 @@ class TestMemberCr:
         assert checked > 0
 
     def test_worst_theta_deterministic_lex(self):
-        v = member_C_r(BOUNDARY, 0)
-        # lexicographically first among the most negative coefficients
-        worst = min(c for c in v.expansion.coeffs.values())
-        firsts = [t for t, c in sorted(v.expansion.coeffs.items()) if c == worst]
-        assert v.worst_theta == firsts[0]
+        for r in range(4):
+            v = member_C_r(BOUNDARY, r)
+            coeffs = expand_Pr(BOUNDARY, r).coeffs
+            # lexicographically first among the most negative coefficients
+            worst = min(coeffs.values())
+            firsts = [t for t, c in sorted(coeffs.items()) if c == worst]
+            assert (v.worst_theta, v.worst_value) == (firsts[0], worst)
+
+    def test_tie_goes_to_lex_first(self):
+        # -2 at (1, 0, 1) and at (1, 1, 0)
+        A = from_matrix([[1, -1, -1], [-1, 1, 0], [-1, 0, 1]])
+        v = member_C_r(A, 0)
+        assert (v.worst_theta, v.worst_value) == ((1, 0, 1), -2)
+
+    def test_worst_is_not_the_most_negative_bracket(self):
+        # brackets 6, -2, -8, -12 over (0,3) .. (3,0), multinomials 1, 3, 3, 1,
+        # so the coefficients are 1, -1, -4, -2
+        v = member_C_r(from_matrix([[-2, -1], [-1, 1]]), 1)
+        assert (v.worst_theta, v.worst_value) == ((2, 1), -4)
 
     def test_float_mode_tolerance(self):
         # float entries are taken at their exact binary values: no tolerance
