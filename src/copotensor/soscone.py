@@ -8,7 +8,9 @@ G may be taken block diagonal.
 
 The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
-cone, on the flat buffer of :class:`_GramLayout`.  A certificate is the list
+cone, on flat buffers that :class:`_GramLayout` allocates once per solve
+and every iteration writes into; a group of 1x1 blocks is projected by
+clamping at zero instead of by ``eigh``.  A certificate is the list
 of Gram blocks, and every Certified verdict (solved, fast path or lifted) is
 re-verified by one checker that shares none of that: it loops over the
 constraints itself and takes eigenvalues by cyclic Jacobi rotations.  The
@@ -139,28 +141,35 @@ def _project_psd(G: np.ndarray) -> np.ndarray:
 
 
 class _GramLayout:
-    """The solver's storage of a Gram problem's blocks as one flat buffer.
+    """The solver's storage of a Gram problem's blocks: three flat buffers,
+    allocated once per solve, that every iteration writes into.
 
-    Blocks of equal size sit side by side, so the blocks of size m form one
-    ``(k, m, m)`` view and the PSD step is one batched ``eigh`` per size.
-    Every constraint entry (b, i, j) becomes a flat upper index, a flat
-    lower index, a target id and a weight (1 on the diagonal, 2 off it).
-    Each upper-triangle entry matches exactly one target, so the scatters
-    of the affine projection never repeat an index.
+    ``shifted`` holds the iterate plus the Dykstra ``correction``, and
+    ``psd`` its PSD projection, which the affine projection then overwrites
+    in place, so between iterations ``psd`` holds the iterate.  Blocks of
+    equal size sit side by side, so the blocks of size m form one
+    ``(k, m, m)`` view of each buffer and the PSD step is one batched
+    ``eigh`` per size, with the views and the scratch of the Gram product
+    made here.  A group of 1x1 blocks takes no ``eigh``: for [[a]] it gives
+    w = a and V = [[1.0]], so the projection is the clamp max(a, 0), bit for
+    bit.  Every constraint entry (b, i, j) becomes a flat upper index, a
+    target id and a weight (1 on the diagonal, 2 off it).  The affine step
+    adds each target's shift at its upper indices and at the mirrors of the
+    off-diagonal ones in one scatter, in which no index repeats: each
+    upper-triangle entry matches exactly one target.
     """
 
     def __init__(self, problem: GramProblem):
         sizes = [len(bl) for bl in problem.blocks]
-        self.groups: list[tuple[int, int, int]] = []   # (offset, count, size)
+        groups: list[tuple[int, int, int]] = []   # (offset, count, size)
         starts = [0] * len(sizes)
         offset = 0
         for m in sorted(set(sizes)):
             members = [b for b, size in enumerate(sizes) if size == m]
             for pos, b in enumerate(members):
                 starts[b] = offset + pos * m * m
-            self.groups.append((offset, len(members), m))
+            groups.append((offset, len(members), m))
             offset += len(members) * m * m
-        self.size = offset
         self.spans = [(starts[b], m) for b, m in enumerate(sizes)]
         upper, lower, tid = [], [], []
         for g, pairs in enumerate(problem.constraints.values()):
@@ -173,48 +182,69 @@ class _GramLayout:
         self.tid = np.array(tid, dtype=np.intp)
         lower = np.array(lower, dtype=np.intp)
         off_diag = self.upper != lower
-        self.lower, self.lower_tid = lower[off_diag], self.tid[off_diag]
+        self.scatter = np.concatenate([self.upper, lower[off_diag]])
+        self.scatter_tid = np.concatenate([self.tid, self.tid[off_diag]])
         self.weight = np.where(off_diag, 2.0, 1.0)
         self.targets = np.array([problem.targets[g] for g in problem.constraints])
         self.weight_sum = np.bincount(self.tid, weights=self.weight,
                                       minlength=len(self.targets))
+        self.shifted = np.zeros(offset)
+        self.psd = np.zeros(offset)
+        self.correction = np.zeros(offset)
+        # per group: views of shifted and psd, and scratch for the Gram
+        # product and its transpose (None for 1x1 blocks, which are clamped)
+        self._groups = []
+        for o, k, m in groups:
+            src = self.shifted[o:o + k * m * m].reshape(k, m, m)
+            dst = self.psd[o:o + k * m * m].reshape(k, m, m)
+            scratch = None
+            if m > 1:
+                product = np.empty((k, m, m))
+                scratch = (np.empty((k, m, m)), product, product.transpose(0, 2, 1))
+            self._groups.append((src, dst, scratch))
 
-    def views(self, x: np.ndarray) -> list[np.ndarray]:
-        return [x[o:o + k * m * m].reshape(k, m, m) for o, k, m in self.groups]
+    def block_matrices(self) -> list[np.ndarray]:
+        """Copies of the blocks held in ``psd``, in ``problem.blocks`` order."""
+        return [self.psd[o:o + m * m].reshape(m, m).copy() for o, m in self.spans]
 
-    def block_matrices(self, x: np.ndarray) -> list[np.ndarray]:
-        """Copies of the blocks, in ``problem.blocks`` order."""
-        return [x[o:o + m * m].reshape(m, m).copy() for o, m in self.spans]
+    def residual(self, matched: np.ndarray) -> float:
+        return float(np.max(np.abs(matched - self.targets), initial=0.0))
 
-    def matched(self, x: np.ndarray) -> np.ndarray:
-        """Per target, the coefficient that the Gram entries reproduce."""
-        return np.bincount(self.tid, weights=self.weight * x[self.upper],
-                           minlength=len(self.targets))
-
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.matched(x) - self.targets), initial=0.0))
-
-    def project_affine(self, x: np.ndarray) -> np.ndarray:
-        """Exact projection onto the coefficient-matching affine set.
+    def project_affine(self) -> np.ndarray:
+        """Project ``psd`` in place onto the coefficient-matching affine set,
+        returning per target the coefficient that it reproduced before.
 
         Constraints for distinct targets touch disjoint Gram entries, so the
         projection decomposes per target: each involved upper-triangle entry
         (and its mirror) shifts by the same amount.
         """
-        shift = (self.targets - self.matched(x)) / self.weight_sum
-        out = x.copy()
-        out[self.upper] += shift[self.tid]
-        out[self.lower] += shift[self.lower_tid]
-        return out
+        matched = np.bincount(self.tid, weights=self.weight * self.psd[self.upper],
+                              minlength=len(self.targets))
+        shift = (self.targets - matched) / self.weight_sum
+        self.psd[self.scatter] += shift[self.scatter_tid]
+        return matched
 
-    def project_psd(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for src, dst in zip(self.views(x), self.views(out)):
-            dst[...] = _project_psd(src)
-        return out
+    def project_psd(self) -> None:
+        """``psd`` = the nearest PSD blocks to ``shifted``: the arithmetic of
+        :func:`_project_psd`, step for step, written into the buffers."""
+        for src, dst, scratch in self._groups:
+            if scratch is None:
+                np.maximum(src, 0.0, out=dst)
+                dst += 0.0   # -0.0 to +0.0, as _project_psd's product gives
+                continue
+            scaled, product, product_t = scratch
+            w, V = np.linalg.eigh(src)
+            np.maximum(w, 0.0, out=w)
+            np.multiply(V, w[:, None, :], out=scaled)
+            np.matmul(scaled, V.transpose(0, 2, 1), out=product)
+            np.add(product, product_t, out=dst)
+            dst *= 0.5
 
-    def min_eig(self, x: np.ndarray) -> float:
-        return min(float(np.linalg.eigvalsh(v)[:, 0].min()) for v in self.views(x))
+    def min_eig(self) -> float:
+        """The least eigenvalue over the blocks held in ``psd``."""
+        return min(float((dst if scratch is None
+                          else np.linalg.eigvalsh(dst)[:, 0]).min())
+                   for _, dst, scratch in self._groups)
 
 
 def _residual(mats: list[np.ndarray], problem: GramProblem) -> float:
@@ -258,7 +288,7 @@ def _check_max_iters(max_iters: int) -> None:
 def solve_gram(problem: GramProblem,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
     """Dykstra-corrected alternating projections between the affine
-    coefficient-matching set and the PSD cone (blockwise, on the layout of
+    coefficient-matching set and the PSD cone (blockwise, in the buffers of
     :class:`_GramLayout`).
 
     Certified only if the candidate passes the independent re-verification;
@@ -268,24 +298,25 @@ def solve_gram(problem: GramProblem,
     """
     _check_max_iters(max_iters)
     layout = _GramLayout(problem)
-    x = layout.project_affine(np.zeros(layout.size))
-    correction = np.zeros_like(x)
+    # between iterations the iterate x lives in psd (see _GramLayout)
+    psd, shifted, correction = layout.psd, layout.shifted, layout.correction
+    layout.project_affine()
     best_residual = float("inf")
     best_min_eig = -float("inf")
     check_every = 25
     it = 0
     while it < max_iters:
         it += 1
-        shifted = x + correction
-        psd = layout.project_psd(shifted)
-        correction = shifted - psd
-        x = layout.project_affine(psd)
+        np.add(psd, correction, out=shifted)        # x + correction
+        layout.project_psd()                        # psd = P_psd(shifted)
+        np.subtract(shifted, psd, out=correction)
+        matched = layout.project_affine()           # psd = x = P_aff(psd)
         if it % check_every == 0 or it == max_iters:
-            me = layout.min_eig(x)
+            me = layout.min_eig()
             best_min_eig = max(best_min_eig, me)
-            best_residual = min(best_residual, layout.residual(psd))
+            best_residual = min(best_residual, layout.residual(matched))
             if me >= -EIG_TOL:
-                v = _certified(problem, layout.block_matrices(x), it)
+                v = _certified(problem, layout.block_matrices(), it)
                 if v is not None:
                     return v
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)

@@ -18,7 +18,7 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import tuple_multiplicity
+from .combinatorics import check_enumeration_size, tuple_multiplicity
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -189,7 +189,10 @@ def mixed_rank_one(u: Sequence[Scalar], v: Sequence[Scalar], a: int, d: int) -> 
 
 def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     """The lcm L of the denominators of A's default and of its values, and
-    the values in canonical tuple order times L, as ints."""
+    the values in canonical tuple order times L, as ints.  More than
+    MAX_ENUMERATION canonical tuples raise ValueError before any value is
+    built."""
+    check_enumeration_size(math.comb(A.n + A.d - 1, A.d), "canonical tuple count")
     values = [a for _, a in A.items()]
     scale = math.lcm(A.default.denominator, *(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
@@ -198,12 +201,17 @@ def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
 def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Scalar:
     """The associated homogeneous form: sum over all n^d index tuples of
     a_{i_1..i_d} x_{i_1}...x_{i_d}, computed over canonical tuples weighted by
-    permutation multiplicity.  Exact when A and x are rational.
+    permutation multiplicity.  A term with an index outside the support of x
+    (its nonzero coordinates) is zero, so only the canonical tuples over the
+    support are visited: a point with s nonzero coordinates costs
+    C(s+d-1, d) terms, whatever n is.  Exact when A and x are rational.
     """
     if len(x) != A.n:
         raise ValueError(f"vector has dimension {len(x)}, tensor has n={A.n}")
+    support = [i for i, c in enumerate(x, start=1) if c != 0]
     total = 0
-    for key, a in A.items():
+    for key in itertools.combinations_with_replacement(support, A.d):
+        a = A.entries.get(key, A.default)
         if a == 0:
             continue
         term = a

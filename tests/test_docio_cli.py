@@ -231,6 +231,17 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "4501500 exceeds the limit" in captured.err
 
+    def test_grid_tuple_count_checked_before_scaling(self, tmp_path, capsys):
+        # a 210-point level-0 grid, but C(25, 6) canonical tuples to evaluate
+        p = tmp_path / "n20d6.json"
+        p.write_text('{"n": 20, "d": 6, "default": "1"}')
+        start = time.perf_counter()
+        assert main(["check", "--method", "grid", "--level", "0", str(p)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "canonical tuple count: 177100 exceeds the limit" in captured.err
+
     @pytest.mark.parametrize("entries, code", [
         ("[]", 0), ('[{"idx": [1, 2], "val": "-1"}]', 1)], ids=["pass", "fail"])
     def test_screen_is_linear_in_n(self, tmp_path, capsys, entries, code):
@@ -378,6 +389,20 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_screen_witness_verified_on_its_support(self, tmp_path, capsys):
+        # the witness e_1 + e_2 has two nonzero coordinates; verify evaluates
+        # 3 canonical tuples, not C(30001, 2)
+        tensor_path = tmp_path / "wide.json"
+        tensor_path.write_text('{"n": 30000, "d": 2, "entries": '
+                               '[{"idx": [1, 2], "val": "-1"}]}')
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["screen", str(tensor_path), "--out", cert_path]) == 1
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
+        assert time.perf_counter() - start < 1
+        assert "OK (witness value -2)" in capsys.readouterr().out
 
     def test_forged_copositive_is_unchecked(self, tmp_path, capsys):
         A = from_matrix([[1, -2], [-2, 1]])          # not copositive

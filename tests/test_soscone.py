@@ -10,7 +10,7 @@ import pytest
 from copotensor import cli, combinatorics, docio, soscone
 from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, SosVerdict,
                                 _certified, _check_max_iters,
-                                _diagonal_certificate, _project_psd,
+                                _diagonal_certificate, _GramLayout, _project_psd,
                                 build_gram_problem,
                                 check_certificate, jacobi_eigh,
                                 lift_certificate, member_K_r, solve_gram,
@@ -253,7 +253,8 @@ def _dd(seed, off_scale=2):
 
 class TestMatchesReference:
     # (id, problem, max_iters, certified): size-stacked blocks (6, 3, 3, 3),
-    # Horn's nine 1x1 blocks, and the single block of the full basis
+    # Horn's ten 1x1 blocks (at r = 0 beside one 5x5 block, at r = 1 beside
+    # five), and the single block of the full basis
     CASES = [
         ("boundary-r0", lambda: build_gram_problem(BOUNDARY, 0), 20000, True),
         ("dd6002-r0", lambda: build_gram_problem(_dd(6002), 0), 20000, True),
@@ -261,6 +262,7 @@ class TestMatchesReference:
         ("dd6003-r0", lambda: build_gram_problem(_dd(6003), 0), 20000, True),
         ("dd6003-r1", lambda: build_gram_problem(_dd(6003), 1), 20000, True),
         ("horn-r0", lambda: build_gram_problem(HORN, 0), 200, False),
+        ("horn-r0-2000", lambda: build_gram_problem(HORN, 0), 2000, False),
         ("horn-r1", lambda: build_gram_problem(HORN, 1), 200, False),
         ("off6-r0", lambda: build_gram_problem(_dd(2, off_scale=6), 0), 200, False),
         ("full-basis", lambda: full_basis_problem(BOUNDARY, 0), 20000, True),
@@ -290,6 +292,45 @@ class TestMatchesReference:
                 S = S + np.swapaxes(S, 1, 2)
                 assert np.array_equal(_project_psd(S),
                                       np.stack([_project_psd(G) for G in S]))
+
+    def test_layout_projection_equals_project_psd_bitwise(self, rng):
+        # Horn at r = 0: ten 1x1 blocks, clamped without eigh, and one 5x5
+        problem = build_gram_problem(HORN, 0)
+        layout = _GramLayout(problem)
+        ones = [-0.0, 0.0, -1.5, 2.5, 1e-300, -1e-300, 5e-324, -5e-324, 3.0, -7.0]
+        for o, m in layout.spans:
+            if m == 1:
+                layout.shifted[o] = ones.pop()
+            else:
+                G = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(m)])
+                layout.shifted[o:o + m * m] = (G + G.T).ravel()
+        assert not ones
+        layout.project_psd()
+        for size in (1, 5):
+            spans = [o for o, m in layout.spans if m == size]
+            src = np.stack([layout.shifted[o:o + size * size].reshape(size, size)
+                            for o in spans])
+            got = np.stack([layout.psd[o:o + size * size].reshape(size, size)
+                            for o in spans])
+            want = _project_psd(src)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert layout.min_eig() == min(float(np.linalg.eigvalsh(b)[0])
+                                       for b in layout.block_matrices())
+
+    def test_one_eigh_per_larger_size_per_iteration(self, monkeypatch):
+        # Horn at r = 0 has block sizes 1 and 5: one eigh per iteration
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        v = solve_gram(build_gram_problem(HORN, 0), max_iters=25)
+        assert v.iterations == 25 and not v.certified
+        assert calls == [(1, 5, 5)] * 25
 
 
 def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):

@@ -1,17 +1,20 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copotensor import combinatorics
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                diag_tensor, eval_form, from_matrix,
                                inner_product, mixed_rank_one, multi_product,
                                necessary_screen, rank_one, scaled_values)
-from conftest import rand_float_tensor, rand_rational_tensor
+from conftest import float_tensors, rand_float_tensor, rand_rational_tensor
 
 
 def literal_eval(A: SymTensor, x) -> Fraction:
@@ -105,6 +108,18 @@ class TestScaledValues:
         B = SymTensor(1, 1, {(1,): Fraction(1, 2)}, Fraction(1, 7))
         assert scaled_values(B) == (14, [7])
 
+    def test_tuple_count_checked_before_building(self, monkeypatch):
+        # C(n+d-1, d) canonical tuples, against the enumeration limit
+        A = SymTensorBuilder(3, 4, default=1).build()
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", math.comb(6, 4))
+        assert scaled_values(A) == (1, [1] * 15)
+        monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", 14)
+        with pytest.raises(ValueError, match="canonical tuple count: 15 exceeds"):
+            scaled_values(A)
+        # 1.6e9 tuples: refused at once, not built
+        with pytest.raises(ValueError, match="canonical tuple count"):
+            scaled_values(SymTensorBuilder(100, 6, default=1).build())
+
 
 class TestEval:
     def test_identity_diag_at_unit_vector(self):
@@ -129,6 +144,24 @@ class TestEval:
     def test_dimension_mismatch(self, example31):
         with pytest.raises(ValueError):
             eval_form(example31, (1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_tensors(max_n=5), st.data())
+    def test_support_sum_equals_full_sum(self, A, data):
+        # sparse points (about half the coordinates zero) and dense ones
+        nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+        coordinate = data.draw(st.sampled_from([st.just(0) | nonzero, nonzero]))
+        x = data.draw(st.lists(coordinate, min_size=A.n, max_size=A.n))
+        assert eval_form(A, x) == literal_eval(A, x)
+
+    def test_cost_follows_the_support(self):
+        # a 2-sparse point in n = 100 000 visits 3 canonical tuples, not 5e9
+        A = SymTensorBuilder(100_000, 2).set((1, 2), -1).set((2, 2), 3).build()
+        x = [0] * 100_000
+        x[0], x[1] = Fraction(1), Fraction(1, 2)
+        start = time.perf_counter()
+        assert eval_form(A, x) == Fraction(-1) + Fraction(3, 4)
+        assert time.perf_counter() - start < 1
 
 
 class TestInnerProduct:
