@@ -41,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low, so that a bad budget
+    exits 3 before any work."""
+    def budget(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return budget
+
+
 def _load_tensor(path: str) -> SymTensor:
     try:
         return docio.parse_tensor(Path(path).read_text())
@@ -113,9 +124,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_expand(args) -> int:
     A = _load_tensor(args.tensor)
-    expander = (polycone.expand_Pr_closed_form if args.closed_form
-                else polycone.expand_Pr)
-    exp = expander(A, args.level)
+    exp = polycone.expand_Pr(A, args.level)
     rows = [{"theta": list(theta), "coefficient": emit_scalar(c)}
             for theta, c in sorted(exp.coeffs.items())]
     _emit({"n": A.n, "d": A.d, "level": args.level, "coefficients": rows},
@@ -209,9 +218,17 @@ def _cmd_verify(args) -> int:
         if not isinstance(witness, dict) or not isinstance(witness.get("point"), list):
             raise DocumentError(f"certificate witness {witness!r} is not an "
                                 "object with a 'point' array")
-        point = tuple(docio.parse_scalar(c) for c in witness["point"])
+        # each distinct coordinate is parsed and sign-checked once; the key
+        # holds the type so that true is not taken for 1
+        try:
+            parsed = dict.fromkeys((type(c), c) for c in witness["point"])
+        except TypeError as exc:   # an array or object coordinate
+            raise DocumentError(f"certificate witness coordinate: {exc}") from exc
+        for key in parsed:
+            parsed[key] = docio.parse_scalar(key[1])
+        point = tuple(parsed[type(c), c] for c in witness["point"])
         value = eval_form(A, point)
-        ok = value < 0 and all(c >= 0 for c in point)
+        ok = value < 0 and all(c >= 0 for c in parsed.values())
         if "value" in witness:
             ok = ok and value == docio.parse_scalar(witness["value"])
         return _verified(ok, f"witness value {emit_scalar(value)}")
@@ -251,16 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iters", type=int, default=soscone.DEFAULT_MAX_ITERS)
     sp.set_defaults(func=_cmd_check)
 
+    def add_budgets(sp):
+        sp.add_argument("--max-depth", type=_int_at_least(0), default=32)
+        sp.add_argument("--budget", type=_int_at_least(1), default=100_000)
+
     sp = sub.add_parser("certify", help="branch-and-bound copositivity")
     add_common(sp)
-    sp.add_argument("--max-depth", type=int, default=32)
-    sp.add_argument("--budget", type=int, default=100_000)
+    add_budgets(sp)
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("expand", help="emit the coefficient table")
     add_common(sp)
     sp.add_argument("--level", type=int, default=0)
-    sp.add_argument("--closed-form", action="store_true")
     sp.set_defaults(func=_cmd_expand)
 
     sp = sub.add_parser("oracle", help="brute-force minimum")
@@ -275,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--levels", type=int, default=3, metavar="R")
     sp.add_argument("--max-iters", type=int, default=soscone.DEFAULT_MAX_ITERS)
-    sp.add_argument("--max-depth", type=int, default=32)
-    sp.add_argument("--budget", type=int, default=100_000)
+    add_budgets(sp)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_compare)
 

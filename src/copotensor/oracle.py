@@ -19,7 +19,8 @@ import numpy as np
 from .combinatorics import tuple_multiplicity
 from .tensor import Scalar, SymTensor, eval_form
 
-# The most grid points or sphere samples one oracle call may evaluate.
+# The most grid points, or sphere samples times canonical tuples (the terms
+# of eval_many), one oracle call may evaluate.
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -131,6 +132,10 @@ def fullspace_sample_min(A: SymTensor, trials: int, seed: int,
     """
     if not 1 <= trials <= MAX_GRID_POINTS:
         raise ValueError(f"trials must be between 1 and {MAX_GRID_POINTS}")
+    terms = trials * math.comb(A.n + A.d - 1, A.d)
+    if terms > MAX_GRID_POINTS:
+        raise ValueError(f"{trials} samples of {A.n}-variate degree-{A.d} form: "
+                         f"{terms} terms exceed cap {MAX_GRID_POINTS}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((trials, A.n))
     norms = np.linalg.norm(pts, axis=1)

@@ -6,13 +6,15 @@ selection compares squared edge lengths exactly, and every verdict-bearing
 inequality is evaluated exactly.  Floating point appears only in the
 reported diameter.
 
-The certifier carries, with each simplex, the values <A, v_k1 (x) ... (x) v_kd>
-over every multiset of its vertex indices: the simplicial Bernstein
-coefficients of the form (Leroy 2008), as Python ints scaled by a positive
-constant.  The diagonal coefficients are the vertex values, so one array
-refutes (a negative vertex value) and prunes (all coefficients non-negative,
-the full vertex-tuple test of Bundfuss & Dur 2008).  Bisecting an edge is a
-de Casteljau step on the coefficients rather than a recomputation.
+Every per-simplex test reads one table, the values <A, v_k1 (x) ... (x) v_kd>
+over the multisets of the simplex's vertex indices: the simplicial Bernstein
+coefficients of the form (Leroy 2008).  O^P reads the vertex values (one
+distinct index), I^P adds the edge splits (two), and the full vertex-tuple
+test of Bundfuss & Dur 2008 reads them all.  The certifier carries the table
+as Python ints scaled by a positive constant, so one array refutes (a
+negative vertex value, reported off that coefficient) and prunes (all
+non-negative).  Bisecting an edge is a de Casteljau step on the coefficients
+rather than a recomputation.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import check_enumeration_size
-from .tensor import (Scalar, SymTensor, canonical_tuples, eval_form,
-                     multi_product, necessary_screen, scaled_values)
+from .tensor import (Scalar, SymTensor, eval_form, multi_product,
+                     necessary_screen, scaled_values)
 
 Point = tuple[Fraction, ...]
 
@@ -41,10 +42,6 @@ class Simplex:
         for v in self.vertices:
             if any(c < 0 for c in v) or sum(v) != 1:
                 raise ValueError(f"vertex {v} is not in the standard simplex")
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices[0])
 
 
 def standard_simplex(n: int) -> Simplex:
@@ -164,34 +161,26 @@ def refine(P: Partition, rounds: int) -> Partition:
     return P
 
 
-def diameter_sq(P: Partition) -> Fraction:
-    return max(_sq_dist(u, v) for u, v in P.edge_set)
-
-
 def diameter(P: Partition) -> float:
     """max edge length; float is for reporting only, never for branching."""
-    return math.sqrt(float(diameter_sq(P)))
+    return math.sqrt(float(max(_sq_dist(u, v) for u, v in P.edge_set)))
+
+
+def _vertex_tuple_values(A: SymTensor, s: Simplex, distinct: int):
+    """<A, v_k1 (x) ... (x) v_kd> for every multiset of s's vertex indices
+    with at most `distinct` different indices, in canonical order; exact
+    rational arithmetic."""
+    verts = s.vertices
+    for key in itertools.combinations_with_replacement(range(len(verts)), A.d):
+        if len(set(key)) <= distinct:
+            yield multi_product(A, [verts[k] for k in key])
 
 
 def inner_test_full(A: SymTensor, s: Simplex) -> bool:
-    """Full vertex-tuple condition: <A, v_{i1} (x) ... (x) v_{id}> >= 0 for
-    every multiset of vertex indices.  Sufficient for non-negativity of the
-    form on the simplex; exact rational arithmetic.
+    """Full vertex-tuple condition: every value of the simplex's table is
+    non-negative.  Sufficient for non-negativity of the form on the simplex.
     """
-    verts = s.vertices
-    for key in canonical_tuples(len(verts), A.d):
-        if multi_product(A, [verts[i - 1] for i in key]) < 0:
-            return False
-    return True
-
-
-def _edge_products_nonneg(A: SymTensor, u: Point, v: Point) -> bool:
-    # all splits a in 1..d-1 of <A, u^(x a) (x) v^(x (d-a))>
-    for a in range(1, A.d):
-        factors = [u] * a + [v] * (A.d - a)
-        if multi_product(A, factors) < 0:
-            return False
-    return True
+    return all(value >= 0 for value in _vertex_tuple_values(A, s, A.d))
 
 
 def member_I_P(A: SymTensor, P: Partition) -> bool:
@@ -200,25 +189,14 @@ def member_I_P(A: SymTensor, P: Partition) -> bool:
     edge-based definition; for d > 2 it is weaker than
     :func:`inner_test_full`, the condition the certifier prunes on.
     """
-    for v in P.vertex_set:
-        if eval_form(A, v) < 0:
-            return False
-    for u, v in P.edge_set:
-        if not _edge_products_nonneg(A, u, v):
-            return False
-    return True
+    return all(value >= 0 for s in P.simplices
+               for value in _vertex_tuple_values(A, s, 2))
 
 
 def member_O_P(A: SymTensor, P: Partition) -> bool:
     """Outer cone: the form is non-negative at every partition vertex."""
-    return all(eval_form(A, v) >= 0 for v in P.vertex_set)
-
-
-def _root_coefficients(A: SymTensor) -> list[int]:
-    """Bernstein coefficients on the standard simplex, in canonical tuple
-    order: A's entries times the lcm L of their denominators (and the
-    default's), so every value is an int."""
-    return scaled_values(A)[1]
+    return all(value >= 0 for s in P.simplices
+               for value in _vertex_tuple_values(A, s, 1))
 
 
 class _StepTables(dict):
@@ -320,11 +298,9 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
                            screen.witness_value,
                            PartitionStats(0, 0, 0), method="screen")
 
-    check_enumeration_size(math.comb(A.n + A.d - 1, A.d),
-                           "Bernstein coefficients per simplex")
+    scale, root = scaled_values(A)
     diag, steps = _casteljau_tables(A.n, A.d)
-    work: deque[tuple[Simplex, list[int]]] = deque(
-        [(standard_simplex(A.n), _root_coefficients(A))])
+    work: deque[tuple[Simplex, list[int]]] = deque([(standard_simplex(A.n), root)])
     processed = 0
     max_depth_seen = 0
     unresolved: list[Simplex] = []
@@ -337,9 +313,9 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         max_depth_seen = max(max_depth_seen, s.depth)
         for k, p in enumerate(diag):
             if b[p] < 0:
-                v = s.vertices[k]
                 return Certificate(
-                    Verdict.NOT_COPOSITIVE, v, eval_form(A, v),
+                    Verdict.NOT_COPOSITIVE, s.vertices[k],
+                    Fraction(b[p], scale << A.d * s.depth),
                     PartitionStats(max_depth_seen, processed, len(work)))
         if min(b) >= 0:
             continue
@@ -351,11 +327,9 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         work.append((child_i, _casteljau_step(b, steps[i, j])))
         work.append((child_j, _casteljau_step(b, steps[j, i])))
     if unresolved:
-        dia = max(math.sqrt(float(_sq_dist(u, v)))
-                  for s in unresolved
-                  for u, v in itertools.combinations(s.vertices, 2))
         return Certificate(
             Verdict.INDETERMINATE,
-            stats=PartitionStats(max_depth_seen, processed, len(unresolved), dia))
+            stats=PartitionStats(max_depth_seen, processed, len(unresolved),
+                                 diameter(Partition(unresolved))))
     return Certificate(Verdict.COPOSITIVE,
                        stats=PartitionStats(max_depth_seen, processed, 0))

@@ -286,11 +286,12 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     e_i + t e_j the form is d * a_{i^(d-1) j} * t + O(t^2).  Other mixed
     entries involving i are not constrained by a zero diagonal when d >= 3.
     The first such (i, j) in index order is reported.  A fail carries a
-    witness: e_i for a negative diagonal, and e_i + t e_j with t = 1/2^k,
-    halved until the form is negative, for a zero one (the linear term
-    dominates for small t, so the halving stops).  The work is linear in n
-    and in the number of stored entries: an unstored mixed entry equals the
-    default, so only a negative default makes one a candidate.
+    witness and the form's value there: e_i and a_{i...i} for a negative
+    diagonal, and e_i + t e_j with t = 1/2^k, halved until the form is
+    negative, for a zero one (the linear term dominates for small t, so the
+    halving stops).  The work is linear in n and in the number of stored
+    entries: an unstored mixed entry equals the default, so only a negative
+    default makes one a candidate.
     """
     n, d, entries, default = A.n, A.d, A.entries, A.default
 
@@ -299,24 +300,16 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
         key = (i,) * (d - k) + (j,) * k
         return entries.get(key if i <= j else key[::-1], default)
 
-    def refute(reason: str, key: Index, i: int, j: int, t: Fraction) -> ScreenResult:
-        # on the face, f(e_i + t e_j) = sum_k C(d, k) a_{i^(d-k) j^k} t^k;
-        # t is halved until that is negative (t = 0 gives f(e_i))
-        face = [math.comb(d, k) * entry(i, j, k) for k in range(d + 1)]
-        while True:
-            value = sum(c * t ** k for k, c in enumerate(face))
-            if value < 0:
-                point = [Fraction(0)] * n
-                point[i - 1] = Fraction(1)
-                point[j - 1] += t
-                return ScreenResult(False, reason, key, tuple(point), value)
-            t /= 2
+    def unit(i: int) -> list[Fraction]:
+        point = [Fraction(0)] * n
+        point[i - 1] = Fraction(1)
+        return point
 
     diag = [entries.get((i,) * d, default) for i in range(1, n + 1)]
     for i, a in enumerate(diag, start=1):
         if a < 0:
-            return refute(f"diagonal entry at index {i} is negative",
-                          (i,) * d, i, i, Fraction(0))
+            return ScreenResult(False, f"diagonal entry at index {i} is negative",
+                                (i,) * d, tuple(unit(i)), a)
     if d == 1:
         return ScreenResult(True)   # a linear form: the diagonal decides
     if default < 0:
@@ -330,8 +323,16 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     for i, j in pairs:
         a = entry(i, j, 1)
         if a < 0:
+            # on the face, f(e_i + t e_j) = sum_k C(d, k) a_{i^(d-k) j^k} t^k;
+            # t is halved from 1 until that is negative
+            face = [math.comb(d, k) * entry(i, j, k) for k in range(d + 1)]
+            t = Fraction(1)
+            while (value := sum(c * t ** k for k, c in enumerate(face))) >= 0:
+                t /= 2
+            point = unit(i)
+            point[j - 1] = t
             key = canonicalize((i,) * (d - 1) + (j,), n)
-            return refute(
-                f"zero diagonal at index {i} with negative mixed entry {key}",
-                key, i, j, Fraction(1))
+            return ScreenResult(
+                False, f"zero diagonal at index {i} with negative mixed entry {key}",
+                key, tuple(point), value)
     return ScreenResult(True)

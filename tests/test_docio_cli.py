@@ -1,7 +1,9 @@
 import json
 import random
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
 from copotensor.gridcone import member_O_r
 from copotensor.polycone import member_C_r
 from copotensor.tensor import from_matrix
-from conftest import (EXAMPLE31_JSON, rand_diag_dominant_tensor,
+from conftest import (EXAMPLE31_JSON, HORN, rand_diag_dominant_tensor,
                       rand_rational_tensor)
 
 F = Fraction
@@ -193,6 +195,41 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "trials must be between" in captured.err
 
+    def test_oracle_sample_terms_above_cap_exit_3(self, tmp_path, capsys):
+        # one sample, but C(1003, 4) canonical tuples to evaluate at it
+        p = tmp_path / "wide.json"
+        p.write_text('{"n": 1000, "d": 4, "default": "1"}')
+        start = time.perf_counter()
+        assert main(["oracle", "--samples", "1", str(p)]) == 3
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "41917125250 terms exceed cap" in captured.err
+
+    @pytest.mark.parametrize("command", ["certify", "compare"])
+    @pytest.mark.parametrize("option", [["--max-depth", "-1"], ["--budget", "0"]],
+                             ids=["max-depth", "budget"])
+    def test_budgets_checked_before_any_work(self, tmp_path, capsys, command,
+                                             option):
+        # compare would otherwise run the SOS walk on Horn first
+        p = tmp_path / "horn.json"
+        p.write_text(emit_tensor(HORN))
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *option, str(p)])
+        assert exc.value.code == 3
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {option[0]}" in captured.err
+
+    def test_screen_of_high_order_reads_the_diagonal(self, tmp_path, capsys):
+        p = tmp_path / "order200000.json"
+        p.write_text('{"n": 2, "d": 200000, "default": "-1"}')
+        start = time.perf_counter()
+        assert main(["screen", str(p)]) == 1
+        assert time.perf_counter() - start < 1
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness == {"point": ["1", "0"], "value": "-1"}
+
     @pytest.mark.parametrize("method", ["coef", "sos", "grid"])
     def test_negative_level_exit_3(self, tmp_path, capsys, method):
         # [[1,-2],[-2,1]] is not copositive: level 0 of the grid refutes it
@@ -326,6 +363,20 @@ class TestParserReuse:
         assert docs[3]["verdict"] == "Certified" and docs[3]["stats"]["iterations"] > 5
 
 
+class TestReadme:
+    def test_documented_commands_parse(self):
+        # every flag README's CLI block shows is one the parser accepts
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("copotensor ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            assert callable(args.func), line
+
+
 class TestSizeLimit:
     @pytest.mark.parametrize("command", [["check", "--method", "sos"],
                                          ["check", "--method", "coef"],
@@ -403,6 +454,33 @@ class TestVerify:
         assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
         assert time.perf_counter() - start < 1
         assert "OK (witness value -2)" in capsys.readouterr().out
+
+    def test_witness_coordinates_parsed_once(self, tmp_path, capsys):
+        # 99 998 of the 100 000 coordinates are "0": one parse, one sign check
+        tensor_path = tmp_path / "wide.json"
+        tensor_path.write_text('{"n": 100000, "d": 2, "entries": '
+                               '[{"idx": [1, 2], "val": "-1"}]}')
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["screen", str(tensor_path), "--out", cert_path]) == 1
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
+        assert time.perf_counter() - start < 0.3
+        assert "OK (witness value -2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("coordinate", [[1], {"x": 1}, True],
+                             ids=["array", "object", "true"])
+    def test_non_scalar_coordinate_exit_3(self, hollow_file, tmp_path, capsys,
+                                          coordinate):
+        # true must not be taken for the 1 before it
+        cert_path = tmp_path / "cert.json"
+        main(["certify", hollow_file, "--out", str(cert_path)])
+        doc = json.loads(cert_path.read_text())
+        doc["witness"] = {"point": [1, coordinate]}
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_forged_copositive_is_unchecked(self, tmp_path, capsys):
         A = from_matrix([[1, -2], [-2, 1]])          # not copositive

@@ -8,14 +8,14 @@ import pytest
 from copotensor.oracle import barycentric_grid_min, simplex_grid_min
 from copotensor.partition import (Certificate, Partition, PartitionStats,
                                   Simplex, Verdict, _casteljau_step,
-                                  _casteljau_tables, _longest_edge,
-                                  _root_coefficients, _split,
+                                  _casteljau_tables, _longest_edge, _split,
                                   bisect_longest_edge, certify_copositivity,
                                   diameter, grid_partition, inner_test_full,
                                   member_I_P, member_O_P, refine, refine_once,
                                   standard_simplex, trivial_partition)
-from copotensor.tensor import (SymTensorBuilder, eval_form, from_matrix,
-                               multi_product)
+from copotensor.tensor import (SymTensorBuilder, canonical_tuples, eval_form,
+                               from_matrix, multi_product, necessary_screen,
+                               scaled_values)
 from conftest import (rand_diag_dominant_tensor, rand_nonneg_tensor,
                       rand_rational_tensor)
 
@@ -304,7 +304,7 @@ class TestBernsteinCoefficients:
             scale = math.lcm(*(F(a).denominator for _, a in A.items()),
                              F(A.default).denominator)
             diag, steps = _casteljau_tables(n, d)
-            s, b = standard_simplex(n), _root_coefficients(A)
+            s, b = standard_simplex(n), scaled_values(A)[1]
             assert all(isinstance(c, int) for c in b)
             for depth in range(5 if n > 1 else 1):
                 keys = itertools.combinations_with_replacement(range(n), d)
@@ -326,8 +326,8 @@ class TestBernsteinCoefficients:
 
     def test_float_entries_use_their_exact_values(self):
         A = from_matrix([[0.1, -0.1], [-0.1, 0.1]])
-        assert _root_coefficients(A) == [3602879701896397, -3602879701896397,
-                                         3602879701896397]
+        assert scaled_values(A)[1] == [3602879701896397, -3602879701896397,
+                                       3602879701896397]
 
 
 class TestCertifyMatchesReference:
@@ -345,3 +345,98 @@ class TestCertifyMatchesReference:
                 assert got == want
                 verdicts.add(got.verdict)
         assert verdicts == set(Verdict)
+
+
+# The per-simplex tests as three separate loops, kept literally as the
+# reference for the vertex-tuple table.
+
+def reference_inner_test_full(A, s):
+    verts = s.vertices
+    for key in canonical_tuples(len(verts), A.d):
+        if multi_product(A, [verts[i - 1] for i in key]) < 0:
+            return False
+    return True
+
+
+def reference_edge_products_nonneg(A, u, v):
+    # all splits a in 1..d-1 of <A, u^(x a) (x) v^(x (d-a))>
+    for a in range(1, A.d):
+        factors = [u] * a + [v] * (A.d - a)
+        if multi_product(A, factors) < 0:
+            return False
+    return True
+
+
+def reference_member_I_P(A, P):
+    for v in P.vertex_set:
+        if eval_form(A, v) < 0:
+            return False
+    for u, v in P.edge_set:
+        if not reference_edge_products_nonneg(A, u, v):
+            return False
+    return True
+
+
+def reference_member_O_P(A, P):
+    return all(eval_form(A, v) >= 0 for v in P.vertex_set)
+
+
+class TestVertexTupleTableMatchesReference:
+    def test_same_cone_memberships(self, rng):
+        seen = {"I^P": set(), "O^P": set(), "full": set()}
+        for n, d in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+            partitions = [trivial_partition(n), grid_partition(n, 3)]
+            if n > 1:
+                partitions.append(refine(trivial_partition(n), 2))
+            # negative only where the most vertex indices are distinct, so
+            # only the full test sees it on the trivial partition
+            spread = SymTensorBuilder(n, d)
+            for key in canonical_tuples(n, d):
+                spread.set(key, F(-1, 8) if len(set(key)) == min(n, d)
+                           else F(rng.randint(0, 8), 8))
+            tensors = [rand_rational_tensor(rng, n, d),
+                       rand_nonneg_tensor(rng, n, d),
+                       rand_diag_dominant_tensor(rng, n, d, off_scale=4),
+                       spread.build()]
+            for A, P in itertools.product(tensors, partitions):
+                got = member_I_P(A, P)
+                assert got == reference_member_I_P(A, P)
+                seen["I^P"].add(got)
+                got = member_O_P(A, P)
+                assert got == reference_member_O_P(A, P)
+                seen["O^P"].add(got)
+                for s in P.simplices:
+                    got = inner_test_full(A, s)
+                    assert got == reference_inner_test_full(A, s)
+                    seen["full"].add(got)
+        # members and non-members of each cone
+        assert all(outcomes == {True, False} for outcomes in seen.values())
+
+
+class TestRefutationValues:
+    def test_value_is_the_form_at_the_witness(self, rng):
+        # small entries with many zeros, so zero diagonals are common; 1/10 is
+        # taken at its exact binary value
+        values = [0, 0, 0, 1, -1, 2, F(-1, 2), 0.1]
+        kinds = set()
+        for _ in range(150):
+            n, d = rng.choice([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2),
+                               (3, 3), (2, 4), (3, 4)])
+            b = SymTensorBuilder(n, d)
+            for key in canonical_tuples(n, d):
+                b.set(key, rng.choice(values))
+            A = b.build()
+            res = necessary_screen(A)
+            if not res.passed:
+                assert res.witness_value == eval_form(A, res.witness) < 0
+                assert type(res.witness_value) is F
+                kinds.add("screen diagonal" if len(set(res.witness_index)) == 1
+                          else "screen face")
+            cert = certify_copositivity(A, max_depth=8, simplex_budget=200)
+            if cert.verdict is Verdict.NOT_COPOSITIVE:
+                assert cert.witness_value == eval_form(A, cert.witness) < 0
+                assert type(cert.witness_value) is F
+                kinds.add(cert.method if cert.stats.max_depth_reached == 0
+                          else "certify below the root")
+        assert kinds == {"screen diagonal", "screen face", "screen",
+                         "partition", "certify below the root"}
