@@ -41,8 +41,7 @@ def main():
     print(f"coefficient cone level 0: {'Member' if cv.member else 'NotMember'}")
 
     kv = member_K_r(A, 0)
-    print(f"SOS cone level 0: {'Certified' if kv.certified else 'Unknown'}"
-          f" (fast path: {kv.fast_path})")
+    print(f"SOS cone level 0: {kv.verdict} (fast path: {kv.fast_path})")
 
     cert = certify_copositivity(A)
     print(f"branch-and-bound: {cert.verdict.value} "

@@ -6,6 +6,9 @@ cone and SOS cone), the outer grid levels, the branch-and-bound verdict, and
 the oracle grid minimum, so the containment relations are visible side by
 side: rows where the coefficient cone flips to Member at some r are strictly
 inside rows where the SOS cone certifies earlier.
+
+Per level, coef and grid print M (Member) or . (NotMember); sos prints C
+(Certified), N (NotMember, refuted by a moment certificate) or ? (Unknown).
 """
 
 import argparse
@@ -18,6 +21,9 @@ from copotensor import (certify_copositivity, member_C_r, member_O_r,
                         sweep_K_r)
 from copotensor.oracle import simplex_grid_min
 from copotensor.tensor import SymTensorBuilder, canonical_tuples
+
+
+SOS_SYMBOL = {"Certified": "C", "NotMember": "N", "Unknown": "?"}
 
 
 @dataclass
@@ -54,7 +60,7 @@ def sweep(cfg: SweepConfig):
         A = random_tensor(rng, n, d)
         coef = "".join("M" if member_C_r(A, r).member else "."
                        for r in range(cfg.levels + 1))
-        sos = "".join("C" if v.certified else "?" for v in sweep_K_r(A, cfg.levels))
+        sos = "".join(SOS_SYMBOL[v.verdict] for v in sweep_K_r(A, cfg.levels))
         grid = "".join("M" if member_O_r(A, r).member else "."
                        for r in range(cfg.levels + 1))
         cert = certify_copositivity(A, max_depth=24)

@@ -81,7 +81,7 @@ def _cmd_screen(args) -> int:
 def _cmd_check(args) -> int:
     A = _load_tensor(args.tensor)
     r = args.level
-    witness = value = stats = None
+    witness = value = stats = moments = None
     if args.method == "coef":
         v = polycone.member_C_r(A, r)
         verdict = "Member" if v.member else "NotMember"
@@ -90,7 +90,7 @@ def _cmd_check(args) -> int:
                      "worst_value": emit_scalar(v.worst_value)}
     elif args.method == "sos":
         v = soscone.member_K_r(A, r, max_iters=args.max_iters)
-        verdict = "Certified" if v.certified else "Unknown"
+        verdict, moments = v.verdict, v.moments
         stats = {"iterations": v.iterations, "residual": v.residual,
                  "min_eig": v.min_eig, "fast_path": v.fast_path}
     else:
@@ -98,7 +98,8 @@ def _cmd_check(args) -> int:
         verdict = "Member" if v.member else "NotMember"
         witness, value = v.witness, v.value
     doc = certificate_document(verdict, args.method, level=r, tensor=A,
-                               witness=witness, witness_value=value, stats=stats)
+                               witness=witness, witness_value=value, stats=stats,
+                               moments=moments)
     _emit(doc, args.out)
     return EXIT_CODE[verdict]
 
@@ -166,7 +167,7 @@ def _cmd_compare(args) -> int:
     refuted_from = math.inf if grid.member else \
         max(2, math.lcm(*(c.denominator for c in grid.witness))) - 2
     matrix = {"coef": coef,
-              "sos": ["Certified" if v.certified else "Unknown" for v in sos],
+              "sos": [v.verdict for v in sos],
               "grid": ["NotMember" if r >= refuted_from else "Member" for r in levels]}
     cert = certify_copositivity(A, max_depth=args.max_depth, simplex_budget=args.budget)
     screen = necessary_screen(A)
@@ -202,8 +203,9 @@ def _cert_level(cert: dict) -> int:
 
 def _cmd_verify(args) -> int:
     """Re-derive the evidence behind a verdict: a witness is re-evaluated,
-    a coef verdict re-expanded, a grid Member re-enumerated.  Verdicts that
-    carry no checkable evidence exit 2."""
+    a coef verdict re-expanded, a grid Member re-enumerated, an sos
+    NotMember's moments re-checked.  Verdicts that carry no checkable
+    evidence exit 2."""
     try:
         cert = docio.load_certificate(Path(args.certificate).read_text())
     except (OSError, DocumentError) as exc:
@@ -241,6 +243,11 @@ def _cmd_verify(args) -> int:
               and stats.get("worst_theta") == list(v.worst_theta)
               and stats.get("worst_value") == emit_scalar(v.worst_value))
         return _verified(ok, f"level-{v.r} worst coefficient recomputed")
+    if method == "sos" and verdict == "NotMember":
+        moments = docio.parse_moments(cert)
+        problem = soscone.build_gram_problem(A, _cert_level(cert))
+        return _verified(soscone.check_refutation(problem, moments),
+                         f"level-{problem.r} moment certificate re-checked")
     if method == "grid" and verdict == "Member":
         v = gridcone.member_O_r(A, _cert_level(cert))
         return _verified(v.member, f"level-{v.r} grid re-evaluated")

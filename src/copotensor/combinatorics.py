@@ -16,11 +16,41 @@ from typing import Iterable, Sequence
 # may enumerate; larger levels are refused before any enumeration starts.
 MAX_ENUMERATION = 10_000
 
+# Size checks count exactly up to COUNT_CAP; beyond it a count is only known
+# to be larger, which every limit here needs (see binomial_at_most).
+COUNT_CAP = 10 ** 12
+
+
+def binomial_at_most(n: int, k: int, cap: int = COUNT_CAP) -> int:
+    """C(n, k) when it is at most ``cap``, else cap + 1.
+
+    The partial products C(n - k + i, i), i = 1..k (k taken as the smaller of
+    k and n - k), at least double at each step and end at C(n, k), so the
+    multiplying stops once one passes cap: a few dozen steps, where the exact
+    C(800000, 400000) has 240 000 digits.
+    """
+    if not 0 <= k <= n:
+        return 0
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def count_text(count: int) -> str:
+    """A size for a message: the count itself up to COUNT_CAP."""
+    return str(count) if count <= COUNT_CAP else f"more than {COUNT_CAP}"
+
 
 def check_enumeration_size(count: int, what: str) -> None:
-    """Raise ValueError when ``count`` items would exceed MAX_ENUMERATION."""
+    """Raise ValueError when ``count`` items would exceed MAX_ENUMERATION;
+    a count above COUNT_CAP is reported as more than it."""
     if count > MAX_ENUMERATION:
-        raise ValueError(f"{what}: {count} exceeds the limit of {MAX_ENUMERATION}")
+        raise ValueError(f"{what}: {count_text(count)} exceeds the limit of "
+                         f"{MAX_ENUMERATION}")
 
 
 def multinomial(alpha: Sequence[int]) -> int:

@@ -5,7 +5,8 @@ paths never pass through floats; a JSON number is taken at its exact binary
 value, and NaN or infinity is rejected.  The sizes n and d and every index
 component must be JSON integers; nothing is truncated or converted.
 Certificates carry the input tensor's digest so a later `verify` run can
-re-check a witness with no access to the producing run's state.
+re-check a witness, or an SOS refutation's moments, with no access to the
+producing run's state.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def certificate_document(verdict: str, method: str, *,
                          witness: tuple[Scalar, ...] | None = None,
                          witness_value: Scalar | None = None,
                          stats: dict[str, Any] | None = None,
+                         moments: dict[tuple[int, ...], Scalar] | None = None,
                          tensor: SymTensor) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "verdict": verdict,
@@ -128,7 +130,33 @@ def certificate_document(verdict: str, method: str, *,
             doc["witness"]["value"] = emit_scalar(witness_value)
     if stats:
         doc["stats"] = stats
+    if moments is not None:
+        doc["moments"] = [{"exponent": list(g), "value": emit_scalar(v)}
+                          for g, v in sorted(moments.items())]
     return doc
+
+
+def parse_moments(cert: dict[str, Any]) -> dict[tuple[int, ...], Fraction]:
+    """A certificate's ``moments`` array as exponent -> exact value.  A
+    missing array, a row that is not an object with an integer ``exponent``
+    array and a scalar ``value``, or a repeated exponent raises
+    DocumentError."""
+    rows = cert.get("moments")
+    if not isinstance(rows, list):
+        raise DocumentError("certificate has no 'moments' array")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for row in rows:
+        try:
+            exponent = row["exponent"]
+            value = parse_scalar(row["value"])
+        except (KeyError, TypeError) as exc:
+            raise DocumentError(f"bad moment {row!r}") from exc
+        if not isinstance(exponent, list) or any(type(e) is not int for e in exponent):
+            raise DocumentError(f"bad moment {row!r}: exponent must be an integer array")
+        if tuple(exponent) in out:
+            raise DocumentError(f"duplicate moment exponent {exponent}")
+        out[tuple(exponent)] = value
+    return out
 
 
 def load_certificate(text: str) -> dict[str, Any]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .combinatorics import (check_enumeration_size, enumerate_exponents,
-                            tuple_multiplicity)
+from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
+                            enumerate_exponents, tuple_multiplicity)
 from .tensor import Scalar, SymTensor, canonical_tuples, scaled_values
 
 Point = tuple[Fraction, ...]
@@ -60,7 +60,9 @@ def _first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     ValueError here, at the call, not when the points are first drawn."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    check_enumeration_size(sum(math.comb(n + m - 1, m) for m in range(2, r + 3)),
+    # the sum of C(n+m-1, m) over 2 <= m <= r+2 is C(n+r+2, r+2) - 1 - n
+    # (hockey stick)
+    check_enumeration_size(binomial_at_most(n + r + 2, r + 2, COUNT_CAP + n + 1) - n - 1,
                            f"level {r} grid point count")
     return ((m, c) for m in range(2, r + 3) for c in enumerate_exponents(n, m)
             if m == 2 or math.gcd(m, *c) == 1)

@@ -9,14 +9,13 @@ modules cannot be mirrored here.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import tuple_multiplicity
+from .combinatorics import binomial_at_most, count_text, tuple_multiplicity
 from .tensor import Scalar, SymTensor, eval_form
 
 # The most grid points, or sphere samples times canonical tuples (the terms
@@ -48,9 +47,10 @@ def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    count = math.comb(A.n + resolution - 1, resolution)
+    count = binomial_at_most(A.n + resolution - 1, resolution)
     if count > MAX_GRID_POINTS:
-        raise ValueError(f"grid of {count} points exceeds cap {MAX_GRID_POINTS}")
+        raise ValueError(f"grid of {count_text(count)} points exceeds cap "
+                         f"{MAX_GRID_POINTS}")
     best_val = None
     best_pt = None
     for comp in _compositions(resolution, A.n):
@@ -132,10 +132,10 @@ def fullspace_sample_min(A: SymTensor, trials: int, seed: int,
     """
     if not 1 <= trials <= MAX_GRID_POINTS:
         raise ValueError(f"trials must be between 1 and {MAX_GRID_POINTS}")
-    terms = trials * math.comb(A.n + A.d - 1, A.d)
+    terms = trials * binomial_at_most(A.n + A.d - 1, A.d)
     if terms > MAX_GRID_POINTS:
         raise ValueError(f"{trials} samples of {A.n}-variate degree-{A.d} form: "
-                         f"{terms} terms exceed cap {MAX_GRID_POINTS}")
+                         f"{count_text(terms)} terms exceed cap {MAX_GRID_POINTS}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((trials, A.n))
     norms = np.linalg.norm(pts, axis=1)

@@ -166,21 +166,27 @@ def diameter(P: Partition) -> float:
     return math.sqrt(float(max(_sq_dist(u, v) for u, v in P.edge_set)))
 
 
-def _vertex_tuple_values(A: SymTensor, s: Simplex, distinct: int):
-    """<A, v_k1 (x) ... (x) v_kd> for every multiset of s's vertex indices
-    with at most `distinct` different indices, in canonical order; exact
-    rational arithmetic."""
-    verts = s.vertices
-    for key in itertools.combinations_with_replacement(range(len(verts)), A.d):
-        if len(set(key)) <= distinct:
-            yield multi_product(A, [verts[k] for k in key])
+def _vertex_tuple_values(A: SymTensor, simplices: list[Simplex], distinct: int):
+    """<A, v_k1 (x) ... (x) v_kd> for every multiset of a simplex's vertex
+    indices with at most `distinct` different indices, simplex by simplex in
+    canonical order, and each multiset of points once however many of the
+    simplices share it; exact rational arithmetic."""
+    seen: set[tuple[Point, ...]] = set()
+    for s in simplices:
+        verts = s.vertices
+        for key in itertools.combinations_with_replacement(range(len(verts)), A.d):
+            if len(set(key)) <= distinct:
+                points = tuple(sorted(verts[k] for k in key))
+                if points not in seen:
+                    seen.add(points)
+                    yield multi_product(A, points)
 
 
 def inner_test_full(A: SymTensor, s: Simplex) -> bool:
     """Full vertex-tuple condition: every value of the simplex's table is
     non-negative.  Sufficient for non-negativity of the form on the simplex.
     """
-    return all(value >= 0 for value in _vertex_tuple_values(A, s, A.d))
+    return all(value >= 0 for value in _vertex_tuple_values(A, [s], A.d))
 
 
 def member_I_P(A: SymTensor, P: Partition) -> bool:
@@ -189,14 +195,12 @@ def member_I_P(A: SymTensor, P: Partition) -> bool:
     edge-based definition; for d > 2 it is weaker than
     :func:`inner_test_full`, the condition the certifier prunes on.
     """
-    return all(value >= 0 for s in P.simplices
-               for value in _vertex_tuple_values(A, s, 2))
+    return all(value >= 0 for value in _vertex_tuple_values(A, P.simplices, 2))
 
 
 def member_O_P(A: SymTensor, P: Partition) -> bool:
     """Outer cone: the form is non-negative at every partition vertex."""
-    return all(value >= 0 for s in P.simplices
-               for value in _vertex_tuple_values(A, s, 1))
+    return all(value >= 0 for value in _vertex_tuple_values(A, P.simplices, 1))
 
 
 class _StepTables(dict):

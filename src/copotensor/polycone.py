@@ -17,15 +17,14 @@ anything is enumerated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .combinatorics import (check_enumeration_size, elementary_symmetric,
-                            enumerate_exponents, falling_factorial,
+from .combinatorics import (binomial_at_most, check_enumeration_size,
+                            elementary_symmetric, enumerate_exponents, falling_factorial,
                             index_counts, multinomial, tuple_multiplicity)
 from .tensor import SymTensor, canonical_tuples, scaled_values
 
@@ -52,7 +51,7 @@ class PolyExpansion:
 def _check_level(A: SymTensor, r: int) -> None:
     if r < 0:
         raise ValueError("r must be >= 0")
-    check_enumeration_size(math.comb(A.n + r + A.d - 1, r + A.d),
+    check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
                            f"level {r} coefficient count")
 
 

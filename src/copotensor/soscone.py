@@ -15,8 +15,21 @@ of Gram blocks, and every Certified verdict (solved, fast path or lifted) is
 re-verified by one checker that shares none of that: it loops over the
 constraints itself and takes eigenvalues by cyclic Jacobi rotations.  The
 acceptance rule is fixed: every coefficient matched within MATCH_TOL and
-every eigenvalue at least -EIG_TOL.  Unknown is never a proof of
-non-membership.
+every eigenvalue at least -EIG_TOL.
+
+Non-membership is proved by weak duality instead: a moment functional L on
+the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
+positive definite on every parity block, and with L(P) < 0, admits no PSD
+Gram matrix (sum_b <M_b, G_b> would equal L(P)).  When a solve is strictly
+infeasible, the affine step's per-target shift converges to such an L (up to
+sign), so at each periodic check that does not certify the solver offers
+minus the current shift, made positive definite by adding eps times the
+moments of the uniform measure on [0, 1]^n, which are positive definite on
+every block.  Floats only pick eps and screen the candidate;
+:func:`check_refutation` decides it exactly in Fraction and integer
+arithmetic, against the exact coefficients of P, and the same function
+re-checks a document's moments in ``verify``.  Unknown is never a proof of
+non-membership; NotMember carries a moment certificate.
 
 The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
@@ -24,14 +37,18 @@ upward, lifting a certificate from the level below instead of solving again.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
 from . import polycone
-from .combinatorics import check_enumeration_size, enumerate_exponents
+from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
+                            enumerate_exponents)
 from .tensor import SymTensor
 
 EIG_TOL = 1e-8      # a certificate's blocks have eigenvalues >= -EIG_TOL
@@ -65,13 +82,20 @@ class SosVerdict:
     min_eig: float | None = None
     iterations: int = 0
     fast_path: bool = False
+    moments: dict[Exponent, Fraction] | None = None   # a refutation (NotMember)
+
+    @property
+    def verdict(self) -> str:
+        if self.certified:
+            return "Certified"
+        return "Unknown" if self.moments is None else "NotMember"
 
 
 def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
     """Monomial basis, parity blocks, and coefficient targets for level r."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    check_enumeration_size(math.comb(A.n + A.d + r - 1, A.d + r),
+    check_enumeration_size(binomial_at_most(A.n + A.d + r - 1, A.d + r),
                            f"level {r} monomial basis size")
     basis = enumerate_exponents(A.n, A.d + r)
     parity: dict[Exponent, list[int]] = {}
@@ -191,6 +215,15 @@ class _GramLayout:
         self.shifted = np.zeros(offset)
         self.psd = np.zeros(offset)
         self.correction = np.zeros(offset)
+        # a moment functional's matrices, scattered like the Gram entries;
+        # uniform holds the moments of the uniform measure on [0, 1]^n
+        self.moment = np.zeros(offset)
+        self._moment_views = [self.moment[o:o + k * m * m].reshape(k, m, m)
+                              for o, k, m in groups]
+        exponents = np.array(list(problem.constraints), dtype=float)
+        self.uniform = np.prod(1.0 / (exponents + 1.0), axis=1)
+        self.uniform_value = float(self.uniform @ self.targets)
+        self._retry_at = 0.0   # the first iteration to take eigenvalues again
         # per group: views of shifted and psd, and scratch for the Gram
         # product and its transpose (None for 1x1 blocks, which are clamped)
         self._groups = []
@@ -246,6 +279,62 @@ class _GramLayout:
                           else np.linalg.eigvalsh(dst)[:, 0]).min())
                    for _, dst, scratch in self._groups)
 
+    def _moment_min_eigs(self, moments: np.ndarray) -> np.ndarray:
+        """The least eigenvalue of each block's moment matrix under
+        ``moments`` (one value per target), blocks in buffer order: one
+        scatter, then one batched ``eigvalsh`` per size above 1 (a 1x1
+        block is its entry)."""
+        self.moment[self.scatter] = moments[self.scatter_tid]
+        return np.concatenate([views[:, 0, 0] if views.shape[1] == 1
+                               else np.linalg.eigvalsh(views)[:, 0]
+                               for views in self._moment_views])
+
+    @functools.cached_property
+    def _uniform_inverse(self) -> np.ndarray | None:
+        """1 over the least eigenvalue of each block's uniform moment matrix,
+        or None when one is not positive in floats."""
+        low = self._moment_min_eigs(self.uniform)
+        return 1.0 / low if np.all(low > 0) else None
+
+    def refutation(self, problem: GramProblem, matched: np.ndarray,
+                   it: int) -> dict[Exponent, Fraction] | None:
+        """Moments that :func:`check_refutation` accepts, built from the last
+        affine step (iteration ``it``), or None.
+
+        The step moved each target's entries by (targets - matched) /
+        weight_sum; the candidate L is its negation plus eps times the
+        uniform moments U.  By Weyl's inequality, block b of L + eps U is
+        positive definite once eps * min eig U_b > -min eig L_b; eps is
+        17/16 of the largest such ratio, taken from float eigenvalues, plus
+        2^-40 max |L| over the least eigenvalue of U, against their rounding.
+        Floats screen the candidate before any exact work: L(P) < 0 first,
+        then L(P) + eps U(P) < 0.  The eigenvalues are the cost, so after a
+        candidate falls short by the factor s = eps U(P) / -L(P) > 1, none
+        is built before iteration it * min(2, (1 + s) / 2): halfway to where
+        s, which tends to fall like 1/it on a strictly infeasible problem,
+        would reach 1, and never more than double.
+        """
+        if it < self._retry_at:
+            return None
+        moments = matched - self.targets
+        moments /= self.weight_sum
+        value = float(moments @ self.targets)
+        if not value < 0 or (inverse := self._uniform_inverse) is None:
+            return None
+        ratio = float((-self._moment_min_eigs(moments) * inverse).max())
+        eps = 17 / 16 * max(ratio, 0.0) \
+            + 2.0 ** -40 * float(np.abs(moments).max()) * float(inverse.max())
+        shortfall = eps * self.uniform_value / -value
+        if not shortfall < 1:
+            self._retry_at = it * min(2.0, (1.0 + shortfall) / 2.0)
+            return None
+        if not math.isfinite(eps):
+            return None
+        exact_eps = Fraction(eps)
+        candidate = {g: Fraction(m) + exact_eps * uniform_moment(g)
+                     for g, m in zip(problem.constraints, moments.tolist())}
+        return candidate if check_refutation(problem, candidate) else None
+
 
 def _residual(mats: list[np.ndarray], problem: GramProblem) -> float:
     worst = 0.0
@@ -280,6 +369,55 @@ def check_certificate(problem: GramProblem, blocks: list[np.ndarray]) -> bool:
     return _certified(problem, blocks) is not None
 
 
+def uniform_moment(g: Exponent) -> Fraction:
+    """The integral of y^g over [0, 1]^n."""
+    return Fraction(1, math.prod(e + 1 for e in g))
+
+
+def _positive_definite(rows: list[list[int]]) -> bool:
+    """Whether a symmetric integer matrix is positive definite: exact LDL^T
+    in fraction-free (Bareiss) form, whose k-th pivot is the k-th leading
+    principal minor, all positive by Sylvester's criterion."""
+    a = [row[:] for row in rows]
+    prev = 1
+    for k in range(len(a)):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return True
+
+
+def check_refutation(problem: GramProblem,
+                     moments: Mapping[Exponent, Fraction]) -> bool:
+    """Whether ``moments`` prove that P^(r) has no Gram decomposition: one
+    rational value per target exponent and no other, sum of moment times
+    exact coefficient of P negative, and every block's moment matrix
+    [L(y^(b_i + b_j))] positive definite.  Exact throughout, from the
+    problem's basis and exact expansion; nothing of the solver is used."""
+    if moments.keys() != problem.targets.keys():
+        return False
+    moments = {g: Fraction(m) for g, m in moments.items()}
+    # P's coefficient at y^(2 theta); every other target exponent has none
+    coeff = {tuple(2 * t for t in theta): c
+             for theta, c in problem.expansion.coeffs.items()}
+    if sum(m * coeff.get(g, 0) for g, m in moments.items()) >= 0:
+        return False
+    basis = problem.basis
+    for members in problem.blocks:
+        rows = [[moments[tuple(map(operator.add, basis[a], basis[b]))] for b in members]
+                for a in members]
+        # times the lcm of the block's denominators, a positive integer
+        scale = math.lcm(*(m.denominator for row in rows for m in row))
+        if not _positive_definite([[m.numerator * (scale // m.denominator) for m in row]
+                                   for row in rows]):
+            return False
+    return True
+
+
 def _check_max_iters(max_iters: int) -> None:
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -291,10 +429,13 @@ def solve_gram(problem: GramProblem,
     coefficient-matching set and the PSD cone (blockwise, in the buffers of
     :class:`_GramLayout`).
 
-    Certified only if the candidate passes the independent re-verification;
-    iteration budget exhaustion yields Unknown, which is a verdict, not an
-    error and not a non-membership proof.  A budget below one iteration
-    raises ValueError.
+    Every 25 iterations, and at the last, the iterate is offered to the
+    independent re-verification, and when that does not certify, the last
+    affine step to :meth:`_GramLayout.refutation`.  Certified only if the
+    re-verification passes; NotMember only with moments that
+    :func:`check_refutation` accepts; iteration budget exhaustion yields
+    Unknown, which is a verdict, not an error and not a non-membership
+    proof.  A budget below one iteration raises ValueError.
     """
     _check_max_iters(max_iters)
     layout = _GramLayout(problem)
@@ -319,6 +460,10 @@ def solve_gram(problem: GramProblem,
                 v = _certified(problem, layout.block_matrices(), it)
                 if v is not None:
                     return v
+            moments = layout.refutation(problem, matched, it)
+            if moments is not None:
+                return SosVerdict(False, problem.r, None, best_residual, best_min_eig,
+                                  it, moments=moments)
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)
 
 
@@ -377,8 +522,11 @@ def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
     _check_max_iters(max_iters)
     if R < 0:
         raise ValueError("r must be >= 0")
-    # the sum of C(n+d+r-1, d+r) over r <= R (hockey-stick identity)
-    total = math.comb(A.n + A.d + R, A.n) - math.comb(A.n + A.d - 1, A.n)
+    # the sum of C(n+d+r-1, d+r) over r <= R is C(n+d+R, n) - C(n+d-1, n)
+    # (hockey stick); past COUNT_CAP, level 0 alone is more than the limit
+    low = binomial_at_most(A.n + A.d - 1, A.n)
+    total = low if low > COUNT_CAP else \
+        binomial_at_most(A.n + A.d + R, A.n, COUNT_CAP + low) - low
     check_enumeration_size(total, f"levels 0..{R} monomial basis size")
 
 

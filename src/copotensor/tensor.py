@@ -18,7 +18,8 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import check_enumeration_size, tuple_multiplicity
+from .combinatorics import (binomial_at_most, check_enumeration_size,
+                            tuple_multiplicity)
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -192,7 +193,7 @@ def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     the values in canonical tuple order times L, as ints.  More than
     MAX_ENUMERATION canonical tuples raise ValueError before any value is
     built."""
-    check_enumeration_size(math.comb(A.n + A.d - 1, A.d), "canonical tuple count")
+    check_enumeration_size(binomial_at_most(A.n + A.d - 1, A.d), "canonical tuple count")
     values = [a for _, a in A.items()]
     scale = math.lcm(A.default.denominator, *(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
@@ -295,17 +296,16 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
     """
     n, d, entries, default = A.n, A.d, A.entries, A.default
 
-    def entry(i: int, j: int, k: int) -> Fraction:
-        # a_{i^(d-k) j^k}
-        key = (i,) * (d - k) + (j,) * k
-        return entries.get(key if i <= j else key[::-1], default)
-
     def unit(i: int) -> list[Fraction]:
         point = [Fraction(0)] * n
         point[i - 1] = Fraction(1)
         return point
 
-    diag = [entries.get((i,) * d, default) for i in range(1, n + 1)]
+    # a sorted key is diagonal when its ends agree
+    diag = [default] * n
+    for key, a in entries.items():
+        if key[0] == key[-1]:
+            diag[key[0] - 1] = a
     for i, a in enumerate(diag, start=1):
         if a < 0:
             return ScreenResult(False, f"diagonal entry at index {i} is negative",
@@ -321,18 +321,40 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
         pairs = sorted((i, j) for key, a in entries.items() if a < 0
                        for i, j in _face_roles(key, d) if diag[i - 1] == 0)
     for i, j in pairs:
-        a = entry(i, j, 1)
-        if a < 0:
-            # on the face, f(e_i + t e_j) = sum_k C(d, k) a_{i^(d-k) j^k} t^k;
-            # t is halved from 1 until that is negative
-            face = [math.comb(d, k) * entry(i, j, k) for k in range(d + 1)]
-            t = Fraction(1)
-            while (value := sum(c * t ** k for k, c in enumerate(face))) >= 0:
-                t /= 2
+        key = canonicalize((i,) * (d - 1) + (j,), n)
+        if entries.get(key, default) < 0:
+            k, value = _face_descent(A, i, j)
             point = unit(i)
-            point[j - 1] = t
-            key = canonicalize((i,) * (d - 1) + (j,), n)
+            point[j - 1] = Fraction(1, 1 << k)
             return ScreenResult(
                 False, f"zero diagonal at index {i} with negative mixed entry {key}",
                 key, tuple(point), value)
     return ScreenResult(True)
+
+
+def _face_descent(A: SymTensor, i: int, j: int) -> tuple[int, Fraction]:
+    """The least k >= 0 with f(e_i + 2^-k e_j) < 0, and that value, for a
+    zero a_{i...i} and a negative a_{i^(d-1) j}.
+
+    On the face, f(e_i + t e_j) = sum_k C(d, k) a_{i^(d-k) j^k} t^k, which is
+    default * (1 + t)^d plus C(d, k) (a - default) t^k for each stored entry
+    on the face; those are the only entries read.  At t = 2^-k it times
+    s 2^(dk), s the lcm of the denominators, is the integer
+    default s (2^k + 1)^d + sum C(d, k') (a - default) s 2^(k (d - k')).
+    """
+    d, default = A.d, A.default
+    deltas = {}   # j-count -> stored entry minus the default
+    for key, a in A.entries.items():
+        if key[0] in (i, j) and key[-1] in (i, j):
+            count = key.count(j)
+            if count + key.count(i) == d and a != default:
+                deltas[count] = a - default
+    scale = math.lcm(default.denominator, *(v.denominator for v in deltas.values()))
+    base = default.numerator * (scale // default.denominator)
+    terms = [(d - count, math.comb(d, count) * v.numerator * (scale // v.denominator))
+             for count, v in deltas.items()]
+    k = 0
+    while (total := base * ((1 << k) + 1) ** d
+           + sum(c << (k * shift) for shift, c in terms)) >= 0:
+        k += 1
+    return k, Fraction(total, scale << (d * k))

@@ -1,9 +1,11 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from copotensor.combinatorics import (MAX_ENUMERATION, check_enumeration_size,
+from copotensor.combinatorics import (COUNT_CAP, MAX_ENUMERATION,
+                                      binomial_at_most, check_enumeration_size,
                                       elementary_symmetric, enumerate_exponents,
                                       falling_factorial, index_counts,
                                       multinomial, tuple_multiplicity)
@@ -91,6 +93,10 @@ class TestEnumerationLimit:
         with pytest.raises(ValueError, match="items: 10001 exceeds the limit"):
             check_enumeration_size(MAX_ENUMERATION + 1, "items")
 
+    def test_count_above_cap_reported_as_more(self):
+        with pytest.raises(ValueError, match=f"items: more than {COUNT_CAP} exceeds"):
+            check_enumeration_size(COUNT_CAP + 1, "items")
+
     def test_limit_admits_known_sizes(self):
         # n=6, d=4 at level 6: the SOS basis of C(15, 10) = 3003 monomials
         assert math.comb(6 + 4 + 6 - 1, 4 + 6) <= MAX_ENUMERATION
@@ -98,3 +104,18 @@ class TestEnumerationLimit:
         assert sum(math.comb(3 + m - 1, m) for m in range(2, 33)) <= MAX_ENUMERATION
         # n=10, d=4 at level 10 is refused
         assert math.comb(10 + 4 + 10 - 1, 4 + 10) > MAX_ENUMERATION
+
+
+class TestBinomialAtMost:
+    @given(st.integers(min_value=0, max_value=80), st.integers(min_value=-2, max_value=82),
+           st.integers(min_value=0, max_value=10 ** 15))
+    def test_exact_up_to_the_cap(self, n, k, cap):
+        exact = math.comb(n, k) if k >= 0 else 0
+        assert binomial_at_most(n, k, cap) == (exact if exact <= cap else cap + 1)
+
+    def test_huge_binomial_stops_at_the_cap(self):
+        # the exact C(800000, 400000) has about 240 000 digits
+        start = time.perf_counter()
+        assert binomial_at_most(800_000, 400_000) == COUNT_CAP + 1
+        assert binomial_at_most(10 ** 100, 3) == COUNT_CAP + 1
+        assert time.perf_counter() - start < 0.1

@@ -230,6 +230,28 @@ class TestCliExitCodes:
         witness = json.loads(capsys.readouterr().out)["witness"]
         assert witness == {"point": ["1", "0"], "value": "-1"}
 
+    @pytest.mark.parametrize("command, what", [
+        (["certify"], "canonical tuple count"),
+        (["check", "--method", "coef"], "level 0 coefficient count"),
+        (["check", "--method", "sos"], "levels 0..0 monomial basis size"),
+        (["check", "--method", "grid"], "level 0 grid point count: 80000200000"),
+        (["compare", "--levels", "2"], "levels 0..2 monomial basis size"),
+        (["oracle", "--resolution", "3"], "grid of more than"),
+        (["oracle", "--samples", "1"], "more than"),
+    ], ids=["certify", "coef", "sos", "grid", "compare", "oracle-grid", "oracle-samples"])
+    def test_huge_sizes_refused_without_exact_binomials(self, tmp_path, capsys,
+                                                       command, what):
+        # C(799999, 400000) has about 240 000 digits: every size check stops
+        # counting at combinatorics.COUNT_CAP and exits 3 with its message
+        p = tmp_path / "huge.json"
+        p.write_text('{"n": 400000, "d": 400000, "default": "1"}')
+        start = time.perf_counter()
+        assert main(command + [str(p)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and what in captured.err
+        assert "exceed" in captured.err
+
     @pytest.mark.parametrize("method", ["coef", "sos", "grid"])
     def test_negative_level_exit_3(self, tmp_path, capsys, method):
         # [[1,-2],[-2,1]] is not copositive: level 0 of the grid refutes it
@@ -291,6 +313,15 @@ class TestCliExitCodes:
         if code:
             assert doc["witness"]["point"][:3] == ["1", "1", "0"]
             assert doc["witness"]["value"] == "-2"
+
+    def test_screen_diagonal_read_off_stored_keys(self, tmp_path, capsys):
+        # n diagonal entries of order d are never built as index tuples
+        p = tmp_path / "huge.json"
+        p.write_text('{"n": 400000, "d": 400000, "default": "1"}')
+        start = time.perf_counter()
+        assert main(["screen", str(p)]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "Pass"
 
     def test_compare_json(self, boundary_file, capsys):
         code = main(["compare", "--levels", "2", "--json", boundary_file])
@@ -519,6 +550,51 @@ class TestVerify:
         doc["stats"]["worst_value"] = "-2"
         cert_path.write_text(json.dumps(doc))
         assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1
+
+
+    @pytest.fixture
+    def horn_refutation(self, tmp_path, capsys):
+        # Horn's level 0 is refuted at the first check of the solve
+        tensor_path = tmp_path / "horn.json"
+        tensor_path.write_text(emit_tensor(HORN))
+        cert_path = tmp_path / "cert.json"
+        assert main(["check", "--method", "sos", "--level", "0", str(tensor_path),
+                     "--out", str(cert_path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "NotMember" and doc["stats"]["iterations"] == 25
+        return tensor_path, cert_path, doc
+
+    def test_sos_refutation_round_trip(self, horn_refutation, capsys):
+        tensor_path, cert_path, doc = horn_refutation
+        assert len(doc["moments"]) == 15   # the exponents 2 theta, |theta| = 2
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 0
+        assert "OK (level-0 moment certificate re-checked)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tamper", [
+        lambda doc: doc["moments"][0].update(value="-" + doc["moments"][0]["value"]),
+        lambda doc: doc["moments"][3].update(value="0"),
+        lambda doc: doc["moments"].pop(),
+        lambda doc: doc.update(input_digest=tensor_digest(from_matrix([[1, 0], [0, 1]]))),
+    ], ids=["flipped-sign", "changed-value", "dropped-exponent", "other-digest"])
+    def test_sos_refutation_tampered_fails(self, horn_refutation, capsys, tamper):
+        tensor_path, cert_path, doc = horn_refutation
+        tamper(doc)
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("moments", [
+        None, {"exponent": [4, 0, 0, 0, 0], "value": "1"},
+        [{"exponent": "40000", "value": "1"}], [{"exponent": [4, 0, 0, 0, 0]}],
+        [{"exponent": [4, 0, 0, 0, 0], "value": "1"}] * 2,
+    ], ids=["missing", "object", "string-exponent", "no-value", "repeated"])
+    def test_sos_malformed_moments_exit_3(self, horn_refutation, capsys, moments):
+        tensor_path, cert_path, doc = horn_refutation
+        doc["moments"] = moments
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "moment" in captured.err
 
 
 class TestCompareRows:

@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
 import pytest
 
+from copotensor import partition
 from copotensor.oracle import barycentric_grid_min, simplex_grid_min
 from copotensor.partition import (Certificate, Partition, PartitionStats,
                                   Simplex, Verdict, _casteljau_step,
@@ -411,6 +413,25 @@ class TestVertexTupleTableMatchesReference:
                     seen["full"].add(got)
         # members and non-members of each cone
         assert all(outcomes == {True, False} for outcomes in seen.values())
+
+    @pytest.mark.parametrize("member, distinct", [(member_O_P, 1), (member_I_P, 2)])
+    def test_shared_multisets_evaluated_once(self, monkeypatch, member, distinct):
+        # grid_partition(3, 4): 16 triangles sharing 15 vertices and 30 edges
+        calls = []
+
+        def counting(A, vectors):
+            calls.append(tuple(sorted(vectors)))
+            return multi_product(A, vectors)
+
+        monkeypatch.setattr(partition, "multi_product", counting)
+        P = grid_partition(3, 4)
+        A = rand_nonneg_tensor(random.Random(3), 3, 3)
+        assert member(A, P)
+        assert len(calls) == len(set(calls))
+        vertices, edges = len(P.vertex_set), len(P.edge_set)
+        assert (vertices, edges) == (15, 30)
+        # each vertex once, and with two distinct vertices the d - 1 splits of each edge
+        assert len(calls) == vertices + (distinct - 1) * (3 - 1) * edges
 
 
 class TestRefutationValues:

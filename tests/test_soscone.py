@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -6,15 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copotensor import cli, combinatorics, docio, soscone
 from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, SosVerdict,
                                 _certified, _check_max_iters,
                                 _diagonal_certificate, _GramLayout, _project_psd,
                                 build_gram_problem,
-                                check_certificate, jacobi_eigh,
+                                check_certificate, check_refutation, jacobi_eigh,
                                 lift_certificate, member_K_r, solve_gram,
-                                sweep_K_r)
+                                sweep_K_r, uniform_moment)
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensorBuilder, from_matrix
 from conftest import (BOUNDARY, HORN, example31_tensor,
@@ -52,7 +54,12 @@ def full_basis_problem(A, r):
 
 def reference_solve_gram(problem, max_iters=20000):
     """Literal reference for :func:`solve_gram`: the per-block loop, with one
-    eigh per parity block and a Python loop over every constraint."""
+    eigh per parity block and a Python loop over every constraint.  At each
+    check that does not certify, the coefficients that the last affine step
+    matched go to the solver's refutation search, which stops the loop when
+    it finds moments."""
+    search = _GramLayout(problem)
+    matched = []
 
     def project_psd(G):
         w, V = np.linalg.eigh(G)
@@ -62,6 +69,7 @@ def reference_solve_gram(problem, max_iters=20000):
 
     def project_affine(mats):
         out = [m.copy() for m in mats]
+        matched.clear()
         for g, pairs in problem.constraints.items():
             t = problem.targets[g]
             cur = 0.0
@@ -70,6 +78,7 @@ def reference_solve_gram(problem, max_iters=20000):
                 w = 1 if i == j else 2
                 cur += w * out[b][i, j]
                 weight += w
+            matched.append(cur)
             shift = (t - cur) / weight
             for b, i, j in pairs:
                 out[b][i, j] += shift
@@ -108,6 +117,10 @@ def reference_solve_gram(problem, max_iters=20000):
                 v = _certified(problem, [m.copy() for m in mats], it)
                 if v is not None:
                     return v
+            moments = search.refutation(problem, np.array(matched), it)
+            if moments is not None:
+                return SosVerdict(False, problem.r, None, best_residual, best_min_eig,
+                                  it, moments=moments)
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)
 
 
@@ -275,8 +288,8 @@ class TestMatchesReference:
         got = solve_gram(problem, max_iters=max_iters)
         want = reference_solve_gram(problem, max_iters=max_iters)
         assert want.certified is certified
-        assert (got.certified, got.iterations, got.residual, got.min_eig) == \
-            (want.certified, want.iterations, want.residual, want.min_eig)
+        assert (got.verdict, got.iterations, got.residual, got.min_eig, got.moments) == \
+            (want.verdict, want.iterations, want.residual, want.min_eig, want.moments)
         if certified:
             assert len(got.certificate) == len(problem.blocks)
             assert all(np.array_equal(a, b) for a, b in
@@ -403,8 +416,8 @@ class TestLevelWalk:
              for r in range(top + 1)]
 
     def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
-        # Horn is stuck at every level, so nothing lifts: one solve per
-        # level, where re-walking levels 0..r for each r made 1 + 2 + 3
+        # Horn is refuted at level 0 and stuck above, so nothing lifts: one
+        # solve per level, where re-walking levels 0..r for each r made 1 + 2 + 3
         calls = []
 
         def counting(problem, *args, **kwargs):
@@ -418,7 +431,7 @@ class TestLevelWalk:
                          "--budget", "50", "--json", str(path)])
         assert code == 2
         doc = json.loads(capsys.readouterr().out)
-        assert doc["hierarchies"]["sos"] == ["Unknown"] * 3
+        assert doc["hierarchies"]["sos"] == ["NotMember", "Unknown", "Unknown"]
         assert calls == [0, 1, 2]
 
     @pytest.mark.parametrize("command", [
@@ -454,3 +467,74 @@ class TestLevelWalk:
         path.write_text(docio.emit_tensor(BOUNDARY))
         assert cli.main(["compare", "--levels", "-1", str(path)]) == 3
         assert capsys.readouterr().out == ""
+
+
+NOT_COPOSITIVE = from_matrix([[1, -2], [-2, 1]])    # -2 at (1, 1)
+
+
+class TestRefutation:
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_not_copositive_matrix_refuted(self, r):
+        v = member_K_r(NOT_COPOSITIVE, r)
+        assert v.verdict == "NotMember" and not v.certified and v.certificate is None
+        assert check_refutation(build_gram_problem(NOT_COPOSITIVE, r), v.moments)
+
+    def test_horn_level1_stays_unknown_with_one_eigh_per_iteration(self, monkeypatch):
+        # feasible on the boundary, so never refuted; the refutation search
+        # takes eigenvalues with eigvalsh and adds no eigh call
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        v = solve_gram(build_gram_problem(HORN, 1), max_iters=25)
+        assert (v.verdict, v.iterations) == ("Unknown", 25)
+        assert calls == [(5, 5, 5)] * 25
+
+    def test_checker_rejects_tampered_moments(self):
+        problem = build_gram_problem(HORN, 0)
+        v = solve_gram(problem)
+        assert (v.verdict, v.iterations) == ("NotMember", 25)
+        moments = v.moments
+        assert check_refutation(problem, moments)
+        # every moment is a diagonal entry of a positive definite block
+        assert all(m > 0 for m in moments.values())
+        first = min(moments)
+        for bad in ({**moments, first: -moments[first]},
+                    {**moments, first: Fraction(0)},
+                    {g: m for g, m in moments.items() if g != first},
+                    {**moments, (9, 0, 0, 0, 0): Fraction(1)},
+                    {g: -m for g, m in moments.items()}):
+            assert not check_refutation(problem, bad)
+
+    def test_uniform_moments_never_refute_a_member(self):
+        # L(P) is the integral of P over [0, 1]^n, non-negative for a
+        # non-negative P, though every block is positive definite
+        for A in (BOUNDARY, HORN):
+            problem = build_gram_problem(A, 1)
+            uniform = {g: uniform_moment(g) for g in problem.targets}
+            assert not check_refutation(problem, uniform)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]), st.integers(0, 2),
+           st.data())
+    def test_not_member_only_outside_the_lower_cones(self, shape, r, data):
+        # NotMember at level r: outside C^(r), which lies inside K^(r), and
+        # never Certified at level r - 1, which K^(r) contains
+        n, d = shape
+        vals = st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(0),
+                                Fraction(1, 2), Fraction(1), Fraction(2)])
+        b = SymTensorBuilder(n, d)
+        for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+            b.set(key, data.draw(vals))
+        A = b.build()
+        v = member_K_r(A, r, max_iters=500)
+        if v.verdict != "NotMember":
+            return
+        assert check_refutation(build_gram_problem(A, r), v.moments)
+        assert not member_C_r(A, r).member
+        if r > 0:
+            assert not member_K_r(A, r - 1, max_iters=500).certified

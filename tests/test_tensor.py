@@ -301,6 +301,49 @@ class TestNecessaryScreen:
             cert = certify_copositivity(A, max_depth=12, simplex_budget=300)
             assert cert.verdict is not Verdict.COPOSITIVE
 
+    def test_zero_diag_witness_matches_the_literal_halving(self):
+        # the face polynomial sum_k C(d, k) a_{i^(d-k) j^k} t^k summed in
+        # Fractions at t = 1, 1/2, 1/4, ... until negative, read entry by entry
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(300):
+            n, d = rng.randint(2, 3), rng.randint(2, 9)
+            default = Fraction(rng.randint(-1, 4), rng.choice((1, 3)))
+            b = SymTensorBuilder(n, d, default)
+            for _ in range(rng.randint(0, 6)):
+                key = tuple(sorted(rng.randint(1, n) for _ in range(d)))
+                b.set(key, Fraction(rng.randint(-6, 9), rng.choice((1, 2, 5))))
+            b.set((1,) * d, 0)
+            b.set((1,) * (d - 1) + (rng.randint(2, n),), Fraction(-rng.randint(1, 4), 3))
+            A = b.build()
+            res = necessary_screen(A)
+            if res.passed or res.witness_value == 0 or res.witness[0] != 1 \
+                    or A.get((1,) * d) != 0:
+                continue
+            j = next(k for k, c in enumerate(res.witness, 1) if k > 1 and c)
+            face = [math.comb(d, k) * A.get((1,) * (d - k) + (j,) * k)
+                    for k in range(d + 1)]
+            t = Fraction(1)
+            while (value := sum(c * t ** k for k, c in enumerate(face))) >= 0:
+                t /= 2
+            assert res.witness[j - 1] == t and res.witness_value == value
+            checked += 1
+        assert checked >= 200
+
+    def test_zero_diag_of_high_order_reads_only_the_face(self):
+        # f(e_1 + t e_2) = (1 + t)^d - 1 - 2 d t first goes negative near
+        # t = 1/d; the d + 1 face entries are never built one by one
+        d = 20_000
+        A = (SymTensorBuilder(2, d, 1).set((1,) * d, 0)
+             .set((1,) * (d - 1) + (2,), -1).build())
+        start = time.perf_counter()
+        res = necessary_screen(A)
+        assert time.perf_counter() - start < 1
+        t = Fraction(1, 16384)
+        assert res.witness == (1, t)
+        assert res.witness_value == (1 + t) ** d - 1 - 2 * d * t < 0
+        assert (1 + 2 * t) ** d - 1 - 4 * d * t >= 0
+
     def test_never_fails_on_oracle_copositive(self, rng):
         # screen must pass whenever the dense-grid oracle confirms
         # nonnegativity over the simplex; pool is copositive-leaning so the
