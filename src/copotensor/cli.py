@@ -233,7 +233,8 @@ def _cmd_verify(args) -> int:
         ok = value < 0 and all(c >= 0 for c in parsed.values())
         if "value" in witness:
             ok = ok and value == docio.parse_scalar(witness["value"])
-        return _verified(ok, f"witness value {emit_scalar(value)}")
+        text = docio.scalar_text(value) or "too long to print"
+        return _verified(ok, f"witness value {text}")
     if method == "coef" and verdict in ("Member", "NotMember"):
         v = polycone.member_C_r(A, _cert_level(cert))
         if verdict == "Member":

@@ -48,6 +48,15 @@ def emit_scalar(value: Scalar) -> str:
     return str(Fraction(value))
 
 
+def scalar_text(value: Scalar) -> str | None:
+    """:func:`emit_scalar`, or None for a value past Python's limit on the
+    digits of an int's decimal text (4300 by default)."""
+    try:
+        return emit_scalar(value)
+    except ValueError:
+        return None
+
+
 def parse_tensor(text: str) -> SymTensor:
     try:
         doc = json.loads(text)
@@ -126,8 +135,9 @@ def certificate_document(verdict: str, method: str, *,
         doc["depth"] = depth
     if witness is not None:
         doc["witness"] = {"point": [emit_scalar(c) for c in witness]}
-        if witness_value is not None:
-            doc["witness"]["value"] = emit_scalar(witness_value)
+        # a value too long to write is left out; verify recomputes it
+        if witness_value is not None and (text := scalar_text(witness_value)):
+            doc["witness"]["value"] = text
     if stats:
         doc["stats"] = stats
     if moments is not None:

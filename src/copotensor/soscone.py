@@ -10,12 +10,18 @@ The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
 cone, on flat buffers that :class:`_GramLayout` allocates once per solve
 and every iteration writes into; a group of 1x1 blocks is projected by
-clamping at zero instead of by ``eigh``.  A certificate is the list
-of Gram blocks, and every Certified verdict (solved, fast path or lifted) is
-re-verified by one checker that shares none of that: it loops over the
-constraints itself and takes eigenvalues by cyclic Jacobi rotations.  The
-acceptance rule is fixed: every coefficient matched within MATCH_TOL and
-every eigenvalue at least -EIG_TOL.
+clamping at zero instead of by ``eigh``.  Each solve first searches a fixed
+simplex grid for exact zeros of the form (:func:`faces.grid_zeros`): every
+Gram matrix that matches P is singular along the monomial vectors of a zero,
+so a block such a vector touches is solved on the face of the PSD cone that
+this forces.  A boundary member such as the Horn matrix at level 1, whose
+feasible set has no interior, certifies in 150 iterations that way, where
+the whole cone stalls; a problem with no grid zero runs exactly as before.
+A certificate is the list of Gram blocks, and every Certified verdict
+(solved, fast path or lifted) is re-verified by one checker that shares
+none of that: it loops over the constraints itself and takes eigenvalues by
+cyclic Jacobi rotations.  The acceptance rule is fixed: every coefficient
+matched within MATCH_TOL and every eigenvalue at least -EIG_TOL.
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
@@ -25,7 +31,9 @@ infeasible, the affine step's per-target shift converges to such an L (up to
 sign), so at each periodic check that does not certify the solver offers
 minus the current shift, made positive definite by adding eps times the
 moments of the uniform measure on [0, 1]^n, which are positive definite on
-every block.  Floats only pick eps and screen the candidate;
+every block.  On a block that grid zeros touch, that holds only on the
+face, and t times the zeros' point moments, rational and zero on P, is added
+along the rest.  Floats only pick eps and t and screen the candidate;
 :func:`check_refutation` decides it exactly in Fraction and integer
 arithmetic, against the exact coefficients of P, and the same function
 re-checks a document's moments in ``verify``.  Unknown is never a proof of
@@ -42,11 +50,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import polycone
+from . import faces, polycone
 from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
                             enumerate_exponents)
 from .tensor import SymTensor
@@ -169,30 +177,37 @@ class _GramLayout:
     allocated once per solve, that every iteration writes into.
 
     ``shifted`` holds the iterate plus the Dykstra ``correction``, and
-    ``psd`` its PSD projection, which the affine projection then overwrites
-    in place, so between iterations ``psd`` holds the iterate.  Blocks of
-    equal size sit side by side, so the blocks of size m form one
-    ``(k, m, m)`` view of each buffer and the PSD step is one batched
-    ``eigh`` per size, with the views and the scratch of the Gram product
-    made here.  A group of 1x1 blocks takes no ``eigh``: for [[a]] it gives
-    w = a and V = [[1.0]], so the projection is the clamp max(a, 0), bit for
-    bit.  Every constraint entry (b, i, j) becomes a flat upper index, a
-    target id and a weight (1 on the diagonal, 2 off it).  The affine step
-    adds each target's shift at its upper indices and at the mirrors of the
+    ``psd`` its projection on the cone, which the affine projection then
+    overwrites in place, so between iterations ``psd`` holds the iterate.
+    Blocks of equal size and face dimension sit side by side, so each such
+    group forms one ``(k, m, m)`` view of each buffer and the cone step is
+    one batched ``eigh`` per group, with the views and the scratch of the
+    Gram product made here.  A group of 1x1 blocks takes no ``eigh``: for
+    [[a]] it gives w = a and V = [[1.0]], so the projection is the clamp
+    max(a, 0), bit for bit.  A block that some of ``zeros`` (grid points
+    where P vanishes) touches is projected on its face instead
+    (:class:`faces.Face`); a block none touches keeps the whole PSD cone.
+    Every constraint entry (b, i, j) becomes a flat upper index, a target id
+    and a weight (1 on the diagonal, 2 off it).  The affine step adds each
+    target's shift at its upper indices and at the mirrors of the
     off-diagonal ones in one scatter, in which no index repeats: each
     upper-triangle entry matches exactly one target.
     """
 
-    def __init__(self, problem: GramProblem):
+    def __init__(self, problem: GramProblem, zeros: Sequence[faces.Zero] = ()):
         sizes = [len(bl) for bl in problem.blocks]
-        groups: list[tuple[int, int, int]] = []   # (offset, count, size)
+        kernels = faces.zero_kernels(problem.basis, problem.blocks, zeros) \
+            if zeros else [None] * len(sizes)
+        # (size, face dimension); a block no zero touches keeps all m
+        keys = [(m, m if ker is None else ker[1]) for m, ker in zip(sizes, kernels)]
+        groups: list[tuple[int, list[int], int, int]] = []   # offset, blocks, m, f
         starts = [0] * len(sizes)
         offset = 0
-        for m in sorted(set(sizes)):
-            members = [b for b, size in enumerate(sizes) if size == m]
+        for m, f in sorted(set(keys)):
+            members = [b for b, key in enumerate(keys) if key == (m, f)]
             for pos, b in enumerate(members):
                 starts[b] = offset + pos * m * m
-            groups.append((offset, len(members), m))
+            groups.append((offset, members, m, f))
             offset += len(members) * m * m
         self.spans = [(starts[b], m) for b, m in enumerate(sizes)]
         upper, lower, tid = [], [], []
@@ -218,23 +233,25 @@ class _GramLayout:
         # a moment functional's matrices, scattered like the Gram entries;
         # uniform holds the moments of the uniform measure on [0, 1]^n
         self.moment = np.zeros(offset)
-        self._moment_views = [self.moment[o:o + k * m * m].reshape(k, m, m)
-                              for o, k, m in groups]
         exponents = np.array(list(problem.constraints), dtype=float)
         self.uniform = np.prod(1.0 / (exponents + 1.0), axis=1)
         self.uniform_value = float(self.uniform @ self.targets)
         self._retry_at = 0.0   # the first iteration to take eigenvalues again
-        # per group: views of shifted and psd, and scratch for the Gram
-        # product and its transpose (None for 1x1 blocks, which are clamped)
+        self.zeros = tuple(zeros)
+        # per group: views of shifted, psd and moment, scratch for the Gram
+        # product and its transpose (None for 1x1 blocks, which are clamped,
+        # and on faces) and the faces.Face of blocks that zeros touch
         self._groups = []
-        for o, k, m in groups:
-            src = self.shifted[o:o + k * m * m].reshape(k, m, m)
-            dst = self.psd[o:o + k * m * m].reshape(k, m, m)
+        for o, members, m, f in groups:
+            k = len(members)
+            views = [buf[o:o + k * m * m].reshape(k, m, m)
+                     for buf in (self.shifted, self.psd, self.moment)]
+            face = faces.Face([kernels[b] for b in members]) if f < m else None
             scratch = None
-            if m > 1:
+            if m > 1 and face is None:
                 product = np.empty((k, m, m))
                 scratch = (np.empty((k, m, m)), product, product.transpose(0, 2, 1))
-            self._groups.append((src, dst, scratch))
+            self._groups.append((*views, scratch, face))
 
     def block_matrices(self) -> list[np.ndarray]:
         """Copies of the blocks held in ``psd``, in ``problem.blocks`` order."""
@@ -258,43 +275,71 @@ class _GramLayout:
         return matched
 
     def project_psd(self) -> None:
-        """``psd`` = the nearest PSD blocks to ``shifted``: the arithmetic of
-        :func:`_project_psd`, step for step, written into the buffers."""
-        for src, dst, scratch in self._groups:
-            if scratch is None:
+        """``psd`` = the nearest blocks of the cone to ``shifted``: the
+        arithmetic of :func:`_project_psd`, step for step, written into the
+        buffers, or on a face :meth:`faces.Face.project`."""
+        for src, dst, _, scratch, face in self._groups:
+            if face is not None:
+                face.project(src, dst)
+            elif scratch is None:
                 np.maximum(src, 0.0, out=dst)
                 dst += 0.0   # -0.0 to +0.0, as _project_psd's product gives
-                continue
-            scaled, product, product_t = scratch
-            w, V = np.linalg.eigh(src)
-            np.maximum(w, 0.0, out=w)
-            np.multiply(V, w[:, None, :], out=scaled)
-            np.matmul(scaled, V.transpose(0, 2, 1), out=product)
-            np.add(product, product_t, out=dst)
-            dst *= 0.5
+            else:
+                scaled, product, product_t = scratch
+                w, V = np.linalg.eigh(src)
+                np.maximum(w, 0.0, out=w)
+                np.multiply(V, w[:, None, :], out=scaled)
+                np.matmul(scaled, V.transpose(0, 2, 1), out=product)
+                np.add(product, product_t, out=dst)
+                dst *= 0.5
 
     def min_eig(self) -> float:
         """The least eigenvalue over the blocks held in ``psd``."""
-        return min(float((dst if scratch is None
+        return min(float((dst if dst.shape[1] == 1
                           else np.linalg.eigvalsh(dst)[:, 0]).min())
-                   for _, dst, scratch in self._groups)
+                   for _, dst, _, _, _ in self._groups)
 
     def _moment_min_eigs(self, moments: np.ndarray) -> np.ndarray:
         """The least eigenvalue of each block's moment matrix under
-        ``moments`` (one value per target), blocks in buffer order: one
-        scatter, then one batched ``eigvalsh`` per size above 1 (a 1x1
-        block is its entry)."""
+        ``moments`` (one value per target), on the block's face if zeros
+        touch it, blocks in buffer order and none for a face of dimension 0:
+        one scatter, then one batched ``eigvalsh`` per group above 1x1 (a
+        1x1 matrix is its entry)."""
         self.moment[self.scatter] = moments[self.scatter_tid]
-        return np.concatenate([views[:, 0, 0] if views.shape[1] == 1
-                               else np.linalg.eigvalsh(views)[:, 0]
-                               for views in self._moment_views])
+        lows = [np.empty(0)]
+        for _, _, views, _, face in self._groups:
+            if face is not None:
+                views = face.restrict(views)
+            if views.shape[1]:
+                lows.append(views[:, 0, 0] if views.shape[1] == 1
+                            else np.linalg.eigvalsh(views)[:, 0])
+        return np.concatenate(lows)
 
     @functools.cached_property
     def _uniform_inverse(self) -> np.ndarray | None:
-        """1 over the least eigenvalue of each block's uniform moment matrix,
-        or None when one is not positive in floats."""
+        """1 over the least eigenvalue of each block's uniform moment matrix
+        (on its face), or None when one is not positive in floats."""
         low = self._moment_min_eigs(self.uniform)
         return 1.0 / low if np.all(low > 0) else None
+
+    def _point_terms(self, problem: GramProblem,
+                     moments: np.ndarray) -> list[Fraction] | None:
+        """t D exactly, D the zeros' point moments per target and t 17/16 of
+        the largest :meth:`faces.Face.kernel_weights` under ``moments``; None
+        when there is no such t or D is not rational."""
+        self.moment[self.scatter] = moments[self.scatter_tid]
+        t = 0.0
+        for _, _, views, _, face in self._groups:
+            if face is not None:
+                weights = face.kernel_weights(views)
+                if weights is None:
+                    return None
+                t = max(t, float(weights.max()))
+        point = faces.point_moments(list(problem.constraints), self.zeros)
+        if point is None or not math.isfinite(t):
+            return None
+        exact_t = Fraction(17 / 16 * t)
+        return [exact_t * p for p in point]
 
     def refutation(self, problem: GramProblem, matched: np.ndarray,
                    it: int) -> dict[Exponent, Fraction] | None:
@@ -307,6 +352,9 @@ class _GramLayout:
         positive definite once eps * min eig U_b > -min eig L_b; eps is
         17/16 of the largest such ratio, taken from float eigenvalues, plus
         2^-40 max |L| over the least eigenvalue of U, against their rounding.
+        On a block that zeros touch these are the eigenvalues on its face,
+        and t D, D the zeros' point moments, makes the rest positive
+        definite without moving L(P) (:meth:`_point_terms`).
         Floats screen the candidate before any exact work: L(P) < 0 first,
         then L(P) + eps U(P) < 0.  The eigenvalues are the cost, so after a
         candidate falls short by the factor s = eps U(P) / -L(P) > 1, none
@@ -321,9 +369,9 @@ class _GramLayout:
         value = float(moments @ self.targets)
         if not value < 0 or (inverse := self._uniform_inverse) is None:
             return None
-        ratio = float((-self._moment_min_eigs(moments) * inverse).max())
+        ratio = float((-self._moment_min_eigs(moments) * inverse).max(initial=-np.inf))
         eps = 17 / 16 * max(ratio, 0.0) \
-            + 2.0 ** -40 * float(np.abs(moments).max()) * float(inverse.max())
+            + 2.0 ** -40 * float(np.abs(moments).max()) * float(inverse.max(initial=0.0))
         shortfall = eps * self.uniform_value / -value
         if not shortfall < 1:
             self._retry_at = it * min(2.0, (1.0 + shortfall) / 2.0)
@@ -333,6 +381,11 @@ class _GramLayout:
         exact_eps = Fraction(eps)
         candidate = {g: Fraction(m) + exact_eps * uniform_moment(g)
                      for g, m in zip(problem.constraints, moments.tolist())}
+        if self.zeros:
+            terms = self._point_terms(problem, moments + eps * self.uniform)
+            if terms is None:
+                return None
+            candidate = {g: v + term for (g, v), term in zip(candidate.items(), terms)}
         return candidate if check_refutation(problem, candidate) else None
 
 
@@ -438,7 +491,7 @@ def solve_gram(problem: GramProblem,
     proof.  A budget below one iteration raises ValueError.
     """
     _check_max_iters(max_iters)
-    layout = _GramLayout(problem)
+    layout = _GramLayout(problem, faces.grid_zeros(problem.expansion))
     # between iterations the iterate x lives in psd (see _GramLayout)
     psd, shifted, correction = layout.psd, layout.shifted, layout.correction
     layout.project_affine()

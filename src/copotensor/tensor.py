@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .combinatorics import (binomial_at_most, check_enumeration_size,
-                            tuple_multiplicity)
+                            multinomial, tuple_multiplicity)
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -199,27 +199,40 @@ def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Scalar:
+def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
     """The associated homogeneous form: sum over all n^d index tuples of
-    a_{i_1..i_d} x_{i_1}...x_{i_d}, computed over canonical tuples weighted by
-    permutation multiplicity.  A term with an index outside the support of x
-    (its nonzero coordinates) is zero, so only the canonical tuples over the
-    support are visited: a point with s nonzero coordinates costs
-    C(s+d-1, d) terms, whatever n is.  Exact when A and x are rational.
+    a_{i_1..i_d} x_{i_1}...x_{i_d}, exactly (a float coordinate counts at
+    its exact binary value).
+
+    Were every entry the default, this would be default * (sum x)^d; each
+    stored entry that differs adds (a - default) times its permutation
+    multiplicity times prod x_i^(count of i), and only when all its indices
+    lie in the support of x (its nonzero coordinates).  On the integers
+    p = q x and L a, q and L the lcm of the denominators, that is one power
+    of sum p and, per such entry, one power of each distinct index and one
+    multinomial, over the single denominator L q^d: linear in the stored
+    entries, whatever n is, and a few big powers for a huge d, not
+    C(s+d-1, d) products of d factors.
     """
     if len(x) != A.n:
         raise ValueError(f"vector has dimension {len(x)}, tensor has n={A.n}")
-    support = [i for i, c in enumerate(x, start=1) if c != 0]
-    total = 0
-    for key in itertools.combinations_with_replacement(support, A.d):
-        a = A.entries.get(key, A.default)
-        if a == 0:
+    coords = {i: Fraction(c) for i, c in enumerate(x, start=1) if c != 0}
+    q = math.lcm(*(c.denominator for c in coords.values()))
+    p = {i: c.numerator * (q // c.denominator) for i, c in coords.items()}
+    scale = math.lcm(A.default.denominator, *(a.denominator for a in A.entries.values()))
+    default = A.default.numerator * (scale // A.default.denominator)
+    total = default * sum(p.values()) ** A.d if default else 0
+    support = p.keys()
+    for key, a in A.entries.items():
+        if a == A.default or not support >= set(key):
             continue
-        term = a
-        for i in key:
-            term = term * x[i - 1]
-        total = total + tuple_multiplicity(key) * term
-    return total
+        counts = [(i, sum(1 for _ in run)) for i, run in itertools.groupby(key)]
+        term = (a.numerator * (scale // a.denominator) - default) \
+            * multinomial([c for _, c in counts])
+        for i, c in counts:
+            term *= p[i] ** c
+        total += term
+    return Fraction(total, scale * q ** A.d)
 
 
 def inner_product(A: SymTensor, B: SymTensor) -> Scalar:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from copotensor import cli, docio, oracle
+from copotensor import cli, docio, faces, oracle, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -486,6 +486,30 @@ class TestVerify:
         assert time.perf_counter() - start < 1
         assert "OK (witness value -2)" in capsys.readouterr().out
 
+    def test_screen_witness_value_past_the_digit_limit(self, tmp_path, capsys):
+        # the witness e_1 + e_2/16384 of this order-20 000 face has a value of
+        # about 84 000 digits, past Python's 4300-digit limit on an int's
+        # text: the document leaves it out and verify recomputes it
+        d = 20_000
+        tensor_path = tmp_path / "order20000.json"
+        tensor_path.write_text(json.dumps({
+            "n": 2, "d": d, "default": "1",
+            "entries": [{"idx": [1] * d, "val": "0"},
+                        {"idx": [1] * (d - 1) + [2], "val": "-1"}]}))
+        cert_path = tmp_path / "cert.json"
+        assert main(["screen", str(tensor_path), "--out", str(cert_path)]) == 1
+        capsys.readouterr()
+        doc = json.loads(cert_path.read_text())
+        assert doc["witness"] == {"point": ["1", "1/16384"]}
+        start = time.perf_counter()
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 0
+        assert time.perf_counter() - start < 5
+        assert "OK (witness value too long to print)" in capsys.readouterr().out
+        # a point where the form is not negative still fails
+        doc["witness"]["point"] = ["1", "1/8192"]
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+
     def test_witness_coordinates_parsed_once(self, tmp_path, capsys):
         # 99 998 of the 100 000 coordinates are "0": one parse, one sign check
         tensor_path = tmp_path / "wide.json"
@@ -579,6 +603,29 @@ class TestVerify:
     def test_sos_refutation_tampered_fails(self, horn_refutation, capsys, tamper):
         tensor_path, cert_path, doc = horn_refutation
         tamper(doc)
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [0, Fraction(1, 1000), -1])
+    def test_sos_refutation_with_tampered_point_weight_fails(self, horn_refutation,
+                                                            capsys, scale):
+        # every block of Horn's level 0 has face dimension 0, so its moments
+        # are L + t D: L minus the affine shift, D the ten grid zeros' point
+        # moments; with t scaled the certificate no longer checks
+        tensor_path, cert_path, doc = horn_refutation
+        problem = soscone.build_gram_problem(HORN, 0)
+        zeros = faces.grid_zeros(problem.expansion)
+        layout = soscone._GramLayout(problem, zeros)
+        L = dict(zip(problem.constraints,
+                     map(Fraction, ((0.0 - layout.targets) / layout.weight_sum).tolist())))
+        D = dict(zip(problem.constraints, faces.point_moments(list(problem.constraints), zeros)))
+        moments = docio.parse_moments(doc)
+        g = next(g for g in moments if D[g])
+        t = (moments[g] - L[g]) / D[g]
+        assert all(m == L[g] + t * D[g] for g, m in moments.items())
+        doc["moments"] = [{"exponent": list(g), "value": emit_scalar(L[g] + scale * t * D[g])}
+                          for g in moments]
         cert_path.write_text(json.dumps(doc))
         assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
         assert "FAIL" in capsys.readouterr().out

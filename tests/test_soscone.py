@@ -2,14 +2,19 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import cli, combinatorics, docio, soscone
+from copotensor import cli, combinatorics, docio, faces, soscone
+from copotensor.faces import grid_zeros, point_moments, zero_kernels
 from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, SosVerdict,
                                 _certified, _check_max_iters,
                                 _diagonal_certificate, _GramLayout, _project_psd,
@@ -17,8 +22,10 @@ from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, SosVerdict,
                                 check_certificate, check_refutation, jacobi_eigh,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
+from copotensor.gridcone import cumulative_grid
+from copotensor.oracle import simplex_grid_min
 from copotensor.polycone import member_C_r
-from copotensor.tensor import SymTensorBuilder, from_matrix
+from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
 from conftest import (BOUNDARY, HORN, example31_tensor,
                       rand_diag_dominant_tensor, rand_nonneg_tensor)
 
@@ -54,17 +61,36 @@ def full_basis_problem(A, r):
 
 def reference_solve_gram(problem, max_iters=20000):
     """Literal reference for :func:`solve_gram`: the per-block loop, with one
-    eigh per parity block and a Python loop over every constraint.  At each
-    check that does not certify, the coefficients that the last affine step
-    matched go to the solver's refutation search, which stops the loop when
-    it finds moments."""
-    search = _GramLayout(problem)
+    eigh per parity block (or per face of a block that grid zeros touch) and
+    a Python loop over every constraint.  At each check that does not
+    certify, the coefficients that the last affine step matched go to the
+    solver's refutation search, which stops the loop when it finds moments."""
+    zeros = grid_zeros(problem.expansion)
+    search = _GramLayout(problem, zeros)
+    kernels = zero_kernels(problem.basis, problem.blocks, zeros) if zeros \
+        else [None] * len(problem.blocks)
     matched = []
 
     def project_psd(G):
         w, V = np.linalg.eigh(G)
         w = np.maximum(w, 0.0)
         out = (V * w) @ V.T
+        return 0.5 * (out + out.T)
+
+    def project_cone(G, kernel):
+        if kernel is None:
+            return project_psd(G)
+        E, f, _ = kernel
+        F = np.ascontiguousarray(E[:, :f])   # BLAS rounds by memory layout
+        if F.shape[1] == 0:
+            return np.zeros_like(G)
+        inner = F.T @ G @ F
+        if F.shape[1] == 1:
+            inner = np.maximum(inner, 0.0)
+        else:
+            w, V = np.linalg.eigh(inner)
+            inner = (V * np.maximum(w, 0.0)) @ V.T
+        out = F @ inner @ F.T
         return 0.5 * (out + out.T)
 
     def project_affine(mats):
@@ -106,7 +132,7 @@ def reference_solve_gram(problem, max_iters=20000):
     while it < max_iters:
         it += 1
         shifted = [m + p for m, p in zip(mats, corrections)]
-        psd = [project_psd(m) for m in shifted]
+        psd = [project_cone(m, ker) for m, ker in zip(shifted, kernels)]
         corrections = [sh - ps for sh, ps in zip(shifted, psd)]
         mats = project_affine(psd)
         if it % 25 == 0 or it == max_iters:
@@ -265,9 +291,12 @@ def _dd(seed, off_scale=2):
 
 
 class TestMatchesReference:
-    # (id, problem, max_iters, certified): size-stacked blocks (6, 3, 3, 3),
-    # Horn's ten 1x1 blocks (at r = 0 beside one 5x5 block, at r = 1 beside
-    # five), and the single block of the full basis
+    # (id, problem, max_iters, certified): size-stacked blocks (6, 3, 3, 3)
+    # with no grid zeros, and faces cut by grid zeros: BOUNDARY's zero
+    # (1/2, 1/2) leaves a face of dimension 1 on its 2x2 block and 0 on its
+    # 1x1 one, Horn's ten zeros leave dimension 0 on every block at r = 0 and
+    # 1 or 0 at r = 1 (certified at 150), and the single 3x3 block of
+    # BOUNDARY's full basis keeps dimension 2
     CASES = [
         ("boundary-r0", lambda: build_gram_problem(BOUNDARY, 0), 20000, True),
         ("dd6002-r0", lambda: build_gram_problem(_dd(6002), 0), 20000, True),
@@ -276,7 +305,7 @@ class TestMatchesReference:
         ("dd6003-r1", lambda: build_gram_problem(_dd(6003), 1), 20000, True),
         ("horn-r0", lambda: build_gram_problem(HORN, 0), 200, False),
         ("horn-r0-2000", lambda: build_gram_problem(HORN, 0), 2000, False),
-        ("horn-r1", lambda: build_gram_problem(HORN, 1), 200, False),
+        ("horn-r1", lambda: build_gram_problem(HORN, 1), 200, True),
         ("off6-r0", lambda: build_gram_problem(_dd(2, off_scale=6), 0), 200, False),
         ("full-basis", lambda: full_basis_problem(BOUNDARY, 0), 20000, True),
     ]
@@ -332,7 +361,10 @@ class TestMatchesReference:
                                        for b in layout.block_matrices())
 
     def test_one_eigh_per_larger_size_per_iteration(self, monkeypatch):
-        # Horn at r = 0 has block sizes 1 and 5: one eigh per iteration
+        # no grid zeros and block sizes 3, 3, 3 and 6: one eigh per size per
+        # iteration; Horn at r = 0, whose every block has face dimension 0,
+        # takes none per iteration, only one per block (ten 1x1, one 5x5)
+        # for the faces
         calls = []
         eigh = np.linalg.eigh
 
@@ -341,9 +373,12 @@ class TestMatchesReference:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        v = solve_gram(build_gram_problem(HORN, 0), max_iters=25)
+        v = solve_gram(build_gram_problem(_dd(6002), 0), max_iters=25)
         assert v.iterations == 25 and not v.certified
-        assert calls == [(1, 5, 5)] * 25
+        assert calls == [(3, 3, 3), (1, 6, 6)] * 25
+        calls.clear()
+        v = solve_gram(build_gram_problem(HORN, 0), max_iters=25)
+        assert v.verdict == "NotMember" and sorted(calls) == [(1, 1)] * 10 + [(5, 5)]
 
 
 def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
@@ -378,11 +413,14 @@ def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
 
 
 class TestLevelWalk:
-    # (id, tensor, top level, max_iters): lifted chains (BOUNDARY), stallers
-    # (Horn), solves at each level, the fast path and the zero tensor
+    # (id, tensor, top level, max_iters): lifted chains (BOUNDARY), Horn
+    # (refuted at level 0, certified on its face at level 1 in 150
+    # iterations, or stopped short of that: Unknown), solves at each level,
+    # the fast path and the zero tensor
     CASES = [
         ("boundary", lambda: BOUNDARY, 3, DEFAULT_MAX_ITERS),
         ("horn", lambda: HORN, 1, 200),
+        ("horn-short", lambda: HORN, 1, 100),
         ("dd6002", lambda: _dd(6002), 1, DEFAULT_MAX_ITERS),
         ("dd6003", lambda: _dd(6003), 1, DEFAULT_MAX_ITERS),
         ("example31", example31_tensor, 1, DEFAULT_MAX_ITERS),
@@ -416,8 +454,9 @@ class TestLevelWalk:
              for r in range(top + 1)]
 
     def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
-        # Horn is refuted at level 0 and stuck above, so nothing lifts: one
-        # solve per level, where re-walking levels 0..r for each r made 1 + 2 + 3
+        # Horn is refuted at level 0 and certified by a solve at level 1, and
+        # level 2 lifts that certificate: two solves, where re-walking levels
+        # 0..r for each r made 1 + 2 + 3
         calls = []
 
         def counting(problem, *args, **kwargs):
@@ -427,12 +466,12 @@ class TestLevelWalk:
         monkeypatch.setattr(soscone, "solve_gram", counting)
         path = tmp_path / "horn.json"
         path.write_text(docio.emit_tensor(HORN))
-        code = cli.main(["compare", "--levels", "2", "--max-iters", "50",
+        code = cli.main(["compare", "--levels", "2", "--max-iters", "500",
                          "--budget", "50", "--json", str(path)])
         assert code == 2
         doc = json.loads(capsys.readouterr().out)
-        assert doc["hierarchies"]["sos"] == ["NotMember", "Unknown", "Unknown"]
-        assert calls == [0, 1, 2]
+        assert doc["hierarchies"]["sos"] == ["NotMember", "Certified", "Certified"]
+        assert calls == [0, 1]
 
     @pytest.mark.parametrize("command", [
         ["check", "--method", "sos", "--level", "500", "--max-iters", "3"],
@@ -479,9 +518,11 @@ class TestRefutation:
         assert v.verdict == "NotMember" and not v.certified and v.certificate is None
         assert check_refutation(build_gram_problem(NOT_COPOSITIVE, r), v.moments)
 
-    def test_horn_level1_stays_unknown_with_one_eigh_per_iteration(self, monkeypatch):
-        # feasible on the boundary, so never refuted; the refutation search
-        # takes eigenvalues with eigvalsh and adds no eigh call
+    def test_horn_level1_certified_on_faces_without_eigh(self, monkeypatch):
+        # Horn lies in K^(1) (Parrilo 2000) but on the boundary of the PSD
+        # cone: its ten grid zeros leave faces of dimension 1 on the five 5x5
+        # blocks and 0 on five 1x1 ones, so every projection is a clamp; the
+        # only eigh calls find those faces, one per block
         calls = []
         eigh = np.linalg.eigh
 
@@ -490,9 +531,12 @@ class TestRefutation:
             return eigh(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        v = solve_gram(build_gram_problem(HORN, 1), max_iters=25)
-        assert (v.verdict, v.iterations) == ("Unknown", 25)
-        assert calls == [(5, 5, 5)] * 25
+        problem = build_gram_problem(HORN, 1)
+        v = solve_gram(problem)
+        assert (v.verdict, v.iterations) == ("Certified", 150)
+        assert sorted(calls) == [(1, 1)] * 5 + [(5, 5)] * 5
+        assert check_certificate(problem, v.certificate)
+        assert member_K_r(HORN, 1).certified
 
     def test_checker_rejects_tampered_moments(self):
         problem = build_gram_problem(HORN, 0)
@@ -538,3 +582,145 @@ class TestRefutation:
         assert not member_C_r(A, r).member
         if r > 0:
             assert not member_K_r(A, r - 1, max_iters=500).certified
+
+
+def _vanishing_grid_points(A):
+    """The points of the cumulative level-2 grid (denominators 2..4) where
+    eval_form is exactly 0."""
+    return sorted(p for p in cumulative_grid(A.n, 2).points if eval_form(A, p) == 0)
+
+
+def _as_points(zeros):
+    return sorted(tuple(Fraction(ci, m) for ci in c) for m, c in zeros)
+
+
+class TestFace:
+    TENSORS = [("horn", lambda: HORN), ("boundary", lambda: BOUNDARY),
+               ("flagship", example31_tensor), ("dd6002", lambda: _dd(6002)),
+               ("not-copositive", lambda: NOT_COPOSITIVE),
+               ("zero", lambda: SymTensorBuilder(2, 3).build())]
+
+    @pytest.mark.parametrize("make", [c[1] for c in TENSORS], ids=[c[0] for c in TENSORS])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_zeros_are_where_the_form_vanishes_on_the_grid(self, make, r):
+        A = make()
+        zeros = grid_zeros(build_gram_problem(A, r).expansion)
+        assert all(eval_form(A, p) == 0 for p in _as_points(zeros))
+        assert _as_points(zeros) == _vanishing_grid_points(A)
+        assert len({tuple(p) for p in _as_points(zeros)}) == len(zeros)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]), st.integers(0, 1),
+           st.data())
+    def test_zeros_match_eval_form(self, shape, r, data):
+        n, d = shape
+        vals = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)])
+        b = SymTensorBuilder(n, d)
+        for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+            b.set(key, data.draw(vals))
+        A = b.build()
+        assert _as_points(grid_zeros(build_gram_problem(A, r).expansion)) == \
+            _vanishing_grid_points(A)
+
+    def test_python_ints_past_int64(self):
+        # 3^40 > 2^63: the sums run on Python ints and find the same zeros
+        big = SymTensor(HORN.n, HORN.d, {k: v * 3 ** 40 for k, v in HORN.entries.items()})
+        assert grid_zeros(build_gram_problem(big, 1).expansion) == \
+            grid_zeros(build_gram_problem(HORN, 1).expansion)
+        assert len(grid_zeros(build_gram_problem(HORN, 1).expansion)) == 10
+
+    def test_search_skipped_past_the_cap(self, monkeypatch):
+        # Horn at r = 1: 15 + 35 + 70 grid points times 35 coefficients
+        problem = build_gram_problem(HORN, 1)
+        monkeypatch.setattr(faces, "SEARCH_CAP", 120 * 35)
+        assert len(grid_zeros(problem.expansion)) == 10
+        monkeypatch.setattr(faces, "SEARCH_CAP", 120 * 35 - 1)
+        assert grid_zeros(problem.expansion) == ()
+        # no face, so the whole-cone solver of old: Unknown, not certified
+        v = solve_gram(problem, max_iters=200)
+        assert v.verdict == "Unknown"
+
+    def test_large_grid_skipped_without_raising(self):
+        # n = 40: C(43, 4) grid points at m = 4 alone, far past the cap
+        A = SymTensorBuilder(40, 2).set((1, 2), -1).build()
+        assert grid_zeros(build_gram_problem(A, 0).expansion) == ()
+
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_flagship_diagonal_certificate_lies_in_its_face(self, r):
+        # a_1111 = 0, so e_1 is the only zero; the fast path's diagonal
+        # certificate has G m(e_1) = 0 and equals its projection on the face
+        problem = build_gram_problem(example31_tensor(), r)
+        zeros = grid_zeros(problem.expansion)
+        assert zeros == ((2, (2, 0, 0)),)
+        assert soscone._fast_path(problem) is not None
+        touched = 0
+        for G, kernel in zip(_diagonal_certificate(problem),
+                             zero_kernels(problem.basis, problem.blocks, zeros)):
+            if kernel is None:
+                continue
+            touched += 1
+            E, f, _ = kernel
+            assert f == len(G) - 1
+            F = E[:, :f]
+            assert np.abs(G @ E[:, f:]).max() <= 1e-12
+            assert np.allclose(F @ (F.T @ G @ F) @ F.T, G, rtol=0, atol=1e-12)
+        assert touched == 1
+
+    def test_horn_level0_refuted_with_point_moments(self):
+        # every block has face dimension 0: the iterate is 0, eps is 0 and the
+        # moments are L + t D, L the negated shift -targets / weight_sum, D the
+        # zeros' point moments, which vanish on P (a tampered t fails verify:
+        # tests/test_docio_cli.py)
+        problem = build_gram_problem(HORN, 0)
+        v = solve_gram(problem)
+        assert (v.verdict, v.iterations) == ("NotMember", 25)
+        assert check_refutation(problem, v.moments)
+        zeros = grid_zeros(problem.expansion)
+        layout = _GramLayout(problem, zeros)
+        L = [Fraction(float(m)) for m in (0.0 - layout.targets) / layout.weight_sum]
+        D = point_moments(list(problem.constraints), zeros)
+        coeff = {tuple(2 * t for t in theta): c
+                 for theta, c in problem.expansion.coeffs.items()}
+        assert sum(coeff[g] * p for g, p in zip(problem.constraints, D)) == 0
+        assert list(v.moments) == list(problem.constraints)
+        weights = {(m - low) / p for m, low, p in zip(v.moments.values(), L, D) if p}
+        assert len(weights) == 1 and weights.pop() > 0
+        assert all(m == low for m, low, p in zip(v.moments.values(), L, D) if not p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]), st.integers(0, 1),
+           st.data())
+    def test_verdicts_agree_with_the_grid_oracle(self, shape, r, data):
+        # small integer entries, so grid zeros and faces are common: Certified
+        # never where the exact grid minimum is negative, and every NotMember
+        # re-checks
+        n, d = shape
+        vals = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)])
+        b = SymTensorBuilder(n, d)
+        for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+            b.set(key, data.draw(vals))
+        A = b.build()
+        v = member_K_r(A, r, max_iters=300)
+        if v.certified:
+            assert simplex_grid_min(A, 12).min_value >= 0
+        if v.verdict == "NotMember":
+            assert check_refutation(build_gram_problem(A, r), v.moments)
+
+
+def test_sos_check_imports_neither_scipy_nor_sympy(tmp_path):
+    # scipy.linalg alone adds about 28 MB of resident memory
+    path = tmp_path / "horn.json"
+    path.write_text(docio.emit_tensor(HORN))
+    code = ("import sys; from copotensor import cli; "
+            "code = cli.main(['check', '--method', 'sos', '--level', '1', sys.argv[1]]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')), "
+            "file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(soscone.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["verdict"] == "Certified"
+    assert res.stderr.strip().splitlines()[-1] == "[]"

@@ -13,7 +13,8 @@ from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                diag_tensor, eval_form, from_matrix,
                                inner_product, mixed_rank_one, multi_product,
-                               necessary_screen, rank_one, scaled_values)
+                               necessary_screen, rank_one, scaled_values,
+                               canonical_tuples)
 from conftest import float_tensors, rand_float_tensor, rand_rational_tensor
 
 
@@ -162,6 +163,35 @@ class TestEval:
         start = time.perf_counter()
         assert eval_form(A, x) == Fraction(-1) + Fraction(3, 4)
         assert time.perf_counter() - start < 1
+
+
+    def test_high_order_costs_a_few_powers(self):
+        # d = 20 000 on a two-coordinate point: default (x1 + x2)^d plus one
+        # term per stored entry that differs from the default, where the
+        # support's C(d + 1, d) tuples each took d products
+        d = 20_000
+        A = (SymTensorBuilder(2, d, 1).set((1,) * d, 0)
+             .set((1,) * (d - 1) + (2,), -1).build())
+        t = Fraction(1, 16384)
+        start = time.perf_counter()
+        value = eval_form(A, (1, t))
+        assert time.perf_counter() - start < 1
+        assert value == (1 + t) ** d - 1 - 2 * d * t < 0
+
+    @pytest.mark.parametrize("default", [0, Fraction(-2, 3), 5])
+    def test_stored_defaults_and_repeats(self, rng, default):
+        # entries stored at the default, and repeated indices, against the
+        # literal n^d sum
+        for n, d in ((1, 3), (2, 4), (3, 3), (4, 2)):
+            b = SymTensorBuilder(n, d, default)
+            for key in canonical_tuples(n, d):
+                if rng.random() < 0.6:
+                    b.set(key, default if rng.random() < 0.3
+                          else Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            A = b.build()
+            for _ in range(5):
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                assert eval_form(A, x) == literal_eval(A, x)
 
 
 class TestInnerProduct:
