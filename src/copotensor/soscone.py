@@ -20,8 +20,9 @@ the whole cone stalls; a problem with no grid zero runs exactly as before.
 A certificate is the list of Gram blocks, and every Certified verdict
 (solved, fast path or lifted) is re-verified by one checker that shares
 none of that: it loops over the constraints itself and takes eigenvalues by
-cyclic Jacobi rotations.  The acceptance rule is fixed: every coefficient
-matched within MATCH_TOL and every eigenvalue at least -EIG_TOL.
+cyclic Jacobi rotations, both on Python floats with no numpy.  The acceptance
+rule is fixed: every coefficient matched within MATCH_TOL and every
+eigenvalue at least -EIG_TOL.
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
@@ -111,8 +112,11 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
         parity.setdefault(tuple(e % 2 for e in mono), []).append(idx)
     blocks = tuple(tuple(v) for _, v in sorted(parity.items()))
     expansion = polycone.expand_Pr(A, r)
-    targets = {tuple(2 * t for t in theta): float(c)
-               for theta, c in expansion.coeffs.items()}
+    try:
+        targets = {tuple(2 * t for t in theta): float(c)
+                   for theta, c in expansion.coeffs.items()}
+    except OverflowError:
+        raise ValueError(f"a level {r} coefficient is beyond float range") from None
     constraints: dict[Exponent, list[tuple[int, int, int]]] = {g: [] for g in targets}
     for b, members in enumerate(blocks):
         for ai in range(len(members)):
@@ -122,44 +126,38 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
     return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints, expansion)
 
 
-def jacobi_eigh(M: np.ndarray):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Deterministic and dependency-free; adequate for the block sizes that
-    occur here (tens of rows).  Returns (eigenvalues, eigenvectors) with
-    columns of V the eigenvectors, M = V diag(w) V^T.
-    """
-    A = np.array(M, dtype=float)
-    m = A.shape[0]
-    V = np.eye(m)
-    if m == 1:
-        return A.diagonal().copy(), V
-    scale = max(1.0, float(np.max(np.abs(A))))
+def jacobi_eigvalsh(rows: Sequence[Sequence[float]]) -> list[float]:
+    """Eigenvalues of a symmetric matrix (tens of rows) by cyclic Jacobi
+    rotations on Python floats, with no numpy or LAPACK: each IEEE operation
+    is that of a row-then-column rotation of the whole matrix, in order."""
+    A = [list(row) for row in rows]
+    m = len(A)
+    entries = [abs(x) for row in A for x in row]
+    # the scale is max(1, max |a_ij|), or 1.0 when an entry is NaN
+    tol = JACOBI_TOL * (1.0 if any(x != x for x in entries) else max(entries + [1.0]))
     for _ in range(JACOBI_SWEEPS):
         off = 0.0
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = A[p, q]
+                apq = A[p][q]
                 off = max(off, abs(apq))
-                if abs(apq) <= JACOBI_TOL * scale:
+                if abs(apq) <= tol:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) \
-                    if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                theta = (A[q][q] - A[p][p]) / (2.0 * apq)
+                # for a NaN theta, copysign's 1 still gives t = NaN
+                t = 1.0 if theta == 0 else math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        if off <= JACOBI_TOL * scale:
+                rp, rq = A[p], A[q]
+                A[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                A[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                for row in A:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+        if off <= tol:
             break
-    return A.diagonal().copy(), V
+    return [A[k][k] for k in range(m)]
 
 
 def _project_psd(G: np.ndarray) -> np.ndarray:
@@ -389,19 +387,20 @@ class _GramLayout:
         return candidate if check_refutation(problem, candidate) else None
 
 
-def _residual(mats: list[np.ndarray], problem: GramProblem) -> float:
+def _residual(mats: Sequence[Sequence[Sequence[float]]], problem: GramProblem) -> float:
     worst = 0.0
     for g, pairs in problem.constraints.items():
         cur = 0.0
         for b, i, j in pairs:
-            cur += (1 if i == j else 2) * mats[b][i, j]
+            cur += (1 if i == j else 2) * mats[b][i][j]
         worst = max(worst, abs(cur - problem.targets[g]))
     return worst
 
 
-def _min_eig(mats: list[np.ndarray]) -> float:
-    # trusted path: cyclic Jacobi, independent of the solver's LAPACK calls
-    return min(float(np.min(jacobi_eigh(m)[0])) for m in mats)
+def _min_eig(mats: Sequence[Sequence[Sequence[float]]]) -> float:
+    # trusted path: cyclic Jacobi, independent of the solver's LAPACK calls;
+    # np.min, unlike min, gives NaN for a block with any NaN eigenvalue
+    return min(float(np.min(jacobi_eigvalsh(m))) for m in mats)
 
 
 def _certified(problem: GramProblem, blocks: list[np.ndarray], iterations: int = 0,
@@ -409,8 +408,9 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray], iterations: int =
     """Independent re-verification: the Certified verdict carrying ``blocks``
     and the residual and minimum eigenvalue recomputed from scratch, or None
     when they miss MATCH_TOL or EIG_TOL."""
-    residual = _residual(blocks, problem)
-    min_eig = _min_eig(blocks)
+    rows = [b.tolist() for b in blocks]
+    residual = _residual(rows, problem)
+    min_eig = _min_eig(rows)
     if residual <= MATCH_TOL and min_eig >= -EIG_TOL:
         return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations,
                           fast_path)

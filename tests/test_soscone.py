@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from copotensor import cli, combinatorics, docio, faces, soscone
 from copotensor.faces import grid_zeros, point_moments, zero_kernels
-from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, SosVerdict,
+from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, JACOBI_SWEEPS,
+                                JACOBI_TOL, MATCH_TOL, SosVerdict,
                                 _certified, _check_max_iters,
                                 _diagonal_certificate, _GramLayout, _project_psd,
                                 build_gram_problem,
-                                check_certificate, check_refutation, jacobi_eigh,
+                                check_certificate, check_refutation, jacobi_eigvalsh,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
 from copotensor.gridcone import cumulative_grid
@@ -181,15 +182,129 @@ class TestBuild:
             build_gram_problem(BOUNDARY, 2)
 
 
+def reference_jacobi_eigh(M):
+    """Literal reference for :func:`jacobi_eigvalsh`: the cyclic Jacobi
+    eigendecomposition on numpy rows and columns that the checker ran before,
+    eigenvectors included."""
+    A = np.array(M, dtype=float)
+    m = A.shape[0]
+    V = np.eye(m)
+    if m == 1:
+        return A.diagonal().copy(), V
+    scale = max(1.0, float(np.max(np.abs(A))))
+    for _ in range(JACOBI_SWEEPS):
+        off = 0.0
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                apq = A[p, q]
+                off = max(off, abs(apq))
+                if abs(apq) <= JACOBI_TOL * scale:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) \
+                    if theta != 0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rp, rq = A[p, :].copy(), A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp, cq = A[:, p].copy(), A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                vp, vq = V[:, p].copy(), V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+        if off <= JACOBI_TOL * scale:
+            break
+    return A.diagonal().copy(), V
+
+
+def reference_min_eig(mats):
+    """The checker's least eigenvalue, from :func:`reference_jacobi_eigh`."""
+    with np.errstate(all="ignore"):
+        return min(float(np.min(reference_jacobi_eigh(m)[0])) for m in mats)
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``, every NaN as one pattern: which
+    operand a NaN comes from is up to the order numpy's vector loops pick."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64).tolist()
+
+
+def _jacobi_case(kind, m, rng):
+    X = rng.standard_normal((m, m))
+    S = X + X.T
+    if kind == "psd":
+        return X @ X.T
+    if kind == "indefinite":
+        return S
+    if kind == "diagonal":            # no rotation at all
+        return np.diag(X[0])
+    if kind == "equal-diagonal":      # theta = 0 at the first rotations
+        np.fill_diagonal(S, 1.5)
+        return S
+    if kind == "rank-deficient":
+        Y = X[:, :m // 2]
+        return Y @ Y.T
+    if kind == "scaled":
+        return S * 10.0 ** float(rng.integers(-150, 151))
+    if kind == "signed-zeros":        # eigenvalues +0.0 and -0.0, unrotated
+        return np.diag(np.where(X[0] < 0, -0.0, 0.0))
+    if kind == "nan-diagonal":        # off-diagonals above JACOBI_TOL only at scale 1
+        D = np.diag(1e3 * X[0]) + 1e-13 * S
+        i = rng.integers(0, m)
+        D[i, i] = np.nan
+        return D
+    i, j = rng.integers(0, m, 2)      # one non-finite entry and its mirror
+    S[i, j] = S[j, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return S
+
+
 class TestJacobi:
+    KINDS = ["psd", "indefinite", "diagonal", "equal-diagonal", "rank-deficient",
+             "scaled", "signed-zeros", "nan-diagonal", "nan", "inf", "-inf"]
+
     def test_matches_numpy(self, rng):
         for _ in range(10):
             m = rng.randint(1, 8)
             M = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(m)])
             M = M + M.T
-            w, V = jacobi_eigh(M)
-            assert np.allclose(sorted(w), np.linalg.eigvalsh(M), atol=1e-10)
-            assert np.allclose(V @ np.diag(w) @ V.T, M, atol=1e-10)
+            assert np.allclose(sorted(jacobi_eigvalsh(M.tolist())),
+                               np.linalg.eigvalsh(M), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_to_reference(self, kind):
+        rng = np.random.default_rng(sorted(self.KINDS).index(kind))
+        for m in range(1, 16):
+            for _ in range(3):
+                M = _jacobi_case(kind, m, rng)
+                with np.errstate(all="ignore"):
+                    want = reference_jacobi_eigh(M)[0]
+                got = jacobi_eigvalsh(M.tolist())
+                assert all(type(w) is float for w in got)
+                assert _bits(got) == _bits(want), (kind, m)
+                # numpy rows give the same bits
+                assert _bits(jacobi_eigvalsh(M)) == _bits(want), (kind, m)
+                assert _bits([soscone._min_eig([M.tolist()])]) == \
+                    _bits([reference_min_eig([M])])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bit_identical_on_hypothesis_matrices(self, data):
+        m = data.draw(st.integers(1, 15))
+        value = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 1.0]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+        upper = data.draw(st.lists(value, min_size=m * (m + 1) // 2,
+                                   max_size=m * (m + 1) // 2))
+        rows, cols = np.triu_indices(m)
+        M = np.empty((m, m))
+        M[rows, cols] = M[cols, rows] = upper
+        with np.errstate(all="ignore"):
+            M *= 10.0 ** data.draw(st.integers(-150, 150))
+            want = reference_jacobi_eigh(M)[0]
+        assert _bits(jacobi_eigvalsh(M.tolist())) == _bits(want)
+        assert _bits([soscone._min_eig([M.tolist()])]) == _bits([reference_min_eig([M])])
 
 
 class TestSolve:
@@ -267,6 +382,30 @@ class TestCertificates:
         v.certificate[0][0, 0] -= 1.0
         assert not check_certificate(p, v.certificate)
 
+    def test_trusted_check_uses_no_lapack(self, monkeypatch):
+        # Horn K^(1) (certified on its face), the benchmark's first
+        # converge-34 member at level 0 and its lift to level 1
+        horn = build_gram_problem(HORN, 1)
+        low, high = build_gram_problem(_dd(6000), 0), build_gram_problem(_dd(6000), 1)
+        solved = solve_gram(horn, max_iters=200), solve_gram(low)
+        assert all(v.certified for v in solved)
+        cases = [(horn, solved[0].certificate), (low, solved[1].certificate),
+                 (high, lift_certificate(low, solved[1].certificate, high))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called by the trusted check")
+
+        for name in ("eigh", "eigvalsh", "eig", "svd", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for problem, blocks in cases:
+            assert check_certificate(problem, blocks)
+            shifted = [b.copy() for b in blocks]
+            shifted[0][0, 0] -= 1.0
+            indefinite = _indefinite_copy(problem, blocks)
+            assert soscone._residual(indefinite, problem) <= MATCH_TOL
+            assert not check_certificate(problem, shifted)
+            assert not check_certificate(problem, indefinite)
+
     def test_lift_preserves_validity(self):
         low = build_gram_problem(BOUNDARY, 0)
         high = build_gram_problem(BOUNDARY, 1)
@@ -284,6 +423,25 @@ class TestCertificates:
             blocked = solve_gram(build_gram_problem(A, 0)).certified
             full = solve_gram(full_basis_problem(A, 0)).certified
             assert blocked == full
+
+
+def _indefinite_copy(problem, blocks):
+    """A copy of ``blocks`` that matches every coefficient as before but is
+    indefinite: an off-diagonal entry (j, k) and its mirror move by -delta,
+    and the diagonal entry of the monomial (b_j + b_k) / 2, which meets the
+    same target, by +2 delta, with delta above every entry's size."""
+    for pairs in problem.constraints.values():
+        diagonal = [(b, i) for b, i, j in pairs if i == j]
+        off = [(b, i, j) for b, i, j in pairs if i != j]
+        if diagonal and off:
+            break
+    (bd, i), (bo, j, k) = diagonal[0], off[0]
+    out = [b.copy() for b in blocks]
+    delta = 1.0 + 10.0 * max(float(np.abs(b).max()) for b in blocks)
+    out[bd][i, i] += 2.0 * delta
+    out[bo][j, k] -= delta
+    out[bo][k, j] -= delta
+    return out
 
 
 def _dd(seed, off_scale=2):
@@ -323,6 +481,8 @@ class TestMatchesReference:
             assert len(got.certificate) == len(problem.blocks)
             assert all(np.array_equal(a, b) for a, b in
                        zip(got.certificate, want.certificate))
+            assert _bits([soscone._min_eig(got.certificate)]) == \
+                _bits([reference_min_eig(got.certificate)])
         else:
             assert got.certificate is None
 
@@ -441,6 +601,8 @@ class TestLevelWalk:
             if want.certified:
                 assert all(np.array_equal(a, b) for a, b in
                            zip(got.certificate, want.certificate, strict=True))
+                assert _bits([soscone._min_eig(got.certificate)]) == \
+                    _bits([reference_min_eig(got.certificate)])
             else:
                 assert got.certificate is None
 
@@ -452,6 +614,9 @@ class TestLevelWalk:
         assert [v.certified for v in verdicts] == \
             [reference_member_K_r(A, r, max_iters=max_iters).certified
              for r in range(top + 1)]
+        for v in verdicts:
+            if v.certified:
+                assert _bits([v.min_eig]) == _bits([reference_min_eig(v.certificate)])
 
     def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
         # Horn is refuted at level 0 and certified by a solve at level 1, and
@@ -498,6 +663,21 @@ class TestLevelWalk:
             member_K_r(identity, 2)
         monkeypatch.setattr(combinatorics, "MAX_ENUMERATION", total)
         assert member_K_r(identity, 2).fast_path
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--method", "sos", "--level", "0"],
+        ["compare", "--levels", "0"]], ids=["check", "compare"])
+    def test_coefficient_beyond_float_range_exit_3(self, tmp_path, capsys, command):
+        huge = SymTensorBuilder(2, 2)
+        huge.set((1, 1), Fraction(1))
+        huge.set((1, 2), Fraction(-1))
+        huge.set((2, 2), Fraction(10 ** 400))
+        path = tmp_path / "huge.json"
+        path.write_text(docio.emit_tensor(huge.build()))
+        assert cli.main(command + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a level 0 coefficient is beyond float range\n"
 
     def test_negative_top_level_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError):
