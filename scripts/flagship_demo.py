@@ -11,8 +11,10 @@ semidefinite.
 import argparse
 from fractions import Fraction
 
-from copotensor import (SymTensorBuilder, certify_copositivity, member_C_r,
-                        member_K_r, member_O_r, necessary_screen)
+from copotensor import (SymTensorBuilder, certify_copositivity, member_O_r,
+                        necessary_screen)
+from copotensor.polycone import member_C_r
+from copotensor.soscone import member_K_r
 from copotensor.oracle import fullspace_sample_min, simplex_grid_min
 from copotensor.tensor import eval_form
 

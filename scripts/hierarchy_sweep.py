@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from copotensor import (certify_copositivity, member_C_r, member_O_r,
-                        sweep_K_r)
+from copotensor import certify_copositivity, member_O_r
+from copotensor.polycone import member_C_r
+from copotensor.soscone import sweep_K_r
 from copotensor.oracle import simplex_grid_min
 from copotensor.tensor import SymTensorBuilder, canonical_tuples
 

@@ -3,6 +3,10 @@
 Inner approximations (non-negative coefficients, sum-of-squares Gram
 feasibility, simplicial partitions) and outer approximations (partition
 vertices, rational grids), with a brute-force oracle for validation.
+
+Importing the package loads no numpy, so the numpy-backed hierarchies are
+imported from their submodules, ``copotensor.polycone`` and
+``copotensor.soscone``.
 """
 
 from .combinatorics import elementary_symmetric, enumerate_exponents, multinomial
@@ -11,9 +15,6 @@ from .partition import (Certificate, Partition, Simplex, Verdict,
                         bisect_longest_edge, certify_copositivity, diameter,
                         grid_partition, inner_test_full, member_I_P,
                         member_O_P, refine, standard_simplex, trivial_partition)
-from .polycone import PolyExpansion, expand_Pr, expand_Pr_closed_form, member_C_r
-from .soscone import (GramProblem, build_gram_problem, check_certificate,
-                      member_K_r, solve_gram, sweep_K_r)
 from .tensor import (SymTensor, SymTensorBuilder, canonicalize, diag_tensor,
                      eval_form, from_matrix, inner_product, mixed_rank_one,
                      multi_product, necessary_screen, rank_one)

@@ -5,6 +5,9 @@ unknown); verify and oracle exit 0 on pass and 1 on fail (verify 2 on a
 verdict it cannot re-check); 3 = usage or parse error.
 All randomized paths take --seed and default to a fixed constant, so runs
 are reproducible by default.
+numpy is imported only by the subcommands that compute with it (check --method
+coef|sos, expand, compare, oracle --samples, verify of a coef or sos
+document); without numpy they exit 3 and every other subcommand runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import docio, gridcone, oracle, polycone, soscone
+from . import docio, gridcone, oracle
+from .combinatorics import DEFAULT_MAX_ITERS
 from .docio import DocumentError, certificate_document, emit_scalar
 from .partition import certify_copositivity
 from .tensor import SymTensor, eval_form, necessary_screen
@@ -83,12 +87,14 @@ def _cmd_check(args) -> int:
     r = args.level
     witness = value = stats = moments = None
     if args.method == "coef":
+        from . import polycone
         v = polycone.member_C_r(A, r)
         verdict = "Member" if v.member else "NotMember"
         if not v.member:
             stats = {"worst_theta": list(v.worst_theta),
                      "worst_value": emit_scalar(v.worst_value)}
     elif args.method == "sos":
+        from . import soscone
         v = soscone.member_K_r(A, r, max_iters=args.max_iters)
         verdict, moments = v.verdict, v.moments
         stats = {"iterations": v.iterations, "residual": v.residual,
@@ -124,6 +130,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import polycone
     A = _load_tensor(args.tensor)
     exp = polycone.expand_Pr(A, args.level)
     rows = [{"theta": list(theta), "coefficient": emit_scalar(c)}
@@ -150,6 +157,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import polycone, soscone
     A = _load_tensor(args.tensor)
     levels = list(range(args.levels + 1))
     # the SOS walk first: its size check covers levels 0..R (and so every
@@ -236,6 +244,7 @@ def _cmd_verify(args) -> int:
         text = docio.scalar_text(value) or "too long to print"
         return _verified(ok, f"witness value {text}")
     if method == "coef" and verdict in ("Member", "NotMember"):
+        from . import polycone
         v = polycone.member_C_r(A, _cert_level(cert))
         if verdict == "Member":
             return _verified(v.member, f"level-{v.r} coefficients recomputed")
@@ -245,6 +254,7 @@ def _cmd_verify(args) -> int:
               and stats.get("worst_value") == emit_scalar(v.worst_value))
         return _verified(ok, f"level-{v.r} worst coefficient recomputed")
     if method == "sos" and verdict == "NotMember":
+        from . import soscone
         moments = docio.parse_moments(cert)
         problem = soscone.build_gram_problem(A, _cert_level(cert))
         return _verified(soscone.check_refutation(problem, moments),
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--method", choices=("coef", "sos", "grid"), required=True)
     sp.add_argument("--level", type=int, default=0)
-    sp.add_argument("--max-iters", type=int, default=soscone.DEFAULT_MAX_ITERS)
+    sp.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     sp.set_defaults(func=_cmd_check)
 
     def add_budgets(sp):
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="run all hierarchies over levels 0..R")
     add_common(sp)
     sp.add_argument("--levels", type=int, default=3, metavar="R")
-    sp.add_argument("--max-iters", type=int, default=soscone.DEFAULT_MAX_ITERS)
+    sp.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     add_budgets(sp)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_compare)
@@ -323,6 +333,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy", file=sys.stderr)
+        return EXIT_USAGE
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,10 @@ MAX_ENUMERATION = 10_000
 # to be larger, which every limit here needs (see binomial_at_most).
 COUNT_CAP = 10 ** 12
 
+# The SOS solver's default iteration budget per level; kept here, with the
+# other limits, so that the CLI parser sets it without loading the solver.
+DEFAULT_MAX_ITERS = 20000
+
 
 def binomial_at_most(n: int, k: int, cap: int = COUNT_CAP) -> int:
     """C(n, k) when it is at most ``cap``, else cap + 1.

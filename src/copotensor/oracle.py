@@ -3,7 +3,7 @@
 Nothing here shares code paths with the hierarchy modules: expansion is
 literal term-by-term polynomial multiplication, minimization is exhaustive
 grid evaluation, and sampling is plain seeded Monte Carlo.  A bug in the main
-modules cannot be mirrored here.
+modules cannot be mirrored here.  Only the float sampler imports numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .combinatorics import binomial_at_most, count_text, tuple_multiplicity
 from .tensor import Scalar, SymTensor, eval_form
@@ -111,6 +109,8 @@ def expand_bruteforce(A: SymTensor, r: int) -> dict[tuple[int, ...], Fraction]:
 def eval_many(A: SymTensor, X: np.ndarray) -> np.ndarray:
     """Float evaluation of the form at each row of X, vectorized per
     canonical tuple."""
+    import numpy as np
+
     out = np.zeros(X.shape[0])
     for key, a in A.items():
         if a == 0:
@@ -130,6 +130,8 @@ def fullspace_sample_min(A: SymTensor, trials: int, seed: int,
     generator), so both orthants are covered; any directed probes are
     appended after normalization.  Deterministic for a given seed.
     """
+    import numpy as np
+
     if not 1 <= trials <= MAX_GRID_POINTS:
         raise ValueError(f"trials must be between 1 and {MAX_GRID_POINTS}")
     terms = trials * binomial_at_most(A.n + A.d - 1, A.d)

@@ -56,13 +56,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import faces, polycone
-from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
-                            enumerate_exponents)
+from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
+                            check_enumeration_size, enumerate_exponents)
 from .tensor import SymTensor
 
 EIG_TOL = 1e-8      # a certificate's blocks have eigenvalues >= -EIG_TOL
 MATCH_TOL = 1e-8    # and reproduce every coefficient within MATCH_TOL
-DEFAULT_MAX_ITERS = 20000
 JACOBI_SWEEPS = 60
 JACOBI_TOL = 1e-14
 
@@ -542,16 +541,17 @@ def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
 
     Multiplying P by sum y_k^2 turns each square q(y)^2 into the squares
     (y_k q(y))^2, i.e. the lifted Gram matrix is the sum over k of the old
-    one conjugated by the multiply-by-y_k basis embedding.  PSD-ness is
-    preserved; tiny negative eigenvalues are clipped before conjugating so
-    they cannot accumulate.
+    one conjugated by the multiply-by-y_k basis embedding.  The blocks are
+    conjugated as the checker accepted them, unclipped, so the lift's
+    coefficient errors and negative eigenvalues are at most n times those
+    below; the lift is re-checked like any certificate.
     """
     if high.r != low.r + 1:
         raise ValueError("can only lift by one level")
     where = _block_positions(high)
     mats = [np.zeros((len(bl), len(bl))) for bl in high.blocks]
     for lb, members in enumerate(low.blocks):
-        G = _project_psd(blocks[lb])
+        G = blocks[lb]
         for var in range(low.n):
             # where each block monomial lands after multiplying by y_var
             targets = [where[tuple(e + (1 if i == var else 0)

