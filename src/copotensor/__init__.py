@@ -10,13 +10,12 @@ imported from their submodules, ``copotensor.polycone`` and
 """
 
 from .combinatorics import elementary_symmetric, enumerate_exponents, multinomial
-from .gridcone import cumulative_grid, grid_points, member_O_r
+from .gridcone import member_O_r
 from .partition import (Certificate, Partition, Simplex, Verdict,
                         bisect_longest_edge, certify_copositivity, diameter,
                         grid_partition, inner_test_full, member_I_P,
                         member_O_P, refine, standard_simplex, trivial_partition)
-from .tensor import (SymTensor, SymTensorBuilder, canonicalize, diag_tensor,
-                     eval_form, from_matrix, inner_product, mixed_rank_one,
-                     multi_product, necessary_screen, rank_one)
+from .tensor import (SymTensor, SymTensorBuilder, canonicalize, eval_form,
+                     from_matrix, multi_product, necessary_screen)
 
 __version__ = "0.1.0"

@@ -20,6 +20,9 @@ from typing import Any
 from .tensor import Scalar, SymTensor, SymTensorBuilder
 
 TOOL_VERSION = "0.1.0"
+# the largest n and d a document may declare: the screen builds n-long
+# lists and d-long index tuples before it reads an entry
+MAX_SIZE = 10 ** 6
 
 
 class DocumentError(ValueError):
@@ -68,6 +71,8 @@ def parse_tensor(text: str) -> SymTensor:
     # `type(...) is int` turns away floats, strings and bools alike
     if type(n) is not int or type(d) is not int:
         raise DocumentError("document needs integer fields 'n' and 'd'")
+    if max(n, d) > MAX_SIZE:
+        raise DocumentError(f"n = {n}, d = {d}: one exceeds the limit {MAX_SIZE}")
     default = parse_scalar(doc.get("default", 0))
     builder = SymTensorBuilder(n, d, default)
     entries = doc.get("entries", [])

@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import binomial_at_most, enumerate_exponents
+from . import gridcone
 from .polycone import PolyExpansion
 
-GRID_DENOMINATORS = range(2, 5)   # the grid of gridcone level 2
+GRID_LEVEL = 2   # denominators 2..4
 SEARCH_CAP = 1 << 16   # at most this many grid points times coefficients
 
 Exponent = tuple[int, ...]
@@ -38,9 +38,9 @@ Zero = tuple[int, Exponent]   # the point c / m as (m, c)
 
 
 def grid_zeros(expansion: PolyExpansion) -> tuple[Zero, ...]:
-    """The points c / m of the simplex with m in 2..4 (the cumulative grid of
-    gridcone level 2) where P^(r)(sqrt(c / m)) is exactly 0, each once, at
-    its least m, as (m, c); none when the grid times the coefficients would
+    """The points c / m of gridcone's level-2 grid (m in 2..4, in
+    :func:`gridcone.first_appearances` order) where P^(r)(sqrt(c / m)) is
+    exactly 0, as (m, c); none when the grid times the coefficients would
     pass SEARCH_CAP.  Never raises.
 
     m^s P^(r)(sqrt(c / m)) = sum_theta p_theta c^theta with s = d + r, which
@@ -49,10 +49,10 @@ def grid_zeros(expansion: PolyExpansion) -> tuple[Zero, ...]:
     bound keeps it below 2^63, and on Python ints otherwise.
     """
     coeffs = expansion.coeffs
-    if sum(binomial_at_most(expansion.n + m - 1, m) for m in GRID_DENOMINATORS) \
-            * len(coeffs) > SEARCH_CAP:
+    # >= n coefficients keep a grid that passes below MAX_ENUMERATION
+    if gridcone.grid_point_count(expansion.n, GRID_LEVEL) * len(coeffs) > SEARCH_CAP:
         return ()
-    points = [(m, c) for m in GRID_DENOMINATORS for c in enumerate_exponents(expansion.n, m)]
+    points = list(gridcone.first_appearances(expansion.n, GRID_LEVEL))
     scale = math.lcm(*(c.denominator for c in coeffs.values()))
     ints = [c.numerator * (scale // c.denominator) for c in coeffs.values()]
     bound = max(map(abs, ints)) * len(ints) << 2 * expansion.s
@@ -63,9 +63,7 @@ def grid_zeros(expansion: PolyExpansion) -> tuple[Zero, ...]:
     for i in range(expansion.n):
         terms *= comps[:, i:i + 1] ** exps[:, i]
     values = terms @ np.array(ints, dtype=dtype)
-    # c / m with gcd(m, *c) > 1 is a point of a smaller m, listed already
-    return tuple((m, c) for (m, c), v in zip(points, values.tolist())
-                 if v == 0 and (m == 2 or math.gcd(m, *c) == 1))
+    return tuple(point for point, v in zip(points, values.tolist()) if v == 0)
 
 
 def zero_kernels(basis: Sequence[Exponent], blocks: Sequence[Sequence[int]],

@@ -26,33 +26,13 @@ from .tensor import Scalar, SymTensor, canonical_tuples, scaled_values
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class RationalGrid:
-    n: int
-    r: int
-    points: tuple[Point, ...]
-    cumulative: bool
+def grid_point_count(n: int, r: int) -> int:
+    """C(n+m-1, m) summed over 2 <= m <= r+2, C(n+r+2, r+2) - n - 1 by the
+    hockey stick: the level-r grid's size, exact up to COUNT_CAP."""
+    return binomial_at_most(n + r + 2, r + 2, COUNT_CAP + n + 1) - n - 1
 
 
-def grid_points(n: int, r: int) -> RationalGrid:
-    """Single-level grid with denominator r+2.
-
-    Count is binomial(n+r+1, r+2); the composition count, which follows from
-    the defining condition (the literature sometimes quotes a smaller figure
-    that is inconsistent with it).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    m = r + 2
-    pts = tuple(tuple(Fraction(c, m) for c in comp)
-                for comp in enumerate_exponents(n, m))
-    assert len(pts) == math.comb(n + r + 1, r + 2)
-    return RationalGrid(n, r, pts, cumulative=False)
-
-
-def _first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Each point of the cumulative grid once, as (m, composition of m): every
     composition at m = 2, and at m > 2 those with gcd(m, *c) = 1 (the others
     reduce to a smaller denominator).  Levels ascend, compositions are
@@ -60,20 +40,9 @@ def _first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     ValueError here, at the call, not when the points are first drawn."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    # the sum of C(n+m-1, m) over 2 <= m <= r+2 is C(n+r+2, r+2) - 1 - n
-    # (hockey stick)
-    check_enumeration_size(binomial_at_most(n + r + 2, r + 2, COUNT_CAP + n + 1) - n - 1,
-                           f"level {r} grid point count")
+    check_enumeration_size(grid_point_count(n, r), f"level {r} grid point count")
     return ((m, c) for m in range(2, r + 3) for c in enumerate_exponents(n, m)
             if m == 2 or math.gcd(m, *c) == 1)
-
-
-def cumulative_grid(n: int, r: int) -> RationalGrid:
-    """Union of the level grids 0..r without repeats; enumeration order is
-    levels ascending, points lexicographic within a level."""
-    points = tuple(tuple(Fraction(ci, m) for ci in c)
-                   for m, c in _first_appearances(n, r))
-    return RationalGrid(n, r, points, cumulative=True)
 
 
 @dataclass(frozen=True)
@@ -88,7 +57,7 @@ def member_O_r(A: SymTensor, r: int) -> GridVerdict:
     """Outer cone membership: the form must be non-negative at every point of
     the cumulative grid.  The first negative point in enumeration order is
     the witness."""
-    points = _first_appearances(A.n, r)
+    points = first_appearances(A.n, r)
     scale, values = scaled_values(A)
     terms = [(tuple_multiplicity(key) * a, tuple(i - 1 for i in key))
              for key, a in zip(canonical_tuples(A.n, A.d), values) if a]

@@ -27,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor import (Scalar, SymTensor, eval_form, multi_product,
-                     necessary_screen, scaled_values)
+from .tensor import (Scalar, SymTensor, multi_product, necessary_screen,
+                     scaled_values)
 
 Point = tuple[Fraction, ...]
 
@@ -267,14 +267,6 @@ class Certificate:
     witness_value: Scalar | None = None
     stats: PartitionStats | None = None
     method: str = "partition"
-
-    def recheck(self, A: SymTensor) -> bool:
-        """NotCopositive witnesses must re-verify exactly."""
-        if self.verdict is not Verdict.NOT_COPOSITIVE:
-            return True
-        if self.witness is None or any(c < 0 for c in self.witness):
-            return False
-        return eval_form(A, self.witness) < 0
 
 
 def certify_copositivity(A: SymTensor, max_depth: int = 32,

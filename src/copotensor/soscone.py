@@ -416,11 +416,6 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray], iterations: int =
     return None
 
 
-def check_certificate(problem: GramProblem, blocks: list[np.ndarray]) -> bool:
-    """Whether the Gram blocks pass the independent re-verification."""
-    return _certified(problem, blocks) is not None
-
-
 def uniform_moment(g: Exponent) -> Fraction:
     """The integral of y^g over [0, 1]^n."""
     return Fraction(1, math.prod(e + 1 for e in g))

@@ -18,8 +18,7 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import (binomial_at_most, check_enumeration_size,
-                            multinomial, tuple_multiplicity)
+from .combinatorics import binomial_at_most, check_enumeration_size, multinomial
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -84,15 +83,6 @@ class SymTensor:
         for key in canonical_tuples(self.n, self.d):
             yield key, self.entries.get(key, self.default)
 
-    def nonzero_items(self) -> Iterator[tuple[Index, Fraction]]:
-        if self.default != 0:
-            yield from self.items()
-            return
-        for key in sorted(self.entries):
-            v = self.entries[key]
-            if v != 0:
-                yield key, v
-
     def diag_vector(self) -> tuple[Fraction, ...]:
         return tuple(self.get((i,) * self.d) for i in range(1, self.n + 1))
 
@@ -130,61 +120,6 @@ def from_matrix(rows: Sequence[Sequence[Scalar]]) -> SymTensor:
                 raise ValueError("matrix is not symmetric")
             if rows[i][j] != 0:
                 b.set((i + 1, j + 1), rows[i][j])
-    return b.build()
-
-
-def diag_tensor(theta: Sequence[Scalar], d: int) -> SymTensor:
-    """Diagonal tensor of order d with theta_i at position (i,...,i)."""
-    n = len(theta)
-    b = SymTensorBuilder(n, d)
-    for i, v in enumerate(theta, start=1):
-        if v != 0:
-            b.set((i,) * d, v)
-    return b.build()
-
-
-def rank_one(x: Sequence[Scalar], d: int) -> SymTensor:
-    """The d-fold tensor power of x: entry (i_1..i_d) is x_{i_1}...x_{i_d}."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    n = len(x)
-    b = SymTensorBuilder(n, d)
-    for key in canonical_tuples(n, d):
-        v = 1
-        for i in key:
-            v = v * x[i - 1]
-        if v != 0:
-            b.set(key, v)
-    return b.build()
-
-
-def mixed_rank_one(u: Sequence[Scalar], v: Sequence[Scalar], a: int, d: int) -> SymTensor:
-    """Symmetrization of the split product u^(x a) (x) v^(x (d-a)).
-
-    Entry at (i_1..i_d) averages over the binomial(d, a) position choices for
-    the u-factors, so pairing with any symmetric tensor reproduces the plain
-    (unsymmetrized) product pairing.
-    """
-    if not 1 <= a <= d - 1:
-        raise ValueError(f"split a={a} out of range 1..{d - 1}")
-    if len(u) != len(v):
-        raise ValueError("u and v must have the same dimension")
-    n = len(u)
-    b = SymTensorBuilder(n, d)
-    positions = list(range(d))
-    nchoices = 0
-    for key in canonical_tuples(n, d):
-        total = 0
-        nchoices = 0
-        for chosen in itertools.combinations(positions, a):
-            cs = set(chosen)
-            term = 1
-            for p, i in enumerate(key):
-                term = term * (u[i - 1] if p in cs else v[i - 1])
-            total = total + term
-            nchoices += 1
-        if total != 0:
-            b.set(key, Fraction(total) / nchoices)
     return b.build()
 
 
@@ -233,19 +168,6 @@ def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
             term *= p[i] ** c
         total += term
     return Fraction(total, scale * q ** A.d)
-
-
-def inner_product(A: SymTensor, B: SymTensor) -> Scalar:
-    """<A, B> = sum over all n^d tuples of a_t * b_t."""
-    if (A.n, A.d) != (B.n, B.d):
-        raise ValueError(f"shape mismatch: ({A.n},{A.d}) vs ({B.n},{B.d})")
-    total = 0
-    for key, a in A.items():
-        b = B.entries.get(key, B.default)
-        if a == 0 or b == 0:
-            continue
-        total = total + tuple_multiplicity(key) * a * b
-    return total
 
 
 def multi_product(A: SymTensor, vectors: Sequence[Sequence[Scalar]]) -> Scalar:

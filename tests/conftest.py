@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from copotensor.combinatorics import enumerate_exponents
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                from_matrix)
 
@@ -67,6 +68,16 @@ def float_tensors(draw, max_n: int = 4, max_d: int = 4) -> SymTensor:
         if v is not None:
             entries[key] = v
     return SymTensor(n, d, entries, default)
+
+
+def reference_cumulative_grid(n: int, r: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Literal reference for the cumulative grid of level r: every level's
+    points as Fractions, deduplicated by a dict in first-insertion order."""
+    seen = {}
+    for k in range(r + 1):
+        for comp in enumerate_exponents(n, k + 2):
+            seen.setdefault(tuple(Fraction(c, k + 2) for c in comp), None)
+    return tuple(seen)
 
 
 def example31_tensor() -> SymTensor:

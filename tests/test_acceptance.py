@@ -28,8 +28,7 @@ from copotensor.partition import (Verdict, certify_copositivity,
                                   grid_partition, member_I_P, member_O_P,
                                   refine_once, trivial_partition)
 from copotensor.polycone import expand_Pr, expand_Pr_closed_form, member_C_r
-from copotensor.soscone import (build_gram_problem, check_certificate,
-                                member_K_r, solve_gram)
+from copotensor.soscone import _certified, build_gram_problem, member_K_r, solve_gram
 from copotensor.tensor import (SymTensorBuilder, canonical_tuples, eval_form,
                                from_matrix, necessary_screen)
 from conftest import EXAMPLE31_JSON
@@ -241,7 +240,8 @@ def test_criterion_5_branch_and_bound_convergence(classified_suite):
             n_pos += 1
         else:
             assert cert.verdict is Verdict.NOT_COPOSITIVE, dict(A.entries)
-            assert cert.recheck(A)      # exact rational witness recheck
+            # exact rational witness recheck
+            assert min(cert.witness) >= 0 and eval_form(A, cert.witness) < 0
             n_neg += 1
     assert n_pos + n_neg >= 100
     print(f"\nACCEPTANCE 5 PASS: branch-and-bound classified "
@@ -293,7 +293,7 @@ def test_criterion_7_nonpositive_offdiagonal_psd_crosscheck():
 def _assert_reverifies(problem, v):
     # the verdict's residual and minimum eigenvalue are the independent
     # checker's figures, recomputed from the Gram blocks
-    assert check_certificate(problem, v.certificate)
+    assert _certified(problem, v.certificate) is not None
     assert v.residual <= SOS_RESIDUAL_TOL and v.min_eig >= -SOS_EIG_TOL
 
 

@@ -327,6 +327,26 @@ class TestCliExitCodes:
         assert time.perf_counter() - start < 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "Pass"
 
+    @pytest.mark.parametrize("command, doc", [
+        ("screen", '{"n": 100000000000000000000, "d": 2, "default": "1"}'),
+        ("screen", '{"n": 1000000000000, "d": 2, "default": "1"}'),
+        ("screen", '{"n": 2, "d": 100000000000000000000, "default": "-1"}'),
+        ("certify", '{"n": 100000000000000000000, "d": 1, "default": "1"}')],
+        ids=["screen-n-1e20", "screen-n-1e12", "screen-d-1e20", "certify-d1-n-1e20"])
+    def test_oversized_n_or_d_refused_at_load(self, tmp_path, capsys, command, doc):
+        # a few bytes of JSON would otherwise ask for n-long lists (an
+        # OverflowError or a MemoryError) or d-long index tuples
+        p = tmp_path / "oversized.json"
+        p.write_text(doc)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(p)])
+        assert exc.value.code == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exceeds the limit {docio.MAX_SIZE}" in captured.err
+
     def test_compare_json(self, boundary_file, capsys):
         code = main(["compare", "--levels", "2", "--json", boundary_file])
         doc = json.loads(capsys.readouterr().out)
@@ -451,14 +471,19 @@ class TestImports:
         loaded = ast.literal_eval(res.stderr.strip().splitlines()[-1])
         assert not set(banned) & set(loaded)
 
-    def test_missing_numpy_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["check", "--method", "coef"], ["check", "--method", "sos"], ["expand"],
+        ["compare"], ["oracle", "--samples", "10"]],
+        ids=["coef", "sos", "expand", "compare", "oracle-samples"])
+    def test_missing_numpy_exits_3(self, tmp_path, argv):
+        # every subcommand the README says needs numpy
         (tmp_path / "horn.json").write_text(emit_tensor(HORN))
         res = _python("import sys; sys.modules['numpy'] = None; "
                       "from copotensor import cli; "
-                      "sys.exit(cli.main(['check', '--method', 'sos', 'horn.json']))",
-                      cwd=tmp_path)
+                      "sys.exit(cli.main(sys.argv[1:] + ['horn.json']))",
+                      *argv, cwd=tmp_path)
         assert (res.returncode, res.stdout, res.stderr) == \
-            (3, "", "error: check needs numpy\n")
+            (3, "", f"error: {argv[0]} needs numpy\n")
 
 
 class TestReadme:

@@ -7,24 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from copotensor import combinatorics, gridcone
 from copotensor.combinatorics import enumerate_exponents
-from copotensor.gridcone import (GridVerdict, cumulative_grid, grid_points,
-                                 member_O_r)
+from copotensor.gridcone import GridVerdict, first_appearances, member_O_r
 from copotensor.tensor import SymTensor, eval_form, from_matrix
 from conftest import (BOUNDARY, HORN, example31_tensor, float_tensors,
                       rand_float_tensor, rand_nonneg_tensor,
-                      rand_rational_tensor)
+                      rand_rational_tensor, reference_cumulative_grid)
 
 F = Fraction
 
 
-def reference_cumulative_grid(n, r):
-    """Literal reference: every level's points as Fractions, deduplicated by
-    a dict in first-insertion order."""
-    seen = {}
-    for k in range(r + 1):
-        for comp in enumerate_exponents(n, k + 2):
-            seen.setdefault(tuple(Fraction(c, k + 2) for c in comp), None)
-    return tuple(seen)
+def cumulative_points(n, r):
+    """The production enumeration's points as Fractions, in its order."""
+    return tuple(tuple(F(ci, m) for ci in c) for m, c in first_appearances(n, r))
+
+
+def level_points(n, r):
+    """The points of the cumulative grid with (r+2) x integral: level r's
+    own grid, which the cumulative one must hold in full."""
+    return tuple(p for p in cumulative_points(n, r)
+                 if all((ci * (r + 2)).denominator == 1 for ci in p))
 
 
 def reference_member_O_r(A, r):
@@ -38,30 +39,29 @@ def reference_member_O_r(A, r):
 
 class TestGridPoints:
     def test_n2_r0(self):
-        g = grid_points(2, 0)
-        assert set(g.points) == {(F(1), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))}
+        assert set(level_points(2, 0)) == {(F(1), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1))}
 
     def test_n1_any_r(self):
         for r in range(5):
-            assert grid_points(1, r).points == ((F(1),),)
+            assert level_points(1, r) == ((F(1),),)
 
     def test_n3_r1_count(self):
-        assert len(grid_points(3, 1).points) == math.comb(5, 3) == 10
+        assert len(level_points(3, 1)) == math.comb(5, 3) == 10
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
     def test_count_formula_and_validity(self, n, r):
-        g = grid_points(n, r)
-        assert len(g.points) == math.comb(n + r + 1, r + 2)
-        assert len(set(g.points)) == len(g.points)
-        for p in g.points:
+        points = level_points(n, r)
+        assert len(points) == math.comb(n + r + 1, r + 2)
+        assert len(set(points)) == len(points)
+        for p in points:
             assert sum(p) == 1
             assert all(c >= 0 and ((r + 2) * c).denominator == 1 for c in p)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            grid_points(0, 1)
+            list(first_appearances(0, 1))
         with pytest.raises(ValueError):
-            grid_points(2, -1)
+            first_appearances(2, -1)
 
 
 class TestCumulativeGrid:
@@ -69,26 +69,27 @@ class TestCumulativeGrid:
         for n in (2, 3):
             prev: set = set()
             for r in range(5):
-                cur = set(cumulative_grid(n, r).points)
+                cur = set(cumulative_points(n, r))
                 assert prev <= cur
-                assert set(grid_points(n, r).points) <= cur
+                assert {tuple(F(c, r + 2) for c in comp)
+                        for comp in enumerate_exponents(n, r + 2)} <= cur
                 prev = cur
 
     def test_unit_vertices_always_present(self):
-        g = cumulative_grid(3, 0)
+        points = cumulative_points(3, 0)
         for i in range(3):
             e = tuple(F(1 if j == i else 0) for j in range(3))
-            assert e in g.points
+            assert e in points
 
     def test_negative_level_rejected(self):
         # level -1 used to be an empty grid, so any tensor was a Member
         with pytest.raises(ValueError, match="r must be >= 0"):
-            cumulative_grid(2, -1)
+            first_appearances(2, -1)
         with pytest.raises(ValueError, match="r must be >= 0"):
             member_O_r(from_matrix([[1, -2], [-2, 1]]), -1)
 
     def test_no_duplicates(self):
-        pts = cumulative_grid(3, 6).points
+        pts = cumulative_points(3, 6)
         assert len(set(pts)) == len(pts)
 
 
@@ -128,8 +129,8 @@ class TestMemberOr:
         # structural fact: a larger test-point set induces a smaller cone
         for _ in range(10):
             A = rand_rational_tensor(rng, 2, 2)
-            small = set(cumulative_grid(2, 1).points)
-            large = set(cumulative_grid(2, 4).points)
+            small = set(reference_cumulative_grid(2, 1))
+            large = set(reference_cumulative_grid(2, 4))
             assert small <= large
             ok_large = all(eval_form(A, p) >= 0 for p in large)
             ok_small = all(eval_form(A, p) >= 0 for p in small)
@@ -171,7 +172,7 @@ class TestMatchesReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cumulative_grid_same_points_same_order(self, n):
         for r in range(7):
-            assert cumulative_grid(n, r).points == reference_cumulative_grid(n, r)
+            assert cumulative_points(n, r) == reference_cumulative_grid(n, r)
 
 
 class TestSizeLimit:
@@ -182,7 +183,7 @@ class TestSizeLimit:
         with pytest.raises(ValueError, match="exceeds the limit"):
             member_O_r(SymTensor(10, 4, {}, 1), 10)
         with pytest.raises(ValueError, match="exceeds the limit"):
-            cumulative_grid(10, 10)
+            first_appearances(10, 10)
         assert calls == []
 
     def test_limit_is_inclusive(self, monkeypatch):

@@ -223,7 +223,7 @@ class TestCertify:
         assert cert.verdict is Verdict.NOT_COPOSITIVE
         assert cert.witness == (F(1, 2), F(1, 2))
         assert cert.witness_value == F(-1, 2)
-        assert cert.recheck(A)
+        assert min(cert.witness) >= 0 and eval_form(A, cert.witness) < 0
 
     def test_example31_depth0(self, example31):
         cert = certify_copositivity(example31)
@@ -251,7 +251,7 @@ class TestCertify:
         neg = SymTensorBuilder(3, 1).set((2,), F(-1)).build()
         cert = certify_copositivity(neg)
         assert cert.verdict is Verdict.NOT_COPOSITIVE
-        assert cert.recheck(neg)
+        assert min(cert.witness) >= 0 and eval_form(neg, cert.witness) < 0
 
     def test_bad_budgets(self, example31):
         with pytest.raises(ValueError):

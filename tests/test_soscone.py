@@ -15,16 +15,15 @@ from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, JACOBI_SWEEPS,
                                 JACOBI_TOL, MATCH_TOL, SosVerdict,
                                 _certified, _check_max_iters,
                                 _diagonal_certificate, _GramLayout, _project_psd,
-                                build_gram_problem,
-                                check_certificate, check_refutation, jacobi_eigvalsh,
+                                build_gram_problem, check_refutation, jacobi_eigvalsh,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
-from copotensor.gridcone import cumulative_grid
 from copotensor.oracle import simplex_grid_min
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
 from conftest import (BOUNDARY, HORN, example31_tensor,
-                      rand_diag_dominant_tensor, rand_nonneg_tensor)
+                      rand_diag_dominant_tensor, rand_nonneg_tensor,
+                      reference_cumulative_grid)
 
 
 def degree6_example():
@@ -358,7 +357,7 @@ class TestCertificates:
         p = build_gram_problem(BOUNDARY, 0)
         v = solve_gram(p)
         assert v.certified
-        assert check_certificate(p, v.certificate)
+        assert _certified(p, v.certificate) is not None
 
     def test_verdict_carries_the_checkers_figures(self):
         # the residual and minimum eigenvalue are recomputed from the blocks
@@ -366,7 +365,7 @@ class TestCertificates:
         p = build_gram_problem(BOUNDARY, 0)
         v = solve_gram(p)
         blocks = [b.copy() for b in v.certificate]
-        assert check_certificate(p, v.certificate) is True
+        assert _certified(p, v.certificate) is not None
         assert all(np.array_equal(a, b) for a, b in zip(blocks, v.certificate,
                                                         strict=True))
         assert (v.residual, v.min_eig) == (soscone._residual(v.certificate, p),
@@ -376,7 +375,7 @@ class TestCertificates:
         p = build_gram_problem(BOUNDARY, 0)
         v = solve_gram(p)
         v.certificate[0][0, 0] -= 1.0
-        assert not check_certificate(p, v.certificate)
+        assert _certified(p, v.certificate) is None
 
     def test_trusted_check_uses_no_lapack(self, monkeypatch):
         # Horn K^(1) (certified on its face), the benchmark's first
@@ -394,20 +393,20 @@ class TestCertificates:
         for name in ("eigh", "eigvalsh", "eig", "svd", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refuse)
         for problem, blocks in cases:
-            assert check_certificate(problem, blocks)
+            assert _certified(problem, blocks) is not None
             shifted = [b.copy() for b in blocks]
             shifted[0][0, 0] -= 1.0
             indefinite = _indefinite_copy(problem, blocks)
             assert soscone._residual(indefinite, problem) <= MATCH_TOL
-            assert not check_certificate(problem, shifted)
-            assert not check_certificate(problem, indefinite)
+            assert _certified(problem, shifted) is None
+            assert _certified(problem, indefinite) is None
 
     def test_lift_preserves_validity(self):
         low = build_gram_problem(BOUNDARY, 0)
         high = build_gram_problem(BOUNDARY, 1)
         v = solve_gram(low)
         lifted = lift_certificate(low, v.certificate, high)
-        assert check_certificate(high, lifted)
+        assert _certified(high, lifted) is not None
 
     def test_level_one_lifts_the_level_zero_certificate(self):
         # a member of the sos benchmark pool (converge-34, generator seed
@@ -726,7 +725,7 @@ class TestRefutation:
         v = solve_gram(problem)
         assert (v.verdict, v.iterations) == ("Certified", 150)
         assert sorted(calls) == [(1, 1)] * 5 + [(5, 5)] * 5
-        assert check_certificate(problem, v.certificate)
+        assert _certified(problem, v.certificate) is not None
         assert member_K_r(HORN, 1).certified
 
     def test_checker_rejects_tampered_moments(self):
@@ -778,7 +777,7 @@ class TestRefutation:
 def _vanishing_grid_points(A):
     """The points of the cumulative level-2 grid (denominators 2..4) where
     eval_form is exactly 0."""
-    return sorted(p for p in cumulative_grid(A.n, 2).points if eval_form(A, p) == 0)
+    return sorted(p for p in reference_cumulative_grid(A.n, 2) if eval_form(A, p) == 0)
 
 
 def _as_points(zeros):

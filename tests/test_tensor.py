@@ -11,10 +11,8 @@ from copotensor import combinatorics
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
-                               diag_tensor, eval_form, from_matrix,
-                               inner_product, mixed_rank_one, multi_product,
-                               necessary_screen, rank_one, scaled_values,
-                               canonical_tuples)
+                               eval_form, from_matrix, multi_product,
+                               necessary_screen, scaled_values, canonical_tuples)
 from conftest import float_tensors, rand_float_tensor, rand_rational_tensor
 
 
@@ -124,7 +122,10 @@ class TestScaledValues:
 
 class TestEval:
     def test_identity_diag_at_unit_vector(self):
-        A = diag_tensor((1, 1, 1), 3)
+        b = SymTensorBuilder(3, 3)
+        for i in range(1, 4):
+            b.set((i,) * 3, 1)
+        A = b.build()
         assert eval_form(A, (1, 0, 0)) == 1
 
     def test_example_probe_is_negative(self, example31):
@@ -195,89 +196,26 @@ class TestEval:
 
 
 class TestInnerProduct:
-    def test_self_product_nonnegative(self, rng):
-        for _ in range(20):
-            A = rand_rational_tensor(rng, 3, 3)
-            assert inner_product(A, A) >= 0
-
-    def test_diag_ones(self):
-        for n in (1, 2, 4):
-            D = diag_tensor((1,) * n, 3)
-            assert inner_product(D, D) == n
-
     def test_pairing_rank_one_equals_eval(self, rng):
+        # <A, x (x) ... (x) x> through the literal n^d-term pairing
         for _ in range(100):
             n = rng.randint(1, 4)
             d = rng.randint(1, 4)
             A = rand_rational_tensor(rng, n, d)
             x = [Fraction(rng.randint(-3, 3), 2) for _ in range(n)]
-            assert inner_product(A, rank_one(x, d)) == eval_form(A, x)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(diag_tensor((1, 1), 2), diag_tensor((1, 1, 1), 2))
-
-
-class TestRankOne:
-    def test_unit_vector(self):
-        T = rank_one((0, 1), 3)
-        assert dict(T.nonzero_items()) == {(2, 2, 2): 1}
-
-    def test_all_ones(self):
-        T = rank_one((1, 1), 2)
-        assert all(v == 1 for _, v in T.items())
-
-
-class TestMixedRankOne:
-    def test_degenerate_split_equals_rank_one(self):
-        u = (Fraction(2), Fraction(-1), Fraction(3))
-        M = mixed_rank_one(u, u, 2, 4)
-        R = rank_one(u, 4)
-        assert dict(M.items()) == dict(R.items())
-
-    def test_bilinear_form(self, rng):
-        A = from_matrix([[Fraction(1), Fraction(-2)], [Fraction(-2), Fraction(3)]])
-        for _ in range(10):
-            u = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-            utAv = sum(u[i] * A.get((i + 1, j + 1)) * v[j]
-                       for i in range(2) for j in range(2))
-            assert inner_product(A, mixed_rank_one(u, v, 1, 2)) == utAv
-
-    def test_pairing_matches_unsymmetrized_product(self, rng):
-        # <A, mixed_rank_one(u,v,a,d)> must equal the literal sum over all
-        # n^d tuples of a_t * u_{t1}..u_{ta} v_{t(a+1)}..v_{td}
-        for _ in range(20):
-            n, d = rng.randint(2, 3), rng.randint(2, 4)
-            a = rng.randint(1, d - 1)
-            A = rand_rational_tensor(rng, n, d)
-            u = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-            v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-            direct = multi_product(A, [u] * a + [v] * (d - a))
-            assert inner_product(A, mixed_rank_one(u, v, a, d)) == direct
-
-    def test_float_vectors_give_fraction_entries(self):
-        M = mixed_rank_one((0.5, 0.25), (1.0, 2.0), 1, 2)
-        assert all(type(v) is Fraction for _, v in M.items())
-        # (u1 v2 + u2 v1) / 2
-        assert M.get((1, 2)) == Fraction(5, 8)
-
-    def test_split_out_of_range(self):
-        with pytest.raises(ValueError):
-            mixed_rank_one((1, 0), (0, 1), 2, 2)
+            assert multi_product(A, [x] * d) == eval_form(A, x)
 
 
 class TestDiag:
     def test_example_diag_vector(self, example31):
         assert example31.diag_vector() == (0, 1, 1)
 
-    def test_diag_tensor_matrix(self):
-        D = diag_tensor((1, 0), 2)
-        assert D.get((1, 1)) == 1 and D.get((2, 2)) == 0 and D.get((1, 2)) == 0
-
     def test_round_trip(self):
         theta = (Fraction(3), Fraction(0), Fraction(-2))
-        assert diag_tensor(theta, 4).diag_vector() == theta
+        b = SymTensorBuilder(3, 4)
+        for i, v in enumerate(theta, start=1):
+            b.set((i,) * 4, v)
+        assert b.build().diag_vector() == theta
 
 
 class TestNecessaryScreen:
