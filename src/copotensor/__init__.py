@@ -9,7 +9,7 @@ imported from their submodules, ``copotensor.polycone`` and
 ``copotensor.soscone``.
 """
 
-from .combinatorics import elementary_symmetric, enumerate_exponents, multinomial
+from .combinatorics import enumerate_exponents, multinomial
 from .gridcone import member_O_r
 from .partition import (Certificate, Partition, Simplex, Verdict,
                         bisect_longest_edge, certify_copositivity, diameter,

@@ -121,7 +121,7 @@ def _cmd_certify(args) -> int:
                  "unresolved": cert.stats.unresolved}
         if cert.stats.diameter_unresolved is not None:
             stats["diameter_unresolved"] = cert.stats.diameter_unresolved
-    doc = certificate_document(cert.verdict.value, cert.method,
+    doc = certificate_document(cert.verdict.value, "partition",
                                depth=cert.stats.max_depth_reached if cert.stats else None,
                                witness=cert.witness, witness_value=cert.witness_value,
                                stats=stats, tensor=A)

@@ -1,5 +1,5 @@
-"""Multinomial coefficients, exponent-vector enumeration, and elementary
-symmetric constants.
+"""Multinomial coefficients, exponent-vector enumeration and the size
+limits every hierarchy level is checked against.
 
 Everything here is exact big-integer arithmetic; for n = 4 and total degree
 around 10 the multinomials already overflow 64 bits.
@@ -100,19 +100,6 @@ def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
         for rest in enumerate_exponents(n - 1, d - first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def elementary_symmetric(k: int, m: int) -> int:
-    """e_k(1, 2, ..., m); e_0 = 1 and e_k = 0 for k > m."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1
-    if k > m:
-        return 0
-    # e_k(1..m) = e_k(1..m-1) + m * e_{k-1}(1..m-1)
-    return elementary_symmetric(k, m - 1) + m * elementary_symmetric(k - 1, m - 1)
 
 
 def falling_factorial(x: int, k: int) -> int:

@@ -7,8 +7,9 @@ non-negative and sum to P^(r)(y*).  On a block, the zeros' vectors m_b(y*)
 span a subspace, and G_b lies on the face {F S F^T : S PSD} of the PSD cone,
 F an orthonormal basis of the complement: the cheapest exact form of facial
 reduction (Permenter & Parrilo 2018, "Partial facial reduction").  The zeros
-come from an exact integer search over a fixed simplex grid
-(:func:`grid_zeros`); the bases are floats, so a solver restricted to the
+are the form's own, found exactly on a fixed simplex grid
+(``gridcone.grid_zeros``): as P^(r)(sqrt(x)) = f(x) (sum x)^r, they are the
+same at every level.  The bases are floats, so a solver restricted to the
 faces stays untrusted and its Certified verdicts are re-checked as before.
 
 The zeros serve refutations too.  The point moments delta(y^g) = x^(g/2) of
@@ -27,43 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gridcone
-from .polycone import PolyExpansion
-
-GRID_LEVEL = 2   # denominators 2..4
-SEARCH_CAP = 1 << 16   # at most this many grid points times coefficients
-
 Exponent = tuple[int, ...]
 Zero = tuple[int, Exponent]   # the point c / m as (m, c)
-
-
-def grid_zeros(expansion: PolyExpansion) -> tuple[Zero, ...]:
-    """The points c / m of gridcone's level-2 grid (m in 2..4, in
-    :func:`gridcone.first_appearances` order) where P^(r)(sqrt(c / m)) is
-    exactly 0, as (m, c); none when the grid times the coefficients would
-    pass SEARCH_CAP.  Never raises.
-
-    m^s P^(r)(sqrt(c / m)) = sum_theta p_theta c^theta with s = d + r, which
-    times the lcm of the coefficients' denominators is a sum of integers.
-    Every c^theta is at most m^s <= 4^s, so the sum runs in int64 when that
-    bound keeps it below 2^63, and on Python ints otherwise.
-    """
-    coeffs = expansion.coeffs
-    # >= n coefficients keep a grid that passes below MAX_ENUMERATION
-    if gridcone.grid_point_count(expansion.n, GRID_LEVEL) * len(coeffs) > SEARCH_CAP:
-        return ()
-    points = list(gridcone.first_appearances(expansion.n, GRID_LEVEL))
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs.values()]
-    bound = max(map(abs, ints)) * len(ints) << 2 * expansion.s
-    dtype = np.int64 if bound < 1 << 63 else object
-    exps = np.array(list(coeffs), dtype=dtype)
-    comps = np.array([c for _, c in points], dtype=dtype)
-    terms = np.ones((len(points), len(ints)), dtype=dtype)
-    for i in range(expansion.n):
-        terms *= comps[:, i:i + 1] ** exps[:, i]
-    values = terms @ np.array(ints, dtype=dtype)
-    return tuple(point for point, v in zip(points, values.tolist()) if v == 0)
 
 
 def zero_kernels(basis: Sequence[Exponent], blocks: Sequence[Sequence[int]],

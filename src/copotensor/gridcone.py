@@ -10,6 +10,12 @@ c / m is sum multiplicity * a * L * prod c_i over L m^d, and only a reported
 value becomes a Fraction; there is no tolerance.  A level whose grid would
 exceed ``combinatorics.MAX_ENUMERATION`` compositions raises ValueError
 before anything is enumerated.
+
+That evaluation is the only one of the form on the grid: :func:`member_O_r`
+reads its first negative value, and :func:`grid_zeros` its zeros at level 2,
+which the SOS solver's faces are built from (on the simplex, every level's
+P^(r)(sqrt(x)) = f(x) (sum x)^r is f(x), so the zeros are the same at every
+level r of K^(r)).
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
 from .tensor import Scalar, SymTensor, canonical_tuples, scaled_values
 
 Point = tuple[Fraction, ...]
+GridPoint = tuple[int, tuple[int, ...]]   # the point c / m as (m, c)
+
+SEARCH_CAP = 1 << 16   # grid_zeros: at most this many grid points times canonical tuples
 
 
 def grid_point_count(n: int, r: int) -> int:
@@ -32,7 +41,7 @@ def grid_point_count(n: int, r: int) -> int:
     return binomial_at_most(n + r + 2, r + 2, COUNT_CAP + n + 1) - n - 1
 
 
-def first_appearances(n: int, r: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def first_appearances(n: int, r: int) -> Iterator[GridPoint]:
     """Each point of the cumulative grid once, as (m, composition of m): every
     composition at m = 2, and at m > 2 those with gcd(m, *c) = 1 (the others
     reduce to a smaller denominator).  Levels ascend, compositions are
@@ -53,21 +62,46 @@ class GridVerdict:
     value: Scalar | None = None
 
 
-def member_O_r(A: SymTensor, r: int) -> GridVerdict:
-    """Outer cone membership: the form must be non-negative at every point of
-    the cumulative grid.  The first negative point in enumeration order is
-    the witness."""
+def _grid_values(A: SymTensor, r: int) -> tuple[int, Iterator[tuple[int, tuple[int, ...], int]]]:
+    """L, the lcm of A's denominators, and for each point c / m of the level-r
+    cumulative grid, in :func:`first_appearances` order, (m, c, L m^d f(c / m))
+    with the value an int."""
     points = first_appearances(A.n, r)
     scale, values = scaled_values(A)
     terms = [(tuple_multiplicity(key) * a, tuple(i - 1 for i in key))
              for key, a in zip(canonical_tuples(A.n, A.d), values) if a]
-    for m, c in points:
-        total = 0
-        for w, key in terms:
-            for i in key:
-                w *= c[i]
-            total += w
+
+    def evaluate() -> Iterator[tuple[int, tuple[int, ...], int]]:
+        for m, c in points:
+            total = 0
+            for w, key in terms:
+                for i in key:
+                    w *= c[i]
+                total += w
+            yield m, c, total
+    return scale, evaluate()
+
+
+def member_O_r(A: SymTensor, r: int) -> GridVerdict:
+    """Outer cone membership: the form must be non-negative at every point of
+    the cumulative grid.  The first negative point in enumeration order is
+    the witness."""
+    scale, values = _grid_values(A, r)
+    for m, c, total in values:
         if total < 0:
             return GridVerdict(False, r, tuple(Fraction(ci, m) for ci in c),
                                Fraction(total, scale * m ** A.d))
     return GridVerdict(True, r)
+
+
+def grid_zeros(A: SymTensor) -> tuple[GridPoint, ...]:
+    """The points c / m of the level-2 grid (m in 2..4, in
+    :func:`first_appearances` order) where the form is exactly 0, as (m, c);
+    none when the grid points times A's canonical tuples would pass
+    SEARCH_CAP.  Never raises: within the cap, both counts stay below
+    MAX_ENUMERATION, as there are at least n canonical tuples and, for
+    n >= 2, at least 12 grid points."""
+    if grid_point_count(A.n, 2) * binomial_at_most(A.n + A.d - 1, A.d) > SEARCH_CAP:
+        return ()
+    _, values = _grid_values(A, 2)
+    return tuple((m, c) for m, c, total in values if total == 0)

@@ -27,8 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor import (Scalar, SymTensor, multi_product, necessary_screen,
-                     scaled_values)
+from .tensor import Scalar, SymTensor, multi_product, scaled_values
 
 Point = tuple[Fraction, ...]
 
@@ -266,7 +265,6 @@ class Certificate:
     witness: Point | None = None
     witness_value: Scalar | None = None
     stats: PartitionStats | None = None
-    method: str = "partition"
 
 
 def certify_copositivity(A: SymTensor, max_depth: int = 32,
@@ -285,15 +283,6 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
     """
     if max_depth < 0 or simplex_budget < 1:
         raise ValueError("budgets must be positive")
-    if A.d == 1:
-        screen = necessary_screen(A)
-        if screen.passed:
-            return Certificate(Verdict.COPOSITIVE,
-                               stats=PartitionStats(0, 0, 0), method="screen")
-        return Certificate(Verdict.NOT_COPOSITIVE, screen.witness,
-                           screen.witness_value,
-                           PartitionStats(0, 0, 0), method="screen")
-
     scale, root = scaled_values(A)
     diag, steps = _casteljau_tables(A.n, A.d)
     work: deque[tuple[Simplex, list[int]]] = deque([(standard_simplex(A.n), root)])

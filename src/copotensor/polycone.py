@@ -8,11 +8,9 @@ for every theta at once on Python ints (A's values scaled by the lcm of
 their denominators); a coefficient is multinomial(theta) * B(theta) over one
 common denominator.  :func:`member_C_r` reads only the signs of the brackets
 on a Member level and builds a single Fraction, the worst coefficient, on a
-NotMember one; :func:`expand_Pr` builds one Fraction per coefficient, and
-:func:`expand_Pr_closed_form` reproduces the paper's closed form in
-Fractions as a cross-check.  A level whose table would exceed
-``combinatorics.MAX_ENUMERATION`` coefficients raises ValueError before
-anything is enumerated.
+NotMember one; :func:`expand_Pr` builds one Fraction per coefficient.  A
+level whose table would exceed ``combinatorics.MAX_ENUMERATION``
+coefficients raises ValueError before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .combinatorics import (binomial_at_most, check_enumeration_size,
-                            elementary_symmetric, enumerate_exponents, falling_factorial,
-                            index_counts, multinomial, tuple_multiplicity)
+                            enumerate_exponents, falling_factorial, index_counts,
+                            multinomial, tuple_multiplicity)
 from .tensor import SymTensor, canonical_tuples, scaled_values
 
 Exponent = tuple[int, ...]
@@ -48,13 +46,6 @@ class PolyExpansion:
             raise ValueError("coefficient domain must be exactly I^n(r+d)")
 
 
-def _check_level(A: SymTensor, r: int) -> None:
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
-                           f"level {r} coefficient count")
-
-
 def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, int]:
     """The exponents theta of level r in lexicographic order, the integer
     bracket B(theta) of each, and the common denominator D.
@@ -69,7 +60,10 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     Every theta is handled at once: a canonical tuple adds one column
     product to B, over a Python-int object array indexed by the theta table.
     """
-    _check_level(A, r)
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
+                           f"level {r} coefficient count")
     d, s = A.d, r + A.d
     scale, values = scaled_values(A)
     thetas = enumerate_exponents(A.n, s)
@@ -98,61 +92,6 @@ def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
     return PolyExpansion(A.n, A.d, r, {
         theta: Fraction(multinomial(theta) * b, denom)
         for theta, b in zip(thetas, brackets)})
-
-
-def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
-    """Coefficient table via the closed form in theta.
-
-    Writing s = r + d and omega = theta, each coefficient equals
-
-        c(theta)/(s(s-1)...(s-d+1)) * [ <A, theta^d>
-            + sum_{k=1}^{d-1} (-1)^k e_k(1..d-1) <A, Diag(theta^(d-k))>
-            + repeated-off-diagonal correction ]
-
-    The e_k corrections turn the diagonal weights theta_i^d into falling
-    factorials theta_i (theta_i - 1) ... (theta_i - d + 1).  Off-diagonal
-    tuples that repeat an index need the same falling-factorial treatment,
-    so the final bracket is the correction from power weights to falling
-    factorials on those tuples.  Agrees exactly with :func:`expand_Pr`.
-    """
-    _check_level(A, r)
-    d = A.d
-    if d < 2:
-        raise ValueError("closed form requires d >= 2")
-    s = r + d
-    denom = falling_factorial(s, d)
-    betas = [elementary_symmetric(k, d - 1) for k in range(d)]
-    terms = []
-    for key, a in A.items():
-        if a == 0:
-            continue
-        counts = index_counts(key, A.n)
-        mult = tuple_multiplicity(key)
-        terms.append((counts, mult * a))
-    coeffs: dict[Exponent, Fraction] = {}
-    for theta in enumerate_exponents(A.n, s):
-        bracket = Fraction(0)
-        # diagonal entries: sum_k (-1)^k beta_k theta_i^(d-k) = fall(theta_i, d)
-        for i in range(A.n):
-            a = A.get((i + 1,) * d)
-            if a == 0:
-                continue
-            w = sum((-1) ** k * betas[k] * theta[i] ** (d - k) for k in range(d))
-            bracket += a * w
-        # off-diagonal tuples: product of per-index falling factorials
-        for counts, wa in terms:
-            if max(counts) == d:
-                continue  # diagonal, handled above
-            w = 1
-            for t, c in zip(theta, counts):
-                if c:
-                    w *= falling_factorial(t, c)
-                    if w == 0:
-                        break
-            if w:
-                bracket += wa * w
-        coeffs[theta] = Fraction(multinomial(theta), denom) * bracket
-    return PolyExpansion(A.n, d, r, coeffs)
 
 
 @dataclass(frozen=True)

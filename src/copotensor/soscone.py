@@ -11,7 +11,7 @@ on the PSD side) between the affine coefficient-matching set and the PSD
 cone, on flat buffers that :class:`_GramLayout` allocates once per solve
 and every iteration writes into; a group of 1x1 blocks is projected by
 clamping at zero instead of by ``eigh``.  Each solve first searches a fixed
-simplex grid for exact zeros of the form (:func:`faces.grid_zeros`): every
+simplex grid for exact zeros of the form (:func:`gridcone.grid_zeros`): every
 Gram matrix that matches P is singular along the monomial vectors of a zero,
 so a block such a vector touches is solved on the face of the PSD cone that
 this forces.  A boundary member such as the Horn matrix at level 1, whose
@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import faces, polycone
+from . import faces, gridcone, polycone
 from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
                             check_enumeration_size, enumerate_exponents)
 from .tensor import SymTensor
@@ -79,6 +79,7 @@ class GramProblem:
     # per target: list of (block position, i, j) with i <= j inside the block
     constraints: dict[Exponent, list[tuple[int, int, int]]]
     expansion: polycone.PolyExpansion         # exact coefficients behind targets
+    tensor: SymTensor                         # the tensor P is built from
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
             for aj in range(ai, len(members)):
                 g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
                 constraints[g].append((b, ai, aj))
-    return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints, expansion)
+    return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints, expansion, A)
 
 
 def jacobi_eigvalsh(rows: Sequence[Sequence[float]]) -> list[float]:
@@ -157,16 +158,6 @@ def jacobi_eigvalsh(rows: Sequence[Sequence[float]]) -> list[float]:
         if off <= tol:
             break
     return [A[k][k] for k in range(m)]
-
-
-def _project_psd(G: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to each symmetric matrix in a ``(..., m, m)`` stack."""
-    # untrusted hot path; the independent checker re-derives eigenvalues
-    # with the Jacobi routine, so LAPACK here cannot smuggle in an error
-    w, V = np.linalg.eigh(G)
-    w = np.maximum(w, 0.0)
-    out = (V * w[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 class _GramLayout:
@@ -272,15 +263,16 @@ class _GramLayout:
         return matched
 
     def project_psd(self) -> None:
-        """``psd`` = the nearest blocks of the cone to ``shifted``: the
-        arithmetic of :func:`_project_psd`, step for step, written into the
-        buffers, or on a face :meth:`faces.Face.project`."""
+        """``psd`` = the nearest blocks of the cone to ``shifted``: per
+        group, one batched eigh, the eigenvalues clamped at zero, V diag(w) V^T
+        and its symmetrization 0.5 (X + X^T), written into the buffers; a
+        clamp for 1x1 blocks, or on a face :meth:`faces.Face.project`."""
         for src, dst, _, scratch, face in self._groups:
             if face is not None:
                 face.project(src, dst)
             elif scratch is None:
                 np.maximum(src, 0.0, out=dst)
-                dst += 0.0   # -0.0 to +0.0, as _project_psd's product gives
+                dst += 0.0   # -0.0 to +0.0, as V max(w, 0) V^T gives
             else:
                 scaled, product, product_t = scratch
                 w, V = np.linalg.eigh(src)
@@ -485,7 +477,7 @@ def solve_gram(problem: GramProblem,
     proof.  A budget below one iteration raises ValueError.
     """
     _check_max_iters(max_iters)
-    layout = _GramLayout(problem, faces.grid_zeros(problem.expansion))
+    layout = _GramLayout(problem, gridcone.grid_zeros(problem.tensor))
     # between iterations the iterate x lives in psd (see _GramLayout)
     psd, shifted, correction = layout.psd, layout.shifted, layout.correction
     layout.project_affine()

@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from copotensor.combinatorics import enumerate_exponents
+from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
+                                      enumerate_exponents, falling_factorial,
+                                      index_counts, multinomial, tuple_multiplicity)
+from copotensor.polycone import PolyExpansion
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                from_matrix)
 
@@ -78,6 +83,87 @@ def reference_cumulative_grid(n: int, r: int) -> tuple[tuple[Fraction, ...], ...
         for comp in enumerate_exponents(n, k + 2):
             seen.setdefault(tuple(Fraction(c, k + 2) for c in comp), None)
     return tuple(seen)
+
+
+@lru_cache(maxsize=None)
+def elementary_symmetric(k: int, m: int) -> int:
+    """e_k(1, 2, ..., m); e_0 = 1 and e_k = 0 for k > m."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return 1
+    if k > m:
+        return 0
+    # e_k(1..m) = e_k(1..m-1) + m * e_{k-1}(1..m-1)
+    return elementary_symmetric(k, m - 1) + m * elementary_symmetric(k - 1, m - 1)
+
+
+def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
+    """Coefficient table via the closed form in theta.
+
+    Writing s = r + d and omega = theta, each coefficient equals
+
+        c(theta)/(s(s-1)...(s-d+1)) * [ <A, theta^d>
+            + sum_{k=1}^{d-1} (-1)^k e_k(1..d-1) <A, Diag(theta^(d-k))>
+            + repeated-off-diagonal correction ]
+
+    The e_k corrections turn the diagonal weights theta_i^d into falling
+    factorials theta_i (theta_i - 1) ... (theta_i - d + 1).  Off-diagonal
+    tuples that repeat an index need the same falling-factorial treatment,
+    so the final bracket is the correction from power weights to falling
+    factorials on those tuples.  Literal reference for
+    :func:`copotensor.polycone.expand_Pr`, which it agrees with exactly.
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
+                           f"level {r} coefficient count")
+    d = A.d
+    if d < 2:
+        raise ValueError("closed form requires d >= 2")
+    s = r + d
+    denom = falling_factorial(s, d)
+    betas = [elementary_symmetric(k, d - 1) for k in range(d)]
+    terms = []
+    for key, a in A.items():
+        if a == 0:
+            continue
+        counts = index_counts(key, A.n)
+        mult = tuple_multiplicity(key)
+        terms.append((counts, mult * a))
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for theta in enumerate_exponents(A.n, s):
+        bracket = Fraction(0)
+        # diagonal entries: sum_k (-1)^k beta_k theta_i^(d-k) = fall(theta_i, d)
+        for i in range(A.n):
+            a = A.get((i + 1,) * d)
+            if a == 0:
+                continue
+            w = sum((-1) ** k * betas[k] * theta[i] ** (d - k) for k in range(d))
+            bracket += a * w
+        # off-diagonal tuples: product of per-index falling factorials
+        for counts, wa in terms:
+            if max(counts) == d:
+                continue  # diagonal, handled above
+            w = 1
+            for t, c in zip(theta, counts):
+                if c:
+                    w *= falling_factorial(t, c)
+                    if w == 0:
+                        break
+            if w:
+                bracket += wa * w
+        coeffs[theta] = Fraction(multinomial(theta), denom) * bracket
+    return PolyExpansion(A.n, d, r, coeffs)
+
+
+def reference_project_psd(G: np.ndarray) -> np.ndarray:
+    """Literal reference for the solver's PSD step: the nearest PSD matrix to
+    each symmetric matrix in a ``(..., m, m)`` stack."""
+    w, V = np.linalg.eigh(G)
+    w = np.maximum(w, 0.0)
+    out = (V * w[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def example31_tensor() -> SymTensor:

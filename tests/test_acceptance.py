@@ -27,11 +27,11 @@ from copotensor.oracle import (expand_bruteforce, fullspace_sample_min,
 from copotensor.partition import (Verdict, certify_copositivity,
                                   grid_partition, member_I_P, member_O_P,
                                   refine_once, trivial_partition)
-from copotensor.polycone import expand_Pr, expand_Pr_closed_form, member_C_r
+from copotensor.polycone import expand_Pr, member_C_r
 from copotensor.soscone import _certified, build_gram_problem, member_K_r, solve_gram
 from copotensor.tensor import (SymTensorBuilder, canonical_tuples, eval_form,
                                from_matrix, necessary_screen)
-from conftest import EXAMPLE31_JSON
+from conftest import EXAMPLE31_JSON, expand_Pr_closed_form
 
 F = Fraction
 SEED = 20240

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from copotensor.combinatorics import (COUNT_CAP, MAX_ENUMERATION,
                                       binomial_at_most, check_enumeration_size,
-                                      elementary_symmetric, enumerate_exponents,
-                                      falling_factorial, index_counts,
-                                      multinomial, tuple_multiplicity)
+                                      enumerate_exponents, falling_factorial,
+                                      index_counts, multinomial, tuple_multiplicity)
+from conftest import elementary_symmetric
 
 
 class TestMultinomial:

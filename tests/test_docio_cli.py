@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from copotensor import cli, docio, faces, oracle, soscone
+from copotensor import cli, docio, faces, gridcone, oracle, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -524,6 +524,21 @@ class TestVerify:
         assert main(["verify", cert_path, "--tensor", hollow_file]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_order1_certify_refutation_round_trip(self, tmp_path, capsys):
+        # a linear form's Bernstein coefficients on the simplex are its
+        # entries, so the root refutes at the first negative one, e_2
+        tensor_path = tmp_path / "linear.json"
+        tensor_path.write_text('{"n": 3, "d": 1, "entries": [{"idx": [1], "val": "2"}, '
+                               '{"idx": [2], "val": "-3/2"}, {"idx": [3], "val": "-1"}]}')
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["certify", str(tensor_path), "--out", cert_path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["method"]) == ("NotCopositive", "partition")
+        assert doc["witness"] == {"point": ["0", "1", "0"], "value": "-3/2"}
+        assert doc["stats"] == {"max_depth": 0, "simplices": 1, "unresolved": 0}
+        assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
+        assert "OK (witness value -3/2)" in capsys.readouterr().out
+
     def test_digest_mismatch_fails(self, hollow_file, example_file,
                                    tmp_path, capsys):
         cert_path = str(tmp_path / "cert.json")
@@ -707,7 +722,7 @@ class TestVerify:
         # moments; with t scaled the certificate no longer checks
         tensor_path, cert_path, doc = horn_refutation
         problem = soscone.build_gram_problem(HORN, 0)
-        zeros = faces.grid_zeros(problem.expansion)
+        zeros = gridcone.grid_zeros(HORN)
         layout = soscone._GramLayout(problem, zeros)
         L = dict(zip(problem.constraints,
                      map(Fraction, ((0.0 - layout.targets) / layout.weight_sum).tolist())))

@@ -10,11 +10,10 @@ from copotensor import combinatorics, polycone
 from copotensor.combinatorics import (enumerate_exponents, index_counts,
                                       multinomial, tuple_multiplicity)
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
-from copotensor.polycone import (PolyExpansion, expand_Pr,
-                                 expand_Pr_closed_form, member_C_r)
+from copotensor.polycone import PolyExpansion, expand_Pr, member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, from_matrix
-from conftest import (BOUNDARY, HORN, example31_tensor, float_tensors,
-                      rand_float_tensor, rand_nonneg_tensor,
+from conftest import (BOUNDARY, HORN, example31_tensor, expand_Pr_closed_form,
+                      float_tensors, rand_float_tensor, rand_nonneg_tensor,
                       rand_rational_tensor)
 
 

@@ -9,21 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import cli, combinatorics, docio, faces, soscone
-from copotensor.faces import grid_zeros, point_moments, zero_kernels
+from copotensor import cli, combinatorics, docio, gridcone, soscone
+from copotensor.faces import point_moments, zero_kernels
+from copotensor.gridcone import grid_zeros
 from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, JACOBI_SWEEPS,
                                 JACOBI_TOL, MATCH_TOL, SosVerdict,
                                 _certified, _check_max_iters,
-                                _diagonal_certificate, _GramLayout, _project_psd,
+                                _diagonal_certificate, _GramLayout,
                                 build_gram_problem, check_refutation, jacobi_eigvalsh,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
 from copotensor.oracle import simplex_grid_min
-from copotensor.polycone import member_C_r
+from copotensor.polycone import expand_Pr, member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
 from conftest import (BOUNDARY, HORN, example31_tensor,
                       rand_diag_dominant_tensor, rand_nonneg_tensor,
-                      reference_cumulative_grid)
+                      reference_cumulative_grid, reference_project_psd)
 
 
 def degree6_example():
@@ -61,7 +62,7 @@ def reference_solve_gram(problem, max_iters=20000):
     a Python loop over every constraint.  At each check that does not
     certify, the coefficients that the last affine step matched go to the
     solver's refutation search, which stops the loop when it finds moments."""
-    zeros = grid_zeros(problem.expansion)
+    zeros = grid_zeros(problem.tensor)
     search = _GramLayout(problem, zeros)
     kernels = zero_kernels(problem.basis, problem.blocks, zeros) if zeros \
         else [None] * len(problem.blocks)
@@ -502,8 +503,8 @@ class TestMatchesReference:
                 S = np.array([[[rng.uniform(-1, 1) for _ in range(m)]
                                for _ in range(m)] for _ in range(k)])
                 S = S + np.swapaxes(S, 1, 2)
-                assert np.array_equal(_project_psd(S),
-                                      np.stack([_project_psd(G) for G in S]))
+                assert np.array_equal(reference_project_psd(S),
+                                      np.stack([reference_project_psd(G) for G in S]))
 
     def test_layout_projection_equals_project_psd_bitwise(self, rng):
         # Horn at r = 0: ten 1x1 blocks, clamped without eigh, and one 5x5
@@ -524,7 +525,7 @@ class TestMatchesReference:
                             for o in spans])
             got = np.stack([layout.psd[o:o + size * size].reshape(size, size)
                             for o in spans])
-            want = _project_psd(src)
+            want = reference_project_psd(src)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
         assert layout.min_eig() == min(float(np.linalg.eigvalsh(b)[0])
@@ -784,6 +785,18 @@ def _as_points(zeros):
     return sorted(tuple(Fraction(ci, m) for ci in c) for m, c in zeros)
 
 
+def _expansion_zeros(A, r):
+    """Reference for :func:`gridcone.grid_zeros` through the level-r
+    expansion: the points c / m of the level-2 grid, in first_appearances
+    order, where m^s P^(r)(sqrt(c / m)) = sum_theta p_theta c^theta is 0 on
+    expand_Pr's exact coefficients.  On the simplex P^(r)(sqrt(x)) = f(x), so
+    the zeros do not depend on r."""
+    coeffs = expand_Pr(A, r).coeffs
+    return tuple((m, c) for m, c in gridcone.first_appearances(A.n, 2)
+                 if sum(p * math.prod(ci ** t for ci, t in zip(c, theta))
+                        for theta, p in coeffs.items()) == 0)
+
+
 class TestFace:
     TENSORS = [("horn", lambda: HORN), ("boundary", lambda: BOUNDARY),
                ("flagship", example31_tensor), ("dd6002", lambda: _dd(6002)),
@@ -794,13 +807,14 @@ class TestFace:
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_zeros_are_where_the_form_vanishes_on_the_grid(self, make, r):
         A = make()
-        zeros = grid_zeros(build_gram_problem(A, r).expansion)
+        zeros = grid_zeros(A)
+        assert zeros == _expansion_zeros(A, r)
         assert all(eval_form(A, p) == 0 for p in _as_points(zeros))
         assert _as_points(zeros) == _vanishing_grid_points(A)
         assert len({tuple(p) for p in _as_points(zeros)}) == len(zeros)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]), st.integers(0, 1),
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]), st.integers(0, 2),
            st.data())
     def test_zeros_match_eval_form(self, shape, r, data):
         n, d = shape
@@ -809,23 +823,36 @@ class TestFace:
         for key in itertools.combinations_with_replacement(range(1, n + 1), d):
             b.set(key, data.draw(vals))
         A = b.build()
-        assert _as_points(grid_zeros(build_gram_problem(A, r).expansion)) == \
-            _vanishing_grid_points(A)
+        assert grid_zeros(A) == _expansion_zeros(A, r)
+        assert _as_points(grid_zeros(A)) == _vanishing_grid_points(A)
+
+    def test_level_past_the_old_cap_searched(self):
+        # n = 6, d = 4, zero on the edge from e_1 to e_2: the expansion route
+        # at r = 2 would cost 203 grid points times 462 coefficients, past
+        # SEARCH_CAP; the search on the tensor costs 203 times 126 tuples
+        b = SymTensorBuilder(6, 4, 1)
+        for key in itertools.combinations_with_replacement((1, 2), 4):
+            b.set(key, 0)
+        A = b.build()
+        assert gridcone.grid_point_count(6, 2) * len(expand_Pr(A, 2).coeffs) \
+            > gridcone.SEARCH_CAP
+        zeros = grid_zeros(A)
+        assert len(zeros) == 7
+        assert zeros == _expansion_zeros(A, 2) == _expansion_zeros(A, 0)
 
     def test_python_ints_past_int64(self):
         # 3^40 > 2^63: the sums run on Python ints and find the same zeros
         big = SymTensor(HORN.n, HORN.d, {k: v * 3 ** 40 for k, v in HORN.entries.items()})
-        assert grid_zeros(build_gram_problem(big, 1).expansion) == \
-            grid_zeros(build_gram_problem(HORN, 1).expansion)
-        assert len(grid_zeros(build_gram_problem(HORN, 1).expansion)) == 10
+        assert grid_zeros(big) == grid_zeros(HORN)
+        assert len(grid_zeros(HORN)) == 10
 
     def test_search_skipped_past_the_cap(self, monkeypatch):
-        # Horn at r = 1: 15 + 35 + 70 grid points times 35 coefficients
+        # Horn: 15 + 35 + 70 grid points times 15 canonical tuples
         problem = build_gram_problem(HORN, 1)
-        monkeypatch.setattr(faces, "SEARCH_CAP", 120 * 35)
-        assert len(grid_zeros(problem.expansion)) == 10
-        monkeypatch.setattr(faces, "SEARCH_CAP", 120 * 35 - 1)
-        assert grid_zeros(problem.expansion) == ()
+        monkeypatch.setattr(gridcone, "SEARCH_CAP", 120 * 15)
+        assert len(grid_zeros(HORN)) == 10
+        monkeypatch.setattr(gridcone, "SEARCH_CAP", 120 * 15 - 1)
+        assert grid_zeros(HORN) == ()
         # no face, so the whole-cone solver of old: Unknown, not certified
         v = solve_gram(problem, max_iters=200)
         assert v.verdict == "Unknown"
@@ -833,14 +860,14 @@ class TestFace:
     def test_large_grid_skipped_without_raising(self):
         # n = 40: C(43, 4) grid points at m = 4 alone, far past the cap
         A = SymTensorBuilder(40, 2).set((1, 2), -1).build()
-        assert grid_zeros(build_gram_problem(A, 0).expansion) == ()
+        assert grid_zeros(A) == ()
 
     @pytest.mark.parametrize("r", [0, 1])
     def test_flagship_diagonal_certificate_lies_in_its_face(self, r):
         # a_1111 = 0, so e_1 is the only zero; the fast path's diagonal
         # certificate has G m(e_1) = 0 and equals its projection on the face
         problem = build_gram_problem(example31_tensor(), r)
-        zeros = grid_zeros(problem.expansion)
+        zeros = grid_zeros(problem.tensor)
         assert zeros == ((2, (2, 0, 0)),)
         assert soscone._fast_path(problem) is not None
         touched = 0
@@ -865,7 +892,7 @@ class TestFace:
         v = solve_gram(problem)
         assert (v.verdict, v.iterations) == ("NotMember", 25)
         assert check_refutation(problem, v.moments)
-        zeros = grid_zeros(problem.expansion)
+        zeros = grid_zeros(problem.tensor)
         layout = _GramLayout(problem, zeros)
         L = [Fraction(float(m)) for m in (0.0 - layout.targets) / layout.weight_sum]
         D = point_moments(list(problem.constraints), zeros)
