@@ -1,12 +1,17 @@
 """JSON document formats: tensors in, certificates out.
 
 Rational values travel as strings ("p/q" or a decimal literal) so that exact
-paths never pass through floats; a JSON number is taken at its exact binary
-value, and NaN or infinity is rejected.  The sizes n and d and every index
+paths never pass through floats.  The canonical text that :func:`emit_scalar`
+writes, an optional "-", ASCII digits and optionally "/" and ASCII digits, is
+read with ``int()``; every other literal (a decimal, an exponent, whitespace,
+"+", "_" or non-ASCII digits) goes to ``Fraction``, which reads the canonical
+text to the same value.  A JSON number is taken at its exact binary value,
+and NaN or infinity is rejected.  The sizes n and d and every index
 component must be JSON integers; nothing is truncated or converted.
-Certificates carry the input tensor's digest so a later `verify` run can
-re-check a witness, or an SOS refutation's moments, with no access to the
-producing run's state.
+:func:`parse_tensor` checks each index once and hands its entries straight
+to ``SymTensor``.  Certificates carry the input tensor's digest so a later
+`verify` run can re-check a witness, or an SOS refutation's moments, with no
+access to the producing run's state.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Any
 
-from .tensor import Scalar, SymTensor, SymTensorBuilder
+from .tensor import Scalar, SymTensor
 
 TOOL_VERSION = "0.1.0"
 # the largest n and d a document may declare: the screen builds n-long
@@ -30,6 +35,15 @@ class DocumentError(ValueError):
 
 
 def parse_scalar(value: Any) -> Scalar:
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            if value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() \
+                    and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"bad rational string {value!r}") from exc
     if isinstance(value, bool):
         raise DocumentError(f"bad scalar: {value!r}")
     if isinstance(value, int):
@@ -38,17 +52,12 @@ def parse_scalar(value: Any) -> Scalar:
         if not math.isfinite(value):
             raise DocumentError(f"bad scalar: {value!r}")
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad rational string {value!r}") from exc
     raise DocumentError(f"bad scalar: {value!r}")
 
 
 def emit_scalar(value: Scalar) -> str:
     """The exact value as "p/q", or "p" when it is an integer."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def scalar_text(value: Scalar) -> str | None:
@@ -74,12 +83,15 @@ def parse_tensor(text: str) -> SymTensor:
     if max(n, d) > MAX_SIZE:
         raise DocumentError(f"n = {n}, d = {d}: one exceeds the limit {MAX_SIZE}")
     default = parse_scalar(doc.get("default", 0))
-    builder = SymTensorBuilder(n, d, default)
-    entries = doc.get("entries", [])
-    if not isinstance(entries, list):
-        raise DocumentError(f"'entries' must be a JSON array, not {entries!r}")
-    seen: set[tuple[int, ...]] = set()
-    for entry in entries:
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    rows = doc.get("entries", [])
+    if not isinstance(rows, list):
+        raise DocumentError(f"'entries' must be a JSON array, not {rows!r}")
+    # each index is checked once here, and SymTensor only re-reads its
+    # length, order and ends
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for entry in rows:
         try:
             idx = tuple(entry["idx"])
             val = parse_scalar(entry["val"])
@@ -89,15 +101,16 @@ def parse_tensor(text: str) -> SymTensor:
             raise DocumentError(f"bad entry {entry!r}: index components must be integers")
         if len(idx) != d:
             raise DocumentError(f"index {idx} has length {len(idx)}, expected {d}")
-        if any(not 1 <= i <= n for i in idx):
+        ordered = tuple(sorted(idx)) == idx
+        if not (ordered and 1 <= idx[0] and idx[-1] <= n) \
+                and any(not 1 <= i <= n for i in idx):
             raise DocumentError(f"index {idx} out of range 1..{n}")
-        if tuple(sorted(idx)) != idx:
+        if not ordered:
             raise DocumentError(f"index {idx} is not sorted non-decreasing")
-        if idx in seen:
+        if idx in entries:
             raise DocumentError(f"duplicate canonical index {idx}")
-        seen.add(idx)
-        builder.set(idx, val)
-    return builder.build()
+        entries[idx] = val
+    return SymTensor(n, d, entries, default)
 
 
 def emit_tensor(A: SymTensor, name: str | None = None) -> str:
@@ -113,10 +126,13 @@ def emit_tensor(A: SymTensor, name: str | None = None) -> str:
 def tensor_digest(A: SymTensor) -> str:
     """sha256 over a canonical serialization; stable across entry order and
     across storing vs defaulting equal values."""
-    parts = [f"n={A.n}", f"d={A.d}", f"default={emit_scalar(A.default)}"]
+    default = A.default
+    num, den = default.numerator, default.denominator
+    # SymTensor stores exact Fractions, so str writes each as emit_scalar does
+    parts = [f"n={A.n}", f"d={A.d}", f"default={default}"]
     for key, v in sorted(A.entries.items()):
-        if v != A.default:
-            parts.append(f"{','.join(map(str, key))}:{emit_scalar(v)}")
+        if v.numerator != num or v.denominator != den:
+            parts.append(f"{','.join(map(str, key))}:{v}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 

@@ -10,7 +10,8 @@ common denominator.  :func:`member_C_r` reads only the signs of the brackets
 on a Member level and builds a single Fraction, the worst coefficient, on a
 NotMember one; :func:`expand_Pr` builds one Fraction per coefficient.  A
 level whose table would exceed ``combinatorics.MAX_ENUMERATION``
-coefficients raises ValueError before anything is enumerated.
+coefficients (for n = 1, whose (r+d+1) x (d+1) falling-factorial table
+would) raises ValueError before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
                            f"level {r} coefficient count")
     d, s = A.d, r + A.d
+    # the (s+1) x (d+1) falling-factorial table below is no larger than the
+    # coefficients times the canonical tuples when n >= 2, but for n = 1
+    # both are 1 and the table is bounded on its own
+    if A.n == 1:
+        check_enumeration_size((s + 1) * (d + 1), f"level {r} falling-factorial table size")
     scale, values = scaled_values(A)
     thetas = enumerate_exponents(A.n, s)
     table = np.array(thetas, dtype=np.intp)

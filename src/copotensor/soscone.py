@@ -17,12 +17,15 @@ so a block such a vector touches is solved on the face of the PSD cone that
 this forces.  A boundary member such as the Horn matrix at level 1, whose
 feasible set has no interior, certifies in 150 iterations that way, where
 the whole cone stalls; a problem with no grid zero runs exactly as before.
-A certificate is the list of Gram blocks, and every Certified verdict
-(solved, fast path or lifted) is re-verified by one checker that shares
-none of that: it loops over the constraints itself and takes eigenvalues by
-cyclic Jacobi rotations, both on Python floats with no numpy.  The acceptance
-rule is fixed: every coefficient matched within MATCH_TOL and every
-eigenvalue at least -EIG_TOL.
+A certificate is the list of Gram blocks.  A solved or lifted Certified
+verdict is re-verified by one checker that shares none of that: it loops
+over the constraints itself and takes eigenvalues by cyclic Jacobi
+rotations, both on Python floats with no numpy.  The acceptance rule is
+fixed: every coefficient matched within MATCH_TOL and every eigenvalue at
+least -EIG_TOL.  The fast path needs no checker: when every exact
+coefficient of P is non-negative, that is the proof, and its diagonal
+certificate carries the residual (0.0) and minimum eigenvalue (the least
+target) that the checker would compute for it.
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
@@ -394,8 +397,8 @@ def _min_eig(mats: Sequence[Sequence[Sequence[float]]]) -> float:
     return min(float(np.min(jacobi_eigvalsh(m))) for m in mats)
 
 
-def _certified(problem: GramProblem, blocks: list[np.ndarray], iterations: int = 0,
-               fast_path: bool = False) -> SosVerdict | None:
+def _certified(problem: GramProblem, blocks: list[np.ndarray],
+               iterations: int = 0) -> SosVerdict | None:
     """Independent re-verification: the Certified verdict carrying ``blocks``
     and the residual and minimum eigenvalue recomputed from scratch, or None
     when they miss MATCH_TOL or EIG_TOL."""
@@ -403,8 +406,7 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray], iterations: int =
     residual = _residual(rows, problem)
     min_eig = _min_eig(rows)
     if residual <= MATCH_TOL and min_eig >= -EIG_TOL:
-        return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations,
-                          fast_path)
+        return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations)
     return None
 
 
@@ -553,8 +555,14 @@ def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
 
 
 def _fast_path(problem: GramProblem) -> SosVerdict | None:
+    """Certified when every exact coefficient of P is non-negative, which
+    proves membership: P = sum p_theta (y^theta)^2.  The diagonal certificate
+    is not re-checked in floats; it holds each float target once, alone on
+    the diagonal, so the checker would find residual 0.0 and the least target
+    as the minimum eigenvalue, and those are what the verdict carries."""
     if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        return _certified(problem, _diagonal_certificate(problem), fast_path=True)
+        return SosVerdict(True, problem.r, _diagonal_certificate(problem), 0.0,
+                          min(problem.targets.values()), fast_path=True)
     return None
 
 

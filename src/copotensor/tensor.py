@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -66,7 +67,11 @@ class SymTensor:
         for key in self.entries:
             if len(key) != self.d:
                 raise ValueError(f"key {key} has length {len(key)}, expected {self.d}")
-            if canonicalize(key, self.n) != key:
+            # a non-decreasing tuple with both ends in 1..n is canonical; any
+            # other key gets canonicalize's range error or the one below
+            if not (type(key) is tuple and all(map(operator.le, key, key[1:]))
+                    and 1 <= key[0] and key[-1] <= self.n) \
+                    and canonicalize(key, self.n) != key:
                 raise ValueError(f"key {key} is not in canonical sorted form")
         object.__setattr__(self, "default", _exact(self.default))
         object.__setattr__(self, "entries", MappingProxyType(

@@ -21,6 +21,13 @@ class TestMultinomial:
     def test_all_zero(self):
         assert multinomial((0, 0, 0)) == 1
 
+    @given(st.lists(st.integers(0, 12), max_size=5))
+    def test_factorial_formula(self, alpha):
+        want = math.factorial(sum(alpha))
+        for a in alpha:
+            want //= math.factorial(a)
+        assert multinomial(alpha) == want
+
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4))
     def test_pascal_recurrence(self, alpha):
         if sum(alpha) == 0:
@@ -82,6 +89,14 @@ class TestHelpers:
         assert tuple_multiplicity((1, 1, 1)) == 1
         assert tuple_multiplicity((1, 2)) == 2
         assert tuple_multiplicity((1, 1, 2, 3)) == 12  # 4!/2!
+
+    def test_huge_parts_without_factorials(self):
+        # factorial(10**6) alone takes seconds
+        start = time.perf_counter()
+        assert tuple_multiplicity((1,) * 10 ** 6) == 1
+        assert multinomial([10 ** 6 - 1, 1]) == 10 ** 6
+        assert multinomial([1, 10 ** 6 - 2, 1]) == 10 ** 6 * (10 ** 6 - 1)
+        assert time.perf_counter() - start < 0.5
 
     def test_index_counts(self):
         assert index_counts((1, 1, 3), 3) == (2, 0, 1)

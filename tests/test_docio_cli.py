@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copotensor import cli, docio, faces, gridcone, oracle, soscone
 from copotensor.cli import main
@@ -50,7 +51,54 @@ def boundary_file(tmp_path):
     return str(p)
 
 
+def _load_error(tmp_path, capsys, doc):
+    """certify on a document it must refuse at load: exit 3, nothing on
+    stdout; the stderr line, with the document's path as {path}."""
+    p = tmp_path / "t.json"
+    p.write_text(doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", str(p)])
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.replace(str(p), "{path}")
+
+
+LOAD = "error: cannot load tensor from {path}: "
+
+# canonical text, Fraction's other literals (signs, whitespace, decimals,
+# exponents, underscores, non-ASCII digits), and junk
+CANONICAL_TEXT = st.from_regex(r"\A-?[0-9]{1,25}(/[0-9]{1,25})?\Z")
+FRACTION_TEXT = st.from_regex(
+    r"\A\s{0,2}[-+]?(\d{1,6}(_\d{1,3})?)?(\.\d{0,4})?([eE][-+]?[0-9]{1,2})?"
+    r"(\s?/\s?\d{1,6})?\s{0,2}\Z")
+JUNK_TEXT = st.text(alphabet="0123456789-+/._eE \t\u0663\u00b2x", max_size=12)
+
+
 class TestScalars:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(CANONICAL_TEXT, FRACTION_TEXT, JUNK_TEXT))
+    def test_strings_read_as_fraction_reads_them(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(DocumentError):
+                parse_scalar(text)
+            return
+        got = parse_scalar(text)
+        assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("text", ["2/4", "-0", "007/14", " 1/2 ", "+3", "1_000",
+                                      "\u0663/4", "1e-1", "-3e-1", "0.25"])
+    def test_canonical_and_other_literals(self, text):
+        assert parse_scalar(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "-", "1/", "/2", "--1", "1/-2", "1/2/3",
+                                      "\u00b2", "", "9" * 5000])
+    def test_bad_strings(self, text):
+        with pytest.raises(DocumentError, match="bad rational string"):
+            parse_scalar(text)
+
     def test_rational_strings(self):
         assert parse_scalar("5") == F(5)
         assert parse_scalar("5/1") == F(5)
@@ -84,50 +132,89 @@ class TestParseTensor:
         A = parse_tensor('{"n": 2, "d": 2}')
         assert all(v == 0 for _, v in A.items())
 
-    def test_unsorted_index_rejected(self):
+    def test_unsorted_index_rejected(self, tmp_path, capsys):
+        doc = '{"n": 2, "d": 2, "entries": [{"idx": [2, 1], "val": "1"}]}'
         with pytest.raises(DocumentError):
-            parse_tensor('{"n": 2, "d": 2, "entries": [{"idx": [2, 1], "val": "1"}]}')
+            parse_tensor(doc)
+        assert _load_error(tmp_path, capsys, doc) == \
+            LOAD + "index (2, 1) is not sorted non-decreasing\n"
 
-    def test_duplicate_index_rejected(self):
+    def test_duplicate_index_rejected(self, tmp_path, capsys):
+        doc = ('{"n": 2, "d": 2, "entries": '
+               '[{"idx": [1, 1], "val": "1"}, {"idx": [1, 1], "val": "2"}]}')
         with pytest.raises(DocumentError):
-            parse_tensor('{"n": 2, "d": 2, "entries": '
-                         '[{"idx": [1, 1], "val": "1"}, {"idx": [1, 1], "val": "2"}]}')
+            parse_tensor(doc)
+        assert _load_error(tmp_path, capsys, doc) == \
+            LOAD + "duplicate canonical index (1, 1)\n"
 
-    def test_out_of_range_rejected(self):
+    def test_out_of_range_rejected(self, tmp_path, capsys):
+        doc = '{"n": 2, "d": 2, "entries": [{"idx": [1, 3], "val": "1"}]}'
         with pytest.raises(DocumentError):
-            parse_tensor('{"n": 2, "d": 2, "entries": [{"idx": [1, 3], "val": "1"}]}')
+            parse_tensor(doc)
+        assert _load_error(tmp_path, capsys, doc) == LOAD + "index (1, 3) out of range 1..2\n"
 
-    @pytest.mark.parametrize("doc", [
-        '{"n": 2.7, "d": 2}', '{"n": 2, "d": true}', '{"n": "2", "d": 2}',
-        '{"d": 2}',
-        '{"n": 2, "d": 2, "entries": [{"idx": [1.9, 2.2], "val": 1}]}',
-        '{"n": 2, "d": 2, "entries": [{"idx": [true, 2], "val": 1}]}',
-        '{"n": 2, "d": 2, "entries": [{"idx": ["1", 2], "val": 1}]}',
-        '{"n": 2, "d": 2, "entries": [{"idx": [1.0, 2], "val": 1}]}'],
+    @pytest.mark.parametrize("idx", ["[3, 1]", "[0, 1]"])
+    def test_range_error_before_order_error(self, tmp_path, capsys, idx):
+        doc = f'{{"n": 2, "d": 2, "entries": [{{"idx": {idx}, "val": "1"}}]}}'
+        shown = idx.replace("[", "(").replace("]", ")")
+        assert _load_error(tmp_path, capsys, doc) == \
+            LOAD + f"index {shown} out of range 1..2\n"
+
+    def test_wrong_length_rejected(self, tmp_path, capsys):
+        doc = '{"n": 2, "d": 2, "entries": [{"idx": [1, 1, 2], "val": "1"}]}'
+        assert _load_error(tmp_path, capsys, doc) == \
+            LOAD + "index (1, 1, 2) has length 3, expected 2\n"
+
+    @pytest.mark.parametrize("entry, message", [
+        ('{"idx": [1, 2]}', "bad entry {'idx': [1, 2]}"),
+        ('{"idx": [1, 2], "val": "1/0"}', "bad entry {'idx': [1, 2], 'val': '1/0'}"),
+        ('{"idx": 5, "val": "1"}', "bad entry {'idx': 5, 'val': '1'}"),
+        ("[1, 2]", "bad entry [1, 2]")], ids=["val-missing", "val-bad", "idx-int", "array"])
+    def test_bad_entry_rejected(self, tmp_path, capsys, entry, message):
+        doc = f'{{"n": 2, "d": 2, "entries": [{entry}]}}'
+        assert _load_error(tmp_path, capsys, doc) == LOAD + message + "\n"
+
+    NEEDS_INTEGERS = "document needs integer fields 'n' and 'd'"
+    MUST_BE_INTEGERS = ": index components must be integers"
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"n": 2.7, "d": 2}', NEEDS_INTEGERS), ('{"n": 2, "d": true}', NEEDS_INTEGERS),
+        ('{"n": "2", "d": 2}', NEEDS_INTEGERS), ('{"d": 2}', NEEDS_INTEGERS),
+        ('{"n": 2, "d": 2, "entries": [{"idx": [1.9, 2.2], "val": 1}]}',
+         "bad entry {'idx': [1.9, 2.2], 'val': 1}" + MUST_BE_INTEGERS),
+        ('{"n": 2, "d": 2, "entries": [{"idx": [true, 2], "val": 1}]}',
+         "bad entry {'idx': [True, 2], 'val': 1}" + MUST_BE_INTEGERS),
+        ('{"n": 2, "d": 2, "entries": [{"idx": ["1", 2], "val": 1}]}',
+         "bad entry {'idx': ['1', 2], 'val': 1}" + MUST_BE_INTEGERS),
+        ('{"n": 2, "d": 2, "entries": [{"idx": [1.0, 2], "val": 1}]}',
+         "bad entry {'idx': [1.0, 2], 'val': 1}" + MUST_BE_INTEGERS)],
         ids=["n-float", "d-bool", "n-string", "n-missing", "idx-floats",
              "idx-bool", "idx-string", "idx-integral-float"])
-    def test_non_integer_fields_rejected(self, doc, tmp_path, capsys):
+    def test_non_integer_fields_rejected(self, doc, message, tmp_path, capsys):
         # nothing is truncated: 2.7 is not read as 2, nor true as 1
         with pytest.raises(DocumentError):
             parse_tensor(doc)
-        p = tmp_path / "t.json"
-        p.write_text(doc)
-        with pytest.raises(SystemExit) as exc:
-            main(["certify", str(p)])
-        assert exc.value.code == 3
-        assert capsys.readouterr().out == ""
+        assert _load_error(tmp_path, capsys, doc) == LOAD + message + "\n"
 
     @pytest.mark.parametrize("entries", ["5", "null", '"12"', "{}"])
     def test_entries_not_an_array_rejected(self, entries, tmp_path, capsys):
         doc = f'{{"n": 2, "d": 2, "entries": {entries}}}'
         with pytest.raises(DocumentError, match="'entries' must be a JSON array"):
             parse_tensor(doc)
+        shown = {"5": "5", "null": "None", '"12"': "'12'", "{}": "{}"}[entries]
+        assert _load_error(tmp_path, capsys, doc) == \
+            LOAD + f"'entries' must be a JSON array, not {shown}\n"
+
+    def test_not_an_object_rejected(self, tmp_path, capsys):
+        assert _load_error(tmp_path, capsys, "[1, 2]") == \
+            LOAD + "tensor document must be a JSON object\n"
+
+    def test_non_positive_size_rejected(self, tmp_path, capsys):
+        # a ValueError after load: main reports it and returns 3
         p = tmp_path / "t.json"
-        p.write_text(doc)
-        with pytest.raises(SystemExit) as exc:
-            main(["certify", str(p)])
-        assert exc.value.code == 3
-        assert capsys.readouterr().out == ""
+        p.write_text('{"n": 0, "d": 2}')
+        assert main(["certify", str(p)]) == 3
+        assert capsys.readouterr() == ("", "error: n and d must be positive\n")
 
     def test_malformed_json(self):
         with pytest.raises(DocumentError):
@@ -138,6 +225,30 @@ class TestParseTensor:
             A = rand_rational_tensor(rng, 3, 3)
             B = parse_tensor(emit_tensor(A))
             assert dict(A.items()) == dict(B.items())
+
+    # tensor_digest hex pinned for fixed documents: verify matches a
+    # certificate to its tensor by this digest, across versions
+    GOLDEN_DIGESTS = [
+        ('{"n": 2, "d": 2, "default": "1", "entries": [{"idx": [1, 1], "val": "1"}, '
+         '{"idx": [1, 2], "val": "-1"}]}',
+         "1edcbaf4289caad4b62d99c913597772ef863b33de72ccaa8ba0348310225bf8"),
+        ('{"n": 3, "d": 2, "entries": [{"idx": [1, 2], "val": 0.1}, '
+         '{"idx": [3, 3], "val": 2}]}',
+         "2101eb697a733c6ef2dca9e451cfdb7f591058435de4020ad97f853ce9cacf34"),
+        ('{"n": 3, "d": 3, "default": "-2/3", "entries": [{"idx": [1, 1, 1], "val": "5"}, '
+         '{"idx": [1, 2, 3], "val": "-2/3"}]}',
+         "848aae97dbe590293010fe931f7c1f4b9efb7e30c7654945ae1fa52459932202"),
+        ('{"n": 2, "d": 3, "entries": [{"idx": [1, 1, 1], "val": "2/4"}, '
+         '{"idx": [1, 1, 2], "val": " 1/2 "}, {"idx": [2, 2, 2], "val": "1e-1"}]}',
+         "0a0836b1989c15d1329d1b7e682696d46caaa22206aa3f1162dec7caf20989e4")]
+
+    @pytest.mark.parametrize("doc, digest", GOLDEN_DIGESTS,
+                             ids=["stored-default", "json-float", "negative-default",
+                                  "non-canonical"])
+    def test_golden_digest(self, doc, digest):
+        A = parse_tensor(doc)
+        assert tensor_digest(A) == digest
+        assert tensor_digest(parse_tensor(emit_tensor(A))) == digest
 
     def test_digest_ignores_redundant_entries(self):
         A = parse_tensor('{"n": 2, "d": 2, "default": "1"}')
@@ -256,6 +367,35 @@ class TestCliExitCodes:
         assert captured.out == "" and what in captured.err
         assert "exceed" in captured.err
 
+    TABLE_REFUSED = ("error: level 0 falling-factorial table size: more than "
+                     "1000000000000 exceeds the limit of 10000\n")
+
+    @pytest.mark.parametrize("command, default, code, verdict", [
+        (["check", "--method", "grid"], "1", 0, "Member"),
+        (["check", "--method", "grid"], "-1/3", 1, "NotMember"),
+        (["check", "--method", "coef"], "1", 3, None),
+        (["check", "--method", "sos"], "1", 3, None),
+        (["expand"], "1", 3, None),
+    ], ids=["grid-member", "grid-refuted", "coef", "sos", "expand"])
+    def test_huge_order_answered_or_refused_at_once(self, tmp_path, capsys, command,
+                                                    default, code, verdict):
+        # n = 1, d = 10**6 passes every size check on counts: the grid takes
+        # x^d as one power, and the level's (d+1) x (d+1) falling-factorial
+        # table is refused before it is built
+        p = tmp_path / "huge-order.json"
+        p.write_text(f'{{"n": 1, "d": 1000000, "default": "{default}"}}')
+        start = time.perf_counter()
+        assert main(command + ["--level", "0", str(p)]) == code
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        if verdict is None:
+            assert (out, err) == ("", self.TABLE_REFUSED)
+        else:
+            doc = json.loads(out)
+            assert doc["verdict"] == verdict and err == ""
+            if code == 1:
+                assert doc["witness"] == {"point": ["1"], "value": "-1/3"}
+
     @pytest.mark.parametrize("method", ["coef", "sos", "grid"])
     def test_negative_level_exit_3(self, tmp_path, capsys, method):
         # [[1,-2],[-2,1]] is not copositive: level 0 of the grid refutes it
@@ -373,21 +513,21 @@ class TestCliExitCodes:
             main(["screen", "/nonexistent/t.json"])
         assert exc.value.code == 3
 
-    def test_malformed_document_exit_3(self, tmp_path):
+    def test_malformed_document_exit_3(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{broken")
         with pytest.raises(SystemExit) as exc:
             main(["screen", str(p)])
         assert exc.value.code == 3
+        assert capsys.readouterr() == ("", f"error: cannot load tensor from {p}: "
+                                       "malformed JSON: Expecting property name enclosed "
+                                       "in double quotes: line 1 column 2 (char 1)\n")
 
-    def test_non_finite_number_exit_3(self, tmp_path):
-        for token in ("NaN", "Infinity", "-Infinity"):
-            p = tmp_path / "nonfinite.json"
-            p.write_text('{"n": 2, "d": 2, "entries": '
-                         f'[{{"idx": [1, 2], "val": {token}}}]}}')
-            with pytest.raises(SystemExit) as exc:
-                main(["certify", str(p)])
-            assert exc.value.code == 3
+    def test_non_finite_number_exit_3(self, tmp_path, capsys):
+        for token, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+            doc = f'{{"n": 2, "d": 2, "entries": [{{"idx": [1, 2], "val": {token}}}]}}'
+            assert _load_error(tmp_path, capsys, doc) == \
+                LOAD + f"bad entry {{'idx': [1, 2], 'val': {shown}}}\n"
 
 
 class TestParserReuse:

@@ -156,6 +156,16 @@ class TestMatchesReference:
         for r in range(5):
             assert member_O_r(A, r) == reference_member_O_r(A, r)
 
+    @pytest.mark.parametrize("n, d", [(1, 9), (2, 9), (2, 13), (3, 10)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_orders_past_the_run_cap(self, n, d, seed):
+        # d > RUN_CAP: each run of one index is taken as one power
+        assert d > gridcone.RUN_CAP
+        for A in (rand_float_tensor(random.Random(seed), n, d),
+                  rand_nonneg_tensor(random.Random(seed), n, d)):
+            for r in range(3):
+                assert member_O_r(A, r) == reference_member_O_r(A, r)
+
     def test_witnesses_past_the_first_level(self):
         # found at denominators 3..6: exercises the gcd skip and the scaling
         rng = random.Random(3)

@@ -332,6 +332,54 @@ class TestSolve:
             assert v.residual <= 1e-8 and v.min_eig >= -1e-8
 
 
+def _nonnegative(seed, n, d):
+    """A member of the sos benchmark pool's fast-path families: each entry,
+    in canonical order, k/8 with k drawn from 0..8 by Random(seed)."""
+    rng = random.Random(seed)
+    b = SymTensorBuilder(n, d)
+    for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+        b.set(key, Fraction(rng.randint(0, 8), 8))
+    return b.build()
+
+
+class TestFastPath:
+    """The fast path returns its verdict without the float checker; its
+    residual and minimum eigenvalue are those the checker computes for the
+    diagonal certificate, bit for bit."""
+
+    @staticmethod
+    def _matches_checker(A, r):
+        problem = build_gram_problem(A, r)
+        v = soscone._fast_path(problem)
+        assert v is not None and v.certified and v.fast_path and v.iterations == 0
+        want = _certified(problem, v.certificate)
+        assert want is not None
+        assert _bits([v.residual, v.min_eig]) == _bits([want.residual, want.min_eig])
+        assert v.residual == 0.0 and v.min_eig == min(problem.targets.values())
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_flagship(self, r):
+        self._matches_checker(example31_tensor(), r)
+
+    @pytest.mark.parametrize("seed, n, d", [(4000, 3, 4), (4017, 3, 4),
+                                            (5000, 4, 3), (5031, 4, 3)])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_pool_members(self, seed, n, d, r):
+        self._matches_checker(_nonnegative(seed, n, d), r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]),
+           st.integers(0, 2), st.data())
+    def test_hypothesis_shapes(self, shape, r, data):
+        n, d = shape
+        vals = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1),
+                                Fraction(5, 2), Fraction(7), Fraction(10 ** 20, 3)])
+        b = SymTensorBuilder(n, d)
+        for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+            b.set(key, data.draw(vals))
+        self._matches_checker(b.build(), r)
+
+
 class TestMemberKr:
     def test_example31_fast_path(self, example31):
         v = member_K_r(example31, 0)
@@ -559,9 +607,9 @@ def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
     _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
     if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        fast = _certified(problem, _diagonal_certificate(problem), fast_path=True)
+        fast = _certified(problem, _diagonal_certificate(problem))
         if fast is not None:
-            return fast
+            return dataclasses.replace(fast, fast_path=True)
     problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
     last = None
     for rr in range(r + 1):
