@@ -101,11 +101,11 @@ def parse_tensor(text: str) -> SymTensor:
             raise DocumentError(f"bad entry {entry!r}: index components must be integers")
         if len(idx) != d:
             raise DocumentError(f"index {idx} has length {len(idx)}, expected {d}")
-        ordered = tuple(sorted(idx)) == idx
-        if not (ordered and 1 <= idx[0] and idx[-1] <= n) \
-                and any(not 1 <= i <= n for i in idx):
+        # the sorted index's ends bound every component
+        ordered = tuple(sorted(idx))
+        if ordered[0] < 1 or ordered[-1] > n:
             raise DocumentError(f"index {idx} out of range 1..{n}")
-        if not ordered:
+        if ordered != idx:
             raise DocumentError(f"index {idx} is not sorted non-decreasing")
         if idx in entries:
             raise DocumentError(f"duplicate canonical index {idx}")

@@ -34,7 +34,6 @@ Point = tuple[Fraction, ...]
 GridPoint = tuple[int, tuple[int, ...]]   # the point c / m as (m, c)
 
 SEARCH_CAP = 1 << 16   # grid_zeros: at most this many grid points times canonical tuples
-RUN_CAP = 8            # _grid_values: past this order, each run of one index is one power
 
 
 def grid_point_count(n: int, r: int) -> int:
@@ -70,27 +69,18 @@ def _grid_values(A: SymTensor, r: int) -> tuple[int, Iterator[tuple[int, tuple[i
     with the value an int."""
     points = first_appearances(A.n, r)
     scale, values = scaled_values(A)
-    # a term multiplies one coordinate per index, but past order RUN_CAP it
-    # takes each run of e equal indices i as one factor c_i^e, which each
-    # point computes once as an extra coordinate: a huge order costs a power
-    # per run, not d products
-    powers: dict[tuple[int, int], int] = {}   # (i, e) -> its coordinate
-
-    def factors(key: tuple[int, ...]) -> tuple[int, ...]:
-        if A.d <= RUN_CAP:
-            return tuple(i - 1 for i in key)
-        return tuple(powers.setdefault((i - 1, sum(1 for _ in run)), A.n + len(powers))
-                     for i, run in itertools.groupby(key))
-    terms = [(tuple_multiplicity(key) * a, factors(key))
+    # a term takes each run of e equal indices i as one factor c_i^e, so a
+    # huge order costs a power per run, not d products
+    terms = [(tuple_multiplicity(key) * a,
+              tuple((i - 1, sum(1 for _ in run)) for i, run in itertools.groupby(key)))
              for key, a in zip(canonical_tuples(A.n, A.d), values) if a]
 
     def evaluate() -> Iterator[tuple[int, tuple[int, ...], int]]:
         for m, c in points:
             total = 0
-            coords = c + tuple(c[i] ** e for i, e in powers) if powers else c
-            for w, key in terms:
-                for i in key:
-                    w *= coords[i]
+            for w, runs in terms:
+                for i, e in runs:
+                    w *= c[i] ** e
                 total += w
             yield m, c, total
     return scale, evaluate()

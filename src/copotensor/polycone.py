@@ -9,9 +9,9 @@ their denominators); a coefficient is multinomial(theta) * B(theta) over one
 common denominator.  :func:`member_C_r` reads only the signs of the brackets
 on a Member level and builds a single Fraction, the worst coefficient, on a
 NotMember one; :func:`expand_Pr` builds one Fraction per coefficient.  A
-level whose table would exceed ``combinatorics.MAX_ENUMERATION``
-coefficients (for n = 1, whose (r+d+1) x (d+1) falling-factorial table
-would) raises ValueError before anything is enumerated.
+level with more than ``combinatorics.MAX_ENUMERATION`` coefficients (for
+n = 1, with a larger (r+d+1) x (d+1) falling-factorial table) raises
+ValueError before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
                            f"level {r} coefficient count")
     d, s = A.d, r + A.d
-    # the (s+1) x (d+1) falling-factorial table below is no larger than the
-    # coefficients times the canonical tuples when n >= 2, but for n = 1
-    # both are 1 and the table is bounded on its own
+    # for n = 1 both counts above are 1 and do not bound the (s+1) x (d+1)
+    # falling-factorial table, so it is bounded on its own; for n >= 2 it has
+    # at most as many entries as the column products below, coefficients
+    # times canonical tuples, a product that no check bounds
     if A.n == 1:
         check_enumeration_size((s + 1) * (d + 1), f"level {r} falling-factorial table size")
     scale, values = scaled_values(A)
