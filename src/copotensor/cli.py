@@ -212,8 +212,8 @@ def _cert_level(cert: dict) -> int:
 def _cmd_verify(args) -> int:
     """Re-derive the evidence behind a verdict: a witness is re-evaluated,
     a coef verdict re-expanded, a grid Member re-enumerated, an sos
-    NotMember's moments re-checked.  Verdicts that carry no checkable
-    evidence exit 2."""
+    NotMember's moments re-checked, an sos fast-path Certified re-expanded.
+    Verdicts that carry no checkable evidence exit 2."""
     try:
         cert = docio.load_certificate(Path(args.certificate).read_text())
     except (OSError, DocumentError) as exc:
@@ -243,12 +243,16 @@ def _cmd_verify(args) -> int:
             ok = ok and value == docio.parse_scalar(witness["value"])
         text = docio.scalar_text(value) or "too long to print"
         return _verified(ok, f"witness value {text}")
-    if method == "coef" and verdict in ("Member", "NotMember"):
+    stats = cert.get("stats")
+    # the sos fast path's proof is exact: every coefficient of P is
+    # non-negative, which is a C^(r) Member
+    fast_path = method == "sos" and verdict == "Certified" \
+        and isinstance(stats, dict) and stats.get("fast_path") is True
+    if (method == "coef" and verdict in ("Member", "NotMember")) or fast_path:
         from . import polycone
         v = polycone.member_C_r(A, _cert_level(cert))
-        if verdict == "Member":
+        if verdict != "NotMember":
             return _verified(v.member, f"level-{v.r} coefficients recomputed")
-        stats = cert.get("stats")
         ok = (not v.member and isinstance(stats, dict)
               and stats.get("worst_theta") == list(v.worst_theta)
               and stats.get("worst_value") == emit_scalar(v.worst_value))

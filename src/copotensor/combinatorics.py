@@ -76,12 +76,19 @@ def multinomial(alpha: Sequence[int]) -> int:
     return out
 
 
-def tuple_multiplicity(idx: Sequence[int]) -> int:
-    """Number of distinct permutations of an index tuple: d!/prod(count_i!)."""
+def index_runs(idx: Iterable[int]) -> list[tuple[int, int]]:
+    """Each distinct index of an index tuple with its occurrence count, in
+    order of first appearance: the runs of equal indices, in index order,
+    for a sorted tuple."""
     counts: dict[int, int] = {}
     for i in idx:
         counts[i] = counts.get(i, 0) + 1
-    return multinomial(list(counts.values()))
+    return list(counts.items())
+
+
+def tuple_multiplicity(idx: Sequence[int]) -> int:
+    """Number of distinct permutations of an index tuple: d!/prod(count_i!)."""
+    return multinomial([c for _, c in index_runs(idx)])
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +110,28 @@ def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def multinomials(thetas: Iterable[Sequence[int]]) -> list[int]:
+    """multinomial(theta) for each theta, all parts non-negative: the product
+    of C(theta_1 + ... + theta_k, theta_k) over k >= 2, each read from the
+    row C(t, 0..t), built once for each t that occurs by
+    C(t, j + 1) = C(t, j) (t - j) / (j + 1).  :func:`multinomial` forms each
+    binomial anew, and one C(9999, 5000) takes milliseconds."""
+    rows: dict[int, list[int]] = {}
+    out = []
+    for theta in thetas:
+        total, value = theta[0], 1
+        for a in theta[1:]:
+            total += a
+            if total not in rows:
+                row = [1]
+                for j in range(total):
+                    row.append(row[-1] * (total - j) // (j + 1))
+                rows[total] = row
+            value *= rows[total][a]
+        out.append(value)
+    return out
+
+
 def falling_factorial(x: int, k: int) -> int:
     """x (x-1) ... (x-k+1); empty product for k = 0."""
     out = 1
@@ -111,9 +140,13 @@ def falling_factorial(x: int, k: int) -> int:
     return out
 
 
-def index_counts(idx: Iterable[int], n: int) -> tuple[int, ...]:
-    """Occurrence counts of each index 1..n in an index tuple."""
-    counts = [0] * n
-    for i in idx:
-        counts[i - 1] += 1
-    return tuple(counts)
+def falling_factorial_column(s: int, c: int) -> list[int]:
+    """fall(t, c) for t = 0..s: zero below c, c! at c, and then one
+    multiplication and one exact division per entry, by
+    fall(t, c) = fall(t-1, c) t / (t-c)."""
+    if c > s:
+        return [0] * (s + 1)
+    column = [0] * c + [math.factorial(c)]
+    for t in range(c + 1, s + 1):
+        column.append(column[-1] * t // (t - c))
+    return column

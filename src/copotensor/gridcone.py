@@ -7,9 +7,12 @@ point is enumerated once, at its first appearance: as the composition
 c = m x of the smallest denominator m in 2..r+2 with m x integral.
 Evaluation is exact on ints: with L the lcm of A's denominators, the form at
 c / m is sum multiplicity * a * L * prod c_i over L m^d, and only a reported
-value becomes a Fraction; there is no tolerance.  A level whose grid would
-exceed ``combinatorics.MAX_ENUMERATION`` compositions raises ValueError
-before anything is enumerated.
+value becomes a Fraction; there is no tolerance.  The default is taken in
+closed form, default * L * m^d at every point, and each stored entry that
+differs from it adds one term, so a point costs time linear in the stored
+entries, not in the C(n+d-1, d) canonical tuples.  A level whose grid would
+exceed ``combinatorics.MAX_ENUMERATION`` compositions, or a tensor with more
+canonical tuples than that, raises ValueError before anything is enumerated.
 
 That evaluation is the only one of the form on the grid: :func:`member_O_r`
 reads its first negative value, and :func:`grid_zeros` its zeros at level 2,
@@ -20,15 +23,14 @@ level r of K^(r)).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
-                            enumerate_exponents, tuple_multiplicity)
-from .tensor import Scalar, SymTensor, canonical_tuples, scaled_values
+                            enumerate_exponents, index_runs, tuple_multiplicity)
+from .tensor import Scalar, SymTensor, check_tuple_count, scaled_deltas
 
 Point = tuple[Fraction, ...]
 GridPoint = tuple[int, tuple[int, ...]]   # the point c / m as (m, c)
@@ -66,18 +68,26 @@ class GridVerdict:
 def _grid_values(A: SymTensor, r: int) -> tuple[int, Iterator[tuple[int, tuple[int, ...], int]]]:
     """L, the lcm of A's denominators, and for each point c / m of the level-r
     cumulative grid, in :func:`first_appearances` order, (m, c, L m^d f(c / m))
-    with the value an int."""
+    with the value an int.
+
+    By the multinomial theorem the multiplicities times prod c_i^counts_i
+    sum to (sum c)^d = m^d over the canonical tuples, so the default adds
+    default * L * m^d to every point, and each delta of
+    :func:`scaled_deltas` adds one term."""
     points = first_appearances(A.n, r)
-    scale, values = scaled_values(A)
+    check_tuple_count(A)   # the tensor's size limit, however few its deltas
+    scale, default, deltas = scaled_deltas(A)
     # a term takes each run of e equal indices i as one factor c_i^e, so a
     # huge order costs a power per run, not d products
-    terms = [(tuple_multiplicity(key) * a,
-              tuple((i - 1, sum(1 for _ in run)) for i, run in itertools.groupby(key)))
-             for key, a in zip(canonical_tuples(A.n, A.d), values) if a]
+    terms = [(tuple_multiplicity(key) * delta,
+              tuple((i - 1, e) for i, e in index_runs(key))) for key, delta in deltas]
 
     def evaluate() -> Iterator[tuple[int, tuple[int, ...], int]]:
+        level, base = None, 0   # points arrive grouped by m: one m^d per m
         for m, c in points:
-            total = 0
+            if m != level:
+                level, base = m, default * m ** A.d
+            total = base
             for w, runs in terms:
                 for i, e in runs:
                     w *= c[i] ** e

@@ -6,16 +6,21 @@ s = r + d (the monomial y^(2 theta)) and are exact.  The production route,
 :func:`_brackets`, evaluates an integer falling-factorial bracket B(theta)
 for every theta at once on Python ints (A's values scaled by the lcm of
 their denominators); a coefficient is multinomial(theta) * B(theta) over one
-common denominator.  :func:`member_C_r` reads only the signs of the brackets
-on a Member level and builds a single Fraction, the worst coefficient, on a
-NotMember one; :func:`expand_Pr` builds one Fraction per coefficient.  A
-level with more than ``combinatorics.MAX_ENUMERATION`` coefficients (for
-n = 1, with a larger (r+d+1) x (d+1) falling-factorial table) raises
-ValueError before anything is enumerated.
+common denominator.  The default is taken in closed form, one term shared
+by every bracket, and each stored entry that differs from it adds one
+column, so the cost is linear in the stored entries, not in the
+C(n+d-1, d) canonical tuples.  :func:`member_C_r` reads only the signs of
+the brackets on a Member level and builds a single Fraction, the worst
+coefficient, on a NotMember one; :func:`expand_Pr` builds one Fraction per
+coefficient.  A level with more than ``combinatorics.MAX_ENUMERATION``
+coefficients or canonical tuples (for n = 1, with a larger
+(r+d+1) x (d+1) falling-factorial table) raises ValueError before anything
+is enumerated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -23,9 +28,10 @@ from typing import Mapping
 import numpy as np
 
 from .combinatorics import (binomial_at_most, check_enumeration_size,
-                            enumerate_exponents, falling_factorial, index_counts,
-                            multinomial, tuple_multiplicity)
-from .tensor import SymTensor, canonical_tuples, scaled_values
+                            enumerate_exponents, falling_factorial,
+                            falling_factorial_column, index_runs, multinomial,
+                            multinomials, tuple_multiplicity)
+from .tensor import SymTensor, check_tuple_count, scaled_deltas
 
 Exponent = tuple[int, ...]
 
@@ -58,38 +64,40 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     denominators, B(theta) = sum over canonical tuples of
     multiplicity * a * L * prod fall(theta_i, counts_i) is an int, and the
     coefficient is multinomial(theta) * B(theta) / D with D = fall(s, d) * L.
-    Every theta is handled at once: a canonical tuple adds one column
-    product to B, over a Python-int object array indexed by the theta table.
+    By Vandermonde's identity the multiplicities times the falling-factorial
+    products sum to fall(s, d) over the canonical tuples, so the default
+    adds default * L * fall(s, d) to every bracket, and each delta of
+    :func:`scaled_deltas` adds one column product, over a Python-int object
+    array indexed by the theta table.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
                            f"level {r} coefficient count")
     d, s = A.d, r + A.d
-    # for n = 1 both counts above are 1 and do not bound the (s+1) x (d+1)
-    # falling-factorial table, so it is bounded on its own; for n >= 2 it has
-    # at most as many entries as the column products below, coefficients
-    # times canonical tuples, a product that no check bounds
+    # for n = 1 both counts here are 1 and bound neither fall(s, d), d
+    # factors, nor a column of s + 1 falling factorials; the (s+1) x (d+1)
+    # table size bounds both
     if A.n == 1:
         check_enumeration_size((s + 1) * (d + 1), f"level {r} falling-factorial table size")
-    scale, values = scaled_values(A)
+    check_tuple_count(A)   # the tensor's size limit, however few its deltas
+    scale, default, deltas = scaled_deltas(A)
     thetas = enumerate_exponents(A.n, s)
     table = np.array(thetas, dtype=np.intp)
-    fall = np.array([[falling_factorial(t, c) for c in range(d + 1)]
-                     for t in range(s + 1)], dtype=object)
+    fall_s = falling_factorial(s, d)
+    brackets = np.full(len(thetas), default * fall_s, dtype=object)
+    columns: dict[int, np.ndarray] = {}   # fall(t, c) for t = 0..s, per c
     factors: dict[tuple[int, int], np.ndarray] = {}   # fall(theta_i, c) per (i, c)
-    brackets = np.zeros(len(thetas), dtype=object)
-    for key, a in zip(canonical_tuples(A.n, d), values):
-        if not a:
-            continue
-        column = tuple_multiplicity(key) * a
-        for i, c in enumerate(index_counts(key, A.n)):
-            if c:
-                if (i, c) not in factors:
-                    factors[i, c] = fall[table[:, i], c]
-                column = column * factors[i, c]
+    for key, delta in deltas:
+        column = tuple_multiplicity(key) * delta
+        for i, c in index_runs(key):
+            if (i, c) not in factors:
+                if c not in columns:
+                    columns[c] = np.array(falling_factorial_column(s, c), dtype=object)
+                factors[i, c] = columns[c][table[:, i - 1]]
+            column = column * factors[i, c]
         brackets += column
-    return thetas, brackets, falling_factorial(s, d) * scale
+    return thetas, brackets, fall_s * scale
 
 
 def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
@@ -114,11 +122,18 @@ def member_C_r(A: SymTensor, r: int) -> CoefficientVerdict:
     exactly.  multinomial(theta) > 0, so a coefficient has the sign of its
     bracket: with no negative bracket the tensor is a member, and nothing
     else is computed.  Otherwise the worst coefficient is the most negative
-    multinomial(theta) * B(theta), the lexicographically first on a tie."""
+    multinomial(theta) * B(theta), the lexicographically first on a tie.
+    The multinomials of the negative brackets share their binomial rows,
+    and the factor that D and those brackets share (fall(s, d) when the
+    default dominates them) is divided out before they are multiplied, so
+    a huge order compares small products."""
     thetas, brackets, denom = _brackets(A, r)
-    negative = np.flatnonzero(brackets < 0)
-    if not len(negative):
+    negative = np.flatnonzero(brackets < 0).tolist()
+    if not negative:
         return CoefficientVerdict(True, r)
-    numerators = {k: multinomial(thetas[k]) * brackets[k] for k in negative.tolist()}
+    common = math.gcd(denom, *(brackets[k] for k in negative))
+    numerators = {k: m * (brackets[k] // common) for k, m in
+                  zip(negative, multinomials(thetas[k] for k in negative))}
     worst = min(numerators, key=numerators.__getitem__)
-    return CoefficientVerdict(False, r, thetas[worst], Fraction(numerators[worst], denom))
+    return CoefficientVerdict(False, r, thetas[worst],
+                              Fraction(numerators[worst], denom // common))

@@ -19,7 +19,8 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import binomial_at_most, check_enumeration_size, multinomial
+from .combinatorics import (binomial_at_most, check_enumeration_size, index_runs,
+                            multinomial)
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -128,15 +129,36 @@ def from_matrix(rows: Sequence[Sequence[Scalar]]) -> SymTensor:
     return b.build()
 
 
+def check_tuple_count(A: SymTensor) -> None:
+    """Raise ValueError when A has more than MAX_ENUMERATION canonical tuples."""
+    check_enumeration_size(binomial_at_most(A.n + A.d - 1, A.d), "canonical tuple count")
+
+
 def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     """The lcm L of the denominators of A's default and of its values, and
     the values in canonical tuple order times L, as ints.  More than
     MAX_ENUMERATION canonical tuples raise ValueError before any value is
     built."""
-    check_enumeration_size(binomial_at_most(A.n + A.d - 1, A.d), "canonical tuple count")
+    check_tuple_count(A)
     values = [a for _, a in A.items()]
     scale = math.lcm(A.default.denominator, *(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def scaled_deltas(A: SymTensor) -> tuple[int, int, list[tuple[Index, int]]]:
+    """A on the integers as its default and what departs from it: the lcm L
+    of the denominators of the default and the stored values, default * L,
+    and (key, (a - default) * L) for each stored a != default, in canonical
+    order.  A sum over all canonical tuples is then the default's closed
+    form plus one term per delta; an unstored tuple adds nothing."""
+    scale = math.lcm(A.default.denominator, *(a.denominator for a in A.entries.values()))
+    default = A.default.numerator * (scale // A.default.denominator)
+    deltas = []
+    for key, a in sorted(A.entries.items()):
+        delta = a.numerator * (scale // a.denominator) - default
+        if delta:
+            deltas.append((key, delta))
+    return scale, default, deltas
 
 
 def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
@@ -145,30 +167,29 @@ def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
     its exact binary value).
 
     Were every entry the default, this would be default * (sum x)^d; each
-    stored entry that differs adds (a - default) times its permutation
-    multiplicity times prod x_i^(count of i), and only when all its indices
-    lie in the support of x (its nonzero coordinates).  On the integers
-    p = q x and L a, q and L the lcm of the denominators, that is one power
-    of sum p and, per such entry, one power of each distinct index and one
-    multinomial, over the single denominator L q^d: linear in the stored
-    entries, whatever n is, and a few big powers for a huge d, not
-    C(s+d-1, d) products of d factors.
+    delta of :func:`scaled_deltas` (a stored entry that differs) adds
+    (a - default) times its permutation multiplicity times
+    prod x_i^(count of i), and only when all its indices lie in the support
+    of x (its nonzero coordinates).  On the integers p = q x and L a, q and
+    L the lcm of the denominators, that is one power of sum p and, per such
+    entry, one power of each distinct index and one multinomial, over the
+    single denominator L q^d: linear in the stored entries, whatever n is,
+    and a few big powers for a huge d, not C(s+d-1, d) products of d
+    factors.
     """
     if len(x) != A.n:
         raise ValueError(f"vector has dimension {len(x)}, tensor has n={A.n}")
     coords = {i: Fraction(c) for i, c in enumerate(x, start=1) if c != 0}
     q = math.lcm(*(c.denominator for c in coords.values()))
     p = {i: c.numerator * (q // c.denominator) for i, c in coords.items()}
-    scale = math.lcm(A.default.denominator, *(a.denominator for a in A.entries.values()))
-    default = A.default.numerator * (scale // A.default.denominator)
+    scale, default, deltas = scaled_deltas(A)
     total = default * sum(p.values()) ** A.d if default else 0
     support = p.keys()
-    for key, a in A.entries.items():
-        if a == A.default or not support >= set(key):
+    for key, delta in deltas:
+        if not support >= set(key):
             continue
-        counts = [(i, sum(1 for _ in run)) for i, run in itertools.groupby(key)]
-        term = (a.numerator * (scale // a.denominator) - default) \
-            * multinomial([c for _, c in counts])
+        counts = index_runs(key)
+        term = delta * multinomial([c for _, c in counts])
         for i, c in counts:
             term *= p[i] ** c
         total += term

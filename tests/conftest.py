@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
                                       enumerate_exponents, falling_factorial,
-                                      index_counts, multinomial, tuple_multiplicity)
+                                      multinomial, tuple_multiplicity)
+from copotensor.gridcone import first_appearances
 from copotensor.polycone import PolyExpansion
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
-                               from_matrix)
+                               from_matrix, scaled_values)
 
 BOUNDARY = from_matrix([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]])
 # in K^(1) but not PSD plus non-negative (Parrilo 2000)
@@ -73,6 +75,82 @@ def float_tensors(draw, max_n: int = 4, max_d: int = 4) -> SymTensor:
         if v is not None:
             entries[key] = v
     return SymTensor(n, d, entries, default)
+
+
+@st.composite
+def default_tensors(draw, max_n: int = 4, max_d: int = 4) -> SymTensor:
+    """Hypothesis strategy for the "value v otherwise" shape: n in 1..max_n,
+    d in 1..max_d, a non-zero default (a fraction, possibly negative, or a
+    float), and on a random subset of the canonical tuples a stored entry
+    that is a fraction, a float or the default itself."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    fractions = st.fractions(min_value=-3, max_value=5, max_denominator=12)
+    floats = st.floats(min_value=-2, max_value=6, allow_nan=False)
+    default = draw((fractions | floats).filter(bool))
+    value = st.none() | st.just(default) | fractions | floats
+    entries = {}
+    for key in canonical_tuples(n, d):
+        v = draw(value)
+        if v is not None:
+            entries[key] = v
+    return SymTensor(n, d, entries, default)
+
+
+def index_counts(idx, n: int) -> tuple[int, ...]:
+    """Occurrence counts of each index 1..n in an index tuple."""
+    counts = [0] * n
+    for i in idx:
+        counts[i - 1] += 1
+    return tuple(counts)
+
+
+def reference_brackets(A: SymTensor, r: int):
+    """Literal reference for :func:`copotensor.polycone._brackets`: one
+    column product per non-zero canonical tuple, default or stored, over a
+    full (s+1) x (d+1) falling-factorial table."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    check_enumeration_size(binomial_at_most(A.n + r + A.d - 1, r + A.d),
+                           f"level {r} coefficient count")
+    d, s = A.d, r + A.d
+    if A.n == 1:
+        check_enumeration_size((s + 1) * (d + 1), f"level {r} falling-factorial table size")
+    scale, values = scaled_values(A)
+    thetas = enumerate_exponents(A.n, s)
+    table = np.array(thetas, dtype=np.intp)
+    fall = np.array([[falling_factorial(t, c) for c in range(d + 1)]
+                     for t in range(s + 1)], dtype=object)
+    brackets = np.zeros(len(thetas), dtype=object)
+    for key, a in zip(canonical_tuples(A.n, d), values):
+        if not a:
+            continue
+        column = tuple_multiplicity(key) * a
+        for i, c in enumerate(index_counts(key, A.n)):
+            if c:
+                column = column * fall[table[:, i], c]
+        brackets += column
+    return thetas, brackets, falling_factorial(s, d) * scale
+
+
+def reference_grid_values(A: SymTensor, r: int):
+    """Literal reference for :func:`copotensor.gridcone._grid_values`: one
+    term per non-zero canonical tuple, default or stored, at every point."""
+    points = first_appearances(A.n, r)
+    scale, values = scaled_values(A)
+    terms = [(tuple_multiplicity(key) * a,
+              tuple((i - 1, sum(1 for _ in run)) for i, run in itertools.groupby(key)))
+             for key, a in zip(canonical_tuples(A.n, A.d), values) if a]
+
+    def evaluate():
+        for m, c in points:
+            total = 0
+            for w, runs in terms:
+                for i, e in runs:
+                    w *= c[i] ** e
+                total += w
+            yield m, c, total
+    return scale, evaluate()
 
 
 def reference_cumulative_grid(n: int, r: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -7,8 +8,9 @@ from hypothesis import given, strategies as st
 from copotensor.combinatorics import (COUNT_CAP, MAX_ENUMERATION,
                                       binomial_at_most, check_enumeration_size,
                                       enumerate_exponents, falling_factorial,
-                                      index_counts, multinomial, tuple_multiplicity)
-from conftest import elementary_symmetric
+                                      falling_factorial_column, index_runs, multinomial,
+                                      multinomials, tuple_multiplicity)
+from conftest import elementary_symmetric, index_counts
 
 
 class TestMultinomial:
@@ -98,8 +100,27 @@ class TestHelpers:
         assert multinomial([1, 10 ** 6 - 2, 1]) == 10 ** 6 * (10 ** 6 - 1)
         assert time.perf_counter() - start < 0.5
 
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=9))
+    def test_multinomials(self, n, d):
+        thetas = enumerate_exponents(n, d)
+        assert multinomials(thetas) == [multinomial(t) for t in thetas]
+        assert multinomials(reversed(thetas)) == [multinomial(t) for t in reversed(thetas)]
+
     def test_index_counts(self):
         assert index_counts((1, 1, 3), 3) == (2, 0, 1)
+
+    def test_index_runs(self):
+        assert index_runs((1, 1, 3)) == [(1, 2), (3, 1)]
+        assert index_runs((3, 1, 3)) == [(3, 2), (1, 1)]
+        assert index_runs((2,) * 7) == [(2, 7)]
+        for key in itertools.combinations_with_replacement(range(1, 5), 4):
+            counts = index_counts(key, 4)
+            assert index_runs(key) == [(i, c) for i, c in enumerate(counts, 1) if c]
+
+    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=45))
+    def test_falling_factorial_column(self, s, c):
+        assert falling_factorial_column(s, c) == [falling_factorial(t, c)
+                                                 for t in range(s + 1)]
 
 
 class TestEnumerationLimit:

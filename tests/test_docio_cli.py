@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import random
 import shlex
@@ -396,6 +397,27 @@ class TestCliExitCodes:
             if code == 1:
                 assert doc["witness"] == {"point": ["1"], "value": "-1/3"}
 
+    @pytest.mark.parametrize("method, default, code", [
+        ("coef", "1", 0), ("grid", "1", 0), ("coef", "-1/3", 1), ("grid", "-1/3", 1)])
+    def test_small_sparse_document_of_high_order_answers(self, tmp_path, method,
+                                                          default, code):
+        # 10**4 coefficients and 10**4 canonical tuples, all at the default,
+        # which both kernels take as one closed-form term
+        p = tmp_path / "order.json"
+        p.write_text(f'{{"n": 2, "d": 9999, "default": "{default}"}}')
+        run = _python("import sys; from copotensor.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", "check", "--method", method,
+                      str(p), cwd=tmp_path, timeout=10)
+        assert (run.returncode, run.stderr) == (code, "")
+        doc = json.loads(run.stdout)
+        assert doc["verdict"] == ("Member" if code == 0 else "NotMember")
+        if code == 1 and method == "coef":
+            # every coefficient is -C(9999, theta_1) / 3: the central one is worst
+            assert doc["stats"] == {"worst_theta": [4999, 5000], "worst_value":
+                                    emit_scalar(F(-math.comb(9999, 4999), 3))}
+        if code == 1 and method == "grid":
+            assert doc["witness"] == {"point": ["0", "1"], "value": "-1/3"}
+
     @pytest.mark.parametrize("method", ["coef", "sos", "grid"])
     def test_negative_level_exit_3(self, tmp_path, capsys, method):
         # [[1,-2],[-2,1]] is not copositive: level 0 of the grid refutes it
@@ -558,14 +580,15 @@ class TestParserReuse:
         assert docs[3]["verdict"] == "Certified" and docs[3]["stats"]["iterations"] > 5
 
 
-def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, cwd: Path,
+            timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(cli.__file__).resolve().parents[1]),
                     env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env, cwd=cwd, timeout=120)
+                          text=True, env=env, cwd=cwd, timeout=timeout)
 
 
 class TestImports:
@@ -800,6 +823,33 @@ class TestVerify:
             "Member", "coef", level=0, tensor=parse_tensor(BOUNDARY))))
         assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_sos_fast_path_round_trip(self, example_file, tmp_path, capsys):
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["check", "--method", "sos", "--level", "1", example_file,
+                     "--out", cert_path]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["fast_path"] is True
+        assert main(["verify", cert_path, "--tensor", example_file]) == 0
+        assert capsys.readouterr().out == \
+            "verify: OK (level-1 coefficients recomputed)\n"
+
+    def test_forged_sos_fast_path_fails(self, boundary_file, tmp_path, capsys):
+        # BOUNDARY has the coefficient -2 at level 0: not in C^(0)
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(docio.certificate_document(
+            "Certified", "sos", level=0, tensor=parse_tensor(BOUNDARY),
+            stats={"fast_path": True})))
+        assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_solved_sos_certificate_is_unchecked(self, boundary_file, tmp_path,
+                                                 capsys):
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["check", "--method", "sos", "--level", "0", boundary_file,
+                     "--out", cert_path]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["fast_path"] is False
+        assert main(["verify", cert_path, "--tensor", boundary_file]) == 2
+        assert "UNCHECKED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("method", ["coef", "grid"])
     def test_member_round_trip(self, example_file, tmp_path, capsys, method):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,10 @@ from copotensor import combinatorics, gridcone
 from copotensor.combinatorics import enumerate_exponents
 from copotensor.gridcone import GridVerdict, first_appearances, member_O_r
 from copotensor.tensor import SymTensor, eval_form, from_matrix
-from conftest import (BOUNDARY, HORN, example31_tensor, float_tensors,
-                      rand_float_tensor, rand_nonneg_tensor,
-                      rand_rational_tensor, reference_cumulative_grid)
+from conftest import (BOUNDARY, HORN, default_tensors, example31_tensor,
+                      float_tensors, rand_float_tensor, rand_nonneg_tensor,
+                      rand_rational_tensor, reference_cumulative_grid,
+                      reference_grid_values)
 
 F = Fraction
 
@@ -146,6 +148,19 @@ class TestMatchesReference:
     @given(float_tensors(), st.integers(min_value=0, max_value=4))
     def test_random_float_tensors(self, A, r):
         assert member_O_r(A, r) == reference_member_O_r(A, r)
+
+    @settings(max_examples=80, deadline=None)
+    @given(default_tensors(), st.integers(min_value=0, max_value=4))
+    def test_default_tensors_match_the_all_tuple_loop(self, A, r):
+        # the default's closed form plus one term per delta gives the values
+        # of one term per canonical tuple, and so the same verdict and zeros
+        scale, values = gridcone._grid_values(A, r)
+        ref_scale, ref_values = reference_grid_values(A, r)
+        assert (scale, list(values)) == (ref_scale, list(ref_values))
+        verdict, zeros = member_O_r(A, r), gridcone.grid_zeros(A)
+        with mock.patch.object(gridcone, "_grid_values", reference_grid_values):
+            assert (member_O_r(A, r), gridcone.grid_zeros(A)) == (verdict, zeros)
+        assert verdict == reference_member_O_r(A, r)
 
     @pytest.mark.parametrize("name, A", [
         ("flagship", example31_tensor()), ("horn", HORN), ("boundary", BOUNDARY),

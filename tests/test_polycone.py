@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copotensor import combinatorics, polycone
-from copotensor.combinatorics import (enumerate_exponents, index_counts,
-                                      multinomial, tuple_multiplicity)
+from copotensor.combinatorics import enumerate_exponents, multinomial, tuple_multiplicity
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.polycone import PolyExpansion, expand_Pr, member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, from_matrix
-from conftest import (BOUNDARY, HORN, example31_tensor, expand_Pr_closed_form,
-                      float_tensors, rand_float_tensor, rand_nonneg_tensor,
-                      rand_rational_tensor)
+from conftest import (BOUNDARY, HORN, default_tensors, example31_tensor,
+                      expand_Pr_closed_form, float_tensors, index_counts,
+                      rand_float_tensor, rand_nonneg_tensor, rand_rational_tensor,
+                      reference_brackets)
 
 
 def bruteforce_coeffs(A, r):
@@ -124,6 +124,17 @@ class TestMatchesReference:
     def test_random_float_tensors(self, A, r):
         assert_route_matches_references(A, r)
 
+    @settings(max_examples=80, deadline=None)
+    @given(default_tensors(), st.integers(min_value=0, max_value=5))
+    def test_default_tensors_match_the_all_tuple_loop(self, A, r):
+        # the default's closed form plus one column per delta gives the
+        # brackets of one column per canonical tuple
+        thetas, brackets, denom = polycone._brackets(A, r)
+        ref_thetas, ref_brackets, ref_denom = reference_brackets(A, r)
+        assert (thetas, brackets.tolist(), denom) == \
+            (ref_thetas, ref_brackets.tolist(), ref_denom)
+        assert_route_matches_references(A, r)
+
     @pytest.mark.parametrize("name, A", [
         ("flagship", example31_tensor()), ("horn", HORN), ("boundary", BOUNDARY),
         ("float-3-4", rand_float_tensor(random.Random(1), 3, 4)),
@@ -146,18 +157,22 @@ class TestMatchesReference:
         assert sorted(calls) == sorted(exp.coeffs)
 
     def test_member_level_builds_no_fraction_and_no_multinomial(self, monkeypatch):
-        multinomials, fractions = [], []
+        multinomials, tables, fractions = [], [], []
         monkeypatch.setattr(polycone, "multinomial",
                             lambda alpha: multinomials.append(alpha) or multinomial(alpha))
+        monkeypatch.setattr(polycone, "multinomials",
+                            lambda thetas: tables.append(list(thetas))
+                            or combinatorics.multinomials(tables[-1]))
         monkeypatch.setattr(polycone, "Fraction",
                             lambda *args: fractions.append(args) or Fraction(*args))
         assert member_C_r(example31_tensor(), 6).member
-        assert multinomials == fractions == []
-        # a NotMember level: one multinomial per negative bracket, one Fraction
+        assert multinomials == tables == fractions == []
+        # a NotMember level: the multinomials of the negative brackets, -4 at
+        # (2, 3) and (3, 2), which share 4 with D = 20, and one Fraction
         v = member_C_r(BOUNDARY, 3)
         assert not v.member
-        assert sorted(multinomials) == [(2, 3), (3, 2)]
-        assert fractions == [(-40, 20)]
+        assert (multinomials, tables) == ([], [[(2, 3), (3, 2)]])
+        assert fractions == [(-10, 5)]
 
 
 class TestSizeLimit:

@@ -13,7 +13,8 @@ from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                eval_form, from_matrix, multi_product,
                                necessary_screen, scaled_values, canonical_tuples)
-from conftest import float_tensors, rand_float_tensor, rand_rational_tensor
+from conftest import (default_tensors, float_tensors, rand_float_tensor,
+                      rand_rational_tensor)
 
 
 def literal_eval(A: SymTensor, x) -> Fraction:
@@ -155,6 +156,17 @@ class TestEval:
         coordinate = data.draw(st.sampled_from([st.just(0) | nonzero, nonzero]))
         x = data.draw(st.lists(coordinate, min_size=A.n, max_size=A.n))
         assert eval_form(A, x) == literal_eval(A, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(default_tensors(max_n=4), st.data())
+    def test_default_tensors_equal_the_full_sum(self, A, data):
+        # the default in closed form plus one term per delta: unchanged for
+        # negative, fractional and float defaults and for entries stored at
+        # the default
+        coordinate = st.just(0) | st.fractions(min_value=-3, max_value=3, max_denominator=7) \
+            | st.floats(min_value=-2, max_value=2, allow_nan=False)
+        x = data.draw(st.lists(coordinate, min_size=A.n, max_size=A.n))
+        assert eval_form(A, x) == literal_eval(A, [Fraction(c) for c in x])
 
     def test_cost_follows_the_support(self):
         # a 2-sparse point in n = 100 000 visits 3 canonical tuples, not 5e9
