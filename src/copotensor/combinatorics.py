@@ -7,6 +7,7 @@ around 10 the multinomials already overflow 64 bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -15,6 +16,10 @@ from typing import Iterable, Sequence
 # The most exponent vectors, grid points or monomials one hierarchy level
 # may enumerate; larger levels are refused before any enumeration starts.
 MAX_ENUMERATION = 10_000
+
+# The most cells (vectors times n) one exponent table may hold; within
+# MAX_ENUMERATION, order >= 2 reaches at most 9870 x 140 = 1 381 800.
+MAX_TABLE_CELLS = 2_000_000
 
 # Size checks count exactly up to COUNT_CAP; beyond it a count is only known
 # to be larger, which every limit here needs (see binomial_at_most).
@@ -95,19 +100,21 @@ def tuple_multiplicity(idx: Sequence[int]) -> int:
 def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All compositions of d into n non-negative parts, lexicographic order.
 
-    Length is binomial(n+d-1, d).
+    Length is binomial(n+d-1, d): the gaps between n - 1 bars among n + d - 1
+    slots, bars in lexicographic order.  A table of more than MAX_TABLE_CELLS
+    cells raises ValueError before it is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
-    if n == 1:
-        return ((d,),)
-    out = []
-    for first in range(d + 1):
-        for rest in enumerate_exponents(n - 1, d - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    cells = binomial_at_most(n + d - 1, d) * n
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"exponent table of {count_text(cells)} cells exceeds "
+                         f"the limit of {MAX_TABLE_CELLS}")
+    slots = n + d - 1
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                 for bars in itertools.combinations(range(slots), n - 1))
 
 
 def multinomials(thetas: Iterable[Sequence[int]]) -> list[int]:
@@ -129,14 +136,6 @@ def multinomials(thetas: Iterable[Sequence[int]]) -> list[int]:
                 rows[total] = row
             value *= rows[total][a]
         out.append(value)
-    return out
-
-
-def falling_factorial(x: int, k: int) -> int:
-    """x (x-1) ... (x-k+1); empty product for k = 0."""
-    out = 1
-    for j in range(k):
-        out *= x - j
     return out
 
 

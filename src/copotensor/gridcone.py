@@ -5,12 +5,12 @@ cumulative grid is the union over levels 0..r (the unit vertices sit in
 every level, so starting the union at 0 only makes that explicit).  A grid
 point is enumerated once, at its first appearance: as the composition
 c = m x of the smallest denominator m in 2..r+2 with m x integral.
-Evaluation is exact on ints: with L the lcm of A's denominators, the form at
-c / m is sum multiplicity * a * L * prod c_i over L m^d, and only a reported
-value becomes a Fraction; there is no tolerance.  The default is taken in
-closed form, default * L * m^d at every point, and each stored entry that
-differs from it adds one term, so a point costs time linear in the stored
-entries, not in the C(n+d-1, d) canonical tuples.  A level whose grid would
+Evaluation is exact on ints, on A's one integer form,
+:func:`tensor.scaled_terms`: with L the lcm of A's denominators, the form at
+c / m is default * L * m^d plus one term per stored entry that differs from
+the default, over L m^d, and only a reported value becomes a Fraction; there
+is no tolerance.  A point costs time linear in the stored entries, not in
+the C(n+d-1, d) canonical tuples.  A level whose grid would
 exceed ``combinatorics.MAX_ENUMERATION`` compositions, or a tensor with more
 canonical tuples than that, raises ValueError before anything is enumerated.
 
@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
-                            enumerate_exponents, index_runs, tuple_multiplicity)
-from .tensor import Scalar, SymTensor, check_tuple_count, scaled_deltas
+                            enumerate_exponents)
+from .tensor import Scalar, SymTensor, check_tuple_count, scaled_terms
 
 Point = tuple[Fraction, ...]
 GridPoint = tuple[int, tuple[int, ...]]   # the point c / m as (m, c)
@@ -72,15 +72,12 @@ def _grid_values(A: SymTensor, r: int) -> tuple[int, Iterator[tuple[int, tuple[i
 
     By the multinomial theorem the multiplicities times prod c_i^counts_i
     sum to (sum c)^d = m^d over the canonical tuples, so the default adds
-    default * L * m^d to every point, and each delta of
-    :func:`scaled_deltas` adds one term."""
+    default * L * m^d to every point, and each term of :func:`scaled_terms`
+    adds its weight times one power per run: a huge order costs a power per
+    run, not d products."""
     points = first_appearances(A.n, r)
-    check_tuple_count(A)   # the tensor's size limit, however few its deltas
-    scale, default, deltas = scaled_deltas(A)
-    # a term takes each run of e equal indices i as one factor c_i^e, so a
-    # huge order costs a power per run, not d products
-    terms = [(tuple_multiplicity(key) * delta,
-              tuple((i - 1, e) for i, e in index_runs(key))) for key, delta in deltas]
+    check_tuple_count(A)   # the tensor's size limit, however few its terms
+    scale, default, terms = scaled_terms(A)
 
     def evaluate() -> Iterator[tuple[int, tuple[int, ...], int]]:
         level, base = None, 0   # points arrive grouped by m: one m^d per m

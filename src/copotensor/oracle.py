@@ -16,8 +16,9 @@ from typing import Sequence
 from .combinatorics import binomial_at_most, count_text, tuple_multiplicity
 from .tensor import Scalar, SymTensor, eval_form
 
-# The most grid points, or sphere samples times canonical tuples (the terms
-# of eval_many), one oracle call may evaluate.
+# The most grid points times coordinates (the Fractions a grid builds), or
+# sphere samples times canonical tuples (the terms of eval_many), one oracle
+# call may evaluate.
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -31,12 +32,20 @@ class OracleReport:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Compositions in lexicographic order, without recursion: the next one
+    raises the part before the last nonzero c[t], t > 0, by one and moves
+    c[t] - 1 to the end."""
+    c = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(c)
+        t = parts - 1
+        while t > 0 and c[t] == 0:
+            t -= 1
+        if t == 0:
+            return
+        rest, c[t] = c[t] - 1, 0
+        c[t - 1] += 1
+        c[-1] = rest
 
 
 def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
@@ -46,13 +55,14 @@ def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     count = binomial_at_most(A.n + resolution - 1, resolution)
-    if count > MAX_GRID_POINTS:
-        raise ValueError(f"grid of {count_text(count)} points exceeds cap "
-                         f"{MAX_GRID_POINTS}")
+    if count * A.n > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {count_text(count)} points in {A.n} coordinates "
+                         f"exceeds cap {MAX_GRID_POINTS}")
+    coords = [Fraction(c, resolution) for c in range(resolution + 1)]
     best_val = None
     best_pt = None
     for comp in _compositions(resolution, A.n):
-        x = tuple(Fraction(c, resolution) for c in comp)
+        x = tuple(coords[c] for c in comp)
         v = eval_form(A, x)
         if best_val is None or v < best_val:
             best_val, best_pt = v, x

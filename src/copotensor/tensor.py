@@ -6,6 +6,9 @@ the "value v otherwise" shape of the motivating examples.  Every stored value
 is an exact ``fractions.Fraction``: ints and Fractions convert as they are, a
 float keeps its exact binary value (0.1 is 3602879701896397/2^55), and NaN,
 infinities and non-numbers raise ValueError.
+A's one integer form, :func:`scaled_terms` (the default in closed form and
+one term per stored entry that differs), serves every exact kernel but the
+certifier's dense root table, :func:`scaled_values`.
 """
 
 from __future__ import annotations
@@ -145,20 +148,21 @@ def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def scaled_deltas(A: SymTensor) -> tuple[int, int, list[tuple[Index, int]]]:
-    """A on the integers as its default and what departs from it: the lcm L
-    of the denominators of the default and the stored values, default * L,
-    and (key, (a - default) * L) for each stored a != default, in canonical
-    order.  A sum over all canonical tuples is then the default's closed
-    form plus one term per delta; an unstored tuple adds nothing."""
+def scaled_terms(A: SymTensor) -> tuple[int, int, list[tuple[int, tuple[tuple[int, int], ...]]]]:
+    """A's one integer form: the lcm L of the denominators of the default and
+    the stored values, default * L, and for each stored a != default, in
+    canonical order, (w, runs) with w = multiplicity * (a - default) * L and
+    runs the pairs (i, e) of a 0-based index i and its count e in the key.
+    L f(x) is then default * L * (sum x)^d plus w * prod x_i^e per term."""
     scale = math.lcm(A.default.denominator, *(a.denominator for a in A.entries.values()))
     default = A.default.numerator * (scale // A.default.denominator)
-    deltas = []
+    terms = []
     for key, a in sorted(A.entries.items()):
         delta = a.numerator * (scale // a.denominator) - default
         if delta:
-            deltas.append((key, delta))
-    return scale, default, deltas
+            runs = tuple((i - 1, e) for i, e in index_runs(key))
+            terms.append((multinomial([e for _, e in runs]) * delta, runs))
+    return scale, default, terms
 
 
 def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
@@ -166,33 +170,24 @@ def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
     a_{i_1..i_d} x_{i_1}...x_{i_d}, exactly (a float coordinate counts at
     its exact binary value).
 
-    Were every entry the default, this would be default * (sum x)^d; each
-    delta of :func:`scaled_deltas` (a stored entry that differs) adds
-    (a - default) times its permutation multiplicity times
-    prod x_i^(count of i), and only when all its indices lie in the support
-    of x (its nonzero coordinates).  On the integers p = q x and L a, q and
-    L the lcm of the denominators, that is one power of sum p and, per such
-    entry, one power of each distinct index and one multinomial, over the
-    single denominator L q^d: linear in the stored entries, whatever n is,
-    and a few big powers for a huge d, not C(s+d-1, d) products of d
-    factors.
+    On the integers p = q x, q the lcm of the coordinates' denominators,
+    this is :func:`scaled_terms`' form at p over L q^d: one power of sum p
+    for the default and, per term whose indices all lie in the support of
+    p (its nonzero coordinates), one power per run.  The work is linear in
+    the stored entries, whatever n is, and a few big powers for a huge d.
     """
     if len(x) != A.n:
         raise ValueError(f"vector has dimension {len(x)}, tensor has n={A.n}")
-    coords = {i: Fraction(c) for i, c in enumerate(x, start=1) if c != 0}
+    coords = {i: Fraction(c) for i, c in enumerate(x) if c != 0}
     q = math.lcm(*(c.denominator for c in coords.values()))
     p = {i: c.numerator * (q // c.denominator) for i, c in coords.items()}
-    scale, default, deltas = scaled_deltas(A)
+    scale, default, terms = scaled_terms(A)
     total = default * sum(p.values()) ** A.d if default else 0
-    support = p.keys()
-    for key, delta in deltas:
-        if not support >= set(key):
-            continue
-        counts = index_runs(key)
-        term = delta * multinomial([c for _, c in counts])
-        for i, c in counts:
-            term *= p[i] ** c
-        total += term
+    for w, runs in terms:
+        if all(i in p for i, _ in runs):
+            for i, e in runs:
+                w *= p[i] ** e
+            total += w
     return Fraction(total, scale * q ** A.d)
 
 
@@ -297,25 +292,16 @@ def _face_descent(A: SymTensor, i: int, j: int) -> tuple[int, Fraction]:
     """The least k >= 0 with f(e_i + 2^-k e_j) < 0, and that value, for a
     zero a_{i...i} and a negative a_{i^(d-1) j}.
 
-    On the face, f(e_i + t e_j) = sum_k C(d, k) a_{i^(d-k) j^k} t^k, which is
-    default * (1 + t)^d plus C(d, k) (a - default) t^k for each stored entry
-    on the face; those are the only entries read.  At t = 2^-k it times
-    s 2^(dk), s the lcm of the denominators, is the integer
-    default s (2^k + 1)^d + sum C(d, k') (a - default) s 2^(k (d - k')).
+    On the face, L f(e_i + t e_j) is default * L * (1 + t)^d plus w t^c for
+    each term of :func:`scaled_terms` with runs (i, d - c), (j, c), its
+    weight already C(d, c) (a - default) L.  At t = 2^-k, times 2^(dk), that
+    is the integer default L (2^k + 1)^d + sum w 2^(k (d - c)).
     """
-    d, default = A.d, A.default
-    deltas = {}   # j-count -> stored entry minus the default
-    for key, a in A.entries.items():
-        if key[0] in (i, j) and key[-1] in (i, j):
-            count = key.count(j)
-            if count + key.count(i) == d and a != default:
-                deltas[count] = a - default
-    scale = math.lcm(default.denominator, *(v.denominator for v in deltas.values()))
-    base = default.numerator * (scale // default.denominator)
-    terms = [(d - count, math.comb(d, count) * v.numerator * (scale // v.denominator))
-             for count, v in deltas.items()]
+    scale, default, terms = scaled_terms(A)
+    face = [(dict(runs).get(i - 1, 0), w) for w, runs in terms
+            if all(k in (i - 1, j - 1) for k, _ in runs)]
     k = 0
-    while (total := base * ((1 << k) + 1) ** d
-           + sum(c << (k * shift) for shift, c in terms)) >= 0:
+    while (total := default * ((1 << k) + 1) ** A.d
+           + sum(w << (k * e) for e, w in face)) >= 0:
         k += 1
-    return k, Fraction(total, scale << (d * k))
+    return k, Fraction(total, scale << (A.d * k))

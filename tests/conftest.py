@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
-                                      enumerate_exponents, falling_factorial,
-                                      multinomial, tuple_multiplicity)
+                                      enumerate_exponents, multinomial,
+                                      tuple_multiplicity)
 from copotensor.gridcone import first_appearances
 from copotensor.polycone import PolyExpansion
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
@@ -119,7 +120,7 @@ def reference_brackets(A: SymTensor, r: int):
     scale, values = scaled_values(A)
     thetas = enumerate_exponents(A.n, s)
     table = np.array(thetas, dtype=np.intp)
-    fall = np.array([[falling_factorial(t, c) for c in range(d + 1)]
+    fall = np.array([[math.perm(t, c) for c in range(d + 1)]
                      for t in range(s + 1)], dtype=object)
     brackets = np.zeros(len(thetas), dtype=object)
     for key, a in zip(canonical_tuples(A.n, d), values):
@@ -130,7 +131,7 @@ def reference_brackets(A: SymTensor, r: int):
             if c:
                 column = column * fall[table[:, i], c]
         brackets += column
-    return thetas, brackets, falling_factorial(s, d) * scale
+    return thetas, brackets, math.perm(s, d) * scale
 
 
 def reference_grid_values(A: SymTensor, r: int):
@@ -151,6 +152,40 @@ def reference_grid_values(A: SymTensor, r: int):
                 total += w
             yield m, c, total
     return scale, evaluate()
+
+
+@lru_cache(maxsize=None)
+def reference_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Order reference for :func:`copotensor.combinatorics.enumerate_exponents`:
+    the compositions of d into n parts by recursion on the first part."""
+    if n == 1:
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d + 1)
+                 for rest in reference_exponents(n - 1, d - first))
+
+
+def reference_face_descent(A: SymTensor, i: int, j: int) -> tuple[int, Fraction]:
+    """Literal reference for :func:`copotensor.tensor._face_descent`: the face
+    formula over the entries on the (i, j) face only, scaled by the lcm of
+    their denominators.  f(e_i + t e_j) = sum_c C(d, c) a_{i^(d-c) j^c} t^c;
+    at t = 2^-k, times s 2^(dk), it is the integer
+    default s (2^k + 1)^d + sum C(d, c) (a - default) s 2^(k (d - c))."""
+    d, default = A.d, A.default
+    deltas = {}   # j-count -> stored entry minus the default
+    for key, a in A.entries.items():
+        if key[0] in (i, j) and key[-1] in (i, j):
+            count = key.count(j)
+            if count + key.count(i) == d and a != default:
+                deltas[count] = a - default
+    scale = math.lcm(default.denominator, *(v.denominator for v in deltas.values()))
+    base = default.numerator * (scale // default.denominator)
+    terms = [(d - count, math.comb(d, count) * v.numerator * (scale // v.denominator))
+             for count, v in deltas.items()]
+    k = 0
+    while (total := base * ((1 << k) + 1) ** d
+           + sum(c << (k * shift) for shift, c in terms)) >= 0:
+        k += 1
+    return k, Fraction(total, scale << (d * k))
 
 
 def reference_cumulative_grid(n: int, r: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -200,7 +235,7 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
     if d < 2:
         raise ValueError("closed form requires d >= 2")
     s = r + d
-    denom = falling_factorial(s, d)
+    denom = math.perm(s, d)
     betas = [elementary_symmetric(k, d - 1) for k in range(d)]
     terms = []
     for key, a in A.items():
@@ -226,7 +261,7 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
             w = 1
             for t, c in zip(theta, counts):
                 if c:
-                    w *= falling_factorial(t, c)
+                    w *= math.perm(t, c)
                     if w == 0:
                         break
             if w:

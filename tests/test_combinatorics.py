@@ -5,12 +5,12 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from copotensor.combinatorics import (COUNT_CAP, MAX_ENUMERATION,
+from copotensor.combinatorics import (COUNT_CAP, MAX_ENUMERATION, MAX_TABLE_CELLS,
                                       binomial_at_most, check_enumeration_size,
-                                      enumerate_exponents, falling_factorial,
-                                      falling_factorial_column, index_runs, multinomial,
-                                      multinomials, tuple_multiplicity)
-from conftest import elementary_symmetric, index_counts
+                                      enumerate_exponents, falling_factorial_column,
+                                      index_runs, multinomial, multinomials,
+                                      tuple_multiplicity)
+from conftest import elementary_symmetric, index_counts, reference_exponents
 
 
 class TestMultinomial:
@@ -63,6 +63,22 @@ class TestEnumerateExponents:
         exps = enumerate_exponents(3, 4)
         assert list(exps) == sorted(exps)
 
+    def test_matches_recursive_reference(self):
+        for n in range(1, 7):
+            for d in range(0, 9):
+                assert enumerate_exponents(n, d) == reference_exponents(n, d)
+
+    def test_table_cell_limit(self):
+        # n = 140 at degree 2, the largest table of order 2 or more within
+        # MAX_ENUMERATION, and 1000 variables at degree 1 (a recursion 1000
+        # deep for a recursive enumeration) are admitted; 5000 are not
+        assert len(enumerate_exponents(140, 2)) * 140 == 1_381_800 <= MAX_TABLE_CELLS
+        exps = enumerate_exponents(1000, 1)
+        assert (exps[0], exps[-1]) == ((0,) * 999 + (1,), (1,) + (0,) * 999)
+        with pytest.raises(ValueError, match="exponent table of 25000000 cells "
+                                             "exceeds the limit"):
+            enumerate_exponents(5000, 1)
+
 
 class TestElementarySymmetric:
     def test_small(self):
@@ -82,11 +98,6 @@ class TestElementarySymmetric:
 
 
 class TestHelpers:
-    def test_falling_factorial(self):
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(2, 4) == 0
-        assert falling_factorial(7, 0) == 1
-
     def test_tuple_multiplicity(self):
         assert tuple_multiplicity((1, 1, 1)) == 1
         assert tuple_multiplicity((1, 2)) == 2
@@ -119,8 +130,7 @@ class TestHelpers:
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=45))
     def test_falling_factorial_column(self, s, c):
-        assert falling_factorial_column(s, c) == [falling_factorial(t, c)
-                                                 for t in range(s + 1)]
+        assert falling_factorial_column(s, c) == [math.perm(t, c) for t in range(s + 1)]
 
 
 class TestEnumerationLimit:

@@ -418,6 +418,48 @@ class TestCliExitCodes:
         if code == 1 and method == "grid":
             assert doc["witness"] == {"point": ["0", "1"], "value": "-1/3"}
 
+    @pytest.mark.parametrize("command, code", [
+        (["expand"], 0), (["check", "--method", "sos"], 3),
+        (["compare", "--levels", "0"], 3)], ids=["expand", "sos", "compare"])
+    def test_small_sparse_document_of_high_order_expands(self, tmp_path, command, code):
+        # the 10**4 coefficients C(9999, k) share the reduction by D = 9999!;
+        # the SOS targets are then refused as beyond float range
+        p = tmp_path / "order.json"
+        p.write_text('{"n": 2, "d": 9999, "default": "1"}')
+        run = _python("import sys; from copotensor.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *command, str(p),
+                      cwd=tmp_path, timeout=10)
+        assert run.returncode == code
+        if code == 3:
+            assert (run.stdout, run.stderr) == \
+                ("", "error: a level 0 coefficient is beyond float range\n")
+        else:
+            rows = json.loads(run.stdout)["coefficients"]
+            assert len(rows) == 10_000 and run.stderr == ""
+            assert rows[4999] == {"theta": [4999, 5000],
+                                  "coefficient": str(math.comb(9999, 4999))}
+
+    @pytest.mark.parametrize("command, n, code", [
+        (["check", "--method", "coef"], 1000, 0), (["check", "--method", "coef"], 5000, 3),
+        (["check", "--method", "sos"], 1000, 0), (["check", "--method", "sos"], 5000, 3),
+        (["expand"], 1000, 0), (["expand"], 5000, 3),
+        (["oracle", "--resolution", "1"], 1200, 0),
+        (["oracle", "--resolution", "2"], 400, 3)],
+        ids=["coef-1000", "coef-5000", "sos-1000", "sos-5000", "expand-1000",
+             "expand-5000", "oracle-1200", "oracle-400"])
+    def test_wide_order_one_document_answers_or_exits_3(self, tmp_path, command, n, code):
+        # one exponent vector, or grid point, per variable: the tables are
+        # built without recursion, and their cells (vectors times n, points
+        # times n) are counted against a limit before they are built
+        p = tmp_path / "wide.json"
+        p.write_text(f'{{"n": {n}, "d": 1, "default": "1"}}')
+        run = _python("import sys; from copotensor.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *command, str(p),
+                      cwd=tmp_path, timeout=30)
+        assert run.returncode == code and "Traceback" not in run.stderr
+        if code == 3:
+            assert run.stdout == "" and "exceeds" in run.stderr
+
     @pytest.mark.parametrize("method", ["coef", "sos", "grid"])
     def test_negative_level_exit_3(self, tmp_path, capsys, method):
         # [[1,-2],[-2,1]] is not copositive: level 0 of the grid refutes it

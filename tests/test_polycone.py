@@ -150,29 +150,36 @@ class TestMatchesReference:
             assert_route_matches_references(A, r)
 
     def test_one_multinomial_per_coefficient(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(polycone, "multinomial",
-                            lambda alpha: calls.append(alpha) or multinomial(alpha))
+        tables = []
+        monkeypatch.setattr(polycone, "multinomials",
+                            lambda thetas: tables.append(list(thetas))
+                            or combinatorics.multinomials(tables[-1]))
         exp = expand_Pr(example31_tensor(), 6)
-        assert sorted(calls) == sorted(exp.coeffs)
+        assert len(tables) == 1 and sorted(tables[0]) == sorted(exp.coeffs)
 
     def test_member_level_builds_no_fraction_and_no_multinomial(self, monkeypatch):
-        multinomials, tables, fractions = [], [], []
-        monkeypatch.setattr(polycone, "multinomial",
-                            lambda alpha: multinomials.append(alpha) or multinomial(alpha))
+        tables, fractions = [], []
         monkeypatch.setattr(polycone, "multinomials",
                             lambda thetas: tables.append(list(thetas))
                             or combinatorics.multinomials(tables[-1]))
         monkeypatch.setattr(polycone, "Fraction",
                             lambda *args: fractions.append(args) or Fraction(*args))
         assert member_C_r(example31_tensor(), 6).member
-        assert multinomials == tables == fractions == []
+        assert tables == fractions == []
         # a NotMember level: the multinomials of the negative brackets, -4 at
         # (2, 3) and (3, 2), which share 4 with D = 20, and one Fraction
         v = member_C_r(BOUNDARY, 3)
         assert not v.member
-        assert (multinomials, tables) == ([], [[(2, 3), (3, 2)]])
+        assert tables == [[(2, 3), (3, 2)]]
         assert fractions == [(-10, 5)]
+
+    def test_huge_order_against_binomials(self):
+        # P at level 0 of the all-ones form in two variables has coefficient
+        # C(d, k) at (k, d - k); D = 9999! divides every bracket
+        exp = expand_Pr(SymTensor(2, 9999, {}, 1), 0)
+        assert len(exp.coeffs) == 10_000
+        for k in (0, 1, 17, 4999, 5000, 9998, 9999):
+            assert exp.coeffs[k, 9999 - k] == math.comb(9999, k)
 
 
 class TestSizeLimit:

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import combinatorics
+from copotensor import combinatorics, tensor
+from copotensor.combinatorics import tuple_multiplicity
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                eval_form, from_matrix, multi_product,
-                               necessary_screen, scaled_values, canonical_tuples)
-from conftest import (default_tensors, float_tensors, rand_float_tensor,
-                      rand_rational_tensor)
+                               necessary_screen, scaled_terms, scaled_values,
+                               canonical_tuples)
+from conftest import (default_tensors, float_tensors, index_counts, rand_float_tensor,
+                      rand_rational_tensor, reference_face_descent)
 
 
 def literal_eval(A: SymTensor, x) -> Fraction:
@@ -119,6 +121,35 @@ class TestScaledValues:
         # 1.6e9 tuples: refused at once, not built
         with pytest.raises(ValueError, match="canonical tuple count"):
             scaled_values(SymTensorBuilder(100, 6, default=1).build())
+
+
+class TestScaledTerms:
+    @settings(max_examples=80, deadline=None)
+    @given(default_tensors(max_n=4, max_d=5),
+           st.lists(st.integers(min_value=-3, max_value=4), min_size=4, max_size=4))
+    def test_closed_form_equals_the_dense_sum(self, A, x):
+        scale, default, terms = scaled_terms(A)
+        values = [a for _, a in A.items()]
+        assert scale == math.lcm(A.default.denominator, *(a.denominator for a in values))
+        assert default == A.default * scale
+        # L times the literal sum over canonical tuples, each with its
+        # multiplicity, at an integer point
+        x = x[:A.n]
+        dense = sum(tuple_multiplicity(key) * a * scale * math.prod(x[i - 1] for i in key)
+                    for key, a in A.items())
+        closed = default * sum(x) ** A.d
+        for w, runs in terms:
+            closed += w * math.prod(x[i] ** e for i, e in runs)
+        assert closed == dense
+        # one term per stored entry that differs from the default, in
+        # canonical order, with its 0-based index runs and integer weight
+        stored = [(key, a) for key, a in sorted(A.entries.items()) if a != A.default]
+        assert [runs for _, runs in terms] == \
+            [tuple((i, c) for i, c in enumerate(index_counts(key, A.n)) if c)
+             for key, _ in stored]
+        assert [w for w, _ in terms] == \
+            [tuple_multiplicity(key) * (a - A.default) * scale for key, a in stored]
+        assert all(type(w) is int for w, _ in terms)
 
 
 class TestEval:
@@ -309,6 +340,39 @@ class TestNecessaryScreen:
             assert res.witness[j - 1] == t and res.witness_value == value
             checked += 1
         assert checked >= 200
+
+    def test_face_descent_matches_the_face_formula(self):
+        # seeded tensors with zero diagonals and negative mixed entries,
+        # fractional, float and negative defaults included: every descent on
+        # a qualifying (i, j) face, and each reported witness, equal the
+        # face formula's over the face entries alone
+        rng = random.Random(37)
+        descents = 0
+        for _ in range(400):
+            n, d = rng.randint(2, 4), rng.randint(2, 6)
+            default = rng.choice((Fraction(rng.randint(-2, 5), rng.choice((1, 3, 7))),
+                                  rng.uniform(-1, 3)))
+            b = SymTensorBuilder(n, d, default)
+            for _ in range(rng.randint(0, 8)):
+                key = tuple(sorted(rng.randint(1, n) for _ in range(d)))
+                b.set(key, rng.choice((Fraction(rng.randint(-6, 9), rng.choice((1, 2, 5))),
+                                       rng.uniform(-2, 4), 0)))
+            for i in rng.sample(range(1, n + 1), rng.randint(1, n)):
+                b.set((i,) * d, 0)
+                j = rng.choice([k for k in range(1, n + 1) if k != i])
+                b.set((i,) * (d - 1) + (j,), Fraction(-rng.randint(1, 4), 3))
+            A = b.build()
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                if A.get((i,) * d) == 0 and A.get((i,) * (d - 1) + (j,)) < 0:
+                    assert tensor._face_descent(A, i, j) == reference_face_descent(A, i, j)
+                    descents += 1
+            res = necessary_screen(A)
+            if not res.passed and "zero diagonal" in res.reason:
+                i = int(res.reason.split()[4])   # "zero diagonal at index i ..."
+                j = next(k for k, c in enumerate(res.witness, 1) if k != i and c)
+                k, value = reference_face_descent(A, i, j)
+                assert (res.witness[j - 1], res.witness_value) == (Fraction(1, 1 << k), value)
+        assert descents >= 400
 
     def test_zero_diag_of_high_order_reads_only_the_face(self):
         # f(e_1 + t e_2) = (1 + t)^d - 1 - 2 d t first goes negative near
