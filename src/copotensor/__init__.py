@@ -12,10 +12,9 @@ imported from their submodules, ``copotensor.polycone`` and
 from .combinatorics import enumerate_exponents, multinomial
 from .gridcone import member_O_r
 from .partition import (Certificate, Partition, Simplex, Verdict,
-                        bisect_longest_edge, certify_copositivity, diameter,
-                        grid_partition, inner_test_full, member_I_P,
-                        member_O_P, refine, standard_simplex, trivial_partition)
+                        certify_copositivity, diameter, member_I_P, member_O_P,
+                        standard_simplex, trivial_partition)
 from .tensor import (SymTensor, SymTensorBuilder, canonicalize, eval_form,
-                     from_matrix, multi_product, necessary_screen)
+                     from_matrix, necessary_screen)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .combinatorics import (COUNT_CAP, binomial_at_most, check_enumeration_size,
                             enumerate_exponents)
-from .tensor import Scalar, SymTensor, check_tuple_count, scaled_terms
+from .tensor import Scalar, SymTensor, check_tuple_count
 
 Point = tuple[Fraction, ...]
 GridPoint = tuple[int, tuple[int, ...]]   # the point c / m as (m, c)
@@ -77,7 +77,7 @@ def _grid_values(A: SymTensor, r: int) -> tuple[int, Iterator[tuple[int, tuple[i
     run, not d products."""
     points = first_appearances(A.n, r)
     check_tuple_count(A)   # the tensor's size limit, however few its terms
-    scale, default, terms = scaled_terms(A)
+    scale, default, terms = A.integer_form
 
     def evaluate() -> Iterator[tuple[int, tuple[int, ...], int]]:
         level, base = None, 0   # points arrive grouped by m: one m^d per m

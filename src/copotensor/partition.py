@@ -1,20 +1,22 @@
-"""Simplicial partitions of the standard simplex and the branch-and-bound
-copositivity certifier.
+"""Simplicial partitions of the standard simplex, the partition cones O^P and
+I^P, and the branch-and-bound copositivity certifier.
 
 All geometry is exact rational: vertices are Fraction points, longest-edge
 selection compares squared edge lengths exactly, and every verdict-bearing
 inequality is evaluated exactly.  Floating point appears only in the
 reported diameter.
 
-Every per-simplex test reads one table, the values <A, v_k1 (x) ... (x) v_kd>
-over the multisets of the simplex's vertex indices: the simplicial Bernstein
-coefficients of the form (Leroy 2008).  O^P reads the vertex values (one
-distinct index), I^P adds the edge splits (two), and the full vertex-tuple
-test of Bundfuss & Dur 2008 reads them all.  The certifier carries the table
-as Python ints scaled by a positive constant, so one array refutes (a
-negative vertex value, reported off that coefficient) and prunes (all
-non-negative).  Bisecting an edge is a de Casteljau step on the coefficients
-rather than a recomputation.
+One integer table serves every per-simplex test: the values
+<A, v_k1 (x) ... (x) v_kd> over the multisets of the simplex's vertex
+indices, the simplicial Bernstein coefficients of the form (Leroy 2008), as
+Python ints scaled by a positive constant.  The root's table is A's scaled
+values, and bisecting an edge is a de Casteljau step on the coefficients
+rather than a recomputation.  On the level-k partition (k rounds of
+longest-edge bisection), O^P reads the vertex values (one distinct index)
+and I^P adds the edge splits (two).  The certifier refutes on a negative
+vertex value, reported off that coefficient, and prunes a simplex whose
+whole table is non-negative, the full vertex-tuple test of Bundfuss & Dur
+2008.  Only signs decide, so no Fraction table is ever formed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tensor import Scalar, SymTensor, multi_product, scaled_values
+from .combinatorics import MAX_TABLE_CELLS, binomial_at_most, count_text
+from .tensor import Scalar, SymTensor, scaled_values
 
 Point = tuple[Fraction, ...]
 
@@ -85,24 +88,9 @@ def _split(s: Simplex, i: int, j: int) -> tuple[Simplex, Simplex]:
     return (Simplex(child_i, s.depth + 1), Simplex(child_j, s.depth + 1))
 
 
-def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
-    """Split at the midpoint of a longest edge; ties broken by the
-    lexicographically smallest (sorted) vertex pair, for determinism.
-    """
-    return _split(s, *_longest_edge(s))
-
-
 @dataclass
 class Partition:
     simplices: list[Simplex]
-
-    @property
-    def vertex_set(self) -> list[Point]:
-        seen: dict[Point, None] = {}
-        for s in self.simplices:
-            for v in s.vertices:
-                seen.setdefault(v, None)
-        return list(seen)
 
     @property
     def edge_set(self) -> list[tuple[Point, Point]]:
@@ -117,89 +105,9 @@ def trivial_partition(n: int) -> Partition:
     return Partition([standard_simplex(n)])
 
 
-def grid_partition(n: int, m: int) -> Partition:
-    """Uniform triangulation of the standard simplex with every vertex on the
-    denominator-m grid: segments for n = 2, the up/down triangle subdivision
-    for n = 3.  This is the partition family whose vertex set matches the
-    level-(m-d) rational grid, which the level-r coefficient cone embeds into.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n == 1:
-        return trivial_partition(1)
-    if n == 2:
-        pts = [(Fraction(k, m), Fraction(m - k, m)) for k in range(m + 1)]
-        return Partition([Simplex((pts[k], pts[k + 1])) for k in range(m)])
-    if n == 3:
-        def pt(a: int, b: int, c: int) -> Point:
-            return (Fraction(a, m), Fraction(b, m), Fraction(c, m))
-        simplices = []
-        for a in range(m):
-            for b in range(m - a):
-                c = m - 1 - a - b
-                simplices.append(Simplex((pt(a + 1, b, c), pt(a, b + 1, c),
-                                          pt(a, b, c + 1))))
-                if a + b + c >= 1 and c >= 1:
-                    simplices.append(Simplex((pt(a + 1, b + 1, c - 1),
-                                              pt(a + 1, b, c), pt(a, b + 1, c))))
-        return Partition(simplices)
-    raise ValueError("grid_partition supports n <= 3")
-
-
-def refine_once(P: Partition) -> Partition:
-    """Bisect every simplex; the result is a refinement of P."""
-    out: list[Simplex] = []
-    for s in P.simplices:
-        out.extend(bisect_longest_edge(s))
-    return Partition(out)
-
-
-def refine(P: Partition, rounds: int) -> Partition:
-    for _ in range(rounds):
-        P = refine_once(P)
-    return P
-
-
 def diameter(P: Partition) -> float:
     """max edge length; float is for reporting only, never for branching."""
     return math.sqrt(float(max(_sq_dist(u, v) for u, v in P.edge_set)))
-
-
-def _vertex_tuple_values(A: SymTensor, simplices: list[Simplex], distinct: int):
-    """<A, v_k1 (x) ... (x) v_kd> for every multiset of a simplex's vertex
-    indices with at most `distinct` different indices, simplex by simplex in
-    canonical order, and each multiset of points once however many of the
-    simplices share it; exact rational arithmetic."""
-    seen: set[tuple[Point, ...]] = set()
-    for s in simplices:
-        verts = s.vertices
-        for key in itertools.combinations_with_replacement(range(len(verts)), A.d):
-            if len(set(key)) <= distinct:
-                points = tuple(sorted(verts[k] for k in key))
-                if points not in seen:
-                    seen.add(points)
-                    yield multi_product(A, points)
-
-
-def inner_test_full(A: SymTensor, s: Simplex) -> bool:
-    """Full vertex-tuple condition: every value of the simplex's table is
-    non-negative.  Sufficient for non-negativity of the form on the simplex.
-    """
-    return all(value >= 0 for value in _vertex_tuple_values(A, [s], A.d))
-
-
-def member_I_P(A: SymTensor, P: Partition) -> bool:
-    """Pairwise inner cone: vertex powers and all two-vertex splits along the
-    partition's edges must pair non-negatively with A.  This reproduces the
-    edge-based definition; for d > 2 it is weaker than
-    :func:`inner_test_full`, the condition the certifier prunes on.
-    """
-    return all(value >= 0 for value in _vertex_tuple_values(A, P.simplices, 2))
-
-
-def member_O_P(A: SymTensor, P: Partition) -> bool:
-    """Outer cone: the form is non-negative at every partition vertex."""
-    return all(value >= 0 for value in _vertex_tuple_values(A, P.simplices, 1))
 
 
 class _StepTables(dict):
@@ -243,6 +151,64 @@ def _casteljau_tables(n: int, d: int):
 
 def _casteljau_step(b: list[int], rows) -> list[int]:
     return [sum([w * b[src] for w, src in row]) for row in rows]
+
+
+def _bisect(s: Simplex, b: list[int], steps) -> tuple[tuple[Simplex, list[int]], ...]:
+    """The two (child, coefficients) pairs of s, split at the midpoint of its
+    longest edge (i, j): first the child in which vertex i moves, then j."""
+    i, j = _longest_edge(s)
+    child_i, child_j = _split(s, i, j)
+    return ((child_i, _casteljau_step(b, steps[i, j])),
+            (child_j, _casteljau_step(b, steps[j, i])))
+
+
+def _level_nonnegative(A: SymTensor, k: int, distinct: int) -> bool:
+    """Whether, on each simplex of the level-k partition (k rounds of
+    longest-edge bisection of the standard simplex, every simplex split in
+    each round), every coefficient whose multiset has at most `distinct`
+    different vertex indices is non-negative.
+
+    The simplices are visited depth first, children in :func:`_bisect`
+    order, so at most k + 1 tables are held at once, and the first negative
+    coefficient decides.  Only signs are read, so the positive scale
+    L * 2^(d * depth) is never undone.  A negative k, or 2^k simplices of
+    more than MAX_TABLE_CELLS coefficients in all, raise ValueError before
+    any table is built; a point (n = 1) cannot be bisected, so at n = 1 any
+    k > 0 raises too.
+    """
+    if k < 0:
+        raise ValueError("level must be >= 0")
+    tuples = binomial_at_most(A.n + A.d - 1, A.d)
+    # a shift past the limit's bit length already exceeds it, so a huge k
+    # never builds a huge int
+    if tuples << min(k, MAX_TABLE_CELLS.bit_length()) > MAX_TABLE_CELLS:
+        raise ValueError(f"level {k}: 2^{k} simplices of {count_text(tuples)} "
+                         f"coefficients exceed the limit of {MAX_TABLE_CELLS} cells")
+    root = scaled_values(A)[1]
+    steps = _casteljau_tables(A.n, A.d)[1]
+    positions = [p for key, p in steps.index.items() if len(set(key)) <= distinct]
+    work = [(standard_simplex(A.n), root)]
+    while work:
+        s, b = work.pop()
+        if s.depth < k:
+            work.extend(reversed(_bisect(s, b, steps)))
+        elif any(b[p] < 0 for p in positions):
+            return False
+    return True
+
+
+def member_I_P(A: SymTensor, k: int) -> bool:
+    """Pairwise inner cone on the level-k partition: vertex powers and all
+    two-vertex splits along the partition's edges pair non-negatively with
+    A.  For d > 2 this is weaker than the full table the certifier prunes
+    on."""
+    return _level_nonnegative(A, k, 2)
+
+
+def member_O_P(A: SymTensor, k: int) -> bool:
+    """Outer cone on the level-k partition: the form is non-negative at every
+    partition vertex."""
+    return _level_nonnegative(A, k, 1)
 
 
 class Verdict(enum.Enum):
@@ -307,10 +273,7 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         if s.depth >= max_depth:
             unresolved.append(s)
             continue
-        i, j = _longest_edge(s)
-        child_i, child_j = _split(s, i, j)
-        work.append((child_i, _casteljau_step(b, steps[i, j])))
-        work.append((child_j, _casteljau_step(b, steps[j, i])))
+        work.extend(_bisect(s, b, steps))
     if unresolved:
         return Certificate(
             Verdict.INDETERMINATE,

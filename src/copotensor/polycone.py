@@ -29,7 +29,7 @@ import numpy as np
 from .combinatorics import (binomial_at_most, check_enumeration_size,
                             enumerate_exponents, falling_factorial_column,
                             multinomials)
-from .tensor import SymTensor, check_tuple_count, scaled_terms
+from .tensor import SymTensor, check_tuple_count
 
 Exponent = tuple[int, ...]
 
@@ -78,7 +78,7 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     if A.n == 1:
         check_enumeration_size((s + 1) * (d + 1), f"level {r} falling-factorial table size")
     check_tuple_count(A)   # the tensor's size limit, however few its terms
-    scale, default, terms = scaled_terms(A)
+    scale, default, terms = A.integer_form
     thetas = enumerate_exponents(A.n, s)
     table = np.array(thetas, dtype=np.intp)
     fall_s = math.perm(s, d)

@@ -7,12 +7,16 @@ is an exact ``fractions.Fraction``: ints and Fractions convert as they are, a
 float keeps its exact binary value (0.1 is 3602879701896397/2^55), and NaN,
 infinities and non-numbers raise ValueError.
 A's one integer form, :func:`scaled_terms` (the default in closed form and
-one term per stored entry that differs), serves every exact kernel but the
-certifier's dense root table, :func:`scaled_values`.
+one term per stored entry that differs), is built once per tensor and kept
+as :attr:`SymTensor.integer_form`.  It serves form evaluation, the grid, the
+coefficient brackets and the screen's face descent; the simplicial Bernstein
+table of the partition cones and the certifier starts from the dense
+:func:`scaled_values` instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -27,6 +31,8 @@ from .combinatorics import (binomial_at_most, check_enumeration_size, index_runs
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
+# (L, default * L, terms (w, runs)): see scaled_terms
+IntegerForm = tuple[int, int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 
 def _exact(value: object) -> Fraction:
@@ -95,6 +101,11 @@ class SymTensor:
     def diag_vector(self) -> tuple[Fraction, ...]:
         return tuple(self.get((i,) * self.d) for i in range(1, self.n + 1))
 
+    @functools.cached_property
+    def integer_form(self) -> IntegerForm:
+        """:func:`scaled_terms` of this tensor, built on first use."""
+        return scaled_terms(self)
+
 
 class SymTensorBuilder:
     """The only mutation path; produces immutable SymTensor values."""
@@ -148,7 +159,7 @@ def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def scaled_terms(A: SymTensor) -> tuple[int, int, list[tuple[int, tuple[tuple[int, int], ...]]]]:
+def scaled_terms(A: SymTensor) -> IntegerForm:
     """A's one integer form: the lcm L of the denominators of the default and
     the stored values, default * L, and for each stored a != default, in
     canonical order, (w, runs) with w = multiplicity * (a - default) * L and
@@ -162,7 +173,7 @@ def scaled_terms(A: SymTensor) -> tuple[int, int, list[tuple[int, tuple[tuple[in
         if delta:
             runs = tuple((i - 1, e) for i, e in index_runs(key))
             terms.append((multinomial([e for _, e in runs]) * delta, runs))
-    return scale, default, terms
+    return scale, default, tuple(terms)
 
 
 def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
@@ -181,7 +192,7 @@ def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
     coords = {i: Fraction(c) for i, c in enumerate(x) if c != 0}
     q = math.lcm(*(c.denominator for c in coords.values()))
     p = {i: c.numerator * (q // c.denominator) for i, c in coords.items()}
-    scale, default, terms = scaled_terms(A)
+    scale, default, terms = A.integer_form
     total = default * sum(p.values()) ** A.d if default else 0
     for w, runs in terms:
         if all(i in p for i, _ in runs):
@@ -189,29 +200,6 @@ def eval_form(A: SymTensor, x: Sequence[Scalar]) -> Fraction:
                 w *= p[i] ** e
             total += w
     return Fraction(total, scale * q ** A.d)
-
-
-def multi_product(A: SymTensor, vectors: Sequence[Sequence[Scalar]]) -> Scalar:
-    """<A, w_1 (x) w_2 (x) ... (x) w_d> by summation over all n^d tuples.
-
-    The factors need not coincide, so no multiplicity shortcut applies; sizes
-    stay small enough (n^d) that the literal sum is fine.
-    """
-    if len(vectors) != A.d:
-        raise ValueError(f"expected {A.d} factors, got {len(vectors)}")
-    for w in vectors:
-        if len(w) != A.n:
-            raise ValueError("factor dimension mismatch")
-    total = 0
-    for tup in itertools.product(range(1, A.n + 1), repeat=A.d):
-        a = A.entries.get(tuple(sorted(tup)), A.default)
-        if a == 0:
-            continue
-        term = a
-        for w, i in zip(vectors, tup):
-            term = term * w[i - 1]
-        total = total + term
-    return total
 
 
 @dataclass(frozen=True)
@@ -297,7 +285,7 @@ def _face_descent(A: SymTensor, i: int, j: int) -> tuple[int, Fraction]:
     weight already C(d, c) (a - default) L.  At t = 2^-k, times 2^(dk), that
     is the integer default L (2^k + 1)^d + sum w 2^(k (d - c)).
     """
-    scale, default, terms = scaled_terms(A)
+    scale, default, terms = A.integer_form
     face = [(dict(runs).get(i - 1, 0), w) for w, runs in terms
             if all(k in (i - 1, j - 1) for k, _ in runs)]
     k = 0

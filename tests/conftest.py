@@ -12,9 +12,11 @@ from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
                                       enumerate_exponents, multinomial,
                                       tuple_multiplicity)
 from copotensor.gridcone import first_appearances
+from copotensor.partition import (Partition, Simplex, _longest_edge, _split,
+                                  trivial_partition)
 from copotensor.polycone import PolyExpansion
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
-                               from_matrix, scaled_values)
+                               eval_form, from_matrix, scaled_values)
 
 BOUNDARY = from_matrix([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]])
 # in K^(1) but not PSD plus non-negative (Parrilo 2000)
@@ -268,6 +270,112 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
                 bracket += wa * w
         coeffs[theta] = Fraction(multinomial(theta), denom) * bracket
     return PolyExpansion(A.n, d, r, coeffs)
+
+
+def multi_product(A: SymTensor, vectors):
+    """<A, w_1 (x) w_2 (x) ... (x) w_d> by summation over all n^d tuples:
+    the literal reference for the simplicial Bernstein coefficients."""
+    if len(vectors) != A.d:
+        raise ValueError(f"expected {A.d} factors, got {len(vectors)}")
+    for w in vectors:
+        if len(w) != A.n:
+            raise ValueError("factor dimension mismatch")
+    total = 0
+    for tup in itertools.product(range(1, A.n + 1), repeat=A.d):
+        a = A.entries.get(tuple(sorted(tup)), A.default)
+        if a == 0:
+            continue
+        term = a
+        for w, i in zip(vectors, tup):
+            term = term * w[i - 1]
+        total = total + term
+    return total
+
+
+def refine_once(P: Partition) -> Partition:
+    """Bisect every simplex at the midpoint of its longest edge, children in
+    the certifier's order."""
+    return Partition([child for s in P.simplices
+                      for child in _split(s, *_longest_edge(s))])
+
+
+def refine(P: Partition, rounds: int) -> Partition:
+    """The level-`rounds` partition below P: :func:`refine_once` repeated."""
+    for _ in range(rounds):
+        P = refine_once(P)
+    return P
+
+
+def vertex_set(P: Partition):
+    """Every distinct vertex of P's simplices, in first-appearance order."""
+    return list(dict.fromkeys(v for s in P.simplices for v in s.vertices))
+
+
+def grid_partition(n: int, m: int) -> Partition:
+    """Uniform triangulation of the standard simplex with every vertex on the
+    denominator-m grid: segments for n = 2, the up/down triangle subdivision
+    for n = 3.  Its vertex set matches the level-(m-d) rational grid, which
+    the level-r coefficient cone embeds into."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n == 1:
+        return trivial_partition(1)
+    if n == 2:
+        pts = [(Fraction(k, m), Fraction(m - k, m)) for k in range(m + 1)]
+        return Partition([Simplex((pts[k], pts[k + 1])) for k in range(m)])
+    if n == 3:
+        def pt(a: int, b: int, c: int):
+            return (Fraction(a, m), Fraction(b, m), Fraction(c, m))
+        simplices = []
+        for a in range(m):
+            for b in range(m - a):
+                c = m - 1 - a - b
+                simplices.append(Simplex((pt(a + 1, b, c), pt(a, b + 1, c),
+                                          pt(a, b, c + 1))))
+                if a + b + c >= 1 and c >= 1:
+                    simplices.append(Simplex((pt(a + 1, b + 1, c - 1),
+                                              pt(a + 1, b, c), pt(a, b + 1, c))))
+        return Partition(simplices)
+    raise ValueError("grid_partition supports n <= 3")
+
+
+# The per-simplex tests as three separate loops over multi_product and
+# eval_form, kept literally as the reference for the integer table.
+
+def reference_inner_test_full(A: SymTensor, s: Simplex) -> bool:
+    """Full vertex-tuple test (Bundfuss & Dur 2008): every value of the
+    simplex's table is non-negative."""
+    verts = s.vertices
+    for key in canonical_tuples(len(verts), A.d):
+        if multi_product(A, [verts[i - 1] for i in key]) < 0:
+            return False
+    return True
+
+
+def reference_edge_products_nonneg(A: SymTensor, u, v) -> bool:
+    # all splits a in 1..d-1 of <A, u^(x a) (x) v^(x (d-a))>
+    for a in range(1, A.d):
+        factors = [u] * a + [v] * (A.d - a)
+        if multi_product(A, factors) < 0:
+            return False
+    return True
+
+
+def reference_member_I_P(A: SymTensor, P: Partition) -> bool:
+    """Pairwise inner cone on any partition: the form at every vertex and
+    every edge split."""
+    for v in vertex_set(P):
+        if eval_form(A, v) < 0:
+            return False
+    for u, v in P.edge_set:
+        if not reference_edge_products_nonneg(A, u, v):
+            return False
+    return True
+
+
+def reference_member_O_P(A: SymTensor, P: Partition) -> bool:
+    """Outer cone on any partition: the form at every vertex."""
+    return all(eval_form(A, v) >= 0 for v in vertex_set(P))
 
 
 def reference_project_psd(G: np.ndarray) -> np.ndarray:

@@ -1,25 +1,25 @@
 import itertools
 import math
-import random
+import time
 from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from copotensor import partition
 from copotensor.oracle import barycentric_grid_min, simplex_grid_min
-from copotensor.partition import (Certificate, Partition, PartitionStats,
-                                  Simplex, Verdict, _casteljau_step,
-                                  _casteljau_tables, _longest_edge, _split,
-                                  bisect_longest_edge, certify_copositivity,
-                                  diameter, grid_partition, inner_test_full,
-                                  member_I_P, member_O_P, refine, refine_once,
+from copotensor.partition import (Certificate, PartitionStats, Simplex,
+                                  Verdict, _casteljau_step, _casteljau_tables,
+                                  _longest_edge, _split, certify_copositivity,
+                                  diameter, member_I_P, member_O_P,
                                   standard_simplex, trivial_partition)
-from copotensor.tensor import (SymTensorBuilder, canonical_tuples, eval_form,
-                               from_matrix, multi_product, necessary_screen,
+from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
+                               eval_form, from_matrix, necessary_screen,
                                scaled_values)
-from conftest import (rand_diag_dominant_tensor, rand_nonneg_tensor,
-                      rand_rational_tensor)
+from conftest import (HORN, grid_partition, multi_product,
+                      rand_diag_dominant_tensor, rand_float_tensor,
+                      rand_nonneg_tensor, rand_rational_tensor, refine,
+                      refine_once, reference_inner_test_full,
+                      reference_member_I_P, reference_member_O_P, vertex_set)
 
 F = Fraction
 
@@ -43,7 +43,8 @@ class TestSimplex:
 
 class TestBisection:
     def test_standard_2simplex_children(self):
-        c1, c2 = bisect_longest_edge(standard_simplex(2))
+        s = standard_simplex(2)
+        c1, c2 = _split(s, *_longest_edge(s))
         sets = {frozenset(c1.vertices), frozenset(c2.vertices)}
         mid = (F(1, 2), F(1, 2))
         assert sets == {frozenset({(F(1), F(0)), mid}),
@@ -63,7 +64,7 @@ class TestBisection:
         P = trivial_partition(2)
         for k in range(1, 6):
             P = refine_once(P)
-            for v in P.vertex_set:
+            for v in vertex_set(P):
                 for c in v:
                     assert (2 ** k) % c.denominator == 0
 
@@ -85,14 +86,14 @@ class TestGridPartition:
     def test_n2_structure(self):
         P = grid_partition(2, 4)
         assert len(P.simplices) == 4
-        assert len(P.vertex_set) == 5
-        assert all(c.denominator in (1, 2, 4) for v in P.vertex_set for c in v)
+        assert len(vertex_set(P)) == 5
+        assert all(c.denominator in (1, 2, 4) for v in vertex_set(P) for c in v)
 
     def test_n3_structure(self):
         for m in (1, 2, 3, 4):
             P = grid_partition(3, m)
             assert len(P.simplices) == m * m
-            assert len(P.vertex_set) == math.comb(m + 2, 2)
+            assert len(vertex_set(P)) == math.comb(m + 2, 2)
 
     def test_n3_covers_simplex(self, rng):
         # every random simplex point lies in at least one cell (barycentric
@@ -118,23 +119,26 @@ class TestGridPartition:
 
     def test_coefficient_cone_embeds(self):
         # a level-1 coefficient-cone member with a negative entry fails the
-        # pairwise test on the trivial partition but passes on the
+        # pairwise test on the trivial partition (level 0) but passes on the
         # denominator-(r+d) grid partition
         from copotensor.polycone import member_C_r
         A = from_matrix([[F(1), F(-1, 4)], [F(-1, 4), F(1)]])
         assert member_C_r(A, 1).member
-        assert not member_I_P(A, trivial_partition(2))
-        assert member_I_P(A, grid_partition(2, 3))
+        assert not member_I_P(A, 0)
+        assert reference_member_I_P(A, grid_partition(2, 3))
 
 
 class TestInnerTestFull:
+    """The full vertex-tuple test the certifier prunes on, through its
+    literal reference."""
+
     def test_nonnegative_tensor_true(self, rng):
         A = rand_nonneg_tensor(rng, 3, 3)
-        assert inner_test_full(A, standard_simplex(3))
+        assert reference_inner_test_full(A, standard_simplex(3))
 
     def test_mixed_negative_false(self):
         A = from_matrix([[1, -2], [-2, 1]])
-        assert not inner_test_full(A, standard_simplex(2))
+        assert not reference_inner_test_full(A, standard_simplex(2))
 
     def test_true_implies_barycentric_min_nonneg(self, rng):
         # Lemma: passing the full vertex-tuple test bounds the form below
@@ -144,7 +148,7 @@ class TestInnerTestFull:
             A = rand_diag_dominant_tensor(rng, 2, 2, off_scale=4)
             P = refine(trivial_partition(2), 2)
             for s in P.simplices:
-                if inner_test_full(A, s):
+                if reference_inner_test_full(A, s):
                     hits += 1
                     rep = barycentric_grid_min(A, s.vertices, 8)
                     assert rep.min_value >= 0
@@ -158,7 +162,7 @@ class TestMemberIP:
         A = rand_rational_tensor(rng, 2, 2)
         P = refine(trivial_partition(2), 2)
         expected = True
-        for v in P.vertex_set:
+        for v in vertex_set(P):
             if eval_form(A, v) < 0:
                 expected = False
         for u, v in P.edge_set:
@@ -166,23 +170,20 @@ class TestMemberIP:
                        for i in range(2) for j in range(2))
             if utAv < 0:
                 expected = False
-        assert member_I_P(A, P) == expected
+        assert member_I_P(A, 2) == expected
 
     def test_trivial_partition_nonnegative_true(self, rng):
         A = rand_nonneg_tensor(rng, 3, 2)
-        assert member_I_P(A, trivial_partition(3))
+        assert member_I_P(A, 0)
 
     def test_refinement_monotonicity(self, rng):
-        # member on P implies member on any refinement of P (d = 2 and 3)
+        # member at level k implies member at level k + 1 (d = 2 and 3)
         for d in (2, 3):
             for _ in range(10):
                 A = rand_diag_dominant_tensor(rng, 2, d, off_scale=4)
-                P = trivial_partition(2)
-                for _ in range(4):
-                    Q = refine_once(P)
-                    if member_I_P(A, P):
-                        assert member_I_P(A, Q)
-                    P = Q
+                for k in range(4):
+                    if member_I_P(A, k):
+                        assert member_I_P(A, k + 1)
 
 
 class TestMemberOP:
@@ -190,25 +191,22 @@ class TestMemberOP:
         for _ in range(10):
             A = rand_rational_tensor(rng, 3, 3)
             expected = all(v >= 0 for v in A.diag_vector())
-            assert member_O_P(A, trivial_partition(3)) == expected
+            assert member_O_P(A, 0) == expected
 
     def test_midpoint_witness(self):
         A = from_matrix([[0, -1], [-1, 0]])
-        P = refine_once(trivial_partition(2))   # contains (1/2, 1/2)
-        assert not member_O_P(A, P)
+        assert member_O_P(A, 0)
+        assert not member_O_P(A, 1)   # level 1 has the vertex (1/2, 1/2)
         assert eval_form(A, (F(1, 2), F(1, 2))) == F(-1, 2)
 
     def test_refinement_anti_monotonicity(self, rng):
-        # member on the refinement implies member on the coarser partition
+        # member at level k + 1 implies member at level k
         for d in (2, 3):
             for _ in range(10):
                 A = rand_rational_tensor(rng, 2, d)
-                P = trivial_partition(2)
-                for _ in range(4):
-                    Q = refine_once(P)
-                    if member_O_P(A, Q):
-                        assert member_O_P(A, P)
-                    P = Q
+                for k in range(4):
+                    if member_O_P(A, k + 1):
+                        assert member_O_P(A, k)
 
 
 class TestCertify:
@@ -263,8 +261,8 @@ class TestCertify:
 
 
 def reference_certify(A, max_depth=32, simplex_budget=100_000):
-    """The literal branch-and-bound: per-vertex eval_form, then
-    inner_test_full, then bisect_longest_edge (order d >= 2)."""
+    """The literal branch-and-bound: per-vertex eval_form, then the full
+    vertex-tuple test, then longest-edge bisection (order d >= 2)."""
     work = deque([standard_simplex(A.n)])
     processed = 0
     max_depth_seen = 0
@@ -284,12 +282,12 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000):
                 return Certificate(
                     Verdict.NOT_COPOSITIVE, v, evaluated[v],
                     PartitionStats(max_depth_seen, processed, len(work)))
-        if inner_test_full(A, s):
+        if reference_inner_test_full(A, s):
             continue
         if s.depth >= max_depth:
             unresolved.append(s)
             continue
-        work.extend(bisect_longest_edge(s))
+        work.extend(_split(s, *_longest_edge(s)))
     if unresolved:
         dia = max(math.sqrt(float(sum((a - b) ** 2 for a, b in zip(u, v))))
                   for s in unresolved
@@ -322,7 +320,6 @@ class TestBernsteinCoefficients:
                     break
                 i, j = _longest_edge(s)
                 children = _split(s, i, j)
-                assert children == bisect_longest_edge(s)
                 if rng.random() < 0.5:
                     s, b = children[0], _casteljau_step(b, steps[i, j])
                 else:
@@ -351,49 +348,25 @@ class TestCertifyMatchesReference:
         assert verdicts == set(Verdict)
 
 
-# The per-simplex tests as three separate loops, kept literally as the
-# reference for the vertex-tuple table.
-
-def reference_inner_test_full(A, s):
-    verts = s.vertices
-    for key in canonical_tuples(len(verts), A.d):
-        if multi_product(A, [verts[i - 1] for i in key]) < 0:
-            return False
-    return True
-
-
-def reference_edge_products_nonneg(A, u, v):
-    # all splits a in 1..d-1 of <A, u^(x a) (x) v^(x (d-a))>
-    for a in range(1, A.d):
-        factors = [u] * a + [v] * (A.d - a)
-        if multi_product(A, factors) < 0:
-            return False
-    return True
-
-
-def reference_member_I_P(A, P):
-    for v in P.vertex_set:
-        if eval_form(A, v) < 0:
-            return False
-    for u, v in P.edge_set:
-        if not reference_edge_products_nonneg(A, u, v):
-            return False
-    return True
-
-
-def reference_member_O_P(A, P):
-    return all(eval_form(A, v) >= 0 for v in P.vertex_set)
+def negative_default_tensor(rng, n, d):
+    """A negative default under positive diagonals and a few stored mixed
+    entries of either sign."""
+    entries = {key: F(rng.randint(8, 24), 8) if len(set(key)) == 1
+               else F(rng.randint(-4, 8), 8)
+               for key in canonical_tuples(n, d)
+               if len(set(key)) == 1 or rng.random() < 0.3}
+    return SymTensor(n, d, entries, F(-rng.randint(1, 4), 16))
 
 
 class TestVertexTupleTableMatchesReference:
     def test_same_cone_memberships(self, rng):
-        seen = {"I^P": set(), "O^P": set(), "full": set()}
-        for n, d in itertools.product((1, 2, 3), (1, 2, 3, 4)):
-            partitions = [trivial_partition(n), grid_partition(n, 3)]
-            if n > 1:
-                partitions.append(refine(trivial_partition(n), 2))
+        # the integer table's level sweep against the literal multi_product
+        # and eval_form loops on refine(trivial_partition(n), k)
+        seen = {"I^P": set(), "O^P": set()}
+        cases = 0
+        for n, d in itertools.product((1, 2, 3, 4), (1, 2, 3, 4)):
             # negative only where the most vertex indices are distinct, so
-            # only the full test sees it on the trivial partition
+            # the pairwise test passes at the root when d > 2
             spread = SymTensorBuilder(n, d)
             for key in canonical_tuples(n, d):
                 spread.set(key, F(-1, 8) if len(set(key)) == min(n, d)
@@ -401,39 +374,56 @@ class TestVertexTupleTableMatchesReference:
             tensors = [rand_rational_tensor(rng, n, d),
                        rand_nonneg_tensor(rng, n, d),
                        rand_diag_dominant_tensor(rng, n, d, off_scale=4),
+                       rand_float_tensor(rng, n, d),
+                       negative_default_tensor(rng, n, d),
                        spread.build()]
-            for A, P in itertools.product(tensors, partitions):
-                got = member_I_P(A, P)
-                assert got == reference_member_I_P(A, P)
-                seen["I^P"].add(got)
-                got = member_O_P(A, P)
-                assert got == reference_member_O_P(A, P)
-                seen["O^P"].add(got)
-                for s in P.simplices:
-                    got = inner_test_full(A, s)
-                    assert got == reference_inner_test_full(A, s)
-                    seen["full"].add(got)
+            for k in range(5 if n > 1 else 1):
+                P = refine(trivial_partition(n), k)
+                for A in tensors:
+                    got = member_I_P(A, k)
+                    assert got == reference_member_I_P(A, P), (A, k)
+                    seen["I^P"].add(got)
+                    got = member_O_P(A, k)
+                    assert got == reference_member_O_P(A, P), (A, k)
+                    seen["O^P"].add(got)
+                    cases += 1
+        assert cases == 4 * 6 + 12 * 5 * 6
         # members and non-members of each cone
         assert all(outcomes == {True, False} for outcomes in seen.values())
 
-    @pytest.mark.parametrize("member, distinct", [(member_O_P, 1), (member_I_P, 2)])
-    def test_shared_multisets_evaluated_once(self, monkeypatch, member, distinct):
-        # grid_partition(3, 4): 16 triangles sharing 15 vertices and 30 edges
-        calls = []
 
-        def counting(A, vectors):
-            calls.append(tuple(sorted(vectors)))
-            return multi_product(A, vectors)
+class TestLevels:
+    @pytest.mark.parametrize("member", [member_I_P, member_O_P])
+    def test_negative_level_raises(self, member, example31):
+        with pytest.raises(ValueError, match="level"):
+            member(example31, -1)
 
-        monkeypatch.setattr(partition, "multi_product", counting)
-        P = grid_partition(3, 4)
-        A = rand_nonneg_tensor(random.Random(3), 3, 3)
-        assert member(A, P)
-        assert len(calls) == len(set(calls))
-        vertices, edges = len(P.vertex_set), len(P.edge_set)
-        assert (vertices, edges) == (15, 30)
-        # each vertex once, and with two distinct vertices the d - 1 splits of each edge
-        assert len(calls) == vertices + (distinct - 1) * (3 - 1) * edges
+    @pytest.mark.parametrize("member", [member_I_P, member_O_P])
+    def test_over_large_level_raises_before_any_table(self, member):
+        A = from_matrix([[1, -1, 0], [-1, 1, 0], [0, 0, 1]])
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="exceed"):
+            member(A, 60)
+        # 2^18 simplices of 6 coefficients stay within MAX_TABLE_CELLS; one
+        # more level passes it
+        with pytest.raises(ValueError, match="exceed"):
+            member(A, 19)
+        assert time.monotonic() - start < 1
+
+    def test_a_point_has_level_0_only(self):
+        A = SymTensorBuilder(1, 3).set((1, 1, 1), -1).build()
+        assert not member_I_P(A, 0) and not member_O_P(A, 0)
+        with pytest.raises(ValueError, match="point"):
+            member_O_P(A, 1)
+
+    def test_pinned_answers(self, example31):
+        # Horn's form is 0 at the first midpoint, (e_4 + e_5) / 2, but its
+        # -1 entries fail the edge splits; the flagship example is entrywise
+        # non-negative
+        assert [member_O_P(HORN, k) for k in (0, 1)] == [True, True]
+        assert [member_I_P(HORN, k) for k in (0, 1)] == [False, False]
+        assert [member_O_P(example31, k) for k in (0, 1)] == [True, True]
+        assert [member_I_P(example31, k) for k in (0, 1)] == [True, True]
 
 
 class TestRefutationValues:

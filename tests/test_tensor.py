@@ -12,11 +12,11 @@ from copotensor.combinatorics import tuple_multiplicity
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
-                               eval_form, from_matrix, multi_product,
-                               necessary_screen, scaled_terms, scaled_values,
-                               canonical_tuples)
-from conftest import (default_tensors, float_tensors, index_counts, rand_float_tensor,
-                      rand_rational_tensor, reference_face_descent)
+                               eval_form, from_matrix, necessary_screen,
+                               scaled_terms, scaled_values, canonical_tuples)
+from conftest import (default_tensors, float_tensors, index_counts, multi_product,
+                      rand_float_tensor, rand_rational_tensor,
+                      reference_face_descent)
 
 
 def literal_eval(A: SymTensor, x) -> Fraction:
@@ -150,6 +150,28 @@ class TestScaledTerms:
         assert [w for w, _ in terms] == \
             [tuple_multiplicity(key) * (a - A.default) * scale for key, a in stored]
         assert all(type(w) is int for w, _ in terms)
+
+    def test_built_once_per_tensor(self, monkeypatch):
+        # eval_form, the grid, the brackets and the screen's face descent
+        # all read the one cached build
+        from copotensor.gridcone import member_O_r
+        from copotensor.polycone import member_C_r
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return scaled_terms(A)
+
+        monkeypatch.setattr(tensor, "scaled_terms", counting)
+        A = SymTensor(3, 4, {(1, 1, 1, 1): 0, (1, 1, 1, 2): -1}, 1)
+        for k in range(100):
+            eval_form(A, (1, k, 2))
+        member_O_r(A, 2)
+        member_C_r(A, 1)
+        assert not necessary_screen(A).passed   # zero diagonal, negative a_1112
+        assert calls == [A]
+        eval_form(SymTensor(3, 4, default=1), (1, 1, 1))
+        assert len(calls) == 2
 
 
 class TestEval:
