@@ -8,14 +8,13 @@ non-negative orthant, so it is copositive without being positive
 semidefinite.
 """
 
-import argparse
 from fractions import Fraction
 
 from copotensor import (SymTensorBuilder, certify_copositivity, member_O_r,
                         necessary_screen)
 from copotensor.polycone import member_C_r
 from copotensor.soscone import member_K_r
-from copotensor.oracle import fullspace_sample_min, simplex_grid_min
+from copotensor.oracle import simplex_grid_min
 from copotensor.tensor import eval_form
 
 
@@ -28,11 +27,6 @@ def build_tensor():
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=20240)
-    parser.add_argument("--samples", type=int, default=5000)
-    args = parser.parse_args()
-
     A = build_tensor()
     print(f"tensor: n={A.n}, d={A.d}, diagonal={A.diag_vector()}")
 
@@ -58,11 +52,6 @@ def main():
     probe = (-2, 0, 1)
     print(f"form value at {probe}: {eval_form(A, probe)}  (negative, so the "
           f"tensor is not positive semidefinite)")
-    rep = fullspace_sample_min(A, args.samples, args.seed,
-                               extra_probes=[tuple(float(c) for c in probe)])
-    print(f"full-space sampling minimum ({rep.samples} points, "
-          f"seed {rep.seed}): {rep.min_value:.4f} at "
-          f"({', '.join(f'{c:.3f}' for c in rep.argmin)})")
 
 
 if __name__ == "__main__":

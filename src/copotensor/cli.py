@@ -3,11 +3,10 @@
 Exit codes: a verdict exits with its EXIT_CODE entry (0 member, 1 not, 2
 unknown); verify and oracle exit 0 on pass and 1 on fail (verify 2 on a
 verdict it cannot re-check); 3 = usage or parse error.
-All randomized paths take --seed and default to a fixed constant, so runs
-are reproducible by default.
+Nothing is randomized, so the same inputs always give the same documents.
 numpy is imported only by the subcommands that compute with it (check --method
-coef|sos, expand, compare, oracle --samples, verify of a coef or sos
-document); without numpy they exit 3 and every other subcommand runs.
+coef|sos, expand, compare, verify of a coef or sos document); without numpy
+they exit 3 and every other subcommand runs.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ EXIT_CODE = {"Member": EXIT_MEMBER, "Certified": EXIT_MEMBER,
              "Copositive": EXIT_MEMBER, "Pass": EXIT_MEMBER,
              "NotMember": EXIT_NOT_MEMBER, "NotCopositive": EXIT_NOT_MEMBER,
              "Unknown": EXIT_UNKNOWN, "StrictlyIndeterminate": EXIT_UNKNOWN}
-
-DEFAULT_SEED = 20240
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,16 +139,10 @@ def _cmd_expand(args) -> int:
 
 def _cmd_oracle(args) -> int:
     A = _load_tensor(args.tensor)
-    if args.resolution is not None:
-        report = oracle.simplex_grid_min(A, args.resolution)
-        doc = {"min_value": emit_scalar(report.min_value),
-               "argmin": [emit_scalar(c) for c in report.argmin],
-               "resolution": report.resolution}
-    else:
-        report = oracle.fullspace_sample_min(A, args.samples, args.seed)
-        doc = {"min_value": report.min_value,
-               "argmin": list(report.argmin),
-               "samples": report.samples, "seed": report.seed}
+    report = oracle.simplex_grid_min(A, args.resolution)
+    doc = {"min_value": emit_scalar(report.min_value),
+           "argmin": [emit_scalar(c) for c in report.argmin],
+           "resolution": report.resolution}
     _emit(doc, args.out)
     return EXIT_MEMBER if report.min_value >= 0 else EXIT_NOT_MEMBER
 
@@ -306,10 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force minimum")
     add_common(sp)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--resolution", type=int)
-    group.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--resolution", type=int, required=True)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("compare", help="run all hierarchies over levels 0..R")

@@ -91,11 +91,6 @@ def index_runs(idx: Iterable[int]) -> list[tuple[int, int]]:
     return list(counts.items())
 
 
-def tuple_multiplicity(idx: Sequence[int]) -> int:
-    """Number of distinct permutations of an index tuple: d!/prod(count_i!)."""
-    return multinomial([c for _, c in index_runs(idx)])
-
-
 @lru_cache(maxsize=None)
 def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All compositions of d into n non-negative parts, lexicographic order.

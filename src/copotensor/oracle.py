@@ -1,9 +1,9 @@
 """Deliberately naive brute-force ground truth.
 
 Nothing here shares code paths with the hierarchy modules: expansion is
-literal term-by-term polynomial multiplication, minimization is exhaustive
-grid evaluation, and sampling is plain seeded Monte Carlo.  A bug in the main
-modules cannot be mirrored here.  Only the float sampler imports numpy.
+literal term-by-term polynomial multiplication and minimization is
+exhaustive grid evaluation, both in exact rational arithmetic.  A bug in the
+main modules cannot be mirrored here.
 """
 
 from __future__ import annotations
@@ -11,14 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .combinatorics import binomial_at_most, count_text, tuple_multiplicity
+from .combinatorics import binomial_at_most, count_text
 from .tensor import Scalar, SymTensor, eval_form
 
-# The most grid points times coordinates (the Fractions a grid builds), or
-# sphere samples times canonical tuples (the terms of eval_many), one oracle
-# call may evaluate.
+# The most grid points times coordinates (the Fractions a grid builds) one
+# oracle call may evaluate.
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -26,9 +24,7 @@ MAX_GRID_POINTS = 2_000_000
 class OracleReport:
     min_value: Scalar
     argmin: tuple[Scalar, ...]
-    resolution: int | None = None
-    samples: int | None = None
-    seed: int | None = None
+    resolution: int
 
 
 def _compositions(total: int, parts: int):
@@ -69,24 +65,6 @@ def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
     return OracleReport(best_val, best_pt, resolution=resolution)
 
 
-def barycentric_grid_min(A: SymTensor, vertices: Sequence[Sequence[Scalar]],
-                         resolution: int) -> OracleReport:
-    """Exact minimum over the barycentric grid of a sub-simplex."""
-    m = len(vertices)
-    n = A.n
-    best_val = None
-    best_pt = None
-    for comp in _compositions(resolution, m):
-        x = [Fraction(0)] * n
-        for lam, v in zip(comp, vertices):
-            for i in range(n):
-                x[i] += Fraction(lam, resolution) * v[i]
-        val = eval_form(A, x)
-        if best_val is None or val < best_val:
-            best_val, best_pt = val, tuple(x)
-    return OracleReport(best_val, best_pt, resolution=resolution)
-
-
 def expand_bruteforce(A: SymTensor, r: int) -> dict[tuple[int, ...], Fraction]:
     """Exact coefficients of f_A(y o y) (sum y_k^2)^r over exponent vectors,
     by literal polynomial multiplication over all n^d index tuples.
@@ -115,51 +93,3 @@ def expand_bruteforce(A: SymTensor, r: int) -> dict[tuple[int, ...], Fraction]:
         poly = nxt
     return {k: v for k, v in poly.items() if v != 0}
 
-
-def eval_many(A: SymTensor, X: np.ndarray) -> np.ndarray:
-    """Float evaluation of the form at each row of X, vectorized per
-    canonical tuple."""
-    import numpy as np
-
-    out = np.zeros(X.shape[0])
-    for key, a in A.items():
-        if a == 0:
-            continue
-        term = float(a) * tuple_multiplicity(key) * np.ones(X.shape[0])
-        for i in key:
-            term *= X[:, i - 1]
-        out += term
-    return out
-
-
-def fullspace_sample_min(A: SymTensor, trials: int, seed: int,
-                         extra_probes: Sequence[Sequence[float]] = ()) -> OracleReport:
-    """Minimum of the form over seeded pseudo-random unit-sphere points.
-
-    Points are Gaussian draws normalized to the sphere (numpy PCG64
-    generator), so both orthants are covered; any directed probes are
-    appended after normalization.  Deterministic for a given seed.
-    """
-    import numpy as np
-
-    if not 1 <= trials <= MAX_GRID_POINTS:
-        raise ValueError(f"trials must be between 1 and {MAX_GRID_POINTS}")
-    terms = trials * binomial_at_most(A.n + A.d - 1, A.d)
-    if terms > MAX_GRID_POINTS:
-        raise ValueError(f"{trials} samples of {A.n}-variate degree-{A.d} form: "
-                         f"{count_text(terms)} terms exceed cap {MAX_GRID_POINTS}")
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((trials, A.n))
-    norms = np.linalg.norm(pts, axis=1)
-    norms[norms == 0] = 1.0
-    pts /= norms[:, None]
-    rows = [pts]
-    for p in extra_probes:
-        v = np.asarray(p, dtype=float)
-        nv = np.linalg.norm(v)
-        rows.append((v / nv if nv else v)[None, :])
-    X = np.vstack(rows)
-    vals = eval_many(A, X)
-    k = int(np.argmin(vals))
-    return OracleReport(float(vals[k]), tuple(float(c) for c in X[k]),
-                        samples=X.shape[0], seed=seed)

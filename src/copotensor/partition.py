@@ -88,26 +88,11 @@ def _split(s: Simplex, i: int, j: int) -> tuple[Simplex, Simplex]:
     return (Simplex(child_i, s.depth + 1), Simplex(child_j, s.depth + 1))
 
 
-@dataclass
-class Partition:
-    simplices: list[Simplex]
-
-    @property
-    def edge_set(self) -> list[tuple[Point, Point]]:
-        seen: dict[tuple[Point, Point], None] = {}
-        for s in self.simplices:
-            for u, v in itertools.combinations(s.vertices, 2):
-                seen.setdefault((min(u, v), max(u, v)), None)
-        return list(seen)
-
-
-def trivial_partition(n: int) -> Partition:
-    return Partition([standard_simplex(n)])
-
-
-def diameter(P: Partition) -> float:
-    """max edge length; float is for reporting only, never for branching."""
-    return math.sqrt(float(max(_sq_dist(u, v) for u, v in P.edge_set)))
+def diameter(simplices: list[Simplex]) -> float:
+    """Longest edge over the simplices; float is for reporting only, never
+    for branching."""
+    return math.sqrt(float(max(_sq_dist(u, v) for s in simplices
+                               for u, v in itertools.combinations(s.vertices, 2))))
 
 
 class _StepTables(dict):
@@ -278,6 +263,6 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         return Certificate(
             Verdict.INDETERMINATE,
             stats=PartitionStats(max_depth_seen, processed, len(unresolved),
-                                 diameter(Partition(unresolved))))
+                                 diameter(unresolved)))
     return Certificate(Verdict.COPOSITIVE,
                        stats=PartitionStats(max_depth_seen, processed, 0))

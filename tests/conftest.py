@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,11 +10,10 @@ import pytest
 from hypothesis import strategies as st
 
 from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
-                                      enumerate_exponents, multinomial,
-                                      tuple_multiplicity)
+                                      enumerate_exponents, index_runs, multinomial)
 from copotensor.gridcone import first_appearances
-from copotensor.partition import (Partition, Simplex, _longest_edge, _split,
-                                  trivial_partition)
+from copotensor.oracle import OracleReport, _compositions
+from copotensor.partition import Simplex, _longest_edge, _split, standard_simplex
 from copotensor.polycone import PolyExpansion
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, scaled_values)
@@ -106,6 +106,11 @@ def index_counts(idx, n: int) -> tuple[int, ...]:
     for i in idx:
         counts[i - 1] += 1
     return tuple(counts)
+
+
+def tuple_multiplicity(idx) -> int:
+    """Number of distinct permutations of an index tuple: d!/prod(count_i!)."""
+    return multinomial([c for _, c in index_runs(idx)])
 
 
 def reference_brackets(A: SymTensor, r: int):
@@ -292,6 +297,26 @@ def multi_product(A: SymTensor, vectors):
     return total
 
 
+@dataclass
+class Partition:
+    """A list of simplices covering the standard simplex: the references'
+    explicit form of the partitions the certifier and the level cones walk
+    one simplex at a time."""
+    simplices: list[Simplex]
+
+    @property
+    def edge_set(self) -> list[tuple[tuple, tuple]]:
+        seen: dict[tuple, None] = {}
+        for s in self.simplices:
+            for u, v in itertools.combinations(s.vertices, 2):
+                seen.setdefault((min(u, v), max(u, v)), None)
+        return list(seen)
+
+
+def trivial_partition(n: int) -> Partition:
+    return Partition([standard_simplex(n)])
+
+
 def refine_once(P: Partition) -> Partition:
     """Bisect every simplex at the midpoint of its longest edge, children in
     the certifier's order."""
@@ -376,6 +401,22 @@ def reference_member_I_P(A: SymTensor, P: Partition) -> bool:
 def reference_member_O_P(A: SymTensor, P: Partition) -> bool:
     """Outer cone on any partition: the form at every vertex."""
     return all(eval_form(A, v) >= 0 for v in vertex_set(P))
+
+
+def barycentric_grid_min(A: SymTensor, vertices, resolution: int) -> OracleReport:
+    """Exact minimum over the barycentric grid of a sub-simplex."""
+    n = A.n
+    best_val = None
+    best_pt = None
+    for comp in _compositions(resolution, len(vertices)):
+        x = [Fraction(0)] * n
+        for lam, v in zip(comp, vertices):
+            for i in range(n):
+                x[i] += Fraction(lam, resolution) * v[i]
+        val = eval_form(A, x)
+        if best_val is None or val < best_val:
+            best_val, best_pt = val, tuple(x)
+    return OracleReport(best_val, best_pt, resolution=resolution)
 
 
 def reference_project_psd(G: np.ndarray) -> np.ndarray:

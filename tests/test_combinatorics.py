@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from copotensor.combinatorics import (COUNT_CAP, MAX_ENUMERATION, MAX_TABLE_CELLS,
                                       binomial_at_most, check_enumeration_size,
                                       enumerate_exponents, falling_factorial_column,
-                                      index_runs, multinomial, multinomials,
-                                      tuple_multiplicity)
-from conftest import elementary_symmetric, index_counts, reference_exponents
+                                      index_runs, multinomial, multinomials)
+from conftest import (elementary_symmetric, index_counts, reference_exponents,
+                      tuple_multiplicity)
 
 
 class TestMultinomial:

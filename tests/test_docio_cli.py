@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import cli, docio, faces, gridcone, oracle, soscone
+from copotensor import cli, docio, faces, gridcone, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -297,29 +297,15 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert parse_scalar(doc["min_value"]) == F(-1, 2)
 
-    def test_oracle_samples_deterministic_default_seed(self, example_file, capsys):
-        main(["oracle", "--samples", "200", example_file])
-        first = json.loads(capsys.readouterr().out)
-        main(["oracle", "--samples", "200", example_file])
-        second = json.loads(capsys.readouterr().out)
-        assert first == second
-
-    def test_oracle_samples_above_cap_exit_3(self, example_file, capsys):
-        # refused before the sample array is allocated
-        samples = str(oracle.MAX_GRID_POINTS + 1)
-        assert main(["oracle", "--samples", samples, example_file]) == 3
+    @pytest.mark.parametrize("option", [["--samples", "10"], []],
+                             ids=["samples", "bare"])
+    def test_oracle_takes_only_a_resolution(self, example_file, capsys, option):
+        # the grid is the oracle's one mode: anything else is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", *option, example_file])
+        assert exc.value.code == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "trials must be between" in captured.err
-
-    def test_oracle_sample_terms_above_cap_exit_3(self, tmp_path, capsys):
-        # one sample, but C(1003, 4) canonical tuples to evaluate at it
-        p = tmp_path / "wide.json"
-        p.write_text('{"n": 1000, "d": 4, "default": "1"}')
-        start = time.perf_counter()
-        assert main(["oracle", "--samples", "1", str(p)]) == 3
-        assert time.perf_counter() - start < 0.5
-        captured = capsys.readouterr()
-        assert captured.out == "" and "41917125250 terms exceed cap" in captured.err
+        assert captured.out == "" and "error:" in captured.err
 
     @pytest.mark.parametrize("command", ["certify", "compare"])
     @pytest.mark.parametrize("option", [["--max-depth", "-1"], ["--budget", "0"]],
@@ -353,8 +339,7 @@ class TestCliExitCodes:
         (["check", "--method", "grid"], "level 0 grid point count: 80000200000"),
         (["compare", "--levels", "2"], "levels 0..2 monomial basis size"),
         (["oracle", "--resolution", "3"], "grid of more than"),
-        (["oracle", "--samples", "1"], "more than"),
-    ], ids=["certify", "coef", "sos", "grid", "compare", "oracle-grid", "oracle-samples"])
+    ], ids=["certify", "coef", "sos", "grid", "compare", "oracle-grid"])
     def test_huge_sizes_refused_without_exact_binomials(self, tmp_path, capsys,
                                                        command, what):
         # C(799999, 400000) has about 240 000 digits: every size check stops
@@ -678,8 +663,7 @@ class TestImports:
 
     @pytest.mark.parametrize("argv", [
         ["check", "--method", "coef"], ["check", "--method", "sos"], ["expand"],
-        ["compare"], ["oracle", "--samples", "10"]],
-        ids=["coef", "sos", "expand", "compare", "oracle-samples"])
+        ["compare"]], ids=["coef", "sos", "expand", "compare"])
     def test_missing_numpy_exits_3(self, tmp_path, argv):
         # every subcommand the README says needs numpy
         (tmp_path / "horn.json").write_text(emit_tensor(HORN))

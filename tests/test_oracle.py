@@ -1,15 +1,11 @@
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from copotensor import oracle
-from copotensor.oracle import (eval_many, expand_bruteforce,
-                               fullspace_sample_min, simplex_grid_min)
-from copotensor.combinatorics import tuple_multiplicity
+from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.tensor import SymTensorBuilder, eval_form, from_matrix
-from conftest import rand_rational_tensor
+from conftest import rand_rational_tensor, tuple_multiplicity
 
 F = Fraction
 
@@ -66,34 +62,3 @@ class TestExpandBruteforce:
                 assert all(e % 2 == 0 for e in key)
                 assert sum(key) == 2 * (2 + r)
 
-
-class TestFullspaceSampleMin:
-    def test_deterministic_by_seed(self, example31):
-        r1 = fullspace_sample_min(example31, 500, seed=11)
-        r2 = fullspace_sample_min(example31, 500, seed=11)
-        assert r1.min_value == r2.min_value and r1.argmin == r2.argmin
-
-    def test_different_seeds_differ(self, example31):
-        r1 = fullspace_sample_min(example31, 500, seed=1)
-        r2 = fullspace_sample_min(example31, 500, seed=2)
-        assert r1.min_value != r2.min_value
-
-    def test_psd_square_form_nonnegative(self):
-        # (y1^2 - y2^2)^2 is a perfect square: no sample can be negative
-        A = from_matrix([[1, -1], [-1, 1]])
-        rep = fullspace_sample_min(A, 2000, seed=3)
-        assert rep.min_value >= 0
-
-    def test_directed_probe_finds_negative(self, example31):
-        rep = fullspace_sample_min(example31, 100, seed=4,
-                                   extra_probes=[(-2.0, 0.0, 1.0)])
-        assert rep.min_value < 0
-        assert rep.samples == 101
-
-    def test_eval_many_matches_eval_form(self, rng):
-        A = rand_rational_tensor(rng, 3, 4)
-        X = np.array([[0.25, -1.5, 0.5], [1.0, 0.0, 0.0], [-0.125, 0.25, 2.0]])
-        vals = eval_many(A, X)
-        for row, v in zip(X, vals):
-            exact = eval_form(A, [F(c) for c in row])  # dyadic rows are exact
-            assert v == pytest.approx(float(exact), rel=1e-12, abs=1e-12)

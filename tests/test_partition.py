@@ -6,20 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from copotensor.oracle import barycentric_grid_min, simplex_grid_min
+from copotensor.oracle import simplex_grid_min
 from copotensor.partition import (Certificate, PartitionStats, Simplex,
                                   Verdict, _casteljau_step, _casteljau_tables,
-                                  _longest_edge, _split, certify_copositivity,
-                                  diameter, member_I_P, member_O_P,
-                                  standard_simplex, trivial_partition)
+                                  _longest_edge, _split, _sq_dist,
+                                  certify_copositivity, diameter, member_I_P,
+                                  member_O_P, standard_simplex)
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, necessary_screen,
                                scaled_values)
-from conftest import (HORN, grid_partition, multi_product,
+from conftest import (HORN, barycentric_grid_min, grid_partition, multi_product,
                       rand_diag_dominant_tensor, rand_float_tensor,
                       rand_nonneg_tensor, rand_rational_tensor, refine,
                       refine_once, reference_inner_test_full,
-                      reference_member_I_P, reference_member_O_P, vertex_set)
+                      reference_member_I_P, reference_member_O_P,
+                      trivial_partition, vertex_set)
 
 F = Fraction
 
@@ -53,10 +54,10 @@ class TestBisection:
 
     def test_child_diameters_do_not_grow(self, rng):
         P = trivial_partition(3)
-        prev = diameter(P)
+        prev = diameter(P.simplices)
         for _ in range(6):
             P = refine_once(P)
-            cur = diameter(P)
+            cur = diameter(P.simplices)
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -71,15 +72,25 @@ class TestBisection:
 
 class TestDiameter:
     def test_trivial_n2(self):
-        assert diameter(trivial_partition(2)) == pytest.approx(math.sqrt(2))
+        assert diameter([standard_simplex(2)]) == pytest.approx(math.sqrt(2))
 
     def test_one_bisection_n2(self):
-        assert diameter(refine_once(trivial_partition(2))) == \
+        assert diameter(refine_once(trivial_partition(2)).simplices) == \
             pytest.approx(math.sqrt(2) / 2)
 
     def test_standard_simplex_diameter(self):
         for n in (2, 3, 4):
-            assert diameter(trivial_partition(n)) == pytest.approx(math.sqrt(2))
+            assert diameter([standard_simplex(n)]) == pytest.approx(math.sqrt(2))
+
+    def test_equals_the_longest_distinct_edge(self):
+        # every simplex's own vertex pairs give the same float as the
+        # partition's de-duplicated edge set
+        for n in (2, 3, 4):
+            P = trivial_partition(n)
+            for _ in range(4):
+                P = refine_once(P)
+                longest = max(_sq_dist(u, v) for u, v in P.edge_set)
+                assert diameter(P.simplices) == math.sqrt(float(longest))
 
 
 class TestGridPartition:

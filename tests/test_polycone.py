@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copotensor import combinatorics, polycone
-from copotensor.combinatorics import enumerate_exponents, multinomial, tuple_multiplicity
+from copotensor.combinatorics import enumerate_exponents, multinomial
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.polycone import PolyExpansion, expand_Pr, member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, from_matrix
 from conftest import (BOUNDARY, HORN, default_tensors, example31_tensor,
                       expand_Pr_closed_form, float_tensors, index_counts,
                       rand_float_tensor, rand_nonneg_tensor, rand_rational_tensor,
-                      reference_brackets)
+                      reference_brackets, tuple_multiplicity)
 
 
 def bruteforce_coeffs(A, r):

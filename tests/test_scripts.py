@@ -20,7 +20,7 @@ def run_script(name, *args):
 
 
 def test_flagship_demo():
-    res = run_script("flagship_demo.py", "--samples", "500")
+    res = run_script("flagship_demo.py")
     assert res.returncode == 0, res.stderr
     assert "-79" in res.stdout
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copotensor import combinatorics, tensor
-from copotensor.combinatorics import tuple_multiplicity
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import Verdict, certify_copositivity
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
@@ -16,7 +15,7 @@ from copotensor.tensor import (SymTensor, SymTensorBuilder, canonicalize,
                                scaled_terms, scaled_values, canonical_tuples)
 from conftest import (default_tensors, float_tensors, index_counts, multi_product,
                       rand_float_tensor, rand_rational_tensor,
-                      reference_face_descent)
+                      reference_face_descent, tuple_multiplicity)
 
 
 def literal_eval(A: SymTensor, x) -> Fraction:
