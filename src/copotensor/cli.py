@@ -148,17 +148,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from . import polycone, soscone
+    from . import soscone
     A = _load_tensor(args.tensor)
     levels = list(range(args.levels + 1))
-    # the SOS walk first: its size check covers levels 0..R (and so every
-    # coefficient level) before any work
+    # the SOS walk reads every level's coefficients: a level takes its fast
+    # path exactly when they are all non-negative, a C^(r) Member
     sos = soscone.sweep_K_r(A, args.levels, max_iters=args.max_iters)
-    # C^(r) grows with r (Polya), so every level after the first Member is one
-    member, coef = False, []
-    for r in levels:
-        member = member or polycone.member_C_r(A, r).member
-        coef.append("Member" if member else "NotMember")
+    coef = ["Member" if v.fast_path else "NotMember" for v in sos]
     # the level-R grid holds every lower level's points and its witness is the
     # first negative point: it first appears at level m - 2, m the lcm of its
     # denominators (at least 2), and no point of an earlier level is negative

@@ -16,7 +16,10 @@ longest-edge bisection), O^P reads the vertex values (one distinct index)
 and I^P adds the edge splits (two).  The certifier refutes on a negative
 vertex value, reported off that coefficient, and prunes a simplex whose
 whole table is non-negative, the full vertex-tuple test of Bundfuss & Dur
-2008.  Only signs decide, so no Fraction table is ever formed.
+2008.  Only signs decide, so no Fraction table is ever formed.  The root
+decides before any geometry: its vertices are the unit vectors, so a
+tensor that it refutes or prunes (every order-1 tensor among them) never
+builds the n-by-n Fraction vertices of the standard simplex.
 """
 
 from __future__ import annotations
@@ -236,6 +239,14 @@ def certify_copositivity(A: SymTensor, max_depth: int = 32,
         raise ValueError("budgets must be positive")
     scale, root = scaled_values(A)
     diag, steps = _casteljau_tables(A.n, A.d)
+    # the root decides before any geometry: its vertices are the unit vectors
+    for k, p in enumerate(diag):
+        if root[p] < 0:
+            return Certificate(Verdict.NOT_COPOSITIVE,
+                               tuple(Fraction(int(j == k)) for j in range(A.n)),
+                               Fraction(root[p], scale), PartitionStats(0, 1, 0))
+    if min(root) >= 0:
+        return Certificate(Verdict.COPOSITIVE, stats=PartitionStats(0, 1, 0))
     work: deque[tuple[Simplex, list[int]]] = deque([(standard_simplex(A.n), root)])
     processed = 0
     max_depth_seen = 0

@@ -11,10 +11,12 @@ is linear in the stored entries, not in the C(n+d-1, d) canonical tuples.
 One reduction, :func:`_coefficients`, turns brackets into coefficients
 multinomial(theta) * B(theta) / D: :func:`member_C_r` reads only the signs
 of the brackets on a Member level and reduces the negative ones on a
-NotMember one, and :func:`expand_Pr` reduces all of them.  A level with more
-than ``combinatorics.MAX_ENUMERATION`` coefficients or canonical tuples
-raises ValueError before anything is enumerated; for n = 1 the same limit
-bounds fall(s, d)'s d factors and each column's s + 1 entries.
+NotMember one, and :func:`coefficient_table` reduces all of them, for
+:func:`expand_Pr` and for every level of the SOS hierarchy (``soscone``).
+A level with more than ``combinatorics.MAX_ENUMERATION`` coefficients or
+canonical tuples raises ValueError before anything is enumerated; for
+n = 1 the same limit bounds fall(s, d)'s d factors and each column's s + 1
+entries.
 """
 
 from __future__ import annotations
@@ -107,11 +109,19 @@ def _coefficients(thetas: tuple[Exponent, ...], brackets: np.ndarray, denom: int
     return numerators, denom // common
 
 
-def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
-    """Coefficient table of P(y): the brackets of :func:`_brackets`, all
-    reduced by :func:`_coefficients`, one Fraction per coefficient."""
+def coefficient_table(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], list[int], int]:
+    """Every coefficient of P(y) at level r: the exponents theta in
+    lexicographic order and, from their brackets of :func:`_brackets` all
+    reduced by :func:`_coefficients`, integer numerators over one positive
+    denominator."""
     thetas, brackets, denom = _brackets(A, r)
-    numerators, denom = _coefficients(thetas, brackets, denom, range(len(thetas)))
+    return (thetas, *_coefficients(thetas, brackets, denom, range(len(thetas))))
+
+
+def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
+    """Coefficient table of P(y): :func:`coefficient_table`, one Fraction
+    per coefficient."""
+    thetas, numerators, denom = coefficient_table(A, r)
     return PolyExpansion(A.n, A.d, r, {
         theta: Fraction(v, denom) for theta, v in zip(thetas, numerators)})
 

@@ -6,6 +6,14 @@ coefficient.  The basis splits into parity blocks (exponent vectors congruent
 mod 2); products across blocks give odd exponents, which never occur in P, so
 G may be taken block diagonal.
 
+Each level is read off one integer table, :func:`polycone.coefficient_table`,
+built once per level walked: the exponents theta, which are also the
+monomial basis (P's monomial y^(2 theta) is (y^theta)^2), and P's
+coefficients as integer numerators over one positive denominator.  The fast
+path reads their signs before any Gram problem is built; only when it fails
+are the parity blocks and constraints made, with the targets numerator /
+denominator in floats, and the exact checks read the numerators.
+
 The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
 cone, on flat buffers that :class:`_GramLayout` allocates once per solve
@@ -25,7 +33,8 @@ fixed: every coefficient matched within MATCH_TOL and every eigenvalue at
 least -EIG_TOL.  The fast path needs no checker: when every exact
 coefficient of P is non-negative, that is the proof, and its diagonal
 certificate carries the residual (0.0) and minimum eigenvalue (the least
-target) that the checker would compute for it.
+target) that the checker would compute for it.  A level takes the fast path
+exactly when it is a C^(r) Member (:func:`polycone.member_C_r`).
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
@@ -39,12 +48,14 @@ every block.  On a block that grid zeros touch, that holds only on the
 face, and t times the zeros' point moments, rational and zero on P, is added
 along the rest.  Floats only pick eps and t and screen the candidate;
 :func:`check_refutation` decides it exactly in Fraction and integer
-arithmetic, against the exact coefficients of P, and the same function
+arithmetic, against the integer numerators of P, and the same function
 re-checks a document's moments in ``verify``.  Unknown is never a proof of
 non-membership; NotMember carries a moment certificate.
 
 The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
+The fast path's levels nest too (C^(r) inside C^(r+1)), so the level above a
+fast path takes it as well, and no lift starts from one.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ import numpy as np
 
 from . import faces, gridcone, polycone
 from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
-                            check_enumeration_size, enumerate_exponents)
+                            check_enumeration_size)
 from .tensor import SymTensor
 
 EIG_TOL = 1e-8      # a certificate's blocks have eigenvalues >= -EIG_TOL
@@ -69,6 +80,17 @@ JACOBI_SWEEPS = 60
 JACOBI_TOL = 1e-14
 
 Exponent = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One level's integer table (see the module docstring) and its float
+    targets numerator / denominator, keyed by 2 theta."""
+    r: int
+    basis: tuple[Exponent, ...]
+    numerators: list[int]
+    denominator: int
+    targets: dict[Exponent, float]
 
 
 @dataclass(frozen=True)
@@ -81,7 +103,9 @@ class GramProblem:
     targets: dict[Exponent, float]            # even exponent -> coefficient
     # per target: list of (block position, i, j) with i <= j inside the block
     constraints: dict[Exponent, list[tuple[int, int, int]]]
-    expansion: polycone.PolyExpansion         # exact coefficients behind targets
+    # P's exact coefficients, in targets order: numerators / denominator > 0
+    numerators: list[int]
+    denominator: int
     tensor: SymTensor                         # the tensor P is built from
 
 
@@ -103,30 +127,46 @@ class SosVerdict:
         return "Unknown" if self.moments is None else "NotMember"
 
 
-def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
-    """Monomial basis, parity blocks, and coefficient targets for level r."""
+def _level(A: SymTensor, r: int) -> _Level:
+    """The integer table of level r, with its float targets: int true
+    division rounds correctly, so each equals float(Fraction(num, den))."""
     if r < 0:
         raise ValueError("r must be >= 0")
     check_enumeration_size(binomial_at_most(A.n + A.d + r - 1, A.d + r),
                            f"level {r} monomial basis size")
-    basis = enumerate_exponents(A.n, A.d + r)
-    parity: dict[Exponent, list[int]] = {}
-    for idx, mono in enumerate(basis):
-        parity.setdefault(tuple(e % 2 for e in mono), []).append(idx)
-    blocks = tuple(tuple(v) for _, v in sorted(parity.items()))
-    expansion = polycone.expand_Pr(A, r)
+    basis, numerators, denominator = polycone.coefficient_table(A, r)
     try:
-        targets = {tuple(2 * t for t in theta): float(c)
-                   for theta, c in expansion.coeffs.items()}
+        targets = {tuple([2 * t for t in theta]): v / denominator
+                   for theta, v in zip(basis, numerators)}
     except OverflowError:
         raise ValueError(f"a level {r} coefficient is beyond float range") from None
+    return _Level(r, basis, numerators, denominator, targets)
+
+
+def _parity_blocks(basis: Sequence[Exponent]) -> tuple[tuple[int, ...], ...]:
+    """Basis indices per parity class (exponents mod 2), classes in order."""
+    parity: dict[Exponent, list[int]] = {}
+    for idx, mono in enumerate(basis):
+        parity.setdefault(tuple([e % 2 for e in mono]), []).append(idx)
+    return tuple(tuple(v) for _, v in sorted(parity.items()))
+
+
+def _gram_problem(A: SymTensor, level: _Level) -> GramProblem:
+    basis, targets = level.basis, level.targets
+    blocks = _parity_blocks(basis)
     constraints: dict[Exponent, list[tuple[int, int, int]]] = {g: [] for g in targets}
     for b, members in enumerate(blocks):
         for ai in range(len(members)):
             for aj in range(ai, len(members)):
                 g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
                 constraints[g].append((b, ai, aj))
-    return GramProblem(A.n, A.d, r, basis, blocks, targets, constraints, expansion, A)
+    return GramProblem(A.n, A.d, level.r, basis, blocks, targets, constraints,
+                       level.numerators, level.denominator, A)
+
+
+def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
+    """Monomial basis, parity blocks, and coefficient targets for level r."""
+    return _gram_problem(A, _level(A, r))
 
 
 def jacobi_eigvalsh(rows: Sequence[Sequence[float]]) -> list[float]:
@@ -438,14 +478,13 @@ def check_refutation(problem: GramProblem,
     rational value per target exponent and no other, sum of moment times
     exact coefficient of P negative, and every block's moment matrix
     [L(y^(b_i + b_j))] positive definite.  Exact throughout, from the
-    problem's basis and exact expansion; nothing of the solver is used."""
+    problem's basis and integer coefficients; nothing of the solver is used.
+    The coefficients share one positive denominator, so the sum has the
+    sign of the sum of moment times numerator."""
     if moments.keys() != problem.targets.keys():
         return False
     moments = {g: Fraction(m) for g, m in moments.items()}
-    # P's coefficient at y^(2 theta); every other target exponent has none
-    coeff = {tuple(2 * t for t in theta): c
-             for theta, c in problem.expansion.coeffs.items()}
-    if sum(m * coeff.get(g, 0) for g, m in moments.items()) >= 0:
+    if sum(moments[g] * c for g, c in zip(problem.targets, problem.numerators)) >= 0:
         return False
     basis = problem.basis
     for members in problem.blocks:
@@ -514,14 +553,11 @@ def _block_positions(problem: GramProblem) -> dict[Exponent, tuple[int, int]]:
             for k, idx in enumerate(members)}
 
 
-def _diagonal_certificate(problem: GramProblem) -> list[np.ndarray]:
-    """Non-negative coefficients give P = sum A_theta (y^theta)^2 directly."""
-    where = _block_positions(problem)
-    mats = [np.zeros((len(bl), len(bl))) for bl in problem.blocks]
-    for g, t in problem.targets.items():
-        b, k = where[tuple(e // 2 for e in g)]
-        mats[b][k, k] = t
-    return mats
+def _diagonal_certificate(blocks: Sequence[Sequence[int]],
+                          targets: Sequence[float]) -> list[np.ndarray]:
+    """Non-negative coefficients give P = sum A_theta (y^theta)^2 directly:
+    the target of basis monomial k (its square's) at k on the diagonal."""
+    return [np.diag([targets[k] for k in members]) for members in blocks]
 
 
 def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
@@ -554,16 +590,20 @@ def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
     return mats
 
 
-def _fast_path(problem: GramProblem) -> SosVerdict | None:
+def _fast_path(level: _Level) -> SosVerdict | None:
     """Certified when every exact coefficient of P is non-negative, which
-    proves membership: P = sum p_theta (y^theta)^2.  The diagonal certificate
-    is not re-checked in floats; it holds each float target once, alone on
-    the diagonal, so the checker would find residual 0.0 and the least target
-    as the minimum eigenvalue, and those are what the verdict carries."""
-    if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        return SosVerdict(True, problem.r, _diagonal_certificate(problem), 0.0,
-                          min(problem.targets.values()), fast_path=True)
-    return None
+    proves membership: P = sum p_theta (y^theta)^2.  Read off the level's
+    integer table, before any Gram problem is built.  The diagonal
+    certificate is not re-checked in floats; it holds each float target
+    once, alone on the diagonal, so the checker would find residual 0.0 and
+    the least target as the minimum eigenvalue, and those are what the
+    verdict carries."""
+    if min(level.numerators) < 0:
+        return None
+    targets = list(level.targets.values())
+    return SosVerdict(True, level.r,
+                      _diagonal_certificate(_parity_blocks(level.basis), targets),
+                      0.0, min(targets), fast_path=True)
 
 
 def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
@@ -579,17 +619,24 @@ def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
 
 
 def _sweep(A: SymTensor, R: int, max_iters: int,
-           top: GramProblem | None = None) -> list[SosVerdict]:
-    """The walk of :func:`sweep_K_r`; ``top`` is a level-R problem built already."""
+           top: _Level | None = None) -> list[SosVerdict]:
+    """The walk of :func:`sweep_K_r`; ``top`` is the level-R table, built
+    already.  Each level's table is built once; its Gram problem only when
+    the fast path fails.  C^(r) lies in C^(r+1), so the level above a fast
+    path takes it too, and a lift is always from a built problem."""
     verdicts: list[SosVerdict] = []
+    low = None   # the level below's problem, None when it took the fast path
     for r in range(R + 1):
-        problem = top if r == R and top is not None else build_gram_problem(A, r)
-        v = _fast_path(problem)
-        if v is None and r > 0 and verdicts[-1].certified:
-            v = _certified(problem,
-                           lift_certificate(low, verdicts[-1].certificate, problem),
-                           verdicts[-1].iterations)
-        verdicts.append(v or solve_gram(problem, max_iters))
+        level = top if r == R and top is not None else _level(A, r)
+        v, problem = _fast_path(level), None
+        if v is None:
+            problem = _gram_problem(A, level)
+            if low is not None and verdicts[-1].certified:
+                v = _certified(problem,
+                               lift_certificate(low, verdicts[-1].certificate, problem),
+                               verdicts[-1].iterations)
+            v = v or solve_gram(problem, max_iters)
+        verdicts.append(v)
         low = problem
     return verdicts
 
@@ -606,7 +653,7 @@ def sweep_K_r(A: SymTensor, R: int,
 def member_K_r(A: SymTensor, r: int,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
     """SOS membership at level r: the coefficient fast path, else the last
-    verdict of :func:`sweep_K_r` up to r, which reuses the level-r problem."""
+    verdict of :func:`sweep_K_r` up to r, which reuses the level-r table."""
     _check_walk(A, r, max_iters)
-    problem = build_gram_problem(A, r)
-    return _fast_path(problem) or _sweep(A, r, max_iters, top=problem)[-1]
+    level = _level(A, r)
+    return _fast_path(level) or _sweep(A, r, max_iters, top=level)[-1]

@@ -14,7 +14,8 @@ from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
 from copotensor.gridcone import first_appearances
 from copotensor.oracle import OracleReport, _compositions
 from copotensor.partition import Simplex, _longest_edge, _split, standard_simplex
-from copotensor.polycone import PolyExpansion
+from copotensor.polycone import PolyExpansion, expand_Pr
+from copotensor.soscone import _positive_definite
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, scaled_values)
 
@@ -417,6 +418,37 @@ def barycentric_grid_min(A: SymTensor, vertices, resolution: int) -> OracleRepor
         if best_val is None or val < best_val:
             best_val, best_pt = val, tuple(x)
     return OracleReport(best_val, best_pt, resolution=resolution)
+
+
+def reference_gram_targets(A: SymTensor, r: int) -> dict[tuple[int, ...], float]:
+    """The SOS targets by the Fraction route: each coefficient of
+    :func:`copotensor.polycone.expand_Pr` as float(Fraction), keyed by the
+    even exponent 2 theta."""
+    return {tuple(2 * t for t in theta): float(c)
+            for theta, c in expand_Pr(A, r).coeffs.items()}
+
+
+def reference_check_refutation(problem, moments) -> bool:
+    """Literal reference for :func:`copotensor.soscone.check_refutation` on
+    the Fraction route: L(P) summed against :func:`expand_Pr`'s coefficients
+    of the problem's tensor and level, a target exponent past them counting
+    0, and every block's moment matrix positive definite."""
+    if moments.keys() != problem.targets.keys():
+        return False
+    moments = {g: Fraction(m) for g, m in moments.items()}
+    coeff = {tuple(2 * t for t in theta): c
+             for theta, c in expand_Pr(problem.tensor, problem.r).coeffs.items()}
+    if sum(m * coeff.get(g, 0) for g, m in moments.items()) >= 0:
+        return False
+    basis = problem.basis
+    for members in problem.blocks:
+        rows = [[moments[tuple(x + y for x, y in zip(basis[a], basis[b]))]
+                 for b in members] for a in members]
+        scale = math.lcm(*(m.denominator for row in rows for m in row))
+        if not _positive_definite([[m.numerator * (scale // m.denominator) for m in row]
+                                   for row in rows]):
+            return False
+    return True
 
 
 def reference_project_psd(G: np.ndarray) -> np.ndarray:

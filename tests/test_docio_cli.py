@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import cli, docio, faces, gridcone, soscone
+from copotensor import cli, docio, faces, gridcone, polycone, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -49,6 +49,13 @@ def hollow_file(tmp_path):
 def boundary_file(tmp_path):
     p = tmp_path / "boundary.json"
     p.write_text(BOUNDARY)
+    return str(p)
+
+
+@pytest.fixture
+def horn_file(tmp_path):
+    p = tmp_path / "horn.json"
+    p.write_text(emit_tensor(HORN))
     return str(p)
 
 
@@ -968,9 +975,26 @@ class TestVerify:
 
 
 class TestCompareRows:
+    @pytest.mark.parametrize("fixture", ["example_file", "hollow_file", "boundary_file",
+                                         "horn_file"])
+    def test_coef_row_is_the_sos_fast_path(self, request, capsys, monkeypatch, fixture):
+        # the coef row is read off the SOS walk's fast-path flags, with no
+        # member_C_r call, and equals member_C_r's verdicts level by level
+        path = request.getfixturevalue(fixture)
+        A = parse_tensor(Path(path).read_text())
+        want = ["Member" if member_C_r(A, r).member else "NotMember" for r in range(3)]
+
+        def refuse(*args):
+            raise AssertionError("compare called member_C_r")
+
+        monkeypatch.setattr(polycone, "member_C_r", refuse)
+        main(["compare", "--levels", "2", "--max-iters", "200", "--budget", "50",
+              "--json", path])
+        assert json.loads(capsys.readouterr().out)["hierarchies"]["coef"] == want
+
     def test_nested_rows_match_per_level_calls(self, tmp_path, capsys):
-        # compare reads the coef row up to its first Member and the grid row
-        # off one top-level call; per-level calls must give the same rows
+        # compare reads the coef row off the SOS walk's fast path and the grid
+        # row off one top-level call; per-level calls must give the same rows
         rng = random.Random(20240)
         p = tmp_path / "t.json"
         late_refuted = late_member = 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from copotensor import partition
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import (Certificate, PartitionStats, Simplex,
                                   Verdict, _casteljau_step, _casteljau_tables,
@@ -340,6 +341,48 @@ class TestBernsteinCoefficients:
         A = from_matrix([[0.1, -0.1], [-0.1, 0.1]])
         assert scaled_values(A)[1] == [3602879701896397, -3602879701896397,
                                        3602879701896397]
+
+
+class TestRootDecides:
+    """A tensor that the root table refutes (a negative vertex value) or
+    prunes (no negative value) certifies before any geometry is built, with
+    the reference's certificate: witness a unit vector, stats (0, 1, 0)."""
+
+    @staticmethod
+    def _refuse_geometry(monkeypatch):
+        def refuse(n):
+            raise AssertionError("the standard simplex was built")
+        monkeypatch.setattr(partition, "standard_simplex", refuse)
+
+    def test_root_decided_certificates_match_the_reference(self, rng, monkeypatch):
+        suite = [SymTensorBuilder(n, 1).set((rng.randint(1, n),), F(rng.randint(-3, 3), 4))
+                 .build() for n in range(1, 8) for _ in range(3)]
+        suite += [SymTensor(n, 1, {}, F(rng.randint(-2, 2), 3)) for n in (1, 4, 9)]
+        suite += [rand_rational_tensor(rng, n, 1) for n in (2, 5, 7)]
+        for n, d in ((2, 2), (3, 3), (3, 4), (4, 2)):
+            suite.append(rand_nonneg_tensor(rng, n, d))
+            # a negative vertex value, with other negative entries beside it
+            A = rand_rational_tensor(rng, n, d)
+            suite.append(SymTensor(n, d, {**dict(A.items()), (n,) * d: F(-1, 3)}))
+        want = [reference_certify(A) for A in suite]
+        assert all(w.stats == PartitionStats(0, 1, 0) for w in want)
+        assert {w.verdict for w in want} == {Verdict.COPOSITIVE, Verdict.NOT_COPOSITIVE}
+        self._refuse_geometry(monkeypatch)
+        assert [certify_copositivity(A) for A in suite] == want
+        # an undecided root still needs the simplex
+        with pytest.raises(AssertionError, match="standard simplex"):
+            certify_copositivity(from_matrix([[F(1), F(-1)], [F(-1), F(1)]]))
+
+    def test_wide_order_one(self, monkeypatch):
+        # n = 10**4: the standard simplex alone would hold 10**8 Fractions
+        self._refuse_geometry(monkeypatch)
+        n = 10 ** 4
+        assert certify_copositivity(SymTensor(n, 1, {}, 1)) == \
+            Certificate(Verdict.COPOSITIVE, stats=PartitionStats(0, 1, 0))
+        cert = certify_copositivity(SymTensor(n, 1, {(7000,): F(-1, 3)}, 1))
+        assert cert.verdict is Verdict.NOT_COPOSITIVE
+        assert cert.witness == tuple(F(int(j == 6999)) for j in range(n))
+        assert cert.witness_value == F(-1, 3) and cert.stats == PartitionStats(0, 1, 0)
 
 
 class TestCertifyMatchesReference:

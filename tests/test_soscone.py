@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import cli, combinatorics, docio, gridcone, soscone
+from copotensor import cli, combinatorics, docio, gridcone, polycone, soscone
 from copotensor.faces import point_moments, zero_kernels
 from copotensor.gridcone import grid_zeros
 from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, JACOBI_SWEEPS,
@@ -22,9 +22,10 @@ from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, JACOBI_SWEEPS,
 from copotensor.oracle import simplex_grid_min
 from copotensor.polycone import expand_Pr, member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
-from conftest import (BOUNDARY, HORN, example31_tensor,
-                      rand_diag_dominant_tensor, rand_nonneg_tensor,
-                      reference_cumulative_grid, reference_project_psd)
+from conftest import (BOUNDARY, HORN, default_tensors, example31_tensor,
+                      float_tensors, rand_diag_dominant_tensor, rand_nonneg_tensor,
+                      reference_check_refutation, reference_cumulative_grid,
+                      reference_gram_targets, reference_project_psd)
 
 
 def degree6_example():
@@ -350,7 +351,7 @@ class TestFastPath:
     @staticmethod
     def _matches_checker(A, r):
         problem = build_gram_problem(A, r)
-        v = soscone._fast_path(problem)
+        v = soscone._fast_path(soscone._level(A, r))
         assert v is not None and v.certified and v.fast_path and v.iterations == 0
         want = _certified(problem, v.certificate)
         assert want is not None
@@ -606,8 +607,9 @@ def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
     certificate lifted up the whole chain."""
     _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
-    if all(c >= 0 for c in problem.expansion.coeffs.values()):
-        fast = _certified(problem, _diagonal_certificate(problem))
+    if all(c >= 0 for c in expand_Pr(A, r).coeffs.values()):
+        fast = _certified(problem, _diagonal_certificate(
+            problem.blocks, list(problem.targets.values())))
         if fast is not None:
             return dataclasses.replace(fast, fast_path=True)
     problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
@@ -917,9 +919,10 @@ class TestFace:
         problem = build_gram_problem(example31_tensor(), r)
         zeros = grid_zeros(problem.tensor)
         assert zeros == ((2, (2, 0, 0)),)
-        assert soscone._fast_path(problem) is not None
+        assert soscone._fast_path(soscone._level(problem.tensor, r)) is not None
         touched = 0
-        for G, kernel in zip(_diagonal_certificate(problem),
+        for G, kernel in zip(_diagonal_certificate(problem.blocks,
+                                                   list(problem.targets.values())),
                              zero_kernels(problem.basis, problem.blocks, zeros)):
             if kernel is None:
                 continue
@@ -944,8 +947,8 @@ class TestFace:
         layout = _GramLayout(problem, zeros)
         L = [Fraction(float(m)) for m in (0.0 - layout.targets) / layout.weight_sum]
         D = point_moments(list(problem.constraints), zeros)
-        coeff = {tuple(2 * t for t in theta): c
-                 for theta, c in problem.expansion.coeffs.items()}
+        # the numerators are the coefficients times one positive denominator
+        coeff = dict(zip(problem.targets, problem.numerators))
         assert sum(coeff[g] * p for g, p in zip(problem.constraints, D)) == 0
         assert list(v.moments) == list(problem.constraints)
         weights = {(m - low) / p for m, low, p in zip(v.moments.values(), L, D) if p}
@@ -970,3 +973,117 @@ class TestFace:
             assert simplex_grid_min(A, 12).min_value >= 0
         if v.verdict == "NotMember":
             assert check_refutation(build_gram_problem(A, r), v.moments)
+
+
+def _huge_tensor():
+    # targets far from 1 and denominators of 3: floats that round
+    b = SymTensorBuilder(2, 3)
+    for key in itertools.combinations_with_replacement((1, 2), 3):
+        b.set(key, Fraction(10 ** 20, 3) if key[0] == key[-1] else Fraction(-1, 7))
+    return b.build()
+
+
+class TestLevelTable:
+    """Each SOS level reads one integer table, numerators over one
+    denominator.  The Fraction route it replaced (expand_Pr, then
+    float(Fraction) per target, and the Fraction L(P) of check_refutation;
+    tests/conftest.py) gives the same targets bit for bit, the same exact
+    coefficients and the same refutation verdicts."""
+
+    TENSORS = [("boundary", lambda: BOUNDARY), ("horn", lambda: HORN),
+               ("example31", example31_tensor), ("degree6", degree6_example),
+               ("not-copositive", lambda: NOT_COPOSITIVE),
+               ("pool-4000", lambda: _nonnegative(4000, 3, 4)),
+               ("dd6002", lambda: _dd(6002)), ("huge", _huge_tensor)]
+
+    @staticmethod
+    def _matches_fraction_route(A, r):
+        problem = build_gram_problem(A, r)
+        want = reference_gram_targets(A, r)
+        assert list(problem.targets) == list(want) == list(problem.constraints)
+        assert _bits(list(problem.targets.values())) == _bits(list(want.values()))
+        assert problem.denominator > 0
+        assert [Fraction(v, problem.denominator) for v in problem.numerators] == \
+            list(expand_Pr(A, r).coeffs.values())
+
+    @pytest.mark.parametrize("make", [t[1] for t in TENSORS], ids=[t[0] for t in TENSORS])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_targets_and_coefficients_match_the_fraction_route(self, make, r):
+        self._matches_fraction_route(make(), r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(float_tensors(max_n=3, max_d=3), default_tensors(max_n=3, max_d=3)),
+           st.integers(0, 2))
+    def test_hypothesis_targets_match_the_fraction_route(self, A, r):
+        self._matches_fraction_route(A, r)
+
+    @pytest.mark.parametrize("A, r", [(HORN, 0), (NOT_COPOSITIVE, 0), (NOT_COPOSITIVE, 2)],
+                             ids=["horn-0", "not-copositive-0", "not-copositive-2"])
+    def test_check_refutation_agrees_with_the_fraction_route(self, A, r):
+        problem = build_gram_problem(A, r)
+        moments = solve_gram(problem).moments
+        first = min(moments)
+        uniform = {g: uniform_moment(g) for g in moments}
+        candidates = [moments,
+                      {g: 2 * m for g, m in moments.items()},
+                      {**moments, first: -moments[first]},
+                      {**moments, first: Fraction(0)},
+                      {g: m for g, m in moments.items() if g != first},
+                      {g: -m for g, m in moments.items()},
+                      {g: m + 10 ** 6 * u for (g, m), u in zip(moments.items(),
+                                                               uniform.values())},
+                      uniform]
+        got = [check_refutation(problem, m) for m in candidates]
+        assert got == [reference_check_refutation(problem, m) for m in candidates]
+        # a moment shifted by the uniform measure's refutes exactly when
+        # L(P) stays negative: NOT_COPOSITIVE's P integrates below 0 on
+        # [0, 1]^2, Horn's not
+        assert got[:6] == [True, True, False, False, False, False]
+        assert got[6:] == [A is not HORN] * 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (2, 4)]), st.integers(0, 2),
+           st.data())
+    def test_fast_path_is_a_coefficient_member(self, shape, r, data):
+        n, d = shape
+        vals = st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(0),
+                                Fraction(1, 2), Fraction(1), Fraction(2)])
+        b = SymTensorBuilder(n, d)
+        for key in itertools.combinations_with_replacement(range(1, n + 1), d):
+            b.set(key, data.draw(vals))
+        A = b.build()
+        assert member_K_r(A, r, max_iters=25).fast_path == member_C_r(A, r).member
+
+    def test_one_table_per_level_walked(self, monkeypatch):
+        calls = []
+        brackets = polycone._brackets
+
+        def counting(A, r):
+            calls.append(r)
+            return brackets(A, r)
+
+        def refuse(*args):
+            raise AssertionError("the Fraction expansion is not the SOS route")
+
+        monkeypatch.setattr(polycone, "_brackets", counting)
+        monkeypatch.setattr(polycone, "expand_Pr", refuse)
+        sweep_K_r(HORN, 2, max_iters=200)
+        assert calls == [0, 1, 2]
+        calls.clear()
+        # the top level first, for its fast path, and reused by the walk
+        assert member_K_r(BOUNDARY, 2).certified
+        assert calls == [2, 0, 1]
+        calls.clear()
+        assert member_K_r(example31_tensor(), 2).fast_path
+        assert calls == [2]
+
+    def test_fast_path_builds_no_gram_problem(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Gram problem was built")
+
+        monkeypatch.setattr(soscone, "_gram_problem", refuse)
+        assert member_K_r(example31_tensor(), 1).fast_path
+        assert all(v.fast_path for v in sweep_K_r(from_matrix([[1, 0], [0, 1]]), 3))
+        # BOUNDARY is outside C^(0), so its level 0 needs the problem
+        with pytest.raises(AssertionError, match="Gram problem"):
+            member_K_r(BOUNDARY, 0)
