@@ -6,13 +6,13 @@ coefficient.  The basis splits into parity blocks (exponent vectors congruent
 mod 2); products across blocks give odd exponents, which never occur in P, so
 G may be taken block diagonal.
 
-Each level is read off one integer table, :func:`polycone.coefficient_table`,
-built once per level walked: the exponents theta, which are also the
-monomial basis (P's monomial y^(2 theta) is (y^theta)^2), and P's
-coefficients as integer numerators over one positive denominator.  The fast
-path reads their signs before any Gram problem is built; only when it fails
-are the parity blocks and constraints made, with the targets numerator /
-denominator in floats, and the exact checks read the numerators.
+Each level is one :class:`GramProblem`, built once per level walked from one
+integer table, :func:`polycone.coefficient_table`: the exponents theta,
+which are also the monomial basis (P's monomial y^(2 theta) is
+(y^theta)^2), P's coefficients as integer numerators over one positive
+denominator, the float targets numerator / denominator and the parity
+blocks.  The exact checks and the fast path read the numerators; only a
+solve or a lift builds the constraints.
 
 The solver is untrusted: it alternates projections (with Dykstra correction
 on the PSD side) between the affine coefficient-matching set and the PSD
@@ -29,12 +29,14 @@ A certificate is the list of Gram blocks.  A solved or lifted Certified
 verdict is re-verified by one checker that shares none of that: it loops
 over the constraints itself and takes eigenvalues by cyclic Jacobi
 rotations, both on Python floats with no numpy.  The acceptance rule is
-fixed: every coefficient matched within MATCH_TOL and every eigenvalue at
-least -EIG_TOL.  The fast path needs no checker: when every exact
-coefficient of P is non-negative, that is the proof, and its diagonal
-certificate carries the residual (0.0) and minimum eigenvalue (the least
-target) that the checker would compute for it.  A level takes the fast path
-exactly when it is a C^(r) Member (:func:`polycone.member_C_r`).
+fixed: every coefficient matched within MATCH_TOL s and every eigenvalue at
+least -EIG_TOL s, s = min(1, max |target|), also the floor of the Jacobi
+rotations, so tiny coefficients are not lost in the tolerances.  The fast
+path needs no checker and carries no blocks: every exact coefficient of P
+non-negative is the proof, and the verdict carries the residual (0.0) and
+the minimum eigenvalue (the least target) that the checker finds for the
+diagonal certificate.  A level takes the fast path exactly when it is a
+C^(r) Member (:func:`polycone.member_C_r`).
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
@@ -55,7 +57,7 @@ non-membership; NotMember carries a moment certificate.
 The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
 The fast path's levels nest too (C^(r) inside C^(r+1)), so the level above a
-fast path takes it as well, and no lift starts from one.
+fast path takes it as well, and a lift always starts from blocks.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
                             check_enumeration_size)
 from .tensor import SymTensor
 
-EIG_TOL = 1e-8      # a certificate's blocks have eigenvalues >= -EIG_TOL
-MATCH_TOL = 1e-8    # and reproduce every coefficient within MATCH_TOL
+EIG_TOL = 1e-8      # a certificate's eigenvalues are >= -EIG_TOL s and it
+MATCH_TOL = 1e-8    # matches within MATCH_TOL s, s = min(1, max |target|)
 JACOBI_SWEEPS = 60
 JACOBI_TOL = 1e-14
 
@@ -83,37 +85,36 @@ Exponent = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class _Level:
-    """One level's integer table (see the module docstring) and its float
-    targets numerator / denominator, keyed by 2 theta."""
-    r: int
-    basis: tuple[Exponent, ...]
-    numerators: list[int]
-    denominator: int
-    targets: dict[Exponent, float]
-
-
-@dataclass(frozen=True)
 class GramProblem:
-    n: int
-    d: int
+    """One level: its integer table, float targets keyed by 2 theta and
+    parity blocks (see the module docstring)."""
+    tensor: SymTensor                         # the tensor P is built from
     r: int
     basis: tuple[Exponent, ...]
-    blocks: tuple[tuple[int, ...], ...]       # basis indices per parity class
-    targets: dict[Exponent, float]            # even exponent -> coefficient
-    # per target: list of (block position, i, j) with i <= j inside the block
-    constraints: dict[Exponent, list[tuple[int, int, int]]]
     # P's exact coefficients, in targets order: numerators / denominator > 0
     numerators: list[int]
     denominator: int
-    tensor: SymTensor                         # the tensor P is built from
+    targets: dict[Exponent, float]            # even exponent -> coefficient
+    blocks: tuple[tuple[int, ...], ...]       # basis indices per parity class
+
+    @functools.cached_property
+    def constraints(self) -> dict[Exponent, list[tuple[int, int, int]]]:
+        """Per target: the (block position, i, j), i <= j inside the block,
+        whose basis monomials multiply to it; built on first use."""
+        basis, out = self.basis, {g: [] for g in self.targets}
+        for b, members in enumerate(self.blocks):
+            for ai in range(len(members)):
+                for aj in range(ai, len(members)):
+                    g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
+                    out[g].append((b, ai, aj))
+        return out
 
 
 @dataclass(frozen=True)
 class SosVerdict:
     certified: bool
     r: int
-    certificate: list[np.ndarray] | None = None   # Gram blocks, problem.blocks order
+    certificate: list[np.ndarray] | None = None   # a solve's or lift's Gram blocks
     residual: float | None = None
     min_eig: float | None = None
     iterations: int = 0
@@ -127,9 +128,9 @@ class SosVerdict:
         return "Unknown" if self.moments is None else "NotMember"
 
 
-def _level(A: SymTensor, r: int) -> _Level:
-    """The integer table of level r, with its float targets: int true
-    division rounds correctly, so each equals float(Fraction(num, den))."""
+def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
+    """Level r's problem: int true division rounds correctly, so each float
+    target equals float(Fraction(num, den))."""
     if r < 0:
         raise ValueError("r must be >= 0")
     check_enumeration_size(binomial_at_most(A.n + A.d + r - 1, A.d + r),
@@ -140,7 +141,8 @@ def _level(A: SymTensor, r: int) -> _Level:
                    for theta, v in zip(basis, numerators)}
     except OverflowError:
         raise ValueError(f"a level {r} coefficient is beyond float range") from None
-    return _Level(r, basis, numerators, denominator, targets)
+    return GramProblem(A, r, basis, numerators, denominator, targets,
+                       _parity_blocks(basis))
 
 
 def _parity_blocks(basis: Sequence[Exponent]) -> tuple[tuple[int, ...], ...]:
@@ -151,33 +153,16 @@ def _parity_blocks(basis: Sequence[Exponent]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for _, v in sorted(parity.items()))
 
 
-def _gram_problem(A: SymTensor, level: _Level) -> GramProblem:
-    basis, targets = level.basis, level.targets
-    blocks = _parity_blocks(basis)
-    constraints: dict[Exponent, list[tuple[int, int, int]]] = {g: [] for g in targets}
-    for b, members in enumerate(blocks):
-        for ai in range(len(members)):
-            for aj in range(ai, len(members)):
-                g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
-                constraints[g].append((b, ai, aj))
-    return GramProblem(A.n, A.d, level.r, basis, blocks, targets, constraints,
-                       level.numerators, level.denominator, A)
-
-
-def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
-    """Monomial basis, parity blocks, and coefficient targets for level r."""
-    return _gram_problem(A, _level(A, r))
-
-
-def jacobi_eigvalsh(rows: Sequence[Sequence[float]]) -> list[float]:
+def jacobi_eigvalsh(rows: Sequence[Sequence[float]], scale: float = 1.0) -> list[float]:
     """Eigenvalues of a symmetric matrix (tens of rows) by cyclic Jacobi
     rotations on Python floats, with no numpy or LAPACK: each IEEE operation
-    is that of a row-then-column rotation of the whole matrix, in order."""
+    is that of a row-then-column rotation of the whole matrix, in order.
+    Off-diagonal entries up to JACOBI_TOL max(scale, max |a_ij|) count as 0."""
     A = [list(row) for row in rows]
     m = len(A)
     entries = [abs(x) for row in A for x in row]
-    # the scale is max(1, max |a_ij|), or 1.0 when an entry is NaN
-    tol = JACOBI_TOL * (1.0 if any(x != x for x in entries) else max(entries + [1.0]))
+    # or JACOBI_TOL alone when an entry is NaN
+    tol = JACOBI_TOL * (1.0 if any(x != x for x in entries) else max(entries + [scale]))
     for _ in range(JACOBI_SWEEPS):
         off = 0.0
         for p in range(m - 1):
@@ -431,21 +416,22 @@ def _residual(mats: Sequence[Sequence[Sequence[float]]], problem: GramProblem) -
     return worst
 
 
-def _min_eig(mats: Sequence[Sequence[Sequence[float]]]) -> float:
+def _min_eig(mats: Sequence[Sequence[Sequence[float]]], scale: float = 1.0) -> float:
     # trusted path: cyclic Jacobi, independent of the solver's LAPACK calls;
     # np.min, unlike min, gives NaN for a block with any NaN eigenvalue
-    return min(float(np.min(jacobi_eigvalsh(m))) for m in mats)
+    return min(float(np.min(jacobi_eigvalsh(m, scale))) for m in mats)
 
 
 def _certified(problem: GramProblem, blocks: list[np.ndarray],
                iterations: int = 0) -> SosVerdict | None:
     """Independent re-verification: the Certified verdict carrying ``blocks``
     and the residual and minimum eigenvalue recomputed from scratch, or None
-    when they miss MATCH_TOL or EIG_TOL."""
+    when they miss MATCH_TOL s or EIG_TOL s (see the module docstring)."""
+    scale = min(1.0, max(map(abs, problem.targets.values())))
     rows = [b.tolist() for b in blocks]
     residual = _residual(rows, problem)
-    min_eig = _min_eig(rows)
-    if residual <= MATCH_TOL and min_eig >= -EIG_TOL:
+    min_eig = _min_eig(rows, scale)
+    if residual <= MATCH_TOL * scale and min_eig >= -EIG_TOL * scale:
         return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations)
     return None
 
@@ -553,13 +539,6 @@ def _block_positions(problem: GramProblem) -> dict[Exponent, tuple[int, int]]:
             for k, idx in enumerate(members)}
 
 
-def _diagonal_certificate(blocks: Sequence[Sequence[int]],
-                          targets: Sequence[float]) -> list[np.ndarray]:
-    """Non-negative coefficients give P = sum A_theta (y^theta)^2 directly:
-    the target of basis monomial k (its square's) at k on the diagonal."""
-    return [np.diag([targets[k] for k in members]) for members in blocks]
-
-
 def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
                      high: GramProblem) -> list[np.ndarray]:
     """Lift a level-r certificate to level r+1.
@@ -577,7 +556,7 @@ def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
     mats = [np.zeros((len(bl), len(bl))) for bl in high.blocks]
     for lb, members in enumerate(low.blocks):
         G = blocks[lb]
-        for var in range(low.n):
+        for var in range(low.tensor.n):
             # where each block monomial lands after multiplying by y_var
             targets = [where[tuple(e + (1 if i == var else 0)
                                    for i, e in enumerate(low.basis[idx]))]
@@ -590,20 +569,17 @@ def lift_certificate(low: GramProblem, blocks: list[np.ndarray],
     return mats
 
 
-def _fast_path(level: _Level) -> SosVerdict | None:
+def _fast_path(problem: GramProblem) -> SosVerdict | None:
     """Certified when every exact coefficient of P is non-negative, which
     proves membership: P = sum p_theta (y^theta)^2.  Read off the level's
-    integer table, before any Gram problem is built.  The diagonal
-    certificate is not re-checked in floats; it holds each float target
-    once, alone on the diagonal, so the checker would find residual 0.0 and
-    the least target as the minimum eigenvalue, and those are what the
-    verdict carries."""
-    if min(level.numerators) < 0:
+    integer table, with no constraints built and no Gram blocks: the
+    diagonal certificate that holds each float target once, alone on the
+    diagonal, would give the checker residual 0.0 and the least target as
+    the minimum eigenvalue, and those are what the verdict carries."""
+    if min(problem.numerators) < 0:
         return None
-    targets = list(level.targets.values())
-    return SosVerdict(True, level.r,
-                      _diagonal_certificate(_parity_blocks(level.basis), targets),
-                      0.0, min(targets), fast_path=True)
+    return SosVerdict(True, problem.r, None, 0.0, min(problem.targets.values()),
+                      fast_path=True)
 
 
 def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
@@ -619,19 +595,17 @@ def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
 
 
 def _sweep(A: SymTensor, R: int, max_iters: int,
-           top: _Level | None = None) -> list[SosVerdict]:
-    """The walk of :func:`sweep_K_r`; ``top`` is the level-R table, built
-    already.  Each level's table is built once; its Gram problem only when
-    the fast path fails.  C^(r) lies in C^(r+1), so the level above a fast
-    path takes it too, and a lift is always from a built problem."""
+           top: GramProblem | None = None) -> list[SosVerdict]:
+    """The walk of :func:`sweep_K_r`; ``top`` is the level-R problem, built
+    already.  Each level's problem is built once.  A level lifts the
+    certificate below when there is one; a fast path carries none, and
+    C^(r) lies in C^(r+1), so the level above a fast path takes it too."""
     verdicts: list[SosVerdict] = []
-    low = None   # the level below's problem, None when it took the fast path
     for r in range(R + 1):
-        level = top if r == R and top is not None else _level(A, r)
-        v, problem = _fast_path(level), None
+        problem = top if r == R and top is not None else build_gram_problem(A, r)
+        v = _fast_path(problem)
         if v is None:
-            problem = _gram_problem(A, level)
-            if low is not None and verdicts[-1].certified:
+            if verdicts and verdicts[-1].certificate is not None:
                 v = _certified(problem,
                                lift_certificate(low, verdicts[-1].certificate, problem),
                                verdicts[-1].iterations)
@@ -655,5 +629,5 @@ def member_K_r(A: SymTensor, r: int,
     """SOS membership at level r: the coefficient fast path, else the last
     verdict of :func:`sweep_K_r` up to r, which reuses the level-r table."""
     _check_walk(A, r, max_iters)
-    level = _level(A, r)
-    return _fast_path(level) or _sweep(A, r, max_iters, top=level)[-1]
+    problem = build_gram_problem(A, r)
+    return _fast_path(problem) or _sweep(A, r, max_iters, top=problem)[-1]

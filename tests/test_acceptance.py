@@ -31,8 +31,8 @@ from copotensor.polycone import expand_Pr, member_C_r
 from copotensor.soscone import _certified, build_gram_problem, member_K_r, solve_gram
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, necessary_screen)
-from conftest import (EXAMPLE31_JSON, expand_Pr_closed_form, grid_partition,
-                      reference_member_I_P)
+from conftest import (EXAMPLE31_JSON, diagonal_certificate, expand_Pr_closed_form,
+                      grid_partition, reference_member_I_P)
 
 F = Fraction
 SEED = 20240
@@ -293,8 +293,15 @@ def test_criterion_7_nonpositive_offdiagonal_psd_crosscheck():
 
 def _assert_reverifies(problem, v):
     # the verdict's residual and minimum eigenvalue are the independent
-    # checker's figures, recomputed from the Gram blocks
-    assert _certified(problem, v.certificate) is not None
+    # checker's figures, recomputed from the Gram blocks; a fast path carries
+    # none, and its figures are the checker's on the diagonal certificate
+    checked = _certified(problem, diagonal_certificate(problem) if v.fast_path
+                         else v.certificate)
+    assert checked is not None
+    if v.fast_path:
+        assert v.certificate is None
+        assert [x.hex() for x in (v.residual, v.min_eig)] == \
+            [x.hex() for x in (checked.residual, checked.min_eig)]
     assert v.residual <= SOS_RESIDUAL_TOL and v.min_eig >= -SOS_EIG_TOL
 
 
@@ -325,7 +332,7 @@ def test_criterion_8_sos_self_verification():
         n, d = rng.choice(((2, 3), (3, 2)))
         A = _rand_tensor(rng, n, d, 0, 8, 8)
         v = member_K_r(A, 1)
-        assert v.certified
+        assert v.certified and v.fast_path and member_C_r(A, 1).member
         _assert_reverifies(build_gram_problem(A, 1), v)
         certified += 1
     print(f"\nACCEPTANCE 8 PASS: {certified}/{certified} certificates "

@@ -14,18 +14,18 @@ from copotensor.faces import point_moments, zero_kernels
 from copotensor.gridcone import grid_zeros
 from copotensor.soscone import (DEFAULT_MAX_ITERS, EIG_TOL, JACOBI_SWEEPS,
                                 JACOBI_TOL, MATCH_TOL, SosVerdict,
-                                _certified, _check_max_iters,
-                                _diagonal_certificate, _GramLayout,
+                                _certified, _check_max_iters, _GramLayout,
                                 build_gram_problem, check_refutation, jacobi_eigvalsh,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
 from copotensor.oracle import simplex_grid_min
 from copotensor.polycone import expand_Pr, member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
-from conftest import (BOUNDARY, HORN, default_tensors, example31_tensor,
-                      float_tensors, rand_diag_dominant_tensor, rand_nonneg_tensor,
-                      reference_check_refutation, reference_cumulative_grid,
-                      reference_gram_targets, reference_project_psd)
+from conftest import (BOUNDARY, HORN, default_tensors, diagonal_certificate,
+                      example31_tensor, float_tensors, rand_diag_dominant_tensor,
+                      rand_nonneg_tensor, reference_check_refutation,
+                      reference_cumulative_grid, reference_gram_targets,
+                      reference_project_psd)
 
 
 def degree6_example():
@@ -43,7 +43,8 @@ def degree6_example():
 def full_basis_problem(A, r):
     """Single-block variant of the Gram problem: no parity reduction, with
     explicit zero targets for the odd exponent vectors the cross-parity
-    products can reach."""
+    products can reach.  Its constraints, built on first use from the one
+    block, are those listed here."""
     p = build_gram_problem(A, r)
     blocks = (tuple(range(len(p.basis))),)
     targets = dict(p.targets)
@@ -53,8 +54,9 @@ def full_basis_problem(A, r):
             g = tuple(x + y for x, y in zip(p.basis[i], p.basis[j]))
             targets.setdefault(g, 0.0)
             constraints.setdefault(g, []).append((0, i, j))
-    return dataclasses.replace(p, blocks=blocks, targets=targets,
-                               constraints=constraints)
+    full = dataclasses.replace(p, blocks=blocks, targets=targets)
+    assert full.constraints == constraints
+    return full
 
 
 def reference_solve_gram(problem, max_iters=20000):
@@ -344,16 +346,17 @@ def _nonnegative(seed, n, d):
 
 
 class TestFastPath:
-    """The fast path returns its verdict without the float checker; its
-    residual and minimum eigenvalue are those the checker computes for the
-    diagonal certificate, bit for bit."""
+    """The fast path returns its verdict without the float checker and with
+    no Gram blocks; its residual and minimum eigenvalue are those the checker
+    computes for the diagonal certificate, bit for bit."""
 
     @staticmethod
     def _matches_checker(A, r):
         problem = build_gram_problem(A, r)
-        v = soscone._fast_path(soscone._level(A, r))
+        v = soscone._fast_path(problem)
         assert v is not None and v.certified and v.fast_path and v.iterations == 0
-        want = _certified(problem, v.certificate)
+        assert v.certificate is None
+        want = _certified(problem, diagonal_certificate(problem))
         assert want is not None
         assert _bits([v.residual, v.min_eig]) == _bits([want.residual, want.min_eig])
         assert v.residual == 0.0 and v.min_eig == min(problem.targets.values())
@@ -485,6 +488,67 @@ class TestCertificates:
             assert blocked == full
 
 
+def _tiny_document(off):
+    return ('{"n": 2, "d": 2, "default": "1/1000000000000", "entries": '
+            f'[{{"idx": [1, 2], "val": "{off}"}}]}}')
+
+
+class TestToleranceScale:
+    """The checker holds a certificate to MATCH_TOL s and EIG_TOL s, s =
+    min(1, max |target|), and rotates away off-diagonal entries only up to
+    JACOBI_TOL max(s, max |a_ij|): absolute tolerances of 1e-8 accepted any
+    Gram matrix of a form whose coefficients are all near 1e-12."""
+
+    def test_tiny_not_copositive_document_refuted(self, tmp_path, capsys):
+        # 1e-12 (x1^2 + x2^2) - 4e-12 x1 x2 is -1/2000000000000 at (1/2, 1/2);
+        # with absolute tolerances the sos check called it Certified
+        doc, out = tmp_path / "tiny.json", tmp_path / "sos.json"
+        doc.write_text(_tiny_document("-2/1000000000000"))
+        assert cli.main(["check", "--method", "sos", str(doc), "--out", str(out)]) == 1
+        cert = json.loads(out.read_text())
+        assert (cert["verdict"], cert["stats"]["iterations"]) == ("NotMember", 25)
+        assert cli.main(["verify", str(out), "--tensor", str(doc)]) == 0
+        assert cli.main(["certify", str(doc)]) == 1
+        capsys.readouterr()
+        assert cli.main(["compare", "--levels", "1", "--max-iters", "500", "--json",
+                         str(doc)]) == 1
+        hierarchies = json.loads(capsys.readouterr().out)["hierarchies"]
+        assert hierarchies["sos"] == hierarchies["grid"] == ["NotMember"] * 2
+
+    def test_tiny_psd_document_certified(self, tmp_path):
+        doc, out = tmp_path / "tiny.json", tmp_path / "sos.json"
+        doc.write_text(_tiny_document("-1/2000000000000"))
+        assert cli.main(["check", "--method", "sos", str(doc), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        assert (cert["verdict"], cert["stats"]["iterations"]) == ("Certified", 25)
+        assert cert["stats"]["fast_path"] is False
+
+    def test_scaled_2x2_verdicts(self):
+        # never Certified outside the cone at any scale 2^-k, k <= 60, and
+        # always refuted there; the PSD form is solved and certified at level 0
+        for k in range(61):
+            s = Fraction(1, 2 ** k)
+            for r in (0, 1, 2):
+                v = member_K_r(from_matrix([[s, -2 * s], [-2 * s, s]]), r)
+                assert v.verdict == "NotMember", (k, r)
+            v = member_K_r(from_matrix([[s, -s / 2], [-s / 2, s]]), 0)
+            assert v.certified and not v.fast_path and v.iterations == 25, k
+
+    def test_jacobi_floor_scales_exactly(self):
+        # scaling a matrix and the floor by 2^-k scales every eigenvalue by
+        # 2^-k bit for bit; at the fixed floor 1 the small matrix is not rotated
+        rng = np.random.default_rng(5)
+        for m in (2, 3, 5):
+            X = rng.standard_normal((m, m))
+            M = X + X.T
+            want = jacobi_eigvalsh(M.tolist())
+            for k in (1, 20, 48, 60):
+                got = jacobi_eigvalsh((M * 2.0 ** -k).tolist(), 2.0 ** -k)
+                assert _bits(got) == _bits([w * 2.0 ** -k for w in want]), (m, k)
+            tiny = (M * 2.0 ** -60).tolist()
+            assert jacobi_eigvalsh(tiny) == [tiny[i][i] for i in range(m)]
+
+
 def _indefinite_copy(problem, blocks):
     """A copy of ``blocks`` that matches every coefficient as before but is
     indefinite: an off-diagonal entry (j, k) and its mirror move by -delta,
@@ -608,8 +672,7 @@ def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
     _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
     if all(c >= 0 for c in expand_Pr(A, r).coeffs.values()):
-        fast = _certified(problem, _diagonal_certificate(
-            problem.blocks, list(problem.targets.values())))
+        fast = _certified(problem, diagonal_certificate(problem))
         if fast is not None:
             return dataclasses.replace(fast, fast_path=True)
     problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
@@ -659,7 +722,14 @@ class TestLevelWalk:
                     got.min_eig, got.fast_path) == \
                 (want.certified, want.r, want.iterations, want.residual,
                  want.min_eig, want.fast_path), f"level {r}"
-            if want.certified:
+            if got.fast_path:
+                # no blocks: the figures are the reference's diagonal ones
+                assert got.certificate is None
+                assert _bits([got.residual, got.min_eig]) == \
+                    _bits([want.residual, want.min_eig])
+                assert _bits([soscone._min_eig(want.certificate)]) == \
+                    _bits([reference_min_eig(want.certificate)])
+            elif want.certified:
                 assert all(np.array_equal(a, b) for a, b in
                            zip(got.certificate, want.certificate, strict=True))
                 assert _bits([soscone._min_eig(got.certificate)]) == \
@@ -676,8 +746,15 @@ class TestLevelWalk:
             [reference_member_K_r(A, r, max_iters=max_iters).certified
              for r in range(top + 1)]
         for v in verdicts:
+            if v.fast_path:
+                problem = build_gram_problem(A, v.r)
+                blocks = diagonal_certificate(problem)
+                assert v.certificate is None and _certified(problem, blocks) is not None
+                assert _bits([v.residual]) == _bits([soscone._residual(blocks, problem)])
+            else:
+                blocks = v.certificate
             if v.certified:
-                assert _bits([v.min_eig]) == _bits([reference_min_eig(v.certificate)])
+                assert _bits([v.min_eig]) == _bits([reference_min_eig(blocks)])
 
     def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
         # Horn is refuted at level 0 and certified by a solve at level 1, and
@@ -919,11 +996,14 @@ class TestFace:
         problem = build_gram_problem(example31_tensor(), r)
         zeros = grid_zeros(problem.tensor)
         assert zeros == ((2, (2, 0, 0)),)
-        assert soscone._fast_path(soscone._level(problem.tensor, r)) is not None
+        v = soscone._fast_path(problem)
+        assert v is not None and v.certificate is None
+        blocks = diagonal_certificate(problem)
+        checked = _certified(problem, blocks)
+        assert checked is not None
+        assert _bits([v.residual, v.min_eig]) == _bits([checked.residual, checked.min_eig])
         touched = 0
-        for G, kernel in zip(_diagonal_certificate(problem.blocks,
-                                                   list(problem.targets.values())),
-                             zero_kernels(problem.basis, problem.blocks, zeros)):
+        for G, kernel in zip(blocks, zero_kernels(problem.basis, problem.blocks, zeros)):
             if kernel is None:
                 continue
             touched += 1
@@ -1078,12 +1158,13 @@ class TestLevelTable:
         assert calls == [2]
 
     def test_fast_path_builds_no_gram_problem(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a Gram problem was built")
+        # no constraints: the Gram problem's costly part is built on first use
+        def refuse(problem):
+            raise AssertionError("a Gram problem's constraints were built")
 
-        monkeypatch.setattr(soscone, "_gram_problem", refuse)
+        monkeypatch.setattr(soscone.GramProblem, "constraints", property(refuse))
         assert member_K_r(example31_tensor(), 1).fast_path
         assert all(v.fast_path for v in sweep_K_r(from_matrix([[1, 0], [0, 1]]), 3))
-        # BOUNDARY is outside C^(0), so its level 0 needs the problem
+        # BOUNDARY is outside C^(0), so its level 0 needs the constraints
         with pytest.raises(AssertionError, match="Gram problem"):
             member_K_r(BOUNDARY, 0)
