@@ -14,45 +14,43 @@ denominator, the float targets numerator / denominator and the parity
 blocks.  The exact checks and the fast path read the numerators; only a
 solve or a lift builds the constraints.
 
-The solver is untrusted: it alternates projections (with Dykstra correction
-on the PSD side) between the affine coefficient-matching set and the PSD
-cone, on flat buffers that :class:`_GramLayout` allocates once per solve
-and every iteration writes into; a group of 1x1 blocks is projected by
-clamping at zero instead of by ``eigh``.  Each solve first searches a fixed
-simplex grid for exact zeros of the form (:func:`gridcone.grid_zeros`): every
-Gram matrix that matches P is singular along the monomial vectors of a zero,
-so a block such a vector touches is solved on the face of the PSD cone that
-this forces.  A boundary member such as the Horn matrix at level 1, whose
-feasible set has no interior, certifies in 150 iterations that way, where
-the whole cone stalls; a problem with no grid zero runs exactly as before.
-A certificate is the list of Gram blocks.  A solved or lifted Certified
-verdict is re-verified by one checker that shares none of that: it loops
-over the constraints itself and takes eigenvalues by cyclic Jacobi
-rotations, both on Python floats with no numpy.  The acceptance rule is
-fixed: every coefficient matched within MATCH_TOL s and every eigenvalue at
-least -EIG_TOL s, s = min(1, max |target|), also the floor of the Jacobi
-rotations, so tiny coefficients are not lost in the tolerances.  The fast
-path needs no checker and carries no blocks: every exact coefficient of P
-non-negative is the proof, and the verdict carries the residual (0.0) and
-the minimum eigenvalue (the least target) that the checker finds for the
-diagonal certificate.  A level takes the fast path exactly when it is a
-C^(r) Member (:func:`polycone.member_C_r`).
+The solver is untrusted: over-relaxed alternating projections (Bauschke &
+Borwein 1996; any point of the intersection will do, not the nearest) between
+the affine coefficient-matching set and the PSD cone, on flat buffers that
+:class:`_GramLayout` allocates once per solve; a group of 1x1 blocks is
+clamped at zero instead of projected by ``eigh``.  Each solve first searches a
+fixed simplex grid for exact zeros of the form (:func:`gridcone.grid_zeros`):
+every Gram matrix that matches P is singular along the monomial vectors of a
+zero, so a block such a vector touches is solved on the face of the PSD cone
+that this forces.  The Horn matrix at level 1, whose feasible set has no
+interior, certifies in 70 iterations that way, where the whole cone stalls.  A
+certificate is the list of Gram blocks.  A solved or lifted Certified verdict
+is re-verified by one checker that shares none of that: it loops over the
+constraints itself and takes eigenvalues by cyclic Jacobi rotations, both on
+Python floats with no numpy.  The acceptance rule is fixed: every coefficient
+matched within MATCH_TOL s and every eigenvalue at least -EIG_TOL s, s =
+min(1, max |target|), also the floor of the Jacobi rotations, so tiny
+coefficients are not lost in the tolerances.  The fast path needs no checker
+and carries no blocks: every exact coefficient of P non-negative is the
+proof, and the verdict carries the residual (0.0) and the minimum eigenvalue
+(the least target) that the checker finds for the diagonal certificate.  A
+level takes the fast path exactly when it is a C^(r) Member
+(:func:`polycone.member_C_r`).
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
 positive definite on every parity block, and with L(P) < 0, admits no PSD
 Gram matrix (sum_b <M_b, G_b> would equal L(P)).  When a solve is strictly
 infeasible, the affine step's per-target shift converges to such an L (up to
-sign), so at each periodic check that does not certify the solver offers
-minus the current shift, made positive definite by adding eps times the
-moments of the uniform measure on [0, 1]^n, which are positive definite on
-every block.  On a block that grid zeros touch, that holds only on the
-face, and t times the zeros' point moments, rational and zero on P, is added
-along the rest.  Floats only pick eps and t and screen the candidate;
-:func:`check_refutation` decides it exactly in Fraction and integer
-arithmetic, against the integer numerators of P, and the same function
-re-checks a document's moments in ``verify``.  Unknown is never a proof of
-non-membership; NotMember carries a moment certificate.
+sign and scale), so at each periodic check that does not certify, once that
+step has stalled, the solver offers minus the current shift, made positive
+definite by adding eps times the moments of the uniform measure on [0, 1]^n,
+positive definite on every block.  On a block that grid zeros touch, that
+holds only on the face, and t times the zeros' point moments, rational and
+zero on P, is added along the rest.  Floats only pick eps and t and screen the
+candidate; :func:`check_refutation` decides it exactly, against the integer
+numerators of P, and re-checks a document's moments in ``verify``.  Unknown is
+never a proof of non-membership; NotMember carries a moment certificate.
 
 The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
@@ -80,6 +78,9 @@ EIG_TOL = 1e-8      # a certificate's eigenvalues are >= -EIG_TOL s and it
 MATCH_TOL = 1e-8    # matches within MATCH_TOL s, s = min(1, max |target|)
 JACOBI_SWEEPS = 60
 JACOBI_TOL = 1e-14
+RELAXATION = 1.8    # the solver's step x + RELAXATION (P_psd(x) - x), in (1, 2)
+CHECK_EVERY = 5     # iterations between offers of the iterate to the checks
+STALL = 0.5         # a residual above STALL times the last check's has stalled
 
 Exponent = tuple[int, ...]
 
@@ -189,12 +190,11 @@ def jacobi_eigvalsh(rows: Sequence[Sequence[float]], scale: float = 1.0) -> list
 
 
 class _GramLayout:
-    """The solver's storage of a Gram problem's blocks: three flat buffers,
+    """The solver's storage of a Gram problem's blocks: two flat buffers,
     allocated once per solve, that every iteration writes into.
 
-    ``shifted`` holds the iterate plus the Dykstra ``correction``, and
-    ``psd`` its projection on the cone, which the affine projection then
-    overwrites in place, so between iterations ``psd`` holds the iterate.
+    ``iterate`` holds the iterate, on the affine set between iterations,
+    and ``cone`` its projection on the cone.
     Blocks of equal size and face dimension sit side by side, so each such
     group forms one ``(k, m, m)`` view of each buffer and the cone step is
     one batched ``eigh`` per group, with the views and the scratch of the
@@ -243,9 +243,8 @@ class _GramLayout:
         self.targets = np.array([problem.targets[g] for g in problem.constraints])
         self.weight_sum = np.bincount(self.tid, weights=self.weight,
                                       minlength=len(self.targets))
-        self.shifted = np.zeros(offset)
-        self.psd = np.zeros(offset)
-        self.correction = np.zeros(offset)
+        self.iterate = np.zeros(offset)
+        self.cone = np.zeros(offset)
         # a moment functional's matrices, scattered like the Gram entries;
         # uniform holds the moments of the uniform measure on [0, 1]^n
         self.moment = np.zeros(offset)
@@ -254,14 +253,14 @@ class _GramLayout:
         self.uniform_value = float(self.uniform @ self.targets)
         self._retry_at = 0.0   # the first iteration to take eigenvalues again
         self.zeros = tuple(zeros)
-        # per group: views of shifted, psd and moment, scratch for the Gram
+        # per group: views of iterate, cone and moment, scratch for the Gram
         # product and its transpose (None for 1x1 blocks, which are clamped,
         # and on faces) and the faces.Face of blocks that zeros touch
         self._groups = []
         for o, members, m, f in groups:
             k = len(members)
             views = [buf[o:o + k * m * m].reshape(k, m, m)
-                     for buf in (self.shifted, self.psd, self.moment)]
+                     for buf in (self.iterate, self.cone, self.moment)]
             face = faces.Face([kernels[b] for b in members]) if f < m else None
             scratch = None
             if m > 1 and face is None:
@@ -270,28 +269,28 @@ class _GramLayout:
             self._groups.append((*views, scratch, face))
 
     def block_matrices(self) -> list[np.ndarray]:
-        """Copies of the blocks held in ``psd``, in ``problem.blocks`` order."""
-        return [self.psd[o:o + m * m].reshape(m, m).copy() for o, m in self.spans]
+        """Copies of the blocks held in ``iterate``, in ``problem.blocks`` order."""
+        return [self.iterate[o:o + m * m].reshape(m, m).copy() for o, m in self.spans]
 
     def residual(self, matched: np.ndarray) -> float:
         return float(np.max(np.abs(matched - self.targets), initial=0.0))
 
     def project_affine(self) -> np.ndarray:
-        """Project ``psd`` in place onto the coefficient-matching affine set,
+        """Project ``iterate`` in place onto the coefficient-matching affine set,
         returning per target the coefficient that it reproduced before.
 
         Constraints for distinct targets touch disjoint Gram entries, so the
         projection decomposes per target: each involved upper-triangle entry
         (and its mirror) shifts by the same amount.
         """
-        matched = np.bincount(self.tid, weights=self.weight * self.psd[self.upper],
+        matched = np.bincount(self.tid, weights=self.weight * self.iterate[self.upper],
                               minlength=len(self.targets))
         shift = (self.targets - matched) / self.weight_sum
-        self.psd[self.scatter] += shift[self.scatter_tid]
+        self.iterate[self.scatter] += shift[self.scatter_tid]
         return matched
 
     def project_psd(self) -> None:
-        """``psd`` = the nearest blocks of the cone to ``shifted``: per
+        """``cone`` = the nearest blocks of the cone to ``iterate``: per
         group, one batched eigh, the eigenvalues clamped at zero, V diag(w) V^T
         and its symmetrization 0.5 (X + X^T), written into the buffers; a
         clamp for 1x1 blocks, or on a face :meth:`faces.Face.project`."""
@@ -311,10 +310,10 @@ class _GramLayout:
                 dst *= 0.5
 
     def min_eig(self) -> float:
-        """The least eigenvalue over the blocks held in ``psd``."""
-        return min(float((dst if dst.shape[1] == 1
-                          else np.linalg.eigvalsh(dst)[:, 0]).min())
-                   for _, dst, _, _, _ in self._groups)
+        """The least eigenvalue over the blocks held in ``iterate``."""
+        return min(float((x if x.shape[1] == 1
+                          else np.linalg.eigvalsh(x)[:, 0]).min())
+                   for x, _, _, _, _ in self._groups)
 
     def _moment_min_eigs(self, moments: np.ndarray) -> np.ndarray:
         """The least eigenvalue of each block's moment matrix under
@@ -491,43 +490,44 @@ def _check_max_iters(max_iters: int) -> None:
 
 def solve_gram(problem: GramProblem,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
-    """Dykstra-corrected alternating projections between the affine
+    """Over-relaxed alternating projections between the affine
     coefficient-matching set and the PSD cone (blockwise, in the buffers of
-    :class:`_GramLayout`).
+    :class:`_GramLayout`): x <- P_aff(x + RELAXATION (P_psd(x) - x)).
 
-    Every 25 iterations, and at the last, the iterate is offered to the
-    independent re-verification, and when that does not certify, the last
-    affine step to :meth:`_GramLayout.refutation`.  Certified only if the
-    re-verification passes; NotMember only with moments that
-    :func:`check_refutation` accepts; iteration budget exhaustion yields
-    Unknown, which is a verdict, not an error and not a non-membership
-    proof.  A budget below one iteration raises ValueError.
+    Every CHECK_EVERY iterations, and at the last, the iterate is offered to
+    the independent re-verification, and when that does not certify, the
+    last affine step to :meth:`_GramLayout.refutation` if its residual has
+    stalled above STALL times the last check's (a feasible problem's falls
+    to 0).  Certified only if the re-verification passes; NotMember only
+    with moments that :func:`check_refutation` accepts; iteration budget
+    exhaustion yields Unknown, which is a verdict, not an error and not a
+    non-membership proof.  A budget below one iteration raises ValueError.
     """
     _check_max_iters(max_iters)
     layout = _GramLayout(problem, gridcone.grid_zeros(problem.tensor))
-    # between iterations the iterate x lives in psd (see _GramLayout)
-    psd, shifted, correction = layout.psd, layout.shifted, layout.correction
-    layout.project_affine()
+    x, cone = layout.iterate, layout.cone
+    last_residual = layout.residual(layout.project_affine())
     best_residual = float("inf")
     best_min_eig = -float("inf")
-    check_every = 25
     it = 0
     while it < max_iters:
         it += 1
-        np.add(psd, correction, out=shifted)        # x + correction
-        layout.project_psd()                        # psd = P_psd(shifted)
-        np.subtract(shifted, psd, out=correction)
-        matched = layout.project_affine()           # psd = x = P_aff(psd)
-        if it % check_every == 0 or it == max_iters:
+        layout.project_psd()                        # cone = P_psd(x)
+        np.subtract(cone, x, out=cone)
+        cone *= RELAXATION
+        x += cone                                   # x + lambda (P_psd(x) - x)
+        matched = layout.project_affine()           # x = P_aff(x)
+        if it % CHECK_EVERY == 0 or it == max_iters:
             me = layout.min_eig()
             best_min_eig = max(best_min_eig, me)
-            best_residual = min(best_residual, layout.residual(matched))
+            residual = layout.residual(matched)
+            best_residual = min(best_residual, residual)
             if me >= -EIG_TOL:
                 v = _certified(problem, layout.block_matrices(), it)
                 if v is not None:
                     return v
-            moments = layout.refutation(problem, matched, it)
-            if moments is not None:
+            stalled, last_residual = residual >= STALL * last_residual, residual
+            if stalled and (moments := layout.refutation(problem, matched, it)):
                 return SosVerdict(False, problem.r, None, best_residual, best_min_eig,
                                   it, moments=moments)
     return SosVerdict(False, problem.r, None, best_residual, best_min_eig, it)

@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from copotensor.gridcone import first_appearances
 from copotensor.oracle import OracleReport, _compositions
 from copotensor.partition import Simplex, _longest_edge, _split, standard_simplex
 from copotensor.polycone import PolyExpansion, expand_Pr
+from copotensor import soscone
 from copotensor.soscone import _positive_definite
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, scaled_values)
@@ -457,6 +459,22 @@ def diagonal_certificate(problem) -> list[np.ndarray]:
     the target of basis monomial k (its square's) sits at k on the diagonal."""
     targets = list(problem.targets.values())
     return [np.diag([targets[k] for k in members]) for members in problem.blocks]
+
+
+def solve_offering(problem):
+    """Solve ``problem`` and return the verdict with minus the affine shift
+    of the last step offered to the refutation search, (matched - targets) /
+    weight_sum per target: the L that a NotMember's moments are built on."""
+    offered = []
+    refutation = soscone._GramLayout.refutation
+
+    def recording(layout, problem, matched, it):
+        offered.append((matched - layout.targets) / layout.weight_sum)
+        return refutation(layout, problem, matched, it)
+
+    with mock.patch.object(soscone._GramLayout, "refutation", recording):
+        v = soscone.solve_gram(problem)
+    return v, [Fraction(m) for m in offered[-1].tolist()]
 
 
 def reference_project_psd(G: np.ndarray) -> np.ndarray:

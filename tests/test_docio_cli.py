@@ -21,7 +21,7 @@ from copotensor.gridcone import member_O_r
 from copotensor.polycone import member_C_r
 from copotensor.tensor import from_matrix
 from conftest import (EXAMPLE31_JSON, HORN, rand_diag_dominant_tensor,
-                      rand_rational_tensor)
+                      rand_rational_tensor, solve_offering)
 
 F = Fraction
 
@@ -915,7 +915,7 @@ class TestVerify:
         assert main(["check", "--method", "sos", "--level", "0", str(tensor_path),
                      "--out", str(cert_path)]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["verdict"] == "NotMember" and doc["stats"]["iterations"] == 25
+        assert doc["verdict"] == "NotMember" and doc["stats"]["iterations"] == 5
         return tensor_path, cert_path, doc
 
     def test_sos_refutation_round_trip(self, horn_refutation, capsys):
@@ -941,14 +941,12 @@ class TestVerify:
     def test_sos_refutation_with_tampered_point_weight_fails(self, horn_refutation,
                                                             capsys, scale):
         # every block of Horn's level 0 has face dimension 0, so its moments
-        # are L + t D: L minus the affine shift, D the ten grid zeros' point
-        # moments; with t scaled the certificate no longer checks
+        # are L + t D: L minus the last affine shift, D the ten grid zeros'
+        # point moments; with t scaled the certificate no longer checks
         tensor_path, cert_path, doc = horn_refutation
         problem = soscone.build_gram_problem(HORN, 0)
         zeros = gridcone.grid_zeros(HORN)
-        layout = soscone._GramLayout(problem, zeros)
-        L = dict(zip(problem.constraints,
-                     map(Fraction, ((0.0 - layout.targets) / layout.weight_sum).tolist())))
+        L = dict(zip(problem.constraints, solve_offering(problem)[1]))
         D = dict(zip(problem.constraints, faces.point_moments(list(problem.constraints), zeros)))
         moments = docio.parse_moments(doc)
         g = next(g for g in moments if D[g])
