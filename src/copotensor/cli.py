@@ -21,7 +21,7 @@ from pathlib import Path
 from . import docio, gridcone, oracle
 from .combinatorics import DEFAULT_MAX_ITERS
 from .docio import DocumentError, certificate_document, emit_scalar
-from .partition import certify_copositivity
+from .partition import DEFAULT_MAX_DEPTH, DEFAULT_SIMPLEX_BUDGET, certify_copositivity
 from .tensor import SymTensor, eval_form, necessary_screen
 
 EXIT_MEMBER = 0
@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_check)
 
     def add_budgets(sp):
-        sp.add_argument("--max-depth", type=_int_at_least(0), default=32)
-        sp.add_argument("--budget", type=_int_at_least(1), default=100_000)
+        sp.add_argument("--max-depth", type=_int_at_least(0), default=DEFAULT_MAX_DEPTH)
+        sp.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_SIMPLEX_BUDGET)
 
     sp = sub.add_parser("certify", help="branch-and-bound copositivity")
     add_common(sp)

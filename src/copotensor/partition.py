@@ -37,6 +37,10 @@ from .tensor import Scalar, SymTensor, scaled_values
 
 Point = tuple[Fraction, ...]
 
+# certify_copositivity's default budgets, also the CLI's
+DEFAULT_MAX_DEPTH = 32
+DEFAULT_SIMPLEX_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -221,8 +225,8 @@ class Certificate:
     stats: PartitionStats | None = None
 
 
-def certify_copositivity(A: SymTensor, max_depth: int = 32,
-                         simplex_budget: int = 100_000) -> Certificate:
+def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
+                         simplex_budget: int = DEFAULT_SIMPLEX_BUDGET) -> Certificate:
     """Branch-and-bound over longest-edge bisections of the standard simplex,
     first in, first out.
 

@@ -25,17 +25,20 @@ zero, so a block such a vector touches is solved on the face of the PSD cone
 that this forces.  The Horn matrix at level 1, whose feasible set has no
 interior, certifies in 70 iterations that way, where the whole cone stalls.  A
 certificate is the list of Gram blocks.  A solved or lifted Certified verdict
-is re-verified by one checker that shares none of that: it loops over the
-constraints itself and takes eigenvalues by cyclic Jacobi rotations, both on
-Python floats with no numpy.  The acceptance rule is fixed: every coefficient
-matched within MATCH_TOL s and every eigenvalue at least -EIG_TOL s, s =
-min(1, max |target|), also the floor of the Jacobi rotations, so tiny
-coefficients are not lost in the tolerances.  The fast path needs no checker
-and carries no blocks: every exact coefficient of P non-negative is the
-proof, and the verdict carries the residual (0.0) and the minimum eigenvalue
-(the least target) that the checker finds for the diagonal certificate.  A
-level takes the fast path exactly when it is a C^(r) Member
-(:func:`polycone.member_C_r`).
+is re-verified by one checker that shares none of that.  Its rule is fixed,
+with s = min(1, max |target|), so tiny coefficients are not lost in the
+tolerances: every entry finite, every coefficient matched within MATCH_TOL s
+by its own constraint loop on Python floats, and every block G with
+G + EIG_TOL s I positive definite, decided exactly on the entries' binary
+values by the fraction-free LDL^T that also decides refutations
+(:func:`_positive_definite`).  The minimum eigenvalue that a Certified
+verdict reports is numpy's, taken after that decision, and informational.
+The fast path needs no checker and carries no blocks: every exact
+coefficient of P non-negative is the proof, and the verdict carries the
+residual (0.0) and the minimum eigenvalue (the least target) of the diagonal
+certificate.  A level takes the fast path exactly when it is a C^(r) Member
+(:func:`polycone.member_C_r`); the zero form, whose all-zero blocks the
+strict checker would reject, is one.
 
 Non-membership is proved by weak duality instead: a moment functional L on
 the even exponents whose moment matrix M_b[i, j] = L(y^(b_i + b_j)) is
@@ -74,10 +77,8 @@ from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
                             check_enumeration_size)
 from .tensor import SymTensor
 
-EIG_TOL = 1e-8      # a certificate's eigenvalues are >= -EIG_TOL s and it
-MATCH_TOL = 1e-8    # matches within MATCH_TOL s, s = min(1, max |target|)
-JACOBI_SWEEPS = 60
-JACOBI_TOL = 1e-14
+EIG_TOL = 1e-8      # a certificate's blocks G have G + EIG_TOL s I > 0 and
+MATCH_TOL = 1e-8    # match within MATCH_TOL s, s = min(1, max |target|)
 RELAXATION = 1.8    # the solver's step x + RELAXATION (P_psd(x) - x), in (1, 2)
 CHECK_EVERY = 5     # iterations between offers of the iterate to the checks
 STALL = 0.5         # a residual above STALL times the last check's has stalled
@@ -152,41 +153,6 @@ def _parity_blocks(basis: Sequence[Exponent]) -> tuple[tuple[int, ...], ...]:
     for idx, mono in enumerate(basis):
         parity.setdefault(tuple([e % 2 for e in mono]), []).append(idx)
     return tuple(tuple(v) for _, v in sorted(parity.items()))
-
-
-def jacobi_eigvalsh(rows: Sequence[Sequence[float]], scale: float = 1.0) -> list[float]:
-    """Eigenvalues of a symmetric matrix (tens of rows) by cyclic Jacobi
-    rotations on Python floats, with no numpy or LAPACK: each IEEE operation
-    is that of a row-then-column rotation of the whole matrix, in order.
-    Off-diagonal entries up to JACOBI_TOL max(scale, max |a_ij|) count as 0."""
-    A = [list(row) for row in rows]
-    m = len(A)
-    entries = [abs(x) for row in A for x in row]
-    # or JACOBI_TOL alone when an entry is NaN
-    tol = JACOBI_TOL * (1.0 if any(x != x for x in entries) else max(entries + [scale]))
-    for _ in range(JACOBI_SWEEPS):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p][q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol:
-                    continue
-                theta = (A[q][q] - A[p][p]) / (2.0 * apq)
-                # for a NaN theta, copysign's 1 still gives t = NaN
-                t = 1.0 if theta == 0 else math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = A[p], A[q]
-                A[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                A[q] = [s * x + c * y for x, y in zip(rp, rq)]
-                for row in A:
-                    x, y = row[p], row[q]
-                    row[p], row[q] = c * x - s * y, s * x + c * y
-        if off <= tol:
-            break
-    return [A[k][k] for k in range(m)]
 
 
 class _GramLayout:
@@ -415,24 +381,30 @@ def _residual(mats: Sequence[Sequence[Sequence[float]]], problem: GramProblem) -
     return worst
 
 
-def _min_eig(mats: Sequence[Sequence[Sequence[float]]], scale: float = 1.0) -> float:
-    # trusted path: cyclic Jacobi, independent of the solver's LAPACK calls;
-    # np.min, unlike min, gives NaN for a block with any NaN eigenvalue
-    return min(float(np.min(jacobi_eigvalsh(m, scale))) for m in mats)
-
-
 def _certified(problem: GramProblem, blocks: list[np.ndarray],
                iterations: int = 0) -> SosVerdict | None:
-    """Independent re-verification: the Certified verdict carrying ``blocks``
-    and the residual and minimum eigenvalue recomputed from scratch, or None
-    when they miss MATCH_TOL s or EIG_TOL s (see the module docstring)."""
-    scale = min(1.0, max(map(abs, problem.targets.values())))
+    """Independent re-verification: the Certified verdict carrying ``blocks``,
+    or None unless every entry is finite, the constraint loop matches every
+    coefficient within MATCH_TOL s and every block G has G + EIG_TOL s I
+    positive definite, s = min(1, max |target|).  That test is exact, on
+    the entries' binary values (:func:`_positive_definite`).  The verdict
+    carries the loop's residual and, taken after the decision and read by
+    none, the least ``eigvalsh`` eigenvalue of the blocks."""
     rows = [b.tolist() for b in blocks]
+    if not all(math.isfinite(x) for block in rows for row in block for x in row):
+        return None
+    scale = min(1.0, max(map(abs, problem.targets.values())))
     residual = _residual(rows, problem)
-    min_eig = _min_eig(rows, scale)
-    if residual <= MATCH_TOL * scale and min_eig >= -EIG_TOL * scale:
-        return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations)
-    return None
+    if residual > MATCH_TOL * scale:
+        return None
+    shift = Fraction(EIG_TOL * scale)
+    for block in rows:
+        for i, row in enumerate(block):
+            row[i] = Fraction(row[i]) + shift
+        if not _positive_definite(block):
+            return None
+    min_eig = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations)
 
 
 def uniform_moment(g: Exponent) -> Fraction:
@@ -440,19 +412,25 @@ def uniform_moment(g: Exponent) -> Fraction:
     return Fraction(1, math.prod(e + 1 for e in g))
 
 
-def _positive_definite(rows: list[list[int]]) -> bool:
-    """Whether a symmetric integer matrix is positive definite: exact LDL^T
-    in fraction-free (Bareiss) form, whose k-th pivot is the k-th leading
-    principal minor, all positive by Sylvester's criterion."""
-    a = [row[:] for row in rows]
+def _positive_definite(rows: Sequence[Sequence[Fraction | float]]) -> bool:
+    """Whether the symmetric matrix with the upper triangle of ``rows`` is
+    positive definite, each entry taken at its exact value (a float at its
+    binary one): times the lcm of the denominators, a positive integer,
+    then exact LDL^T in fraction-free (Bareiss) form on the upper triangle,
+    whose k-th pivot is the k-th leading principal minor, all positive by
+    Sylvester's criterion."""
+    ratios = [[x.as_integer_ratio() for x in row[i:]] for i, row in enumerate(rows)]
+    scale = math.lcm(*(q for row in ratios for _, q in row))
+    a = [[0] * i + [p * (scale // q) for p, q in row] for i, row in enumerate(ratios)]
     prev = 1
-    for k in range(len(a)):
-        pivot = a[k][k]
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
         if pivot <= 0:
             return False
         for i in range(k + 1, len(a)):
-            for j in range(k + 1, len(a)):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            row_i, a_ki = a[i], row_k[i]   # a_ik = a_ki by symmetry
+            for j in range(i, len(a)):
+                row_i[j] = (row_i[j] * pivot - a_ki * row_k[j]) // prev
         prev = pivot
     return True
 
@@ -472,15 +450,9 @@ def check_refutation(problem: GramProblem,
     if sum(moments[g] * c for g, c in zip(problem.targets, problem.numerators)) >= 0:
         return False
     basis = problem.basis
-    for members in problem.blocks:
-        rows = [[moments[tuple(map(operator.add, basis[a], basis[b]))] for b in members]
-                for a in members]
-        # times the lcm of the block's denominators, a positive integer
-        scale = math.lcm(*(m.denominator for row in rows for m in row))
-        if not _positive_definite([[m.numerator * (scale // m.denominator) for m in row]
-                                   for row in rows]):
-            return False
-    return True
+    return all(_positive_definite([[moments[tuple(map(operator.add, basis[a], basis[b]))]
+                                    for b in members] for a in members])
+               for members in problem.blocks)
 
 
 def _check_max_iters(max_iters: int) -> None:
@@ -574,8 +546,8 @@ def _fast_path(problem: GramProblem) -> SosVerdict | None:
     proves membership: P = sum p_theta (y^theta)^2.  Read off the level's
     integer table, with no constraints built and no Gram blocks: the
     diagonal certificate that holds each float target once, alone on the
-    diagonal, would give the checker residual 0.0 and the least target as
-    the minimum eigenvalue, and those are what the verdict carries."""
+    diagonal, has residual 0.0 and the least target as its minimum
+    eigenvalue, and those are what the verdict carries."""
     if min(problem.numerators) < 0:
         return None
     return SosVerdict(True, problem.r, None, 0.0, min(problem.targets.values()),

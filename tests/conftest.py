@@ -444,11 +444,8 @@ def reference_check_refutation(problem, moments) -> bool:
         return False
     basis = problem.basis
     for members in problem.blocks:
-        rows = [[moments[tuple(x + y for x, y in zip(basis[a], basis[b]))]
-                 for b in members] for a in members]
-        scale = math.lcm(*(m.denominator for row in rows for m in row))
-        if not _positive_definite([[m.numerator * (scale // m.denominator) for m in row]
-                                   for row in rows]):
+        if not _positive_definite([[moments[tuple(x + y for x, y in zip(basis[a], basis[b]))]
+                                    for b in members] for a in members]):
             return False
     return True
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copotensor import cli, docio, faces, gridcone, polycone, soscone
+from copotensor import cli, docio, faces, gridcone, partition, polycone, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
@@ -594,6 +595,14 @@ class TestParserReuse:
 
     def test_one_parser_per_process(self):
         assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("command", ["certify", "compare"])
+    def test_budget_defaults_are_certify_copositivitys(self, command):
+        ns = cli.build_parser().parse_args([command, "t.json"])
+        defaults = inspect.signature(partition.certify_copositivity).parameters
+        assert (ns.max_depth, ns.budget) == \
+            (defaults["max_depth"].default, defaults["simplex_budget"].default) == \
+            (partition.DEFAULT_MAX_DEPTH, partition.DEFAULT_SIMPLEX_BUDGET)
 
     def test_no_values_leak_between_calls(self, boundary_file, capsys, monkeypatch):
         runs = []

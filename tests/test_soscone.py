@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 from copotensor import cli, combinatorics, docio, gridcone, polycone, soscone
 from copotensor.faces import point_moments, zero_kernels
 from copotensor.gridcone import grid_zeros
-from copotensor.soscone import (CHECK_EVERY, DEFAULT_MAX_ITERS, EIG_TOL,
-                                JACOBI_SWEEPS, JACOBI_TOL, MATCH_TOL, RELAXATION,
-                                STALL, SosVerdict,
+from copotensor.soscone import (CHECK_EVERY, DEFAULT_MAX_ITERS, EIG_TOL, MATCH_TOL,
+                                RELAXATION, STALL, GramProblem, SosVerdict,
                                 _certified, _check_max_iters, _GramLayout,
-                                build_gram_problem, check_refutation, jacobi_eigvalsh,
+                                build_gram_problem, check_refutation,
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
 from copotensor.oracle import simplex_grid_min
@@ -131,7 +130,9 @@ def _reference_steps(problem):
     return search, matched, project_cone, project_affine, residual
 
 
-def _min_eig_fast(mats):
+def least_eigvalsh(mats):
+    """The least ``eigvalsh`` eigenvalue over ``mats``: the solver's screen,
+    and the figure that a Certified verdict reports."""
     return min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
 
 
@@ -156,7 +157,7 @@ def reference_solve_gram(problem, max_iters=20000):
         relaxed = [m + RELAXATION * (p - m) for m, p in zip(mats, psd)]
         mats = project_affine(relaxed)
         if it % CHECK_EVERY == 0 or it == max_iters:
-            me = _min_eig_fast(mats)
+            me = least_eigvalsh(mats)
             best_min_eig = max(best_min_eig, me)
             res = residual(relaxed)
             best_residual = min(best_residual, res)
@@ -192,7 +193,7 @@ def reference_dykstra(problem, max_iters=20000):
         corrections = [sh - ps for sh, ps in zip(shifted, psd)]
         mats = project_affine(psd)
         if it % 25 == 0 or it == max_iters:
-            me = _min_eig_fast(mats)
+            me = least_eigvalsh(mats)
             best_min_eig = max(best_min_eig, me)
             best_residual = min(best_residual, residual(psd))
             if me >= -EIG_TOL:
@@ -237,129 +238,11 @@ class TestBuild:
             build_gram_problem(BOUNDARY, 2)
 
 
-def reference_jacobi_eigh(M):
-    """Literal reference for :func:`jacobi_eigvalsh`: the cyclic Jacobi
-    eigendecomposition on numpy rows and columns that the checker ran before,
-    eigenvectors included."""
-    A = np.array(M, dtype=float)
-    m = A.shape[0]
-    V = np.eye(m)
-    if m == 1:
-        return A.diagonal().copy(), V
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for _ in range(JACOBI_SWEEPS):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= JACOBI_TOL * scale:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta)) \
-                    if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        if off <= JACOBI_TOL * scale:
-            break
-    return A.diagonal().copy(), V
-
-
-def reference_min_eig(mats):
-    """The checker's least eigenvalue, from :func:`reference_jacobi_eigh`."""
-    with np.errstate(all="ignore"):
-        return min(float(np.min(reference_jacobi_eigh(m)[0])) for m in mats)
-
-
 def _bits(values):
     """The float64 bit patterns of ``values``, every NaN as one pattern: which
     operand a NaN comes from is up to the order numpy's vector loops pick."""
     a = np.asarray(values, dtype=float)
     return np.where(np.isnan(a), np.nan, a).view(np.uint64).tolist()
-
-
-def _jacobi_case(kind, m, rng):
-    X = rng.standard_normal((m, m))
-    S = X + X.T
-    if kind == "psd":
-        return X @ X.T
-    if kind == "indefinite":
-        return S
-    if kind == "diagonal":            # no rotation at all
-        return np.diag(X[0])
-    if kind == "equal-diagonal":      # theta = 0 at the first rotations
-        np.fill_diagonal(S, 1.5)
-        return S
-    if kind == "rank-deficient":
-        Y = X[:, :m // 2]
-        return Y @ Y.T
-    if kind == "scaled":
-        return S * 10.0 ** float(rng.integers(-150, 151))
-    if kind == "signed-zeros":        # eigenvalues +0.0 and -0.0, unrotated
-        return np.diag(np.where(X[0] < 0, -0.0, 0.0))
-    if kind == "nan-diagonal":        # off-diagonals above JACOBI_TOL only at scale 1
-        D = np.diag(1e3 * X[0]) + 1e-13 * S
-        i = rng.integers(0, m)
-        D[i, i] = np.nan
-        return D
-    i, j = rng.integers(0, m, 2)      # one non-finite entry and its mirror
-    S[i, j] = S[j, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
-    return S
-
-
-class TestJacobi:
-    KINDS = ["psd", "indefinite", "diagonal", "equal-diagonal", "rank-deficient",
-             "scaled", "signed-zeros", "nan-diagonal", "nan", "inf", "-inf"]
-
-    def test_matches_numpy(self, rng):
-        for _ in range(10):
-            m = rng.randint(1, 8)
-            M = np.array([[rng.uniform(-1, 1) for _ in range(m)] for _ in range(m)])
-            M = M + M.T
-            assert np.allclose(sorted(jacobi_eigvalsh(M.tolist())),
-                               np.linalg.eigvalsh(M), atol=1e-10)
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_bit_identical_to_reference(self, kind):
-        rng = np.random.default_rng(sorted(self.KINDS).index(kind))
-        for m in range(1, 16):
-            for _ in range(3):
-                M = _jacobi_case(kind, m, rng)
-                with np.errstate(all="ignore"):
-                    want = reference_jacobi_eigh(M)[0]
-                got = jacobi_eigvalsh(M.tolist())
-                assert all(type(w) is float for w in got)
-                assert _bits(got) == _bits(want), (kind, m)
-                # numpy rows give the same bits
-                assert _bits(jacobi_eigvalsh(M)) == _bits(want), (kind, m)
-                assert _bits([soscone._min_eig([M.tolist()])]) == \
-                    _bits([reference_min_eig([M])])
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_bit_identical_on_hypothesis_matrices(self, data):
-        m = data.draw(st.integers(1, 15))
-        value = st.one_of(st.floats(-4, 4), st.sampled_from([0.0, -0.0, 1.0]),
-                          st.floats(allow_nan=True, allow_infinity=True))
-        upper = data.draw(st.lists(value, min_size=m * (m + 1) // 2,
-                                   max_size=m * (m + 1) // 2))
-        rows, cols = np.triu_indices(m)
-        M = np.empty((m, m))
-        M[rows, cols] = M[cols, rows] = upper
-        with np.errstate(all="ignore"):
-            M *= 10.0 ** data.draw(st.integers(-150, 150))
-            want = reference_jacobi_eigh(M)[0]
-        assert _bits(jacobi_eigvalsh(M.tolist())) == _bits(want)
-        assert _bits([soscone._min_eig([M.tolist()])]) == _bits([reference_min_eig([M])])
 
 
 class TestSolve:
@@ -404,7 +287,8 @@ def _nonnegative(seed, n, d):
 class TestFastPath:
     """The fast path returns its verdict without the float checker and with
     no Gram blocks; its residual and minimum eigenvalue are those the checker
-    computes for the diagonal certificate, bit for bit."""
+    reports for the diagonal certificate, bit for bit.  The zero form takes
+    it too, though the checker's strict rule rejects its all-zero blocks."""
 
     @staticmethod
     def _matches_checker(A, r):
@@ -412,10 +296,14 @@ class TestFastPath:
         v = soscone._fast_path(problem)
         assert v is not None and v.certified and v.fast_path and v.iterations == 0
         assert v.certificate is None
-        want = _certified(problem, diagonal_certificate(problem))
+        assert v.residual == 0.0 and v.min_eig == min(problem.targets.values())
+        blocks = diagonal_certificate(problem)
+        want = _certified(problem, blocks)
+        if not any(problem.numerators):
+            assert want is None and v.min_eig == least_eigvalsh(blocks) == 0.0
+            return
         assert want is not None
         assert _bits([v.residual, v.min_eig]) == _bits([want.residual, want.min_eig])
-        assert v.residual == 0.0 and v.min_eig == min(problem.targets.values())
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_flagship(self, r):
@@ -445,10 +333,24 @@ class TestMemberKr:
         v = member_K_r(example31, 0)
         assert v.certified and v.fast_path
 
-    def test_zero_tensor(self):
+    def test_zero_tensor(self, monkeypatch):
+        # s = 0: the fast path certifies the zero form without the checker,
+        # whose strict rule (G + EIG_TOL s I positive definite) rejects the
+        # all-zero diagonal certificate
         Z = SymTensorBuilder(2, 2).build()
-        v = member_K_r(Z, 0)
-        assert v.certified
+        for r in (0, 1):
+            problem = build_gram_problem(Z, r)
+            assert _certified(problem, diagonal_certificate(problem)) is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the zero form reached the checker or the solver")
+
+        monkeypatch.setattr(soscone, "_certified", refuse)
+        monkeypatch.setattr(soscone, "solve_gram", refuse)
+        for r in (0, 1):
+            v = member_K_r(Z, r)
+            assert v.certified and v.fast_path and (v.residual, v.min_eig) == (0.0, 0.0)
+        assert all(v.fast_path for v in sweep_K_r(Z, 2))
 
     def test_strict_containment_over_coefficient_cone(self):
         assert not member_C_r(BOUNDARY, 0).member
@@ -478,7 +380,7 @@ class TestCertificates:
         assert all(np.array_equal(a, b) for a, b in zip(blocks, v.certificate,
                                                         strict=True))
         assert (v.residual, v.min_eig) == (soscone._residual(v.certificate, p),
-                                           soscone._min_eig(v.certificate))
+                                           least_eigvalsh(v.certificate))
 
     def test_tampered_certificate_fails(self):
         p = build_gram_problem(BOUNDARY, 0)
@@ -488,27 +390,114 @@ class TestCertificates:
 
     def test_trusted_check_uses_no_lapack(self, monkeypatch):
         # Horn K^(1) (certified on its face), the benchmark's first
-        # converge-34 member at level 0 and its lift to level 1
+        # converge-34 member at level 0 and its lift to level 1, each with a
+        # tampered and an indefinite copy: numpy's eigenvalues, patched to
+        # put every block far inside the cone or far outside it, change no
+        # decision and are only the reported min_eig
         horn = build_gram_problem(HORN, 1)
         low, high = build_gram_problem(_dd(6000), 0), build_gram_problem(_dd(6000), 1)
         solved = solve_gram(horn, max_iters=200), solve_gram(low)
         assert all(v.certified for v in solved)
-        cases = [(horn, solved[0].certificate), (low, solved[1].certificate),
-                 (high, lift_certificate(low, solved[1].certificate, high))]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.linalg called by the trusted check")
-
-        for name in ("eigh", "eigvalsh", "eig", "svd", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, refuse)
-        for problem, blocks in cases:
-            assert _certified(problem, blocks) is not None
+        checks = []
+        for problem, blocks in [(horn, solved[0].certificate), (low, solved[1].certificate),
+                                (high, lift_certificate(low, solved[1].certificate, high))]:
             shifted = [b.copy() for b in blocks]
             shifted[0][0, 0] -= 1.0
             indefinite = _indefinite_copy(problem, blocks)
             assert soscone._residual(indefinite, problem) <= MATCH_TOL
-            assert _certified(problem, shifted) is None
-            assert _certified(problem, indefinite) is None
+            checks += [(problem, blocks), (problem, shifted), (problem, indefinite)]
+        decisions = [_certified(problem, blocks) is not None for problem, blocks in checks]
+        assert decisions == [True, False, False] * 3
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg factorization called by the trusted check")
+
+        for name in ("svd", "cholesky", "qr", "det", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for fake in (-1e300, 1e300):
+            def values(a, *args, **kwargs):
+                return np.full(np.shape(a)[:-1], fake)
+
+            def pairs(a, *args, **kwargs):
+                return values(a), np.eye(np.shape(a)[-1]) * np.ones(np.shape(a))
+
+            for name, wrong in (("eigvalsh", values), ("eigvals", values),
+                                ("eigh", pairs), ("eig", pairs)):
+                monkeypatch.setattr(np.linalg, name, wrong)
+            verdicts = [_certified(problem, blocks) for problem, blocks in checks]
+            assert [v is not None for v in verdicts] == decisions, fake
+            assert all(v.min_eig == fake for v in verdicts if v is not None)
+
+    def test_exact_rule_at_the_threshold(self):
+        # x1^2 - x1 x2 + x2^2: blocks [[1, q], [q, 1]] on (y2^2, y1^2) and
+        # [1 + 2 delta] on y1 y2 with q = -1 - delta match it exactly; the
+        # least eigenvalue 1 + q = -delta sits within 2^-52 on either side of
+        # -EIG_TOL, closer than a float eigenvalue near 1 can tell
+        problem = build_gram_problem(from_matrix([[1, Fraction(-1, 2)],
+                                                  [Fraction(-1, 2), 1]]), 0)
+        assert problem.blocks == ((0, 2), (1,))
+        tau = Fraction(EIG_TOL)
+        for k, accepted in ((45035996, True), (45035997, False)):
+            delta = Fraction(k, 2 ** 52)
+            assert (delta < tau) is accepted and abs(delta - tau) < Fraction(1, 2 ** 52)
+            q = float(-1 - delta)
+            blocks = [np.array([[1.0, q], [q, 1.0]]), np.array([[-1.0 - 2.0 * q]])]
+            assert Fraction(q) == -1 - delta and Fraction(blocks[1][0, 0]) == 1 + 2 * delta
+            assert soscone._residual(blocks, problem) == 0.0
+            assert (_certified(problem, blocks) is not None) is accepted, k
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_not_certified(self, bad):
+        p = build_gram_problem(BOUNDARY, 0)
+        v = solve_gram(p)
+        for b, (i, j) in ((0, (0, 0)), (0, (0, 1)), (len(v.certificate) - 1, (0, 0))):
+            blocks = [x.copy() for x in v.certificate]
+            blocks[b][i, j] = blocks[b][j, i] = bad
+            assert _certified(p, blocks) is None
+
+    def test_tiny_blocks_decided_without_a_floor(self):
+        # s [[1, -2], [-2, 1]] (least eigenvalue -s) and s [[1, -1/2], [-1/2, 1]],
+        # beside [0] on y1 y2, at every scale s = 2^-k: entries far below any
+        # fixed floor (2^-60 at k = 60) are decided like those at scale 1
+        for k in range(61):
+            s = 2.0 ** -k
+            for off, accepted in ((-2.0, False), (-0.5, True)):
+                exact, exact_off = Fraction(s), Fraction(off) * Fraction(s)
+                problem = build_gram_problem(
+                    from_matrix([[exact, exact_off], [exact_off, exact]]), 0)
+                blocks = [s * np.array([[1.0, off], [off, 1.0]]), np.zeros((1, 1))]
+                assert soscone._residual(blocks, problem) == 0.0
+                assert (_certified(problem, blocks) is not None) is accepted, (k, off)
+
+    def test_exact_rule_agrees_with_eigvalsh(self):
+        # 200 seeded blocks, m = 1..12: positive semidefinite, indefinite and
+        # rank-deficient ones shifted to within a few EIG_TOL s of the
+        # threshold, each the one block of a problem that it matches with
+        # residual 0; wherever eigvalsh puts the least eigenvalue farther
+        # than 1e-12 from -EIG_TOL s, the exact rule agrees with it
+        rng = np.random.default_rng(27)
+        outcomes = []
+        for k in range(200):
+            m = 1 + k % 12
+            X = rng.standard_normal((m, m))
+            kind = k // 12 % 3
+            if kind == 0:
+                G = X @ X.T
+            elif kind == 1:
+                G = X + X.T
+            else:
+                Y = X[:, :m - 1]
+                G = Y @ Y.T - rng.choice([0.5, 0.9, 1.1, 2.0]) * EIG_TOL * np.eye(m)
+            problem = _one_block_problem(G)
+            tau = EIG_TOL * min(1.0, max(map(abs, problem.targets.values())))
+            low = least_eigvalsh([G])
+            if abs(low + tau) > 1e-12:
+                outcomes.append((low > -tau, _certified(problem, [G]) is not None,
+                                 abs(low + tau) < 2 * tau))
+        assert len(outcomes) >= 180
+        assert all(want == got for want, got, _ in outcomes)
+        # both sides are reached, also within 2 EIG_TOL s of the threshold
+        assert {want for want, _, near in outcomes if near} == {True, False}
 
     def test_lift_preserves_validity(self):
         low = build_gram_problem(BOUNDARY, 0)
@@ -551,9 +540,8 @@ def _tiny_document(off):
 
 class TestToleranceScale:
     """The checker holds a certificate to MATCH_TOL s and EIG_TOL s, s =
-    min(1, max |target|), and rotates away off-diagonal entries only up to
-    JACOBI_TOL max(s, max |a_ij|): absolute tolerances of 1e-8 accepted any
-    Gram matrix of a form whose coefficients are all near 1e-12."""
+    min(1, max |target|): absolute tolerances of 1e-8 accepted any Gram
+    matrix of a form whose coefficients are all near 1e-12."""
 
     def test_tiny_not_copositive_document_refuted(self, tmp_path, capsys):
         # 1e-12 (x1^2 + x2^2) - 4e-12 x1 x2 is -1/2000000000000 at (1/2, 1/2);
@@ -610,19 +598,25 @@ class TestToleranceScale:
             v = member_K_r(from_matrix([[s, -s / 2], [-s / 2, s]]), 0)
             assert v.certified and not v.fast_path and v.iterations == 5, k
 
-    def test_jacobi_floor_scales_exactly(self):
-        # scaling a matrix and the floor by 2^-k scales every eigenvalue by
-        # 2^-k bit for bit; at the fixed floor 1 the small matrix is not rotated
-        rng = np.random.default_rng(5)
-        for m in (2, 3, 5):
-            X = rng.standard_normal((m, m))
-            M = X + X.T
-            want = jacobi_eigvalsh(M.tolist())
-            for k in (1, 20, 48, 60):
-                got = jacobi_eigvalsh((M * 2.0 ** -k).tolist(), 2.0 ** -k)
-                assert _bits(got) == _bits([w * 2.0 ** -k for w in want]), (m, k)
-            tiny = (M * 2.0 ** -60).tolist()
-            assert jacobi_eigvalsh(tiny) == [tiny[i][i] for i in range(m)]
+
+def _one_block_problem(G):
+    """A Gram problem whose one block is G, over the two-variable monomials
+    of degree m - 1, with the targets that G matches by the checker's own
+    constraint loop: residual 0.0."""
+    m = len(G)
+    basis = tuple((m - 1 - i, i) for i in range(m))
+    products = dict.fromkeys((2 * m - 2 - i - j, i + j) for i in range(m) for j in range(m))
+    bare = GramProblem(None, 0, basis, [], 1, dict.fromkeys(products, 0.0),
+                       (tuple(range(m)),))
+    targets = {}
+    for g, pairs in bare.constraints.items():
+        cur = 0.0
+        for _, i, j in pairs:
+            cur += (1 if i == j else 2) * G[i][j]
+        targets[g] = cur
+    problem = dataclasses.replace(bare, targets=targets)
+    assert soscone._residual([G], problem) == 0.0
+    return problem
 
 
 def _indefinite_copy(problem, blocks):
@@ -681,8 +675,7 @@ class TestMatchesReference:
             assert len(got.certificate) == len(problem.blocks)
             assert all(np.array_equal(a, b) for a, b in
                        zip(got.certificate, want.certificate))
-            assert _bits([soscone._min_eig(got.certificate)]) == \
-                _bits([reference_min_eig(got.certificate)])
+            assert _bits([got.min_eig]) == _bits([least_eigvalsh(got.certificate)])
         else:
             assert got.certificate is None
 
@@ -776,13 +769,16 @@ class TestAgreesWithDykstra:
 def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
     """Literal reference for :func:`member_K_r` before the level walk: every
     level's problem built up front, each lower level solved again and its
-    certificate lifted up the whole chain."""
+    certificate lifted up the whole chain.  Non-negative coefficients are
+    the proof by themselves, checked by no checker (the zero form's all-zero
+    blocks would fail its strict rule): the diagonal certificate, with its
+    residual and least ``eigvalsh`` eigenvalue."""
     _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
     if all(c >= 0 for c in expand_Pr(A, r).coeffs.values()):
-        fast = _certified(problem, diagonal_certificate(problem))
-        if fast is not None:
-            return dataclasses.replace(fast, fast_path=True)
+        blocks = diagonal_certificate(problem)
+        return SosVerdict(True, r, blocks, soscone._residual(blocks, problem),
+                          least_eigvalsh(blocks), fast_path=True)
     problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
     last = None
     for rr in range(r + 1):
@@ -835,13 +831,10 @@ class TestLevelWalk:
                 assert got.certificate is None
                 assert _bits([got.residual, got.min_eig]) == \
                     _bits([want.residual, want.min_eig])
-                assert _bits([soscone._min_eig(want.certificate)]) == \
-                    _bits([reference_min_eig(want.certificate)])
             elif want.certified:
                 assert all(np.array_equal(a, b) for a, b in
                            zip(got.certificate, want.certificate, strict=True))
-                assert _bits([soscone._min_eig(got.certificate)]) == \
-                    _bits([reference_min_eig(got.certificate)])
+                assert _bits([got.min_eig]) == _bits([least_eigvalsh(got.certificate)])
             else:
                 assert got.certificate is None
 
@@ -857,12 +850,15 @@ class TestLevelWalk:
             if v.fast_path:
                 problem = build_gram_problem(A, v.r)
                 blocks = diagonal_certificate(problem)
-                assert v.certificate is None and _certified(problem, blocks) is not None
+                assert v.certificate is None
+                # the checker accepts the diagonal certificate, except the
+                # zero form's all-zero blocks: G + 0 I is not positive definite
+                assert (_certified(problem, blocks) is None) == (not any(problem.numerators))
                 assert _bits([v.residual]) == _bits([soscone._residual(blocks, problem)])
             else:
                 blocks = v.certificate
             if v.certified:
-                assert _bits([v.min_eig]) == _bits([reference_min_eig(blocks)])
+                assert _bits([v.min_eig]) == _bits([least_eigvalsh(blocks)])
 
     def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
         # Horn is refuted at level 0 and certified by a solve at level 1, and
