@@ -18,11 +18,11 @@ The solver is untrusted: over-relaxed alternating projections (Bauschke &
 Borwein 1996; any point of the intersection will do, not the nearest) between
 the affine coefficient-matching set and the PSD cone, on flat buffers that
 :class:`_GramLayout` allocates once per solve; a group of 1x1 blocks is
-clamped at zero instead of projected by ``eigh``.  Each solve first searches a
-fixed simplex grid for exact zeros of the form (:func:`gridcone.grid_zeros`):
-every Gram matrix that matches P is singular along the monomial vectors of a
-zero, so a block such a vector touches is solved on the face of the PSD cone
-that this forces.  The Horn matrix at level 1, whose feasible set has no
+clamped at zero instead of projected by ``eigh``.  A query searches a fixed
+simplex grid once for exact zeros of the form (:func:`gridcone.grid_zeros`)
+and gives them to each of its solves: every Gram matrix that matches P is
+singular along the monomial vectors of a zero, so a block such a vector
+touches is solved on the face of the PSD cone that this forces.  The Horn matrix at level 1, whose feasible set has no
 interior, certifies in 70 iterations that way, where the whole cone stalls.  A
 certificate is the list of Gram blocks.  A solved or lifted Certified verdict
 is re-verified by one checker that shares none of that.  Its rule is fixed,
@@ -59,6 +59,13 @@ The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
 The fast path's levels nest too (C^(r) inside C^(r+1)), so the level above a
 fast path takes it as well, and a lift always starts from blocks.
+:func:`member_K_r` walks only where grid zeros force faces: there the Gram
+problems have no interior, and a direct solve can stall where a lift
+certifies (Horn at level 2: Unknown after 3000 iterations, against 70 for
+the walk).  A form with no grid zeros solves level r first, and walks only
+when that solve is Unknown: a zero off the grid can leave a face that the
+search does not see, where the walk still lifts what a direct solve cannot
+find.
 """
 
 from __future__ import annotations
@@ -389,7 +396,8 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray],
     positive definite, s = min(1, max |target|).  That test is exact, on
     the entries' binary values (:func:`_positive_definite`).  The verdict
     carries the loop's residual and, taken after the decision and read by
-    none, the least ``eigvalsh`` eigenvalue of the blocks."""
+    none, the least ``eigvalsh`` eigenvalue of the blocks, in one batched
+    call per block size."""
     rows = [b.tolist() for b in blocks]
     if not all(math.isfinite(x) for block in rows for row in block for x in row):
         return None
@@ -397,13 +405,14 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray],
     residual = _residual(rows, problem)
     if residual > MATCH_TOL * scale:
         return None
-    shift = Fraction(EIG_TOL * scale)
-    for block in rows:
-        for i, row in enumerate(block):
-            row[i] = Fraction(row[i]) + shift
-        if not _positive_definite(block):
-            return None
-    min_eig = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    shift = EIG_TOL * scale
+    if not all(_positive_definite(block, shift) for block in rows):
+        return None
+    sizes: dict[int, list[np.ndarray]] = {}
+    for b in blocks:
+        sizes.setdefault(len(b), []).append(b)
+    min_eig = min(float(np.linalg.eigvalsh(np.stack(same))[:, 0].min())
+                  for same in sizes.values())
     return SosVerdict(True, problem.r, blocks, residual, min_eig, iterations)
 
 
@@ -412,16 +421,22 @@ def uniform_moment(g: Exponent) -> Fraction:
     return Fraction(1, math.prod(e + 1 for e in g))
 
 
-def _positive_definite(rows: Sequence[Sequence[Fraction | float]]) -> bool:
-    """Whether the symmetric matrix with the upper triangle of ``rows`` is
-    positive definite, each entry taken at its exact value (a float at its
-    binary one): times the lcm of the denominators, a positive integer,
-    then exact LDL^T in fraction-free (Bareiss) form on the upper triangle,
-    whose k-th pivot is the k-th leading principal minor, all positive by
-    Sylvester's criterion."""
+def _positive_definite(rows: Sequence[Sequence[Fraction | float]],
+                       shift: Fraction | float = 0) -> bool:
+    """Whether the symmetric matrix with the upper triangle of ``rows``, plus
+    ``shift`` times the identity, is positive definite, each entry taken at
+    its exact value (a float at its binary one): times the lcm of the
+    denominators, a positive integer, with the shift added to that integer
+    diagonal, then exact LDL^T in fraction-free (Bareiss) form on the upper
+    triangle, whose k-th pivot is the k-th leading principal minor, all
+    positive by Sylvester's criterion."""
     ratios = [[x.as_integer_ratio() for x in row[i:]] for i, row in enumerate(rows)]
-    scale = math.lcm(*(q for row in ratios for _, q in row))
+    sp, sq = shift.as_integer_ratio()
+    scale = math.lcm(sq, *(q for row in ratios for _, q in row))
     a = [[0] * i + [p * (scale // q) for p, q in row] for i, row in enumerate(ratios)]
+    bump = sp * (scale // sq)
+    for k, row in enumerate(a):
+        row[k] += bump
     prev = 1
     for k, row_k in enumerate(a):
         pivot = row_k[k]
@@ -460,11 +475,13 @@ def _check_max_iters(max_iters: int) -> None:
         raise ValueError("max_iters must be at least 1")
 
 
-def solve_gram(problem: GramProblem,
-               max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
+def solve_gram(problem: GramProblem, max_iters: int = DEFAULT_MAX_ITERS,
+               zeros: Sequence[gridcone.GridPoint] | None = None) -> SosVerdict:
     """Over-relaxed alternating projections between the affine
     coefficient-matching set and the PSD cone (blockwise, in the buffers of
-    :class:`_GramLayout`): x <- P_aff(x + RELAXATION (P_psd(x) - x)).
+    :class:`_GramLayout`): x <- P_aff(x + RELAXATION (P_psd(x) - x)), on the
+    faces that ``zeros``, the form's grid zeros, force; a query that has
+    searched them already passes them, and None searches here.
 
     Every CHECK_EVERY iterations, and at the last, the iterate is offered to
     the independent re-verification, and when that does not certify, the
@@ -476,7 +493,9 @@ def solve_gram(problem: GramProblem,
     non-membership proof.  A budget below one iteration raises ValueError.
     """
     _check_max_iters(max_iters)
-    layout = _GramLayout(problem, gridcone.grid_zeros(problem.tensor))
+    if zeros is None:
+        zeros = gridcone.grid_zeros(problem.tensor)
+    layout = _GramLayout(problem, zeros)
     x, cone = layout.iterate, layout.cone
     last_residual = layout.residual(layout.project_affine())
     best_residual = float("inf")
@@ -567,9 +586,13 @@ def _check_walk(A: SymTensor, R: int, max_iters: int) -> None:
 
 
 def _sweep(A: SymTensor, R: int, max_iters: int,
-           top: GramProblem | None = None) -> list[SosVerdict]:
+           zeros: Sequence[gridcone.GridPoint] | None = None,
+           top: GramProblem | None = None,
+           solved: SosVerdict | None = None) -> list[SosVerdict]:
     """The walk of :func:`sweep_K_r`; ``top`` is the level-R problem, built
-    already.  Each level's problem is built once.  A level lifts the
+    already, ``solved`` its solve, made already, and ``zeros`` A's grid
+    zeros, searched already, or None to search them once, before the first
+    solve.  Each level's problem is built once.  A level lifts the
     certificate below when there is one; a fast path carries none, and
     C^(r) lies in C^(r+1), so the level above a fast path takes it too."""
     verdicts: list[SosVerdict] = []
@@ -581,7 +604,12 @@ def _sweep(A: SymTensor, R: int, max_iters: int,
                 v = _certified(problem,
                                lift_certificate(low, verdicts[-1].certificate, problem),
                                verdicts[-1].iterations)
-            v = v or solve_gram(problem, max_iters)
+            if v is None and r == R:
+                v = solved
+            if v is None:
+                if zeros is None:
+                    zeros = gridcone.grid_zeros(A)
+                v = solve_gram(problem, max_iters, zeros)
         verdicts.append(v)
         low = problem
     return verdicts
@@ -598,8 +626,17 @@ def sweep_K_r(A: SymTensor, R: int,
 
 def member_K_r(A: SymTensor, r: int,
                max_iters: int = DEFAULT_MAX_ITERS) -> SosVerdict:
-    """SOS membership at level r: the coefficient fast path, else the last
-    verdict of :func:`sweep_K_r` up to r, which reuses the level-r table."""
+    """SOS membership at level r: the coefficient fast path; else one search
+    for grid zeros, given to every solve.  With none, level r is solved
+    first, and a Certified or NotMember solve is the verdict.  With some, or
+    after an Unknown solve, the verdict is the last of :func:`sweep_K_r`'s
+    walk up to r, which reuses the level-r table and that solve."""
     _check_walk(A, r, max_iters)
     problem = build_gram_problem(A, r)
-    return _fast_path(problem) or _sweep(A, r, max_iters, top=problem)[-1]
+    if (v := _fast_path(problem)) is not None:
+        return v
+    zeros = gridcone.grid_zeros(A)
+    solved = None if zeros else solve_gram(problem, max_iters, zeros)
+    if solved is not None and solved.verdict != "Unknown":
+        return solved
+    return _sweep(A, r, max_iters, zeros, top=problem, solved=solved)[-1]

@@ -517,7 +517,9 @@ class TestCertificates:
         b = SymTensorBuilder(3, 4)
         for key, val in entries.items():
             b.set(key, Fraction(val))
-        low, high = sweep_K_r(b.build(), 1)
+        A = b.build()
+        assert grid_zeros(A) == ()
+        low, high = sweep_K_r(A, 1)
         assert low.certified and low.iterations == 80
         assert high.certified and high.iterations == low.iterations
 
@@ -766,19 +768,28 @@ class TestAgreesWithDykstra:
         assert {"Certified", "NotMember"} <= decided
 
 
+OFF_GRID = from_matrix([[4, -6], [-6, 9]])   # (2 x1 - 3 x2)^2
+
+
 def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
-    """Literal reference for :func:`member_K_r` before the level walk: every
-    level's problem built up front, each lower level solved again and its
-    certificate lifted up the whole chain.  Non-negative coefficients are
-    the proof by themselves, checked by no checker (the zero form's all-zero
-    blocks would fail its strict rule): the diagonal certificate, with its
-    residual and least ``eigvalsh`` eigenvalue."""
+    """Literal reference for :func:`member_K_r` before the level walk.
+    Non-negative coefficients are the proof by themselves, checked by no
+    checker (the zero form's all-zero blocks would fail its strict rule):
+    the diagonal certificate, with its residual and least ``eigvalsh``
+    eigenvalue.  Else a form with no grid zeros solves level r alone, and
+    one with some, or whose solve is Unknown, has every level's problem
+    built up front, each lower level solved again and its certificate
+    lifted up the whole chain."""
     _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
     if all(c >= 0 for c in expand_Pr(A, r).coeffs.values()):
         blocks = diagonal_certificate(problem)
         return SosVerdict(True, r, blocks, soscone._residual(blocks, problem),
                           least_eigvalsh(blocks), fast_path=True)
+    if not grid_zeros(A):
+        v = solve_gram(problem, max_iters)
+        if v.verdict != "Unknown":
+            return v
     problems = [build_gram_problem(A, rr) for rr in range(r)] + [problem]
     last = None
     for rr in range(r + 1):
@@ -803,12 +814,14 @@ def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
 class TestLevelWalk:
     # (id, tensor, top level, max_iters): lifted chains (BOUNDARY), Horn
     # (refuted at level 0, certified on its face at level 1 in 70
-    # iterations, or stopped short of that: Unknown), solves at each level,
-    # the fast path and the zero tensor
+    # iterations, or stopped short of that: Unknown), a zero off the grid
+    # (level 0 certified in 60 and lifted; a direct level-1 or level-2 solve
+    # is Unknown), solves at each level, the fast path and the zero tensor
     CASES = [
         ("boundary", lambda: BOUNDARY, 3, DEFAULT_MAX_ITERS),
         ("horn", lambda: HORN, 1, 200),
         ("horn-short", lambda: HORN, 1, 50),
+        ("off-grid", lambda: OFF_GRID, 2, 300),
         ("dd6002", lambda: _dd(6002), 1, DEFAULT_MAX_ITERS),
         ("dd6003", lambda: _dd(6003), 1, DEFAULT_MAX_ITERS),
         ("example31", example31_tensor, 1, DEFAULT_MAX_ITERS),
@@ -859,6 +872,80 @@ class TestLevelWalk:
                 blocks = v.certificate
             if v.certified:
                 assert _bits([v.min_eig]) == _bits([least_eigvalsh(blocks)])
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record each solve's level, each lift's target level and each
+        grid zero search while the test runs."""
+        calls = {"solve": [], "lift": [], "zeros": 0}
+        solve, lift, search = solve_gram, lift_certificate, gridcone.grid_zeros
+
+        def solving(problem, *args, **kwargs):
+            calls["solve"].append(problem.r)
+            return solve(problem, *args, **kwargs)
+
+        def lifting(low, blocks, high):
+            calls["lift"].append(high.r)
+            return lift(low, blocks, high)
+
+        def searching(A):
+            calls["zeros"] += 1
+            return search(A)
+
+        monkeypatch.setattr(soscone, "solve_gram", solving)
+        monkeypatch.setattr(soscone, "lift_certificate", lifting)
+        monkeypatch.setattr(gridcone, "grid_zeros", searching)
+        return calls
+
+    @pytest.mark.parametrize("A, solves, lifts", [(HORN, [0, 1], [2]),
+                                                  (BOUNDARY, [0], [1, 2])],
+                             ids=["horn", "boundary"])
+    def test_face_query_certified_through_a_lift(self, monkeypatch, A, solves, lifts):
+        # grid zeros force faces, where a direct level-2 solve can stall
+        # (Horn: Unknown after 3000 iterations); the walk lifts the level
+        # below and searches the zeros once for all its solves
+        calls = self._counting(monkeypatch)
+        v = member_K_r(A, 2)
+        assert v.verdict == "Certified" and not v.fast_path
+        assert calls == {"solve": solves, "lift": lifts, "zeros": 1}
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_unknown_solve_falls_back_to_the_walk(self, monkeypatch, r):
+        # (2 x1 - 3 x2)^2 vanishes at (3/5, 2/5), off the grid: the level-r
+        # solve is Unknown, and the walk lifts level 0's certificate
+        assert grid_zeros(OFF_GRID) == ()
+        assert solve_gram(build_gram_problem(OFF_GRID, r), max_iters=300).verdict == "Unknown"
+        calls = self._counting(monkeypatch)
+        v = member_K_r(OFF_GRID, r, max_iters=300)
+        assert (v.verdict, v.iterations) == ("Certified", 60)
+        assert calls == {"solve": [r, 0], "lift": list(range(1, r + 1)), "zeros": 1}
+
+    @pytest.mark.parametrize("seed", [6002, 6003])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_zero_free_query_solves_level_r_alone(self, monkeypatch, seed, r):
+        A = _dd(seed)
+        assert grid_zeros(A) == ()
+        calls = self._counting(monkeypatch)
+        v = member_K_r(A, r)
+        assert v.certified and not v.fast_path
+        assert calls == {"solve": [r], "lift": [], "zeros": 1}
+
+    def test_zero_free_member_agrees_with_the_walk(self):
+        # 40 seeded diag-dominant tensors with no grid zeros, levels 1 and
+        # 2: the one solve gives the verdict of the walk that lifts
+        verdicts = []
+        shapes = [(3, 2, 6), (4, 2, 4), (3, 3, 5), (4, 2, 6), (3, 4, 4), (4, 3, 4),
+                  (3, 2, 8), (3, 4, 6)]
+        for seed in range(40):
+            n, d, off = shapes[seed % len(shapes)]
+            A = rand_diag_dominant_tensor(random.Random(28000 + seed), n, d, off_scale=off)
+            assert grid_zeros(A) == ()
+            for r in (1, 2):
+                got = member_K_r(A, r, max_iters=2000)
+                assert got.verdict == sweep_K_r(A, r, max_iters=2000)[-1].verdict, (seed, r)
+                if not got.fast_path:
+                    verdicts.append(got.verdict)
+        assert {"Certified", "NotMember"} <= set(verdicts)
 
     def test_compare_solves_each_level_once(self, tmp_path, monkeypatch, capsys):
         # Horn is refuted at level 0 and certified by a solve at level 1, and
