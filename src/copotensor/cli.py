@@ -171,6 +171,20 @@ def _cmd_compare(args) -> int:
            "screen": "Pass" if screen.passed else "Fail",
            "hierarchies": matrix,
            "certify": cert.verdict.value}
+    # C^(r) and K^(r) lie inside the copositive cone, and a grid or certify
+    # refutation is exact: an inner member beside an outer refutation means
+    # one verdict is wrong (K^(r)'s solver works in floats)
+    clashes = {}
+    for r in levels:
+        inner = [f"{name} {matrix[name][r]}" for name in ("coef", "sos")
+                 if EXIT_CODE[matrix[name][r]] == EXIT_MEMBER]
+        outer = [f"{name} {v}" for name, v in (("grid", matrix["grid"][r]),
+                                               ("certify", doc["certify"]))
+                 if EXIT_CODE[v] == EXIT_NOT_MEMBER]
+        if inner and outer:
+            clashes[r] = f"{', '.join(inner)} beside {', '.join(outer)}"
+    if clashes:
+        doc["contradictions"] = list(clashes)
     if args.json:
         _emit(doc, args.out)
     else:
@@ -179,6 +193,8 @@ def _cmd_compare(args) -> int:
         print("level   " + "  ".join(f"{r:>{width}}" for r in levels))
         for name in ("coef", "sos", "grid"):
             print(f"{name:<7} " + "  ".join(f"{v:>{width}}" for v in matrix[name]))
+        for r, clash in clashes.items():
+            print(f"contradiction at level {r}: {clash}")
         if args.out:
             Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return EXIT_CODE[doc["certify"]]

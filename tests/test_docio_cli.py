@@ -551,6 +551,37 @@ class TestCliExitCodes:
         assert doc["hierarchies"]["sos"][0] == "Certified"
         assert code in (0, 2)   # boundary of the cone: either is sound
 
+    def test_compare_names_containment_contradictions(self, tmp_path, capsys):
+        # a -2e-12 block beside a unit diagonal: the SOS solver's one tolerance
+        # scale certifies it, while the grid and certify refute it exactly
+        path = tmp_path / "tiny-block.json"
+        path.write_text(json.dumps({"n": 3, "d": 2, "entries": [
+            {"idx": [1, 1], "val": "1"}, {"idx": [2, 2], "val": "1/1000000000000"},
+            {"idx": [3, 3], "val": "1/1000000000000"},
+            {"idx": [2, 3], "val": "-2/1000000000000"}]}))
+        assert main(["compare", "--levels", "1", "--json", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hierarchies"] == {"coef": ["NotMember"] * 2, "sos": ["Certified"] * 2,
+                                      "grid": ["NotMember"] * 2}
+        assert doc["certify"] == "NotCopositive"
+        assert doc["contradictions"] == [0, 1]
+        assert main(["compare", "--levels", "1", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            f"contradiction at level {r}: sos Certified beside grid NotMember, "
+            "certify NotCopositive" for r in (0, 1)]
+
+    def test_compare_without_contradictions_has_no_key(self, tmp_path, capsys):
+        # Horn refuted at level 0 and certified at level 1, copositive
+        path = tmp_path / "horn.json"
+        path.write_text(emit_tensor(HORN))
+        assert main(["compare", "--levels", "1", "--json", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hierarchies"]["sos"] == ["NotMember", "Certified"]
+        assert "contradictions" not in doc
+        main(["compare", "--levels", "1", str(path)])
+        assert "contradiction" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["check", "--method", "sos"], ["compare"]],
                              ids=["check", "compare"])
     @pytest.mark.parametrize("max_iters", ["0", "-5"])

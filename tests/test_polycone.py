@@ -1,16 +1,20 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from copotensor import combinatorics, polycone
+from copotensor.cli import main
 from copotensor.combinatorics import enumerate_exponents, multinomial
+from copotensor.docio import TOOL_VERSION
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.polycone import PolyExpansion, expand_Pr, member_C_r
-from copotensor.tensor import SymTensor, SymTensorBuilder, from_matrix
+from copotensor.tensor import SymTensor, SymTensorBuilder, canonical_tuples, from_matrix
 from conftest import (BOUNDARY, HORN, default_tensors, example31_tensor,
                       expand_Pr_closed_form, float_tensors, index_counts,
                       rand_float_tensor, rand_nonneg_tensor, rand_rational_tensor,
@@ -180,6 +184,95 @@ class TestMatchesReference:
         assert len(exp.coeffs) == 10_000
         for k in (0, 1, 17, 4999, 5000, 9998, 9999):
             assert exp.coeffs[k, 9999 - k] == math.comb(9999, k)
+
+
+def bracket_bound(A, r):
+    """(|default * L| + sum |w|) * fall(s, d): the bound that puts
+    _brackets on np.int64 when it is at most 2^63 - 1."""
+    _, default, terms = A.integer_form
+    return (abs(default) + sum(abs(w) for w, _ in terms)) * math.perm(r + A.d, A.d)
+
+
+def assert_python_ints(A, r):
+    """Nothing numpy leaves the module: the table, the worst theta and the
+    worst value are built from Python ints on either side of the bound."""
+    _, numerators, denom = polycone.coefficient_table(A, r)
+    assert type(denom) is int and all(type(v) is int for v in numerators)
+    v = member_C_r(A, r)
+    if not v.member:
+        assert type(v.worst_theta) is tuple
+        assert all(type(t) is int for t in v.worst_theta)
+        assert type(v.worst_value.numerator) is int
+        assert type(v.worst_value.denominator) is int
+
+
+class TestInt64Bound:
+    """The brackets run on np.int64 up to the Vandermonde bound and on
+    Python-int object arrays past it, with the same coefficients."""
+
+    @pytest.mark.parametrize("value, dtype", [
+        (2 ** 63 - 1, np.int64), (-(2 ** 63 - 1), np.int64),
+        (2 ** 63, object), (-(2 ** 63), object)])
+    def test_order_one_at_the_limit(self, value, dtype):
+        # n = 1, d = 1, level 0: the bound is |value| * fall(1, 1) = |value|
+        A = SymTensor(1, 1, {(1,): value}, 0)
+        assert bracket_bound(A, 0) == abs(value)
+        assert polycone._brackets(A, 0)[1].dtype == dtype
+        for r in range(3):
+            assert_route_matches_references(A, r)
+            assert_python_ints(A, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=4), st.data(),
+           st.sampled_from([np.int64, object]), st.integers(min_value=0, max_value=3))
+    def test_scaled_tensors_on_both_sides(self, n, d, r, data, dtype, past):
+        # small entries over 1 or 3, scaled by the 2^k that puts the bound
+        # ``past`` doublings below or above 2^63 - 1: 2^k is prime to 3, so
+        # L stays and the bound scales by exactly 2^k
+        value = st.builds(Fraction, st.integers(min_value=-9, max_value=15),
+                          st.sampled_from([1, 3]))
+        default = data.draw(value)
+        entries = {key: v for key in canonical_tuples(n, d)
+                   if (v := data.draw(st.none() | value)) is not None}
+        base = bracket_bound(SymTensor(n, d, entries, default), r)
+        assume(0 < base <= polycone.INT64_MAX)
+        top = (polycone.INT64_MAX // base).bit_length() - 1   # largest k in int64
+        k = top - past if dtype is np.int64 else top + 1 + past
+        assume(k >= 0)
+        A = SymTensor(n, d, {key: v * 2 ** k for key, v in entries.items()},
+                      default * 2 ** k)
+        assert (bracket_bound(A, r) <= polycone.INT64_MAX) == (dtype is np.int64)
+        assert polycone._brackets(A, r)[1].dtype == dtype
+        thetas, numerators, denom = polycone.coefficient_table(A, r)
+        assert dict(zip(thetas, (Fraction(v, denom) for v in numerators))) == \
+            reference_expand_Pr(A, r).coeffs
+        v = member_C_r(A, r)
+        assert (v.member, v.worst_theta, v.worst_value) == reference_member_C_r(A, r)
+        assert_python_ints(A, r)
+
+    def test_cli_documents_past_the_bound(self, tmp_path, capsys):
+        # x1^2 - 2^64 x1 x2 + x2^2: w = 2 (-2^63 - 1), so the bound is
+        # (1 + 2^64 + 2) * fall(3, 2), past 2^63: object arrays
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 2, "d": 2, "default": "1", "entries": '
+                        '[{"idx": [1, 2], "val": "-9223372036854775808"}]}')
+        A = SymTensor(2, 2, {(1, 2): -2 ** 63}, 1)
+        assert polycone._brackets(A, 1)[1].dtype == object
+        assert main(["expand", "--level", "1", str(path)]) == 0
+        rows = [((0, 3), "1"), ((1, 2), "-18446744073709551615"),
+                ((2, 1), "-18446744073709551615"), ((3, 0), "1")]
+        assert capsys.readouterr().out == json.dumps(
+            {"n": 2, "d": 2, "level": 1,
+             "coefficients": [{"theta": list(theta), "coefficient": c}
+                              for theta, c in rows]}, indent=2) + "\n"
+        assert main(["check", "--method", "coef", "--level", "1", str(path)]) == 1
+        assert capsys.readouterr().out == json.dumps(
+            {"verdict": "NotMember", "method": "coef", "tool_version": TOOL_VERSION,
+             "input_digest": "a9a6769a596238f896053e0066c53add1e1809bd5956d0037d2a5da00295f4c6",
+             "level": 1,
+             "stats": {"worst_theta": [1, 2], "worst_value": "-18446744073709551615"}},
+            indent=2) + "\n"
 
 
 class TestSizeLimit:
