@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import docio, gridcone, oracle
@@ -79,20 +80,20 @@ def _cmd_screen(args) -> int:
     return EXIT_CODE[verdict]
 
 
-def _cmd_check(args) -> int:
-    A = _load_tensor(args.tensor)
-    r = args.level
+def _level_document(method: str, A: SymTensor, r: int, max_iters: int) -> dict:
+    """The result document of one hierarchy level: `check` emits it, and
+    `verify` rebuilds a coef or grid one to compare."""
     witness = value = stats = moments = None
-    if args.method == "coef":
+    if method == "coef":
         from . import polycone
         v = polycone.member_C_r(A, r)
         verdict = "Member" if v.member else "NotMember"
         if not v.member:
             stats = {"worst_theta": list(v.worst_theta),
                      "worst_value": emit_scalar(v.worst_value)}
-    elif args.method == "sos":
+    elif method == "sos":
         from . import soscone
-        v = soscone.member_K_r(A, r, max_iters=args.max_iters)
+        v = soscone.member_K_r(A, r, max_iters=max_iters)
         verdict, moments = v.verdict, v.moments
         stats = {"iterations": v.iterations, "residual": v.residual,
                  "min_eig": v.min_eig, "fast_path": v.fast_path}
@@ -100,26 +101,29 @@ def _cmd_check(args) -> int:
         v = gridcone.member_O_r(A, r)
         verdict = "Member" if v.member else "NotMember"
         witness, value = v.witness, v.value
-    doc = certificate_document(verdict, args.method, level=r, tensor=A,
-                               witness=witness, witness_value=value, stats=stats,
-                               moments=moments)
+    return certificate_document(verdict, method, level=r, tensor=A,
+                                witness=witness, witness_value=value, stats=stats,
+                                moments=moments)
+
+
+def _cmd_check(args) -> int:
+    doc = _level_document(args.method, _load_tensor(args.tensor), args.level,
+                          args.max_iters)
     _emit(doc, args.out)
-    return EXIT_CODE[verdict]
+    return EXIT_CODE[doc["verdict"]]
 
 
 def _cmd_certify(args) -> int:
     A = _load_tensor(args.tensor)
     cert = certify_copositivity(A, max_depth=args.max_depth,
                                 simplex_budget=args.budget)
-    stats = {}
-    if cert.stats:
-        stats = {"max_depth": cert.stats.max_depth_reached,
-                 "simplices": cert.stats.simplices_processed,
-                 "unresolved": cert.stats.unresolved}
-        if cert.stats.diameter_unresolved is not None:
-            stats["diameter_unresolved"] = cert.stats.diameter_unresolved
+    stats = {"max_depth": cert.stats.max_depth_reached,
+             "simplices": cert.stats.simplices_processed,
+             "unresolved": cert.stats.unresolved}
+    if cert.stats.diameter_unresolved is not None:
+        stats["diameter_unresolved"] = cert.stats.diameter_unresolved
     doc = certificate_document(cert.verdict.value, "partition",
-                               depth=cert.stats.max_depth_reached if cert.stats else None,
+                               depth=cert.stats.max_depth_reached,
                                witness=cert.witness, witness_value=cert.witness_value,
                                stats=stats, tensor=A)
     _emit(doc, args.out)
@@ -129,9 +133,9 @@ def _cmd_certify(args) -> int:
 def _cmd_expand(args) -> int:
     from . import polycone
     A = _load_tensor(args.tensor)
-    exp = polycone.expand_Pr(A, args.level)
-    rows = [{"theta": list(theta), "coefficient": emit_scalar(c)}
-            for theta, c in sorted(exp.coeffs.items())]
+    thetas, numerators, denom = polycone.coefficient_table(A, args.level)
+    rows = [{"theta": list(theta), "coefficient": emit_scalar(Fraction(v, denom))}
+            for theta, v in zip(thetas, numerators)]
     _emit({"n": A.n, "d": A.d, "level": args.level, "coefficients": rows},
           args.out)
     return EXIT_MEMBER
@@ -214,9 +218,10 @@ def _cert_level(cert: dict) -> int:
 
 def _cmd_verify(args) -> int:
     """Re-derive the evidence behind a verdict: a witness is re-evaluated,
-    a coef verdict re-expanded, a grid Member re-enumerated, an sos
-    NotMember's moments re-checked, an sos fast-path Certified re-expanded.
-    Verdicts that carry no checkable evidence exit 2."""
+    a coef or grid Member or NotMember rebuilt by `check`'s route and its
+    verdict, stats and witness compared, an sos fast-path Certified rebuilt
+    as a coef Member, an sos NotMember's moments re-checked.  Verdicts that
+    carry no checkable evidence exit 2."""
     try:
         cert = docio.load_certificate(Path(args.certificate).read_text())
     except (OSError, DocumentError) as exc:
@@ -251,24 +256,21 @@ def _cmd_verify(args) -> int:
     # non-negative, which is a C^(r) Member
     fast_path = method == "sos" and verdict == "Certified" \
         and isinstance(stats, dict) and stats.get("fast_path") is True
-    if (method == "coef" and verdict in ("Member", "NotMember")) or fast_path:
-        from . import polycone
-        v = polycone.member_C_r(A, _cert_level(cert))
-        if verdict != "NotMember":
-            return _verified(v.member, f"level-{v.r} coefficients recomputed")
-        ok = (not v.member and isinstance(stats, dict)
-              and stats.get("worst_theta") == list(v.worst_theta)
-              and stats.get("worst_value") == emit_scalar(v.worst_value))
-        return _verified(ok, f"level-{v.r} worst coefficient recomputed")
+    if (method in ("coef", "grid") and verdict in ("Member", "NotMember")) or fast_path:
+        r = _cert_level(cert)
+        rebuilt = _level_document("coef" if fast_path else method, A, r,
+                                  DEFAULT_MAX_ITERS)
+        claimed = {"verdict": "Member"} if fast_path else cert
+        ok = all(rebuilt.get(key) == claimed.get(key)
+                 for key in ("verdict", "stats", "witness"))
+        what = "grid re-evaluated" if method == "grid" else "coefficients recomputed"
+        return _verified(ok, f"level-{r} {what}")
     if method == "sos" and verdict == "NotMember":
         from . import soscone
         moments = docio.parse_moments(cert)
         problem = soscone.build_gram_problem(A, _cert_level(cert))
         return _verified(soscone.check_refutation(problem, moments),
                          f"level-{problem.r} moment certificate re-checked")
-    if method == "grid" and verdict == "Member":
-        v = gridcone.member_O_r(A, _cert_level(cert))
-        return _verified(v.member, f"level-{v.r} grid re-evaluated")
     print(f"verify: UNCHECKED (verdict {verdict} carries no checkable evidence)")
     return EXIT_UNKNOWN
 

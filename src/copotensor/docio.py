@@ -113,13 +113,10 @@ def parse_tensor(text: str) -> SymTensor:
     return SymTensor(n, d, entries, default)
 
 
-def emit_tensor(A: SymTensor, name: str | None = None) -> str:
-    doc: dict[str, Any] = {"n": A.n, "d": A.d}
-    if name:
-        doc["name"] = name
-    doc["default"] = emit_scalar(A.default)
-    doc["entries"] = [{"idx": list(k), "val": emit_scalar(v)}
-                      for k, v in sorted(A.entries.items())]
+def emit_tensor(A: SymTensor) -> str:
+    doc = {"n": A.n, "d": A.d, "default": emit_scalar(A.default),
+           "entries": [{"idx": list(k), "val": emit_scalar(v)}
+                       for k, v in sorted(A.entries.items())]}
     return json.dumps(doc, indent=2)
 
 

@@ -2,21 +2,23 @@
 
 Nothing here shares code paths with the hierarchy modules: expansion is
 literal term-by-term polynomial multiplication and minimization is
-exhaustive grid evaluation, both in exact rational arithmetic.  A bug in the
-main modules cannot be mirrored here.
+exhaustive grid evaluation, a literal sum over the canonical tuples (not
+the integer form the kernels share), both exact.  A bug in the main modules
+cannot be mirrored here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import binomial_at_most, count_text
-from .tensor import Scalar, SymTensor, eval_form
+from .tensor import Scalar, SymTensor
 
-# The most grid points times coordinates (the Fractions a grid builds) one
-# oracle call may evaluate.
+# The most grid points times coordinates, and grid points times canonical
+# tuples, one oracle call may evaluate.
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -46,7 +48,9 @@ def _compositions(total: int, parts: int):
 
 def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
     """Exact minimum of the form over all simplex points with denominator
-    `resolution`.  Rational arithmetic throughout.
+    `resolution`, the lexicographically first on a tie.  A point c / m is
+    evaluated on ints as L m^d f(c / m): the sum over the canonical tuples of
+    a L d! / prod counts! prod c_i^counts, L the lcm of the denominators.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -54,15 +58,29 @@ def simplex_grid_min(A: SymTensor, resolution: int) -> OracleReport:
     if count * A.n > MAX_GRID_POINTS:
         raise ValueError(f"grid of {count_text(count)} points in {A.n} coordinates "
                          f"exceeds cap {MAX_GRID_POINTS}")
-    coords = [Fraction(c, resolution) for c in range(resolution + 1)]
-    best_val = None
-    best_pt = None
+    tuples = binomial_at_most(A.n + A.d - 1, A.d)
+    if count * tuples > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {count_text(count)} points times {count_text(tuples)} "
+                         f"canonical tuples exceeds cap {MAX_GRID_POINTS}")
+    values = [(key, a) for key, a in A.items() if a]
+    scale = math.lcm(*(a.denominator for _, a in values))
+    terms = []   # (a L d! / prod counts!, the (0-based index, count) pairs)
+    for key, a in values:
+        runs = [(i - 1, len(list(run))) for i, run in itertools.groupby(key)]
+        counts = [e for _, e in runs]
+        multiplicity = math.prod(map(math.comb, itertools.accumulate(counts), counts))
+        terms.append((a.numerator * (scale // a.denominator) * multiplicity, runs))
+    best = None
     for comp in _compositions(resolution, A.n):
-        x = tuple(coords[c] for c in comp)
-        v = eval_form(A, x)
-        if best_val is None or v < best_val:
-            best_val, best_pt = v, x
-    return OracleReport(best_val, best_pt, resolution=resolution)
+        total = 0
+        for w, runs in terms:
+            for i, e in runs:
+                w *= comp[i] ** e
+            total += w
+        if best is None or total < best[0]:
+            best = total, comp
+    return OracleReport(Fraction(best[0], scale * resolution ** A.d),
+                        tuple(Fraction(c, resolution) for c in best[1]), resolution)
 
 
 def expand_bruteforce(A: SymTensor, r: int) -> dict[tuple[int, ...], Fraction]:

@@ -220,9 +220,9 @@ class PartitionStats:
 @dataclass(frozen=True)
 class Certificate:
     verdict: Verdict
+    stats: PartitionStats
     witness: Point | None = None
     witness_value: Scalar | None = None
-    stats: PartitionStats | None = None
 
 
 def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
@@ -246,9 +246,9 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
     # the root decides before any geometry: its vertices are the unit vectors
     for k, p in enumerate(diag):
         if root[p] < 0:
-            return Certificate(Verdict.NOT_COPOSITIVE,
+            return Certificate(Verdict.NOT_COPOSITIVE, PartitionStats(0, 1, 0),
                                tuple(Fraction(int(j == k)) for j in range(A.n)),
-                               Fraction(root[p], scale), PartitionStats(0, 1, 0))
+                               Fraction(root[p], scale))
     if min(root) >= 0:
         return Certificate(Verdict.COPOSITIVE, stats=PartitionStats(0, 1, 0))
     work: deque[tuple[Simplex, list[int]]] = deque([(standard_simplex(A.n), root)])
@@ -265,9 +265,9 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
         for k, p in enumerate(diag):
             if b[p] < 0:
                 return Certificate(
-                    Verdict.NOT_COPOSITIVE, s.vertices[k],
-                    Fraction(b[p], scale << A.d * s.depth),
-                    PartitionStats(max_depth_seen, processed, len(work)))
+                    Verdict.NOT_COPOSITIVE,
+                    PartitionStats(max_depth_seen, processed, len(work)),
+                    s.vertices[k], Fraction(b[p], scale << A.d * s.depth))
         if min(b) >= 0:
             continue
         if s.depth >= max_depth:

@@ -20,7 +20,7 @@ One reduction, :func:`_coefficients`, turns brackets into coefficients
 multinomial(theta) * B(theta) / D on Python ints: :func:`member_C_r` reads
 only the signs of the brackets on a Member level and reduces the negative
 ones on a NotMember one, and :func:`coefficient_table` reduces all of them,
-for :func:`expand_Pr` and for every level of the SOS hierarchy (``soscone``).
+for ``expand`` and for every level of the SOS hierarchy (``soscone``).
 A level with more than ``combinatorics.MAX_ENUMERATION`` coefficients or
 canonical tuples raises ValueError before anything is enumerated; for
 n = 1 the same limit bounds fall(s, d)'s d factors and each column's s + 1
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,23 +44,6 @@ from .tensor import SymTensor, check_tuple_count
 Exponent = tuple[int, ...]
 
 INT64_MAX = 2 ** 63 - 1
-
-
-@dataclass(frozen=True)
-class PolyExpansion:
-    n: int
-    d: int
-    r: int
-    coeffs: Mapping[Exponent, Fraction]
-
-    @property
-    def s(self) -> int:
-        return self.r + self.d
-
-    def __post_init__(self):
-        expected = set(enumerate_exponents(self.n, self.s))
-        if set(self.coeffs) != expected:
-            raise ValueError("coefficient domain must be exactly I^n(r+d)")
 
 
 def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, int]:
@@ -137,14 +120,6 @@ def coefficient_table(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], list[
     denominator."""
     thetas, brackets, denom = _brackets(A, r)
     return (thetas, *_coefficients(thetas, brackets.tolist(), denom))
-
-
-def expand_Pr(A: SymTensor, r: int) -> PolyExpansion:
-    """Coefficient table of P(y): :func:`coefficient_table`, one Fraction
-    per coefficient."""
-    thetas, numerators, denom = coefficient_table(A, r)
-    return PolyExpansion(A.n, A.d, r, {
-        theta: Fraction(v, denom) for theta, v in zip(thetas, numerators)})
 
 
 @dataclass(frozen=True)

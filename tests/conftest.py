@@ -15,7 +15,7 @@ from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
 from copotensor.gridcone import first_appearances
 from copotensor.oracle import OracleReport, _compositions
 from copotensor.partition import Simplex, _longest_edge, _split, standard_simplex
-from copotensor.polycone import PolyExpansion, expand_Pr
+from copotensor.polycone import coefficient_table
 from copotensor import soscone
 from copotensor.soscone import _positive_definite
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
@@ -221,7 +221,14 @@ def elementary_symmetric(k: int, m: int) -> int:
     return elementary_symmetric(k, m - 1) + m * elementary_symmetric(k - 1, m - 1)
 
 
-def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
+def coefficients(A: SymTensor, r: int) -> dict[tuple[int, ...], Fraction]:
+    """P^(r)'s coefficients as theta -> exact value, in lexicographic order:
+    :func:`copotensor.polycone.coefficient_table`, one Fraction each."""
+    thetas, numerators, denom = coefficient_table(A, r)
+    return {theta: Fraction(v, denom) for theta, v in zip(thetas, numerators)}
+
+
+def expand_Pr_closed_form(A: SymTensor, r: int) -> dict[tuple[int, ...], Fraction]:
     """Coefficient table via the closed form in theta.
 
     Writing s = r + d and omega = theta, each coefficient equals
@@ -235,7 +242,7 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
     tuples that repeat an index need the same falling-factorial treatment,
     so the final bracket is the correction from power weights to falling
     factorials on those tuples.  Literal reference for
-    :func:`copotensor.polycone.expand_Pr`, which it agrees with exactly.
+    :func:`coefficients`, which it agrees with exactly.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -277,7 +284,7 @@ def expand_Pr_closed_form(A: SymTensor, r: int) -> PolyExpansion:
             if w:
                 bracket += wa * w
         coeffs[theta] = Fraction(multinomial(theta), denom) * bracket
-    return PolyExpansion(A.n, d, r, coeffs)
+    return coeffs
 
 
 def multi_product(A: SymTensor, vectors):
@@ -424,22 +431,22 @@ def barycentric_grid_min(A: SymTensor, vertices, resolution: int) -> OracleRepor
 
 def reference_gram_targets(A: SymTensor, r: int) -> dict[tuple[int, ...], float]:
     """The SOS targets by the Fraction route: each coefficient of
-    :func:`copotensor.polycone.expand_Pr` as float(Fraction), keyed by the
+    :func:`coefficients` as float(Fraction), keyed by the
     even exponent 2 theta."""
     return {tuple(2 * t for t in theta): float(c)
-            for theta, c in expand_Pr(A, r).coeffs.items()}
+            for theta, c in coefficients(A, r).items()}
 
 
 def reference_check_refutation(problem, moments) -> bool:
     """Literal reference for :func:`copotensor.soscone.check_refutation` on
-    the Fraction route: L(P) summed against :func:`expand_Pr`'s coefficients
+    the Fraction route: L(P) summed against :func:`coefficients`
     of the problem's tensor and level, a target exponent past them counting
     0, and every block's moment matrix positive definite."""
     if moments.keys() != problem.targets.keys():
         return False
     moments = {g: Fraction(m) for g, m in moments.items()}
     coeff = {tuple(2 * t for t in theta): c
-             for theta, c in expand_Pr(problem.tensor, problem.r).coeffs.items()}
+             for theta, c in coefficients(problem.tensor, problem.r).items()}
     if sum(m * coeff.get(g, 0) for g, m in moments.items()) >= 0:
         return False
     basis = problem.basis

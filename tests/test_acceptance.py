@@ -27,12 +27,12 @@ from copotensor.gridcone import member_O_r
 from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.partition import (Verdict, certify_copositivity, member_I_P,
                                   member_O_P)
-from copotensor.polycone import expand_Pr, member_C_r
+from copotensor.polycone import member_C_r
 from copotensor.soscone import _certified, build_gram_problem, member_K_r, solve_gram
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, necessary_screen)
-from conftest import (EXAMPLE31_JSON, diagonal_certificate, expand_Pr_closed_form,
-                      grid_partition, reference_member_I_P)
+from conftest import (EXAMPLE31_JSON, coefficients, diagonal_certificate,
+                      expand_Pr_closed_form, grid_partition, reference_member_I_P)
 
 F = Fraction
 SEED = 20240
@@ -129,9 +129,9 @@ def test_criterion_2_expansion_oracle_equivalence():
             for r in range(4):
                 oracle = {tuple(e // 2 for e in k): v
                           for k, v in expand_bruteforce(A, r).items()}
-                for route in (expand_Pr, expand_Pr_closed_form):
+                for route in (coefficients, expand_Pr_closed_form):
                     exp = route(A, r)
-                    for theta, c in exp.coeffs.items():
+                    for theta, c in exp.items():
                         assert c == oracle.get(theta, 0), (n, d, r, theta)
     elapsed = time.monotonic() - start
     assert tensors >= 50

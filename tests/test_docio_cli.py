@@ -945,6 +945,49 @@ class TestVerify:
         cert_path.write_text(json.dumps(doc))
         assert main(["verify", str(cert_path), "--tensor", boundary_file]) == 1
 
+    def test_coef_member_with_stats_fails(self, example_file, tmp_path, capsys):
+        # verify rebuilds the document, and a Member carries no worst coefficient
+        cert_path = tmp_path / "cert.json"
+        assert main(["check", "--method", "coef", "--level", "2", example_file,
+                     "--out", str(cert_path)]) == 0
+        doc = json.loads(cert_path.read_text())
+        doc["stats"] = {"worst_theta": [6, 0, 0], "worst_value": "1"}
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", example_file]) == 1
+        assert capsys.readouterr().out == \
+            "verify: FAIL (level-2 coefficients recomputed)\n"
+
+    def test_grid_refutation_without_witness_fails(self, hollow_file, tmp_path, capsys):
+        # with no witness to evaluate, the rebuilt refutation's witness differs
+        cert_path = tmp_path / "cert.json"
+        assert main(["check", "--method", "grid", "--level", "0", hollow_file,
+                     "--out", str(cert_path)]) == 1
+        doc = json.loads(cert_path.read_text())
+        del doc["witness"]
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 1
+        assert capsys.readouterr().out == "verify: FAIL (level-0 grid re-evaluated)\n"
+
+    def test_grid_member_at_a_refuting_level_fails(self, tmp_path, capsys):
+        # (2 x1 - 3 x2)^2 - (x1 + x2)^2 / 100 is negative only near (3/5, 2/5):
+        # the grid holds it at levels 0..2 and refutes it from level 3
+        t = F(1, 100)
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(emit_tensor(from_matrix([[4 - t, -6 - t], [-6 - t, 9 - t]])))
+        cert_path = tmp_path / "cert.json"
+        assert main(["check", "--method", "grid", "--level", "2", str(tensor_path),
+                     "--out", str(cert_path)]) == 0
+        assert main(["check", "--method", "grid", "--level", "3", str(tensor_path)]) == 1
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 0
+        doc = json.loads(cert_path.read_text())
+        doc["level"] = 3
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+        assert capsys.readouterr().out == "verify: FAIL (level-3 grid re-evaluated)\n"
+
 
     @pytest.fixture
     def horn_refutation(self, tmp_path, capsys):

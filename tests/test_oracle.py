@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copotensor import oracle
-from copotensor.oracle import expand_bruteforce, simplex_grid_min
+from copotensor.oracle import _compositions, expand_bruteforce, simplex_grid_min
 from copotensor.tensor import SymTensorBuilder, eval_form, from_matrix
-from conftest import rand_rational_tensor, tuple_multiplicity
+from conftest import default_tensors, float_tensors, rand_rational_tensor, tuple_multiplicity
 
 F = Fraction
 
@@ -40,6 +41,38 @@ class TestSimplexGridMin:
         monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 10)
         with pytest.raises(ValueError):
             simplex_grid_min(example31, 100)
+
+    def test_terms_counted_against_the_cap(self, monkeypatch, example31):
+        # 15 points in 3 coordinates pass a cap of 50; times 15 canonical
+        # tuples they do not
+        monkeypatch.setattr(oracle, "MAX_GRID_POINTS", 50)
+        with pytest.raises(ValueError, match="15 points times 15 canonical tuples"):
+            simplex_grid_min(example31, 4)
+
+    def test_independent_of_the_integer_form(self):
+        # x1^2 - 4 x1 x2 + x2^2 with its negative term dropped from the
+        # integer form that eval_form, the grid and the coefficient kernels
+        # read, which leaves x1^2 + x2^2: the oracle still finds the true
+        # minimum -1/2 at (1/2, 1/2)
+        A = from_matrix([[1, -2], [-2, 1]])
+        scale, default, (square1, product, square2) = A.integer_form
+        assert product == (-4, ((0, 1), (1, 1)))
+        A.__dict__["integer_form"] = (scale, default, (square1, square2))
+        assert eval_form(A, (F(1, 2), F(1, 2))) == F(1, 2)
+        rep = simplex_grid_min(A, 2)
+        assert (rep.min_value, rep.argmin) == (F(-1, 2), (F(1, 2), F(1, 2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(float_tensors(max_n=3, max_d=4) | default_tensors(max_n=3, max_d=4),
+           st.integers(min_value=1, max_value=6))
+    def test_literal_sum_matches_eval_form(self, A, resolution):
+        # the least eval_form over the same grid, at its first composition
+        points = [tuple(F(c, resolution) for c in comp)
+                  for comp in _compositions(resolution, A.n)]
+        values = [eval_form(A, x) for x in points]
+        least = min(values)
+        rep = simplex_grid_min(A, resolution)
+        assert (rep.min_value, rep.argmin) == (least, points[values.index(least)])
 
 
 class TestExpandBruteforce:

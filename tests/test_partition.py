@@ -292,8 +292,9 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000):
                 evaluated[v] = eval_form(A, v)
             if evaluated[v] < 0:
                 return Certificate(
-                    Verdict.NOT_COPOSITIVE, v, evaluated[v],
-                    PartitionStats(max_depth_seen, processed, len(work)))
+                    Verdict.NOT_COPOSITIVE,
+                    PartitionStats(max_depth_seen, processed, len(work)),
+                    v, evaluated[v])
         if reference_inner_test_full(A, s):
             continue
         if s.depth >= max_depth:

@@ -19,10 +19,10 @@ from copotensor.soscone import (CHECK_EVERY, DEFAULT_MAX_ITERS, EIG_TOL, MATCH_T
                                 lift_certificate, member_K_r, solve_gram,
                                 sweep_K_r, uniform_moment)
 from copotensor.oracle import simplex_grid_min
-from copotensor.polycone import expand_Pr, member_C_r
+from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
-from conftest import (BOUNDARY, HORN, default_tensors, diagonal_certificate,
-                      example31_tensor, float_tensors, rand_diag_dominant_tensor,
+from conftest import (BOUNDARY, HORN, coefficients, default_tensors,
+                      diagonal_certificate, example31_tensor, float_tensors, rand_diag_dominant_tensor,
                       rand_nonneg_tensor, reference_check_refutation,
                       reference_cumulative_grid, reference_gram_targets,
                       reference_project_psd, solve_offering)
@@ -782,7 +782,7 @@ def reference_member_K_r(A, r, max_iters=DEFAULT_MAX_ITERS):
     lifted up the whole chain."""
     _check_max_iters(max_iters)
     problem = build_gram_problem(A, r)
-    if all(c >= 0 for c in expand_Pr(A, r).coeffs.values()):
+    if all(c >= 0 for c in coefficients(A, r).values()):
         blocks = diagonal_certificate(problem)
         return SosVerdict(True, r, blocks, soscone._residual(blocks, problem),
                           least_eigvalsh(blocks), fast_path=True)
@@ -1107,9 +1107,9 @@ def _expansion_zeros(A, r):
     """Reference for :func:`gridcone.grid_zeros` through the level-r
     expansion: the points c / m of the level-2 grid, in first_appearances
     order, where m^s P^(r)(sqrt(c / m)) = sum_theta p_theta c^theta is 0 on
-    expand_Pr's exact coefficients.  On the simplex P^(r)(sqrt(x)) = f(x), so
+    the level's exact coefficients.  On the simplex P^(r)(sqrt(x)) = f(x), so
     the zeros do not depend on r."""
-    coeffs = expand_Pr(A, r).coeffs
+    coeffs = coefficients(A, r)
     return tuple((m, c) for m, c in gridcone.first_appearances(A.n, 2)
                  if sum(p * math.prod(ci ** t for ci, t in zip(c, theta))
                         for theta, p in coeffs.items()) == 0)
@@ -1152,7 +1152,7 @@ class TestFace:
         for key in itertools.combinations_with_replacement((1, 2), 4):
             b.set(key, 0)
         A = b.build()
-        assert gridcone.grid_point_count(6, 2) * len(expand_Pr(A, 2).coeffs) \
+        assert gridcone.grid_point_count(6, 2) * len(coefficients(A, 2)) \
             > gridcone.SEARCH_CAP
         zeros = grid_zeros(A)
         assert len(zeros) == 7
@@ -1258,8 +1258,8 @@ def _huge_tensor():
 
 class TestLevelTable:
     """Each SOS level reads one integer table, numerators over one
-    denominator.  The Fraction route it replaced (expand_Pr, then
-    float(Fraction) per target, and the Fraction L(P) of check_refutation;
+    denominator.  The Fraction route it replaced (a Fraction per coefficient,
+    then float(Fraction) per target, and the Fraction L(P) of check_refutation;
     tests/conftest.py) gives the same targets bit for bit, the same exact
     coefficients and the same refutation verdicts."""
 
@@ -1277,7 +1277,7 @@ class TestLevelTable:
         assert _bits(list(problem.targets.values())) == _bits(list(want.values()))
         assert problem.denominator > 0
         assert [Fraction(v, problem.denominator) for v in problem.numerators] == \
-            list(expand_Pr(A, r).coeffs.values())
+            list(coefficients(A, r).values())
 
     @pytest.mark.parametrize("make", [t[1] for t in TENSORS], ids=[t[0] for t in TENSORS])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -1335,11 +1335,7 @@ class TestLevelTable:
             calls.append(r)
             return brackets(A, r)
 
-        def refuse(*args):
-            raise AssertionError("the Fraction expansion is not the SOS route")
-
         monkeypatch.setattr(polycone, "_brackets", counting)
-        monkeypatch.setattr(polycone, "expand_Pr", refuse)
         sweep_K_r(HORN, 2, max_iters=200)
         assert calls == [0, 1, 2]
         calls.clear()
