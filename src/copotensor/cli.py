@@ -23,7 +23,7 @@ from . import docio, gridcone, oracle
 from .combinatorics import DEFAULT_MAX_ITERS
 from .docio import DocumentError, certificate_document, emit_scalar
 from .partition import DEFAULT_MAX_DEPTH, DEFAULT_SIMPLEX_BUDGET, certify_copositivity
-from .tensor import SymTensor, eval_form, necessary_screen
+from .tensor import SymTensor, necessary_screen
 
 EXIT_MEMBER = 0
 EXIT_NOT_MEMBER = 1
@@ -216,12 +216,44 @@ def _cert_level(cert: dict) -> int:
     return level
 
 
+def _verify_level(A: SymTensor, cert: dict) -> tuple[bool, str] | None:
+    """A coef or grid document rebuilt by `check`'s route at its level and
+    compared on verdict, stats and witness.  An sos fast path (every
+    coefficient of P non-negative) is rebuilt as a coef Member, and a solved
+    sos Certified carries no evidence to re-check (None)."""
+    method, claimed, stats = cert["method"], cert, cert.get("stats")
+    if method == "sos":
+        if not (isinstance(stats, dict) and stats.get("fast_path") is True):
+            return None
+        method, claimed = "coef", {"verdict": "Member"}
+    r = _cert_level(cert)
+    rebuilt = _level_document(method, A, r, DEFAULT_MAX_ITERS)
+    ok = all(rebuilt.get(key) == claimed.get(key) for key in ("verdict", "stats", "witness"))
+    what = "grid re-evaluated" if method == "grid" else "coefficients recomputed"
+    return ok, f"level-{r} {what}"
+
+
+def _verify_moments(A: SymTensor, cert: dict) -> tuple[bool, str]:
+    """An sos NotMember's moments re-checked on the level's exact parts."""
+    from . import evidence, polycone
+    r = _cert_level(cert)
+    moments = docio.parse_moments(cert)
+    basis, numerators, _ = polycone.coefficient_table(A, r)
+    ok = evidence.check_refutation(basis, numerators, evidence.parity_blocks(basis),
+                                   moments)
+    return ok, f"level-{r} moment certificate re-checked"
+
+
 def _cmd_verify(args) -> int:
-    """Re-derive the evidence behind a verdict: a witness is re-evaluated,
-    a coef or grid Member or NotMember rebuilt by `check`'s route and its
-    verdict, stats and witness compared, an sos fast-path Certified rebuilt
-    as a coef Member, an sos NotMember's moments re-checked.  Verdicts that
-    carry no checkable evidence exit 2."""
+    """Re-derive the evidence behind a verdict by the check that the table
+    names for its method and verdict.  Verdicts that carry no checkable
+    evidence exit 2."""
+    from . import evidence
+    checks = {("screen", "NotCopositive"): evidence.check_witness,
+              ("partition", "NotCopositive"): evidence.check_witness,
+              ("coef", "Member"): _verify_level, ("coef", "NotMember"): _verify_level,
+              ("grid", "Member"): _verify_level, ("grid", "NotMember"): _verify_level,
+              ("sos", "Certified"): _verify_level, ("sos", "NotMember"): _verify_moments}
     try:
         cert = docio.load_certificate(Path(args.certificate).read_text())
     except (OSError, DocumentError) as exc:
@@ -230,49 +262,13 @@ def _cmd_verify(args) -> int:
     A = _load_tensor(args.tensor)
     if cert["input_digest"] != docio.tensor_digest(A):
         return _verified(False, "input digest mismatch")
-    verdict, method = cert["verdict"], cert.get("method")
-    if "witness" in cert and verdict in ("NotMember", "NotCopositive"):
-        witness = cert["witness"]
-        if not isinstance(witness, dict) or not isinstance(witness.get("point"), list):
-            raise DocumentError(f"certificate witness {witness!r} is not an "
-                                "object with a 'point' array")
-        # each distinct coordinate is parsed and sign-checked once; the key
-        # holds the type so that true is not taken for 1
-        try:
-            parsed = dict.fromkeys((type(c), c) for c in witness["point"])
-        except TypeError as exc:   # an array or object coordinate
-            raise DocumentError(f"certificate witness coordinate: {exc}") from exc
-        for key in parsed:
-            parsed[key] = docio.parse_scalar(key[1])
-        point = tuple(parsed[type(c), c] for c in witness["point"])
-        value = eval_form(A, point)
-        ok = value < 0 and all(c >= 0 for c in parsed.values())
-        if "value" in witness:
-            ok = ok and value == docio.parse_scalar(witness["value"])
-        text = docio.scalar_text(value) or "too long to print"
-        return _verified(ok, f"witness value {text}")
-    stats = cert.get("stats")
-    # the sos fast path's proof is exact: every coefficient of P is
-    # non-negative, which is a C^(r) Member
-    fast_path = method == "sos" and verdict == "Certified" \
-        and isinstance(stats, dict) and stats.get("fast_path") is True
-    if (method in ("coef", "grid") and verdict in ("Member", "NotMember")) or fast_path:
-        r = _cert_level(cert)
-        rebuilt = _level_document("coef" if fast_path else method, A, r,
-                                  DEFAULT_MAX_ITERS)
-        claimed = {"verdict": "Member"} if fast_path else cert
-        ok = all(rebuilt.get(key) == claimed.get(key)
-                 for key in ("verdict", "stats", "witness"))
-        what = "grid re-evaluated" if method == "grid" else "coefficients recomputed"
-        return _verified(ok, f"level-{r} {what}")
-    if method == "sos" and verdict == "NotMember":
-        from . import soscone
-        moments = docio.parse_moments(cert)
-        problem = soscone.build_gram_problem(A, _cert_level(cert))
-        return _verified(soscone.check_refutation(problem, moments),
-                         f"level-{problem.r} moment certificate re-checked")
-    print(f"verify: UNCHECKED (verdict {verdict} carries no checkable evidence)")
-    return EXIT_UNKNOWN
+    key = (cert.get("method"), cert["verdict"])
+    check = checks.get(key) if all(isinstance(k, str) for k in key) else None
+    outcome = check(A, cert) if check else None
+    if outcome is None:
+        print(f"verify: UNCHECKED (verdict {key[1]} carries no checkable evidence)")
+        return EXIT_UNKNOWN
+    return _verified(*outcome)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,10 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Any
 
-from .tensor import Scalar, SymTensor
+from .combinatorics import binomial_at_most
+from .tensor import Scalar, SymTensor, canonical_tuples
 
 TOOL_VERSION = "0.1.0"
 # the largest n and d a document may declare: the screen builds n-long
@@ -121,15 +123,31 @@ def emit_tensor(A: SymTensor) -> str:
 
 
 def tensor_digest(A: SymTensor) -> str:
-    """sha256 over a canonical serialization; stable across entry order and
-    across storing vs defaulting equal values."""
-    default = A.default
-    num, den = default.numerator, default.denominator
-    # SymTensor stores exact Fractions, so str writes each as emit_scalar does
+    """sha256 over a canonical serialization; stable across entry order,
+    across storing vs defaulting equal values and across the choice of
+    default.  The serialization's default is the most common value over the
+    C(n+d-1, d) canonical tuples, the least on a tie, and it lists every
+    tuple whose value differs.  A default that covers more than half the
+    tuples is the most common, and is taken without counting; else the
+    tuples number at most twice the stored entries."""
+    # SymTensor stores exact Fractions, so str writes each as emit_scalar
+    # does; values are counted and compared as these texts, which hash
+    # faster than Fractions
+    texts = {key: str(v) for key, v in A.entries.items()}
+    default = str(A.default)
+    total = binomial_at_most(A.n + A.d - 1, A.d, 2 * len(texts))
+    if total <= 2 * len(texts):
+        counts = Counter(texts.values())
+        counts[default] += total - len(texts)
+        top = max(counts.values())
+        value = dict(zip(texts.values(), A.entries.values()))
+        value[default] = A.default
+        least = str(min(value[t] for t, c in counts.items() if c == top))
+        if least != default and total > len(texts):
+            texts = {key: texts.get(key, default) for key in canonical_tuples(A.n, A.d)}
+        default = least
     parts = [f"n={A.n}", f"d={A.d}", f"default={default}"]
-    for key, v in sorted(A.entries.items()):
-        if v.numerator != num or v.denominator != den:
-            parts.append(f"{','.join(map(str, key))}:{v}")
+    parts += [f"{','.join(map(str, key))}:{t}" for key, t in sorted(texts.items()) if t != default]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 

@@ -31,7 +31,7 @@ tolerances: every entry finite, every coefficient matched within MATCH_TOL s
 by its own constraint loop on Python floats, and every block G with
 G + EIG_TOL s I positive definite, decided exactly on the entries' binary
 values by the fraction-free LDL^T that also decides refutations
-(:func:`_positive_definite`).  The minimum eigenvalue that a Certified
+(:func:`evidence.positive_definite`).  The minimum eigenvalue that a Certified
 verdict reports is numpy's, taken after that decision, and informational.
 The fast path needs no checker and carries no blocks: every exact
 coefficient of P non-negative is the proof, and the verdict carries the
@@ -51,9 +51,9 @@ definite by adding eps times the moments of the uniform measure on [0, 1]^n,
 positive definite on every block.  On a block that grid zeros touch, that
 holds only on the face, and t times the zeros' point moments, rational and
 zero on P, is added along the rest.  Floats only pick eps and t and screen the
-candidate; :func:`check_refutation` decides it exactly, against the integer
-numerators of P, and re-checks a document's moments in ``verify``.  Unknown is
-never a proof of non-membership; NotMember carries a moment certificate.
+candidate; :func:`evidence.check_refutation` decides it exactly, against the
+integer numerators of P, as ``verify`` does a document's moments.  Unknown
+is never a proof of non-membership; NotMember carries a moment certificate.
 
 The levels nest (K^(r) inside K^(r+1)), so :func:`sweep_K_r` walks them once,
 upward, lifting a certificate from the level below instead of solving again.
@@ -75,13 +75,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import faces, gridcone, polycone
 from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
                             check_enumeration_size)
+from .evidence import check_refutation, parity_blocks, positive_definite
 from .tensor import SymTensor
 
 EIG_TOL = 1e-8      # a certificate's blocks G have G + EIG_TOL s I > 0 and
@@ -151,15 +152,7 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
     except OverflowError:
         raise ValueError(f"a level {r} coefficient is beyond float range") from None
     return GramProblem(A, r, basis, numerators, denominator, targets,
-                       _parity_blocks(basis))
-
-
-def _parity_blocks(basis: Sequence[Exponent]) -> tuple[tuple[int, ...], ...]:
-    """Basis indices per parity class (exponents mod 2), classes in order."""
-    parity: dict[Exponent, list[int]] = {}
-    for idx, mono in enumerate(basis):
-        parity.setdefault(tuple([e % 2 for e in mono]), []).append(idx)
-    return tuple(tuple(v) for _, v in sorted(parity.items()))
+                       parity_blocks(basis))
 
 
 class _GramLayout:
@@ -332,7 +325,7 @@ class _GramLayout:
 
     def refutation(self, problem: GramProblem, matched: np.ndarray,
                    it: int) -> dict[Exponent, Fraction] | None:
-        """Moments that :func:`check_refutation` accepts, built from the last
+        """Moments that :func:`evidence.check_refutation` accepts, built from the last
         affine step (iteration ``it``), or None.
 
         The step moved each target's entries by (targets - matched) /
@@ -375,7 +368,8 @@ class _GramLayout:
             if terms is None:
                 return None
             candidate = {g: v + term for (g, v), term in zip(candidate.items(), terms)}
-        return candidate if check_refutation(problem, candidate) else None
+        return candidate if check_refutation(problem.basis, problem.numerators,
+                                             problem.blocks, candidate) else None
 
 
 def _residual(mats: Sequence[Sequence[Sequence[float]]], problem: GramProblem) -> float:
@@ -394,7 +388,7 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray],
     or None unless every entry is finite, the constraint loop matches every
     coefficient within MATCH_TOL s and every block G has G + EIG_TOL s I
     positive definite, s = min(1, max |target|).  That test is exact, on
-    the entries' binary values (:func:`_positive_definite`).  The verdict
+    the entries' binary values (:func:`evidence.positive_definite`).  The verdict
     carries the loop's residual and, taken after the decision and read by
     none, the least ``eigvalsh`` eigenvalue of the blocks, in one batched
     call per block size."""
@@ -406,7 +400,7 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray],
     if residual > MATCH_TOL * scale:
         return None
     shift = EIG_TOL * scale
-    if not all(_positive_definite(block, shift) for block in rows):
+    if not all(positive_definite(block, shift) for block in rows):
         return None
     sizes: dict[int, list[np.ndarray]] = {}
     for b in blocks:
@@ -419,55 +413,6 @@ def _certified(problem: GramProblem, blocks: list[np.ndarray],
 def uniform_moment(g: Exponent) -> Fraction:
     """The integral of y^g over [0, 1]^n."""
     return Fraction(1, math.prod(e + 1 for e in g))
-
-
-def _positive_definite(rows: Sequence[Sequence[Fraction | float]],
-                       shift: Fraction | float = 0) -> bool:
-    """Whether the symmetric matrix with the upper triangle of ``rows``, plus
-    ``shift`` times the identity, is positive definite, each entry taken at
-    its exact value (a float at its binary one): times the lcm of the
-    denominators, a positive integer, with the shift added to that integer
-    diagonal, then exact LDL^T in fraction-free (Bareiss) form on the upper
-    triangle, whose k-th pivot is the k-th leading principal minor, all
-    positive by Sylvester's criterion."""
-    ratios = [[x.as_integer_ratio() for x in row[i:]] for i, row in enumerate(rows)]
-    sp, sq = shift.as_integer_ratio()
-    scale = math.lcm(sq, *(q for row in ratios for _, q in row))
-    a = [[0] * i + [p * (scale // q) for p, q in row] for i, row in enumerate(ratios)]
-    bump = sp * (scale // sq)
-    for k, row in enumerate(a):
-        row[k] += bump
-    prev = 1
-    for k, row_k in enumerate(a):
-        pivot = row_k[k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, len(a)):
-            row_i, a_ki = a[i], row_k[i]   # a_ik = a_ki by symmetry
-            for j in range(i, len(a)):
-                row_i[j] = (row_i[j] * pivot - a_ki * row_k[j]) // prev
-        prev = pivot
-    return True
-
-
-def check_refutation(problem: GramProblem,
-                     moments: Mapping[Exponent, Fraction]) -> bool:
-    """Whether ``moments`` prove that P^(r) has no Gram decomposition: one
-    rational value per target exponent and no other, sum of moment times
-    exact coefficient of P negative, and every block's moment matrix
-    [L(y^(b_i + b_j))] positive definite.  Exact throughout, from the
-    problem's basis and integer coefficients; nothing of the solver is used.
-    The coefficients share one positive denominator, so the sum has the
-    sign of the sum of moment times numerator."""
-    if moments.keys() != problem.targets.keys():
-        return False
-    moments = {g: Fraction(m) for g, m in moments.items()}
-    if sum(moments[g] * c for g, c in zip(problem.targets, problem.numerators)) >= 0:
-        return False
-    basis = problem.basis
-    return all(_positive_definite([[moments[tuple(map(operator.add, basis[a], basis[b]))]
-                                    for b in members] for a in members])
-               for members in problem.blocks)
 
 
 def _check_max_iters(max_iters: int) -> None:
@@ -488,7 +433,7 @@ def solve_gram(problem: GramProblem, max_iters: int = DEFAULT_MAX_ITERS,
     last affine step to :meth:`_GramLayout.refutation` if its residual has
     stalled above STALL times the last check's (a feasible problem's falls
     to 0).  Certified only if the re-verification passes; NotMember only
-    with moments that :func:`check_refutation` accepts; iteration budget
+    with moments that :func:`evidence.check_refutation` accepts; iteration budget
     exhaustion yields Unknown, which is a verdict, not an error and not a
     non-membership proof.  A budget below one iteration raises ValueError.
     """

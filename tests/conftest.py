@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
                                       enumerate_exponents, index_runs, multinomial)
+from copotensor.evidence import positive_definite
 from copotensor.gridcone import first_appearances
 from copotensor.oracle import OracleReport, _compositions
 from copotensor.partition import Simplex, _longest_edge, _split, standard_simplex
 from copotensor.polycone import coefficient_table
 from copotensor import soscone
-from copotensor.soscone import _positive_definite
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, scaled_values)
 
@@ -438,7 +438,7 @@ def reference_gram_targets(A: SymTensor, r: int) -> dict[tuple[int, ...], float]
 
 
 def reference_check_refutation(problem, moments) -> bool:
-    """Literal reference for :func:`copotensor.soscone.check_refutation` on
+    """Literal reference for :func:`copotensor.evidence.check_refutation` on
     the Fraction route: L(P) summed against :func:`coefficients`
     of the problem's tensor and level, a target exponent past them counting
     0, and every block's moment matrix positive definite."""
@@ -451,8 +451,8 @@ def reference_check_refutation(problem, moments) -> bool:
         return False
     basis = problem.basis
     for members in problem.blocks:
-        if not _positive_definite([[moments[tuple(x + y for x, y in zip(basis[a], basis[b]))]
-                                    for b in members] for a in members]):
+        if not positive_definite([[moments[tuple(x + y for x, y in zip(basis[a], basis[b]))]
+                                   for b in members] for a in members]):
             return False
     return True
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import inspect
 import json
 import math
@@ -7,22 +8,24 @@ import random
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from copotensor import cli, docio, faces, gridcone, partition, polycone, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
                               parse_scalar, parse_tensor, tensor_digest)
 from copotensor.gridcone import member_O_r
+from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.polycone import member_C_r
-from copotensor.tensor import from_matrix
-from conftest import (EXAMPLE31_JSON, HORN, rand_diag_dominant_tensor,
-                      rand_rational_tensor, solve_offering)
+from copotensor.tensor import SymTensor, from_matrix
+from conftest import (EXAMPLE31_JSON, HORN, multi_product, rand_diag_dominant_tensor,
+                      rand_rational_tensor, reference_check_refutation, solve_offering)
 
 F = Fraction
 
@@ -30,6 +33,12 @@ HOLLOW = '{"n": 2, "d": 2, "entries": [{"idx": [1, 2], "val": "-1"}]}'
 BOUNDARY = ('{"n": 2, "d": 2, "entries": ['
             '{"idx": [1, 1], "val": "1"}, {"idx": [1, 2], "val": "-1"},'
             '{"idx": [2, 2], "val": "1"}]}')
+# the Horn matrix written with default 1, where emit_tensor writes default 0
+HORN_DEFAULT_1 = json.dumps({"n": 5, "d": 2, "default": "1", "entries": [
+    {"idx": list(idx), "val": "-1"} for idx in ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5))]})
+# (2 x1 - 3 x2)^2 - (x1 + x2)^2 / 100 is negative only near (3/5, 2/5): the
+# grid holds it at levels 0..2 and refutes it from level 3
+OFF_GRID = from_matrix([[4 - F(1, 100), -6 - F(1, 100)], [-6 - F(1, 100), 9 - F(1, 100)]])
 
 
 @pytest.fixture
@@ -249,15 +258,25 @@ class TestParseTensor:
          "848aae97dbe590293010fe931f7c1f4b9efb7e30c7654945ae1fa52459932202"),
         ('{"n": 2, "d": 3, "entries": [{"idx": [1, 1, 1], "val": "2/4"}, '
          '{"idx": [1, 1, 2], "val": " 1/2 "}, {"idx": [2, 2, 2], "val": "1e-1"}]}',
-         "0a0836b1989c15d1329d1b7e682696d46caaa22206aa3f1162dec7caf20989e4")]
+         "2c5936ee43a83e750f05068e6f5baa34fd4bf2c0385230cd1927da47f9f17fc3"),
+        ('{"n": 2, "d": 1, "default": "5", "entries": [{"idx": [1], "val": "3"}]}',
+         "702f149eec3bcd8c44169a5569c80294e8039fdea9fcdf4646f0eec99726de25")]
 
     @pytest.mark.parametrize("doc, digest", GOLDEN_DIGESTS,
                              ids=["stored-default", "json-float", "negative-default",
-                                  "non-canonical"])
+                                  "non-canonical", "tie"])
     def test_golden_digest(self, doc, digest):
         A = parse_tensor(doc)
         assert tensor_digest(A) == digest
         assert tensor_digest(parse_tensor(emit_tensor(A))) == digest
+
+    def test_digest_takes_the_least_most_common_value_as_default(self):
+        # 2 tuples, one stored: 3 and 5 tie, and the least is the default
+        one = parse_tensor('{"n": 2, "d": 1, "default": "5", "entries": '
+                           '[{"idx": [1], "val": "3"}]}')
+        other = parse_tensor('{"n": 2, "d": 1, "default": "3", "entries": '
+                             '[{"idx": [2], "val": "5"}]}')
+        assert tensor_digest(one) == tensor_digest(other)
 
     def test_digest_ignores_redundant_entries(self):
         A = parse_tensor('{"n": 2, "d": 2, "default": "1"}')
@@ -682,13 +701,19 @@ class TestImports:
                                               "hollow.json"], 0, ("numpy",)),
         "verify-grid": ("copotensor.cli", ["verify", "grid.json", "--tensor",
                                            "half.json"], 0, ("numpy",)),
+        # the moments are re-checked by evidence on polycone's table, with
+        # no solver loaded
+        "verify-sos": ("copotensor.cli", ["verify", "sos-refuted.json", "--tensor",
+                                          "horn.json"], 0,
+                       ("copotensor.soscone", "copotensor.faces")),
+        "evidence": ("copotensor.evidence", [], 0, ("numpy",)),
         "sos": ("copotensor.cli", ["check", "--method", "sos", "--level", "1",
                                    "horn.json"], 0, ("scipy", "sympy")),
     }
     CODE = ("import importlib, sys; importlib.import_module(sys.argv[1]); "
             "code = sys.modules['copotensor.cli'].main(sys.argv[2:]) "
             "if sys.argv[2:] else 0; "
-            "print(sorted({m.split('.')[0] for m in sys.modules}), file=sys.stderr); "
+            "print(sorted(sys.modules), file=sys.stderr); "
             "sys.exit(code)")
 
     @pytest.mark.parametrize("module, argv, code, banned", CASES.values(), ids=CASES)
@@ -702,11 +727,14 @@ class TestImports:
                      "--out", str(tmp_path / "refuted.json")]) == 1
         assert main(["check", "--method", "grid", "--level", "2", str(tmp_path / "half.json"),
                      "--out", str(tmp_path / "grid.json")]) == 0
+        assert main(["check", "--method", "sos", "--level", "0", str(tmp_path / "horn.json"),
+                     "--out", str(tmp_path / "sos-refuted.json")]) == 1
         capsys.readouterr()
         res = _python(self.CODE, module, *argv, cwd=tmp_path)
         assert res.returncode == code, res.stderr
         loaded = ast.literal_eval(res.stderr.strip().splitlines()[-1])
-        assert not set(banned) & set(loaded)
+        # a banned name is a top-level package or a full module name
+        assert not set(banned) & ({m.split('.')[0] for m in loaded} | set(loaded))
 
     @pytest.mark.parametrize("argv", [
         ["check", "--method", "coef"], ["check", "--method", "sos"], ["expand"],
@@ -971,11 +999,8 @@ class TestVerify:
         assert capsys.readouterr().out == "verify: FAIL (level-0 grid re-evaluated)\n"
 
     def test_grid_member_at_a_refuting_level_fails(self, tmp_path, capsys):
-        # (2 x1 - 3 x2)^2 - (x1 + x2)^2 / 100 is negative only near (3/5, 2/5):
-        # the grid holds it at levels 0..2 and refutes it from level 3
-        t = F(1, 100)
         tensor_path = tmp_path / "t.json"
-        tensor_path.write_text(emit_tensor(from_matrix([[4 - t, -6 - t], [-6 - t, 9 - t]])))
+        tensor_path.write_text(emit_tensor(OFF_GRID))
         cert_path = tmp_path / "cert.json"
         assert main(["check", "--method", "grid", "--level", "2", str(tensor_path),
                      "--out", str(cert_path)]) == 0
@@ -987,6 +1012,33 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
         assert capsys.readouterr().out == "verify: FAIL (level-3 grid re-evaluated)\n"
+
+    def test_forged_off_level_grid_witness_fails(self, tmp_path, capsys):
+        # (3/5, 2/5) refutes OFF_GRID, but it is a level-3 grid point, and
+        # the level-0 grid holds the form: the rebuilt document reads Member
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(emit_tensor(OFF_GRID))
+        cert_path = tmp_path / "forged.json"
+        cert_path.write_text(json.dumps(docio.certificate_document(
+            "NotMember", "grid", level=0, tensor=OFF_GRID, witness=(F(3, 5), F(2, 5)),
+            witness_value=F(-1, 100))))
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+        assert capsys.readouterr().out == "verify: FAIL (level-0 grid re-evaluated)\n"
+
+    def test_sos_refutation_verifies_against_either_default(self, tmp_path, capsys):
+        # the digest takes the most common value as the default, so Horn with
+        # default 1 and with default 0 is one tensor
+        default_1, default_0 = tmp_path / "horn-1.json", tmp_path / "horn-0.json"
+        default_1.write_text(HORN_DEFAULT_1)
+        default_0.write_text(emit_tensor(HORN))
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["check", "--method", "sos", "--level", "0", str(default_1),
+                     "--out", cert_path]) == 1
+        capsys.readouterr()
+        for tensor_path in (default_1, default_0):
+            assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
+            assert capsys.readouterr().out == \
+                "verify: OK (level-0 moment certificate re-checked)\n"
 
 
     @pytest.fixture
@@ -1053,6 +1105,216 @@ class TestVerify:
         assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "moment" in captured.err
+
+
+HALF = from_matrix([[1, F(-1, 2)], [F(-1, 2), 1]])
+# tamper kind: (tensor document, the subcommand that writes the
+# certificate, the fields besides the verdict that the certificate carries
+# and the harness tampers with)
+TAMPER_KINDS = {
+    "screen": (emit_tensor(SymTensor(2, 3, {(1, 1, 1): 0, (1, 1, 2): -1}, 1)),
+               ["screen"], ("witness", "stats")),
+    "certify": (emit_tensor(from_matrix([[1, -2, 1], [-2, 1, 0], [1, 0, 2]])),
+                ["certify"], ("witness", "stats")),
+    "coef-member": (emit_tensor(HALF), ["check", "--method", "coef", "--level", "1"],
+                    ("level",)),
+    "coef-not-member": (emit_tensor(HALF), ["check", "--method", "coef", "--level", "0"],
+                        ("level", "stats")),
+    "grid-member": (emit_tensor(OFF_GRID), ["check", "--method", "grid", "--level", "2"],
+                    ("level",)),
+    "grid-not-member": (emit_tensor(OFF_GRID), ["check", "--method", "grid", "--level", "3"],
+                        ("level", "witness")),
+    "sos-fast-path": (emit_tensor(HALF), ["check", "--method", "sos", "--level", "1"],
+                      ("level", "stats")),
+    "sos-not-member": (HORN_DEFAULT_1, ["check", "--method", "sos", "--level", "0"],
+                       ("level", "moments", "stats")),
+}
+SMALL_FRACTIONS = st.builds(F, st.integers(-4, 6), st.integers(1, 6))
+
+
+@functools.cache
+def _produced(kind: str) -> tuple[str, dict]:
+    """A tamper kind's tensor document and the certificate written for it."""
+    text, argv, _ = TAMPER_KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        tensor_path, cert_path = Path(tmp, "t.json"), Path(tmp, "cert.json")
+        tensor_path.write_text(text)
+        main(argv + [str(tensor_path), "--out", str(cert_path)])
+        return text, json.loads(cert_path.read_text())
+
+
+def _tamper_argument(doc: dict, what: str):
+    """What a certificate field, a tensor entry or the tensor's encoding
+    becomes."""
+    if what == "verdict":
+        return st.sampled_from(sorted(set(cli.EXIT_CODE) - {doc["verdict"]}))
+    if what == "level":
+        return st.integers(0, 4).filter(lambda r: r != doc["level"])
+    if what == "witness":
+        # a coordinate, with the witness's value recomputed or not
+        return st.tuples(st.integers(0, len(doc["witness"]["point"]) - 1), SMALL_FRACTIONS,
+                         st.booleans())
+    if what == "moments":
+        # scale one, shift all to L(P) = 0, or add an odd exponent
+        return st.tuples(st.sampled_from(["scale", "zero", "extra"]),
+                         st.integers(0, len(doc["moments"]) - 1),
+                         SMALL_FRACTIONS.filter(lambda x: x != 1))
+    if what == "stats":
+        return st.sampled_from(sorted(doc["stats"]))
+    if what == "tensor":
+        # an entry, with the certificate's digest made the new tensor's or not
+        return st.tuples(st.integers(0, 10 ** 6), SMALL_FRACTIONS, st.booleans())
+    return st.tuples(SMALL_FRACTIONS, st.integers(0, 2 ** 32))   # default, seed
+
+
+def _literal(v: Fraction, rng: random.Random):
+    """v written as a document may write it: canonical text, an unreduced
+    fraction, padded text, a decimal or a JSON number where exact."""
+    forms = [str(v), f"{3 * v.numerator}/{3 * v.denominator}", f" {v} "]
+    if v.denominator == 1:
+        forms.append(f"{v.numerator}.0")
+    if float(v) == v:
+        forms.append(float(v))
+    return rng.choice(forms)
+
+
+def _reencoded(A: SymTensor, default: Fraction, seed: int) -> str:
+    """A as another document: ``default`` as its default, entries in a
+    shuffled order, some that equal the default stored anyway, every value
+    in a literal that ``seed`` picks."""
+    rng = random.Random(seed)
+    rows = [(list(key), v) for key, v in A.items() if v != default or rng.random() < 0.3]
+    rng.shuffle(rows)
+    return json.dumps({"n": A.n, "d": A.d, "default": _literal(default, rng),
+                       "entries": [{"idx": key, "val": _literal(v, rng)} for key, v in rows]})
+
+
+def _tamper_moments(doc: dict, A: SymTensor, how: str, i: int, factor: Fraction) -> None:
+    rows = doc["moments"]
+    if how == "extra":
+        rows.append({"exponent": [rows[i]["exponent"][0] + 1, *rows[i]["exponent"][1:]],
+                     "value": emit_scalar(factor)})
+    elif how == "zero":
+        # L + t U, U the moments of the uniform measure on [0, 1]^n, positive
+        # definite, and t such that L(P) + t U(P) = 0, by literal expansion
+        P = expand_bruteforce(A, doc["level"])
+        L = {tuple(row["exponent"]): F(row["value"]) for row in rows}
+        U = {g: F(1, math.prod(e + 1 for e in g)) for g in L}
+        t = -sum(L[g] * P.get(g, 0) for g in L) / sum(U[g] * P.get(g, 0) for g in L)
+        for row in rows:
+            g = tuple(row["exponent"])
+            row["value"] = emit_scalar(L[g] + t * U[g])
+    else:
+        rows[i]["value"] = emit_scalar(F(rows[i]["value"]) * factor)
+
+
+def _changed(value):
+    """Another value of a stats entry's type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, list):
+        return value[::-1] if value[::-1] != value else [v + 1 for v in value]
+    try:
+        return emit_scalar(F(value) + 1)
+    except ValueError:
+        return value + "."
+
+
+def _claim_holds(doc: dict, A: SymTensor) -> bool:
+    """Whether a certificate's claim about A holds, decided apart from
+    verify: a point by the literal n^d sum, coefficients by literal
+    expansion, a grid level by the oracle's grids and moments by
+    reference_check_refutation.  A claim that verify has no check for is
+    taken not to hold."""
+    method, verdict, r = doc.get("method"), doc["verdict"], doc.get("level")
+    stats, witness = doc.get("stats"), doc.get("witness")
+
+    def refuting(point):
+        value = multi_product(A, [point] * A.d)
+        return min(point) >= 0 and value < 0 and F(witness.get("value", value)) == value
+
+    if (method, verdict) in (("screen", "NotCopositive"), ("partition", "NotCopositive")):
+        return refuting([F(c) for c in witness["point"]])
+    if method == "grid" and verdict == "Member":
+        return witness is stats is None and \
+            all(simplex_grid_min(A, m).min_value >= 0 for m in range(2, r + 3))
+    if method == "grid" and verdict == "NotMember":
+        point = [F(c) for c in witness["point"]] if stats is None and witness else None
+        return point is not None and sum(point) == 1 and refuting(point) \
+            and math.lcm(*(c.denominator for c in point)) <= r + 2
+    if method == "sos" and verdict == "NotMember":
+        moments = {tuple(row["exponent"]): F(row["value"]) for row in doc.get("moments", [])}
+        return bool(moments) and \
+            reference_check_refutation(soscone.build_gram_problem(A, r), moments)
+    fast_path = method == "sos" and verdict == "Certified" and stats["fast_path"] is True
+    if not (fast_path or (method == "coef" and verdict in ("Member", "NotMember"))):
+        return False
+    coefficients = {tuple(e // 2 for e in g): c for g, c in expand_bruteforce(A, r).items()}
+    worst = min(coefficients.values(), default=0)
+    if fast_path or verdict == "Member":
+        return worst >= 0 and (fast_path or stats is None) and witness is None
+    theta = min(t for t, c in coefficients.items() if c == worst)
+    return worst < 0 and witness is None and \
+        stats == {"worst_theta": list(theta), "worst_value": str(worst)}
+
+
+class TestTamper:
+    """verify on every kind of certificate that screen, certify and check
+    write, tampered with or read against another encoding of its tensor."""
+
+    @pytest.mark.parametrize("kind, what", [
+        (kind, what) for kind, (_, _, fields) in TAMPER_KINDS.items()
+        for what in ("verdict", "tensor", "encode", *fields)])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_tampered_claims_fail_and_encodings_verify(self, tmp_path, kind, what, data):
+        # a mutated claim exits 1 or 2 unless an independent check says it
+        # still holds; an sos NotMember without moments is malformed and
+        # exits 3.  The tensor re-encoded exits 0.
+        text, produced = _produced(kind)
+        A = parse_tensor(text)
+        doc = json.loads(json.dumps(produced))
+        arg = data.draw(_tamper_argument(doc, what), label=what)
+        holds = None
+        if what == "encode":
+            text = _reencoded(A, *arg)
+        elif what == "tensor":
+            i, value, restamp = arg
+            keys = [key for key, _ in A.items()]
+            changed = SymTensor(A.n, A.d, {**dict(A.items()), keys[i % len(keys)]: value})
+            text = emit_tensor(changed)
+            if restamp:
+                doc["input_digest"] = tensor_digest(changed)
+            holds = (restamp or dict(changed.items()) == dict(A.items())) and \
+                _claim_holds(doc, changed)
+        elif what == "witness":
+            i, value, revalue = arg
+            doc["witness"]["point"][i] = emit_scalar(value)
+            if revalue:
+                point = [F(c) for c in doc["witness"]["point"]]
+                doc["witness"]["value"] = emit_scalar(multi_product(A, [point] * A.d))
+        elif what == "moments":
+            _tamper_moments(doc, A, *arg)
+        elif what == "stats":
+            doc["stats"][arg] = _changed(doc["stats"][arg])
+        else:
+            doc[what] = arg
+        cert_path, tensor_path = tmp_path / "cert.json", tmp_path / "t.json"
+        cert_path.write_text(json.dumps(doc))
+        tensor_path.write_text(text)
+        code = main(["verify", str(cert_path), "--tensor", str(tensor_path)])
+        if what == "encode":
+            assert code == 0
+            return
+        if holds is None:
+            holds = _claim_holds(doc, A)
+        if not holds:
+            malformed = (doc["method"], doc["verdict"]) == ("sos", "NotMember") \
+                and "moments" not in doc
+            assert code in ((3,) if malformed else (1, 2))
 
 
 class TestCompareRows:

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,11 +22,3 @@ def test_flagship_demo():
     assert res.returncode == 0, res.stderr
     assert "-79" in res.stdout
 
-
-@pytest.mark.parametrize("name, args", [
-    ("bnb_depth_study.py", ["--steps", "3", "--max-depth", "10"]),
-    ("hierarchy_sweep.py", ["--instances", "4", "--levels", "1", "--resolution", "6"]),
-])
-def test_script_runs(name, args):
-    res = run_script(name, *args)
-    assert res.returncode == 0, res.stderr

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copotensor import cli, combinatorics, docio, gridcone, polycone, soscone
+from copotensor.evidence import check_refutation
 from copotensor.faces import point_moments, zero_kernels
 from copotensor.gridcone import grid_zeros
 from copotensor.soscone import (CHECK_EVERY, DEFAULT_MAX_ITERS, EIG_TOL, MATCH_TOL,
                                 RELAXATION, STALL, GramProblem, SosVerdict,
                                 _certified, _check_max_iters, _GramLayout,
-                                build_gram_problem, check_refutation,
-                                lift_certificate, member_K_r, solve_gram,
-                                sweep_K_r, uniform_moment)
+                                build_gram_problem, lift_certificate, member_K_r,
+                                solve_gram, sweep_K_r, uniform_moment)
 from copotensor.oracle import simplex_grid_min
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensor, SymTensorBuilder, eval_form, from_matrix
@@ -26,6 +26,11 @@ from conftest import (BOUNDARY, HORN, coefficients, default_tensors,
                       rand_nonneg_tensor, reference_check_refutation,
                       reference_cumulative_grid, reference_gram_targets,
                       reference_project_psd, solve_offering)
+
+
+def refutes(problem, moments):
+    """:func:`check_refutation` on the exact parts of ``problem``."""
+    return check_refutation(problem.basis, problem.numerators, problem.blocks, moments)
 
 
 def degree6_example():
@@ -1025,7 +1030,7 @@ class TestRefutation:
     def test_not_copositive_matrix_refuted(self, r):
         v = member_K_r(NOT_COPOSITIVE, r)
         assert v.verdict == "NotMember" and not v.certified and v.certificate is None
-        assert check_refutation(build_gram_problem(NOT_COPOSITIVE, r), v.moments)
+        assert refutes(build_gram_problem(NOT_COPOSITIVE, r), v.moments)
 
     def test_horn_level1_certified_on_faces_without_eigh(self, monkeypatch):
         # Horn lies in K^(1) (Parrilo 2000) but on the boundary of the PSD
@@ -1052,7 +1057,7 @@ class TestRefutation:
         v = solve_gram(problem)
         assert (v.verdict, v.iterations) == ("NotMember", 5)
         moments = v.moments
-        assert check_refutation(problem, moments)
+        assert refutes(problem, moments)
         # every moment is a diagonal entry of a positive definite block
         assert all(m > 0 for m in moments.values())
         first = min(moments)
@@ -1061,7 +1066,7 @@ class TestRefutation:
                     {g: m for g, m in moments.items() if g != first},
                     {**moments, (9, 0, 0, 0, 0): Fraction(1)},
                     {g: -m for g, m in moments.items()}):
-            assert not check_refutation(problem, bad)
+            assert not refutes(problem, bad)
 
     def test_uniform_moments_never_refute_a_member(self):
         # L(P) is the integral of P over [0, 1]^n, non-negative for a
@@ -1069,7 +1074,7 @@ class TestRefutation:
         for A in (BOUNDARY, HORN):
             problem = build_gram_problem(A, 1)
             uniform = {g: uniform_moment(g) for g in problem.targets}
-            assert not check_refutation(problem, uniform)
+            assert not refutes(problem, uniform)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]), st.integers(0, 2),
@@ -1087,7 +1092,7 @@ class TestRefutation:
         v = member_K_r(A, r, max_iters=500)
         if v.verdict != "NotMember":
             return
-        assert check_refutation(build_gram_problem(A, r), v.moments)
+        assert refutes(build_gram_problem(A, r), v.moments)
         assert not member_C_r(A, r).member
         if r > 0:
             assert not member_K_r(A, r - 1, max_iters=500).certified
@@ -1214,7 +1219,7 @@ class TestFace:
         problem = build_gram_problem(HORN, 0)
         v, L = solve_offering(problem)
         assert (v.verdict, v.iterations) == ("NotMember", 5)
-        assert check_refutation(problem, v.moments)
+        assert refutes(problem, v.moments)
         zeros = grid_zeros(problem.tensor)
         layout = _GramLayout(problem, zeros)
         assert np.allclose([float(m) for m in L],
@@ -1245,7 +1250,7 @@ class TestFace:
         if v.certified:
             assert simplex_grid_min(A, 12).min_value >= 0
         if v.verdict == "NotMember":
-            assert check_refutation(build_gram_problem(A, r), v.moments)
+            assert refutes(build_gram_problem(A, r), v.moments)
 
 
 def _huge_tensor():
@@ -1306,7 +1311,7 @@ class TestLevelTable:
                       {g: m + 10 ** 6 * u for (g, m), u in zip(moments.items(),
                                                                uniform.values())},
                       uniform]
-        got = [check_refutation(problem, m) for m in candidates]
+        got = [refutes(problem, m) for m in candidates]
         assert got == [reference_check_refutation(problem, m) for m in candidates]
         # a moment shifted by the uniform measure's refutes exactly when
         # L(P) stays negative: NOT_COPOSITIVE's P integrates below 0 on
