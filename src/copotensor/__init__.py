@@ -16,4 +16,4 @@ from .partition import (Certificate, Simplex, Verdict, certify_copositivity,
 from .tensor import (SymTensor, SymTensorBuilder, canonicalize, eval_form,
                      from_matrix, necessary_screen)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

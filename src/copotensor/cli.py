@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import docio, gridcone, oracle
+from . import docio, evidence, gridcone, oracle
 from .combinatorics import DEFAULT_MAX_ITERS
 from .docio import DocumentError, certificate_document, emit_scalar
 from .partition import DEFAULT_MAX_DEPTH, DEFAULT_SIMPLEX_BUDGET, certify_copositivity
@@ -122,6 +122,8 @@ def _cmd_certify(args) -> int:
              "unresolved": cert.stats.unresolved}
     if cert.stats.diameter_unresolved is not None:
         stats["diameter_unresolved"] = cert.stats.diameter_unresolved
+    if cert.stats.subsets is not None:
+        stats["subsets"] = cert.stats.subsets
     doc = certificate_document(cert.verdict.value, "partition",
                                depth=cert.stats.max_depth_reached,
                                witness=cert.witness, witness_value=cert.witness_value,
@@ -235,7 +237,7 @@ def _verify_level(A: SymTensor, cert: dict) -> tuple[bool, str] | None:
 
 def _verify_moments(A: SymTensor, cert: dict) -> tuple[bool, str]:
     """An sos NotMember's moments re-checked on the level's exact parts."""
-    from . import evidence, polycone
+    from . import polycone
     r = _cert_level(cert)
     moments = docio.parse_moments(cert)
     basis, numerators, _ = polycone.coefficient_table(A, r)
@@ -248,9 +250,9 @@ def _cmd_verify(args) -> int:
     """Re-derive the evidence behind a verdict by the check that the table
     names for its method and verdict.  Verdicts that carry no checkable
     evidence exit 2."""
-    from . import evidence
     checks = {("screen", "NotCopositive"): evidence.check_witness,
               ("partition", "NotCopositive"): evidence.check_witness,
+              ("partition", "Copositive"): evidence.check_copositive,
               ("coef", "Member"): _verify_level, ("coef", "NotMember"): _verify_level,
               ("grid", "Member"): _verify_level, ("grid", "NotMember"): _verify_level,
               ("sos", "Certified"): _verify_level, ("sos", "NotMember"): _verify_moments}
@@ -261,7 +263,10 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     A = _load_tensor(args.tensor)
     if cert["input_digest"] != docio.tensor_digest(A):
-        return _verified(False, "input digest mismatch")
+        version = cert.get("tool_version")
+        return _verified(False, "input digest mismatch" if version == docio.TOOL_VERSION
+                         else f"input digest mismatch; the certificate was written by "
+                              f"copotensor {version}, this is {docio.TOOL_VERSION}")
     key = (cert.get("method"), cert["verdict"])
     check = checks.get(key) if all(isinstance(k, str) for k in key) else None
     outcome = check(A, cert) if check else None

@@ -25,6 +25,13 @@ MAX_TABLE_CELLS = 2_000_000
 # to be larger, which every limit here needs (see binomial_at_most).
 COUNT_CAP = 10 ** 12
 
+# The largest matrix (order-2 tensor) that certify decides by scanning its
+# principal submatrices: up to 2^n - 1 of them, each inverted exactly, which
+# for the worst case, (n + 1) I - J with a negative entry in every row, takes
+# about a third of a second at n = 12 on a shared 2-vCPU VM, and 2.5 times
+# longer per added row.
+MAX_SCAN_DIMENSION = 12
+
 # The SOS solver's default iteration budget per level; kept here, with the
 # other limits, so that the CLI parser sets it without loading the solver.
 DEFAULT_MAX_ITERS = 20000

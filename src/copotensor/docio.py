@@ -26,7 +26,7 @@ from typing import Any
 from .combinatorics import binomial_at_most
 from .tensor import Scalar, SymTensor, canonical_tuples
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 # the largest n and d a document may declare: the screen builds n-long
 # lists and d-long index tuples before it reads an entry
 MAX_SIZE = 10 ** 6

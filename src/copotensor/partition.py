@@ -20,6 +20,12 @@ whole table is non-negative, the full vertex-tuple test of Bundfuss & Dur
 decides before any geometry: its vertices are the unit vectors, so a
 tensor that it refutes or prunes (every order-1 tensor among them) never
 builds the n-by-n Fraction vertices of the standard simplex.
+
+The certifier's routes, in order: the root table; for a matrix (d = 2) of
+at most MAX_SCAN_DIMENSION rows, the exact principal-submatrix scan of
+Cottle, Habetler & Lemke (:func:`copotensor.evidence.scan_principal_submatrices`),
+which always decides; everything else, branch-and-bound, which alone reads
+the depth and simplex budgets.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import MAX_TABLE_CELLS, binomial_at_most, count_text
+from .combinatorics import (MAX_SCAN_DIMENSION, MAX_TABLE_CELLS, binomial_at_most,
+                            count_text)
+from .evidence import scan_principal_submatrices
 from .tensor import Scalar, SymTensor, scaled_values
 
 Point = tuple[Fraction, ...]
@@ -215,6 +223,7 @@ class PartitionStats:
     simplices_processed: int
     unresolved: int
     diameter_unresolved: float | None = None
+    subsets: int | None = None   # principal submatrices the scan inverted
 
 
 @dataclass(frozen=True)
@@ -227,17 +236,21 @@ class Certificate:
 
 def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
                          simplex_budget: int = DEFAULT_SIMPLEX_BUDGET) -> Certificate:
-    """Branch-and-bound over longest-edge bisections of the standard simplex,
-    first in, first out.
+    """The root table, then the principal-submatrix scan for a matrix of at
+    most MAX_SCAN_DIMENSION rows, else branch-and-bound over longest-edge
+    bisections of the standard simplex, first in, first out.
 
-    A negative form value at any encountered vertex refutes copositivity with
-    that vertex as witness; a simplex passing the full vertex-tuple test is
-    pruned; everything else is bisected.  Both tests read the simplex's
+    The scan always decides, at depth 0 on the one root simplex, and its
+    stats count the principal submatrices it inverted.  In the
+    branch-and-bound, a negative form value at any encountered vertex
+    refutes copositivity with that vertex as witness; a simplex passing the
+    full vertex-tuple test is pruned; everything else is bisected.  Both tests read the simplex's
     integer Bernstein coefficients (see the module docstring), so float
     entries are decided on their exact binary values.  An empty work list
     certifies copositivity, and running out of depth or simplex budget yields
-    StrictlyIndeterminate (boundary tensors may never terminate otherwise).
-    More than MAX_ENUMERATION coefficients per simplex raise ValueError.
+    StrictlyIndeterminate (boundary tensors may never terminate otherwise);
+    the budgets bound nothing else.  More than MAX_ENUMERATION coefficients
+    per simplex raise ValueError.
     """
     if max_depth < 0 or simplex_budget < 1:
         raise ValueError("budgets must be positive")
@@ -251,6 +264,11 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
                                Fraction(root[p], scale))
     if min(root) >= 0:
         return Certificate(Verdict.COPOSITIVE, stats=PartitionStats(0, 1, 0))
+    if A.d == 2 and A.n <= MAX_SCAN_DIMENSION:
+        scan = scan_principal_submatrices(A.n, scale, root)
+        verdict = Verdict.COPOSITIVE if scan.witness is None else Verdict.NOT_COPOSITIVE
+        return Certificate(verdict, PartitionStats(0, 1, 0, subsets=scan.subsets),
+                           scan.witness, scan.value)
     work: deque[tuple[Simplex, list[int]]] = deque([(standard_simplex(A.n), root)])
     processed = 0
     max_depth_seen = 0

@@ -408,6 +408,45 @@ def reference_member_I_P(A: SymTensor, P: Partition) -> bool:
     return True
 
 
+def reference_inverse(rows) -> list[list[Fraction]] | None:
+    """The inverse of a square matrix by literal Gauss-Jordan elimination on
+    Fractions, or None when it is singular."""
+    k = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+           for i, row in enumerate(rows)]
+    for c in range(k):
+        p = next((r for r in range(c, k) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(k):
+            if r != c:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [row[k:] for row in aug]
+
+
+def reference_principal_refutation(A: SymTensor):
+    """Literal reference for the Cottle-Habetler-Lemke scan of a matrix
+    (d = 2): every principal submatrix A_S, by size and then
+    lexicographically, with no skip rule, inverted by
+    :func:`reference_inverse`; the first with every inverse entry <= 0
+    gives the point x = -A_S^-1 1, zero off S, scaled to sum 1.  None when
+    there is no such S, that is, when A is copositive."""
+    if A.d != 2:
+        raise ValueError("the scan is for matrices")
+    for size in range(1, A.n + 1):
+        for S in itertools.combinations(range(A.n), size):
+            inverse = reference_inverse([[A.get((i + 1, j + 1)) for j in S] for i in S])
+            if inverse is not None and all(x <= 0 for row in inverse for x in row):
+                x = [-sum(row) for row in inverse]
+                point = [Fraction(0)] * A.n
+                for i, v in zip(S, x):
+                    point[i] = v / sum(x)
+                return tuple(point)
+    return None
+
+
 def reference_member_O_P(A: SymTensor, P: Partition) -> bool:
     """Outer cone on any partition: the form at every vertex."""
     return all(eval_form(A, v) >= 0 for v in vertex_set(P))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import copotensor
 from copotensor import cli, docio, faces, gridcone, partition, polycone, soscone
 from copotensor.cli import main
 from copotensor.docio import (DocumentError, emit_scalar, emit_tensor,
@@ -25,7 +27,8 @@ from copotensor.oracle import expand_bruteforce, simplex_grid_min
 from copotensor.polycone import member_C_r
 from copotensor.tensor import SymTensor, from_matrix
 from conftest import (EXAMPLE31_JSON, HORN, multi_product, rand_diag_dominant_tensor,
-                      rand_rational_tensor, reference_check_refutation, solve_offering)
+                      rand_rational_tensor, reference_check_refutation,
+                      reference_principal_refutation, solve_offering)
 
 F = Fraction
 
@@ -568,7 +571,8 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["hierarchies"]["coef"] == ["NotMember"] * 3
         assert doc["hierarchies"]["sos"][0] == "Certified"
-        assert code in (0, 2)   # boundary of the cone: either is sound
+        # on the boundary of the cone, decided by certify's scan
+        assert (code, doc["certify"]) == (0, "Copositive")
 
     def test_compare_names_containment_contradictions(self, tmp_path, capsys):
         # a -2e-12 block beside a unit diagonal: the SOS solver's one tolerance
@@ -699,6 +703,10 @@ class TestImports:
                         1, ("numpy",)),
         "verify-certify": ("copotensor.cli", ["verify", "refuted.json", "--tensor",
                                               "hollow.json"], 0, ("numpy",)),
+        # a matrix is decided, and its Copositive re-checked, by the scan
+        "certify-matrix": ("copotensor.cli", ["certify", "horn.json"], 0, ("numpy",)),
+        "verify-copositive": ("copotensor.cli", ["verify", "horn-copositive.json",
+                                                 "--tensor", "horn.json"], 0, ("numpy",)),
         "verify-grid": ("copotensor.cli", ["verify", "grid.json", "--tensor",
                                            "half.json"], 0, ("numpy",)),
         # the moments are re-checked by evidence on polycone's table, with
@@ -729,6 +737,8 @@ class TestImports:
                      "--out", str(tmp_path / "grid.json")]) == 0
         assert main(["check", "--method", "sos", "--level", "0", str(tmp_path / "horn.json"),
                      "--out", str(tmp_path / "sos-refuted.json")]) == 1
+        assert main(["certify", str(tmp_path / "horn.json"),
+                     "--out", str(tmp_path / "horn-copositive.json")]) == 0
         capsys.readouterr()
         res = _python(self.CODE, module, *argv, cwd=tmp_path)
         assert res.returncode == code, res.stderr
@@ -748,6 +758,15 @@ class TestImports:
                       *argv, cwd=tmp_path)
         assert (res.returncode, res.stdout, res.stderr) == \
             (3, "", f"error: {argv[0]} needs numpy\n")
+
+
+class TestVersion:
+    def test_package_documents_and_pyproject_agree(self):
+        # a certificate's tool_version names the release whose digest rule
+        # and routes wrote it
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+        assert copotensor.__version__ == docio.TOOL_VERSION == declared
 
 
 class TestReadme:
@@ -908,15 +927,64 @@ class TestVerify:
         assert main(["verify", str(cert_path), "--tensor", hollow_file]) == 3
         assert capsys.readouterr().out == ""
 
-    def test_forged_copositive_is_unchecked(self, tmp_path, capsys):
+    def test_forged_copositive_fails(self, tmp_path, capsys):
+        # the scan re-run on the matrix refutes the claim
         A = from_matrix([[1, -2], [-2, 1]])          # not copositive
         tensor_path = tmp_path / "t.json"
         tensor_path.write_text(emit_tensor(A))
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(
             docio.certificate_document("Copositive", "partition", tensor=A)))
-        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 2
-        assert "OK" not in capsys.readouterr().out
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+        assert capsys.readouterr().out == \
+            "verify: FAIL (principal submatrix [1, 2] has a non-positive inverse, " \
+            "witness value -1/2)\n"
+
+    def test_matrix_copositive_round_trip(self, horn_file, tmp_path, capsys):
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["certify", horn_file, "--out", cert_path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["depth"]) == ("Copositive", 0)
+        assert doc["stats"] == {"max_depth": 0, "simplices": 1, "unresolved": 0,
+                                "subsets": 16}
+        assert main(["verify", cert_path, "--tensor", horn_file]) == 0
+        assert capsys.readouterr().out == "verify: OK (16 principal submatrices " \
+            "inverted, none with a non-positive inverse)\n"
+
+    def test_root_copositive_verifies_for_any_order(self, example_file, tmp_path, capsys):
+        # the flagship order-4 tensor has no negative entry
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["certify", example_file, "--out", cert_path]) == 0
+        capsys.readouterr()
+        assert main(["verify", cert_path, "--tensor", example_file]) == 0
+        assert capsys.readouterr().out == "verify: OK (every entry non-negative)\n"
+
+    def test_bisected_copositive_is_unchecked(self, tmp_path, capsys):
+        # x2 (3 x1^2 - 3 x1 x2 + x2^2) needs bisection, which leaves no
+        # evidence that verify can re-check
+        tensor_path = tmp_path / "t.json"
+        tensor_path.write_text(emit_tensor(SymTensor(2, 3, {(1, 1, 2): 1, (1, 2, 2): -1,
+                                                            (2, 2, 2): 1})))
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["certify", str(tensor_path), "--out", cert_path]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["simplices"] == 3
+        assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 2
+        assert "UNCHECKED" in capsys.readouterr().out
+
+    def test_digest_mismatch_names_another_tool_version(self, hollow_file, example_file,
+                                                        tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        main(["certify", hollow_file, "--out", str(cert_path)])
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", example_file]) == 1
+        assert capsys.readouterr().out == "verify: FAIL (input digest mismatch)\n"
+        doc = json.loads(cert_path.read_text())
+        doc["tool_version"] = "0.1.0"
+        cert_path.write_text(json.dumps(doc))
+        assert main(["verify", str(cert_path), "--tensor", example_file]) == 1
+        assert capsys.readouterr().out == (
+            "verify: FAIL (input digest mismatch; the certificate was written by "
+            f"copotensor 0.1.0, this is {docio.TOOL_VERSION})\n")
 
     def test_forged_coef_member_fails(self, boundary_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
@@ -1116,6 +1184,7 @@ TAMPER_KINDS = {
                ["screen"], ("witness", "stats")),
     "certify": (emit_tensor(from_matrix([[1, -2, 1], [-2, 1, 0], [1, 0, 2]])),
                 ["certify"], ("witness", "stats")),
+    "certify-copositive": (emit_tensor(HORN), ["certify"], ("stats",)),
     "coef-member": (emit_tensor(HALF), ["check", "--method", "coef", "--level", "1"],
                     ("level",)),
     "coef-not-member": (emit_tensor(HALF), ["check", "--method", "coef", "--level", "0"],
@@ -1225,8 +1294,9 @@ def _changed(value):
 def _claim_holds(doc: dict, A: SymTensor) -> bool:
     """Whether a certificate's claim about A holds, decided apart from
     verify: a point by the literal n^d sum, coefficients by literal
-    expansion, a grid level by the oracle's grids and moments by
-    reference_check_refutation.  A claim that verify has no check for is
+    expansion, a grid level by the oracle's grids, moments by
+    reference_check_refutation and a Copositive matrix by
+    reference_principal_refutation.  A claim that verify has no check for is
     taken not to hold."""
     method, verdict, r = doc.get("method"), doc["verdict"], doc.get("level")
     stats, witness = doc.get("stats"), doc.get("witness")
@@ -1236,7 +1306,10 @@ def _claim_holds(doc: dict, A: SymTensor) -> bool:
         return min(point) >= 0 and value < 0 and F(witness.get("value", value)) == value
 
     if (method, verdict) in (("screen", "NotCopositive"), ("partition", "NotCopositive")):
-        return refuting([F(c) for c in witness["point"]])
+        return witness is not None and refuting([F(c) for c in witness["point"]])
+    if (method, verdict) == ("partition", "Copositive"):
+        return all(v >= 0 for _, v in A.items()) or \
+            (A.d == 2 and reference_principal_refutation(A) is None)
     if method == "grid" and verdict == "Member":
         return witness is stats is None and \
             all(simplex_grid_min(A, m).min_value >= 0 for m in range(2, r + 3))
@@ -1272,8 +1345,9 @@ class TestTamper:
     @given(data=st.data())
     def test_tampered_claims_fail_and_encodings_verify(self, tmp_path, kind, what, data):
         # a mutated claim exits 1 or 2 unless an independent check says it
-        # still holds; an sos NotMember without moments is malformed and
-        # exits 3.  The tensor re-encoded exits 0.
+        # still holds; an sos NotMember without moments, or a NotCopositive
+        # without a witness, is malformed and exits 3.  The tensor
+        # re-encoded exits 0.
         text, produced = _produced(kind)
         A = parse_tensor(text)
         doc = json.loads(json.dumps(produced))
@@ -1312,8 +1386,10 @@ class TestTamper:
         if holds is None:
             holds = _claim_holds(doc, A)
         if not holds:
-            malformed = (doc["method"], doc["verdict"]) == ("sos", "NotMember") \
-                and "moments" not in doc
+            malformed = ((doc["method"], doc["verdict"]) == ("sos", "NotMember")
+                         and "moments" not in doc) or \
+                (doc["verdict"] == "NotCopositive" and "witness" not in doc
+                 and doc["method"] in ("screen", "partition"))
             assert code in ((3,) if malformed else (1, 2))
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from copotensor import partition
+from copotensor import evidence, partition
+from copotensor.combinatorics import MAX_SCAN_DIMENSION
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import (Certificate, PartitionStats, Simplex,
                                   Verdict, _casteljau_step, _casteljau_tables,
@@ -21,7 +22,8 @@ from conftest import (HORN, barycentric_grid_min, grid_partition, multi_product,
                       rand_nonneg_tensor, rand_rational_tensor, refine,
                       refine_once, reference_inner_test_full,
                       reference_member_I_P, reference_member_O_P,
-                      trivial_partition, vertex_set)
+                      reference_principal_refutation, trivial_partition,
+                      vertex_set)
 
 F = Fraction
 
@@ -248,12 +250,16 @@ class TestCertify:
                 assert simplex_grid_min(A, 50).min_value >= 0
 
     def test_budget_exhaustion_indeterminate(self):
-        # boundary matrix with a zero on the simplex needs unbounded depth
-        A = from_matrix([[F(1), F(-1)], [F(-1), F(1)]])
+        # (x1 - 2 x2)^2 (x1 + x2) is zero at (2/3, 1/3), which no dyadic
+        # bisection reaches, so the simplices around it are never pruned
+        A = SymTensor(2, 3, {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): 4})
         cert = certify_copositivity(A, max_depth=6)
-        assert cert.verdict in (Verdict.COPOSITIVE, Verdict.INDETERMINATE)
-        if cert.verdict is Verdict.INDETERMINATE:
-            assert cert.stats.diameter_unresolved is not None
+        assert cert.verdict is Verdict.INDETERMINATE
+        assert cert.stats.max_depth_reached == 6
+        assert cert.stats.diameter_unresolved is not None
+        cert = certify_copositivity(A, simplex_budget=20)
+        assert cert.verdict is Verdict.INDETERMINATE
+        assert cert.stats.simplices_processed == 20
 
     def test_d1_shortcut(self):
         # decided at the root: a linear form's Bernstein coefficients are its
@@ -370,9 +376,11 @@ class TestRootDecides:
         assert {w.verdict for w in want} == {Verdict.COPOSITIVE, Verdict.NOT_COPOSITIVE}
         self._refuse_geometry(monkeypatch)
         assert [certify_copositivity(A) for A in suite] == want
-        # an undecided root still needs the simplex
+        # an undecided root still needs the simplex, except for a matrix
+        # that the principal-submatrix scan decides
         with pytest.raises(AssertionError, match="standard simplex"):
-            certify_copositivity(from_matrix([[F(1), F(-1)], [F(-1), F(1)]]))
+            certify_copositivity(SymTensor(2, 3, {(1, 1, 2): -1}, 1))
+        assert certify_copositivity(HORN).verdict is Verdict.COPOSITIVE
 
     def test_wide_order_one(self, monkeypatch):
         # n = 10**4: the standard simplex alone would hold 10**8 Fractions
@@ -388,19 +396,27 @@ class TestRootDecides:
 
 class TestCertifyMatchesReference:
     def test_same_certificate(self, rng):
-        suite = [from_matrix([[F(1), F(-1)], [F(-1), F(1)]])]
-        for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3)):
+        # orders 3 and 4 go through branch-and-bound, which must give the
+        # reference's certificate; matrices go through the scan, which must
+        # agree with the reference wherever that decides
+        suite = [from_matrix([[F(1), F(-1)], [F(-1), F(1)]]),
+                 SymTensor(2, 3, {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): 4})]
+        for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
             suite.append(rand_rational_tensor(rng, n, d))
             suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=4))
             suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=8))
-        verdicts = set()
+        verdicts = {2: set(), 3: set(), 4: set()}
         for A in suite:
             for max_depth, budget in ((6, 40), (10, 400)):
                 got = certify_copositivity(A, max_depth, budget)
                 want = reference_certify(A, max_depth, budget)
-                assert got == want
-                verdicts.add(got.verdict)
-        assert verdicts == set(Verdict)
+                if A.d > 2:
+                    assert got == want
+                else:
+                    assert got.verdict is not Verdict.INDETERMINATE
+                    assert want.verdict in (got.verdict, Verdict.INDETERMINATE)
+                verdicts[A.d].add(want.verdict)
+        assert verdicts[2] == verdicts[3] == set(Verdict)
 
 
 def negative_default_tensor(rng, n, d):
@@ -504,7 +520,93 @@ class TestRefutationValues:
             if cert.verdict is Verdict.NOT_COPOSITIVE:
                 assert cert.witness_value == eval_form(A, cert.witness) < 0
                 assert type(cert.witness_value) is F
-                kinds.add("certify at the root" if cert.stats.max_depth_reached == 0
+                kinds.add("certify by the scan" if cert.stats.subsets is not None
+                          else "certify at the root" if cert.stats.max_depth_reached == 0
                           else "certify below the root")
         assert kinds == {"screen diagonal", "screen face", "certify at the root",
-                         "certify below the root"}
+                         "certify below the root", "certify by the scan"}
+
+
+def scan(A):
+    """The principal-submatrix scan on a matrix's scaled values."""
+    return evidence.scan_principal_submatrices(A.n, *scaled_values(A))
+
+
+class TestPrincipalScan:
+    """Matrices (d = 2) within MAX_SCAN_DIMENSION are decided by the
+    Cottle-Habetler-Lemke scan after the root table: depth 0, one simplex,
+    and a count of the principal submatrices inverted."""
+
+    def test_horn_copositive_at_depth_0(self):
+        cert = certify_copositivity(HORN)
+        # branch-and-bound took 85 simplices to depth 9
+        assert cert == Certificate(Verdict.COPOSITIVE, PartitionStats(0, 1, 0, subsets=16))
+
+    def test_boundary_square_copositive(self):
+        # (x1 + x2 - 2 x3)^2: zero on a segment of the simplex, where
+        # branch-and-bound runs out of its 100 000-simplex budget; the scan
+        # inverts {1, 3}, {2, 3} and {1, 2, 3}, all singular
+        A = from_matrix([[1, 1, -2], [1, 1, -2], [-2, -2, 4]])
+        assert certify_copositivity(A) == \
+            Certificate(Verdict.COPOSITIVE, PartitionStats(0, 1, 0, subsets=3))
+
+    def test_tiny_block_refuted_through_it(self):
+        # x1^2 + 1e-12 (x2^2 + x3^2) - 4e-12 x2 x3, which the SOS solver's
+        # one tolerance scale certifies, is refuted through its {2, 3} block
+        A = SymTensor(3, 2, {(1, 1): 1, (2, 2): F(1, 10 ** 12), (3, 3): F(1, 10 ** 12),
+                             (2, 3): F(-2, 10 ** 12)})
+        cert = certify_copositivity(A)
+        assert cert == Certificate(Verdict.NOT_COPOSITIVE, PartitionStats(0, 1, 0, subsets=1),
+                                   (F(0), F(1, 2), F(1, 2)), F(-1, 2 * 10 ** 12))
+        assert eval_form(A, cert.witness) == cert.witness_value
+
+    def test_two_by_two_refuted_at_the_midpoint(self):
+        cert = certify_copositivity(from_matrix([[1, -2], [-2, 1]]))
+        assert cert == Certificate(Verdict.NOT_COPOSITIVE, PartitionStats(0, 1, 0, subsets=1),
+                                   (F(1, 2), F(1, 2)), F(-1, 2))
+
+    def test_budgets_bound_only_branch_and_bound(self):
+        assert certify_copositivity(HORN, max_depth=0, simplex_budget=1).verdict \
+            is Verdict.COPOSITIVE
+
+    def test_above_the_cap_branch_and_bound(self):
+        # a copositive matrix one row past the cap that the root cannot decide
+        n = MAX_SCAN_DIMENSION + 1
+        A = from_matrix([[1 if i == j else F(-1, 4) if abs(i - j) == 1 else 0
+                          for j in range(n)] for i in range(n)])
+        cert = certify_copositivity(A, max_depth=2, simplex_budget=5)
+        assert cert.stats.subsets is None and cert.verdict is Verdict.INDETERMINATE
+
+    def test_worst_case_at_the_cap(self):
+        # (n + 1) I - J: positive definite, with a negative entry in every row,
+        # so every subset of at least two rows is inverted
+        n = MAX_SCAN_DIMENSION
+        A = from_matrix([[n if i == j else -1 for j in range(n)] for i in range(n)])
+        start = time.perf_counter()
+        assert scan(A) == (2 ** n - 1 - n, None, None)
+        assert time.perf_counter() - start < 10
+
+    def test_matches_the_literal_reference(self, rng):
+        # matrices n = 2..8 against reference_principal_refutation, the grid
+        # oracle, the literal n^2 sum and the pairwise inner cone I^P
+        outcomes = set()
+        for _ in range(84):
+            n = rng.randint(2, 8)
+            A = rand_diag_dominant_tensor(rng, n, 2, off_scale=rng.choice((4, 8, 16)))
+            result = scan(A)
+            assert result.witness == reference_principal_refutation(A)
+            assert result.subsets < 2 ** n
+            if result.witness is not None:
+                assert min(result.witness) >= 0 and sum(result.witness) == 1
+                value = multi_product(A, [result.witness] * 2)
+                assert result.value == value < 0
+            else:
+                for resolution in range(2, 7):
+                    assert simplex_grid_min(A, resolution).min_value >= 0
+            for k in range(3):
+                if member_I_P(A, k):
+                    assert result.witness is None
+                    outcomes.add("I^P member")
+                    break
+            outcomes.add(result.witness is None)
+        assert outcomes == {True, False, "I^P member"}

@@ -967,7 +967,8 @@ class TestLevelWalk:
         path.write_text(docio.emit_tensor(HORN))
         code = cli.main(["compare", "--levels", "2", "--max-iters", "500",
                          "--budget", "50", "--json", str(path)])
-        assert code == 2
+        # the budget bounds only branch-and-bound; certify's scan decides Horn
+        assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["hierarchies"]["sos"] == ["NotMember", "Certified", "Certified"]
         assert calls == [0, 1]
