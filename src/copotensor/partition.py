@@ -34,7 +34,6 @@ import enum
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,11 +102,15 @@ def _split(s: Simplex, i: int, j: int) -> tuple[Simplex, Simplex]:
     return (Simplex(child_i, s.depth + 1), Simplex(child_j, s.depth + 1))
 
 
+def _sq_diameter(s: Simplex) -> Fraction:
+    """The squared length of s's longest edge."""
+    return max(_sq_dist(u, v) for u, v in itertools.combinations(s.vertices, 2))
+
+
 def diameter(simplices: list[Simplex]) -> float:
     """Longest edge over the simplices; float is for reporting only, never
     for branching."""
-    return math.sqrt(float(max(_sq_dist(u, v) for s in simplices
-                               for u, v in itertools.combinations(s.vertices, 2))))
+    return math.sqrt(float(max(map(_sq_diameter, simplices))))
 
 
 class _StepTables(dict):
@@ -237,8 +240,8 @@ class Certificate:
 def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
                          simplex_budget: int = DEFAULT_SIMPLEX_BUDGET) -> Certificate:
     """The root table, then the principal-submatrix scan for a matrix of at
-    most MAX_SCAN_DIMENSION rows, else branch-and-bound over longest-edge
-    bisections of the standard simplex, first in, first out.
+    most MAX_SCAN_DIMENSION rows, else depth-first branch-and-bound over
+    longest-edge bisections of the standard simplex.
 
     The scan always decides, at depth 0 on the one root simplex, and its
     stats count the principal submatrices it inverted.  In the
@@ -251,6 +254,19 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
     StrictlyIndeterminate (boundary tensors may never terminate otherwise);
     the budgets bound nothing else.  More than MAX_ENUMERATION coefficients
     per simplex raise ValueError.
+
+    The work list is a stack.  Of a bisection's two children, the one whose
+    table has the smaller least coefficient is taken first, so the search
+    heads for the most negative part of the form; on a tie, the child in
+    which the longest edge's higher-indexed vertex moves goes first (the
+    second of :func:`_bisect`).  Siblings share one scale, so the comparison
+    is exact on ints.  The stack holds at most one unvisited sibling per
+    depth, max_depth + 1 simplices in all.  A run that ends Copositive or
+    depth-capped visits the same simplices in any order, so only a
+    refutation's witness and counts depend on the order.  Unresolved
+    simplices are counted, not kept: the depth-capped ones and, after a
+    budget stop, the ones still on the stack; the diameter reported is the
+    longest edge among them.
     """
     if max_depth < 0 or simplex_budget < 1:
         raise ValueError("budgets must be positive")
@@ -269,15 +285,17 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
         verdict = Verdict.COPOSITIVE if scan.witness is None else Verdict.NOT_COPOSITIVE
         return Certificate(verdict, PartitionStats(0, 1, 0, subsets=scan.subsets),
                            scan.witness, scan.value)
-    work: deque[tuple[Simplex, list[int]]] = deque([(standard_simplex(A.n), root)])
+    work = [(standard_simplex(A.n), root)]
     processed = 0
     max_depth_seen = 0
-    unresolved: list[Simplex] = []
+    unresolved = 0
+    longest = Fraction(0)   # squared, over the unresolved simplices
     while work:
         if processed >= simplex_budget:
-            unresolved.extend(s for s, _ in work)
+            unresolved += len(work)
+            longest = max(longest, *(_sq_diameter(s) for s, _ in work))
             break
-        s, b = work.popleft()
+        s, b = work.pop()
         processed += 1
         max_depth_seen = max(max_depth_seen, s.depth)
         for k, p in enumerate(diag):
@@ -289,13 +307,17 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
         if min(b) >= 0:
             continue
         if s.depth >= max_depth:
-            unresolved.append(s)
+            unresolved += 1
+            longest = max(longest, _sq_diameter(s))
             continue
-        work.extend(_bisect(s, b, steps))
+        child_i, child_j = _bisect(s, b, steps)
+        # the top of the stack is taken first
+        work += ((child_j, child_i) if min(child_i[1]) < min(child_j[1])
+                 else (child_i, child_j))
     if unresolved:
         return Certificate(
             Verdict.INDETERMINATE,
-            stats=PartitionStats(max_depth_seen, processed, len(unresolved),
-                                 diameter(unresolved)))
+            stats=PartitionStats(max_depth_seen, processed, unresolved,
+                                 math.sqrt(float(longest))))
     return Certificate(Verdict.COPOSITIVE,
                        stats=PartitionStats(max_depth_seen, processed, 0))

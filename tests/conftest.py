@@ -57,6 +57,34 @@ def rand_diag_dominant_tensor(rng: random.Random, n: int, d: int,
     return b.build()
 
 
+def boundary_tensor(u, d: int) -> SymTensor:
+    """(u.x)^2 (x1 + ... + xn)^(d-2), n = len(u): copositive, and zero where
+    the hyperplane u.x = 0 crosses the simplex.  Its entry at a multiset is
+    the mean of u_p u_q over ordered pairs of distinct positions p, q."""
+    b = SymTensorBuilder(len(u), d)
+    for key in canonical_tuples(len(u), d):
+        s1 = sum(u[k - 1] for k in key)
+        s2 = sum(u[k - 1] ** 2 for k in key)
+        b.set(key, Fraction(s1 * s1 - s2, d * (d - 1)))
+    return b.build()
+
+
+def boundary_perturbed_tensor(rng: random.Random, n: int, d: int,
+                              denom: int = 64) -> SymTensor:
+    """:func:`boundary_tensor` for an integer u in [-2, 2]^n of mixed signs,
+    with about half its entries moved by -1/denom, 0 or +1/denom: copositive,
+    refuted near the hyperplane, or left on the boundary."""
+    u = [0] * n
+    while min(u) >= 0 or max(u) <= 0:
+        u = [rng.randint(-2, 2) for _ in range(n)]
+    A = boundary_tensor(u, d)
+    b = SymTensorBuilder(n, d)
+    for key in canonical_tuples(n, d):
+        shift = Fraction(rng.randint(-1, 1), denom) if rng.random() < 0.5 else 0
+        b.set(key, A.get(key) + shift)
+    return b.build()
+
+
 def rand_float_tensor(rng: random.Random, n: int, d: int) -> SymTensor:
     """Float entries in [-2, 6] on about half the canonical tuples and a
     float default in [-1, 3], all taken at their exact binary values."""
@@ -385,6 +413,14 @@ def reference_inner_test_full(A: SymTensor, s: Simplex) -> bool:
         if multi_product(A, [verts[i - 1] for i in key]) < 0:
             return False
     return True
+
+
+def reference_least_tuple_value(A: SymTensor, s: Simplex) -> Fraction:
+    """The least value of the simplex's table, over every multiset of its
+    vertices: the key the depth-first certifier orders siblings by."""
+    verts = s.vertices
+    return min(multi_product(A, [verts[i - 1] for i in key])
+               for key in canonical_tuples(len(verts), A.d))
 
 
 def reference_edge_products_nonneg(A: SymTensor, u, v) -> bool:

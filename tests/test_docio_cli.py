@@ -822,6 +822,24 @@ class TestVerify:
         assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
         assert "OK (witness value -3/2)" in capsys.readouterr().out
 
+    def test_certify_refutation_after_bisection_round_trip(self, tmp_path, capsys):
+        # (x1 - 2 x2)^2 (x1 + x2) - (x1 + x2)^3 / 100 is negative only near
+        # (2/3, 1/3); the search goes straight down to a witness at depth 4,
+        # leaving one sibling per level on its stack
+        tensor_path = tmp_path / "deep.json"
+        tensor_path.write_text('{"n": 2, "d": 3, "default": "-1/100", "entries": ['
+                               '{"idx": [1, 1, 1], "val": "99/100"}, '
+                               '{"idx": [1, 1, 2], "val": "-101/100"}, '
+                               '{"idx": [2, 2, 2], "val": "399/100"}]}')
+        cert_path = str(tmp_path / "cert.json")
+        assert main(["certify", str(tensor_path), "--out", cert_path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["depth"] == 4
+        assert doc["witness"] == {"point": ["11/16", "5/16"], "value": "-39/6400"}
+        assert doc["stats"] == {"max_depth": 4, "simplices": 5, "unresolved": 4}
+        assert main(["verify", cert_path, "--tensor", str(tensor_path)]) == 0
+        assert "OK (witness value -39/6400)" in capsys.readouterr().out
+
     def test_digest_mismatch_fails(self, hollow_file, example_file,
                                    tmp_path, capsys):
         cert_path = str(tmp_path / "cert.json")

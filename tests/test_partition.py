@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import time
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -9,18 +11,21 @@ import pytest
 from copotensor import evidence, partition
 from copotensor.combinatorics import MAX_SCAN_DIMENSION
 from copotensor.oracle import simplex_grid_min
-from copotensor.partition import (Certificate, PartitionStats, Simplex,
-                                  Verdict, _casteljau_step, _casteljau_tables,
+from copotensor.partition import (DEFAULT_MAX_DEPTH, DEFAULT_SIMPLEX_BUDGET,
+                                  Certificate, PartitionStats, Simplex,
+                                  Verdict, _bisect, _casteljau_step, _casteljau_tables,
                                   _longest_edge, _split, _sq_dist,
                                   certify_copositivity, diameter, member_I_P,
                                   member_O_P, standard_simplex)
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, necessary_screen,
                                scaled_values)
-from conftest import (HORN, barycentric_grid_min, grid_partition, multi_product,
+from conftest import (HORN, barycentric_grid_min, boundary_perturbed_tensor,
+                      boundary_tensor, grid_partition, multi_product,
                       rand_diag_dominant_tensor, rand_float_tensor,
                       rand_nonneg_tensor, rand_rational_tensor, refine,
                       refine_once, reference_inner_test_full,
+                      reference_least_tuple_value,
                       reference_member_I_P, reference_member_O_P,
                       reference_principal_refutation, trivial_partition,
                       vertex_set)
@@ -278,9 +283,11 @@ class TestCertify:
             certify_copositivity(example31, simplex_budget=0)
 
 
-def reference_certify(A, max_depth=32, simplex_budget=100_000):
+def reference_certify(A, max_depth=32, simplex_budget=100_000, depth_first=True):
     """The literal branch-and-bound: per-vertex eval_form, then the full
-    vertex-tuple test, then longest-edge bisection (order d >= 2)."""
+    vertex-tuple test, then longest-edge bisection (order d >= 2).  Depth
+    first, the child with the smaller least table value goes first, the
+    second child on a tie; otherwise first in, first out."""
     work = deque([standard_simplex(A.n)])
     processed = 0
     max_depth_seen = 0
@@ -290,7 +297,7 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000):
         if processed >= simplex_budget:
             unresolved.extend(work)
             break
-        s = work.popleft()
+        s = work.pop() if depth_first else work.popleft()
         processed += 1
         max_depth_seen = max(max_depth_seen, s.depth)
         for v in s.vertices:
@@ -306,7 +313,12 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000):
         if s.depth >= max_depth:
             unresolved.append(s)
             continue
-        work.extend(_split(s, *_longest_edge(s)))
+        first, second = _split(s, *_longest_edge(s))
+        # depth first, the top of the stack is taken first
+        if depth_first and (reference_least_tuple_value(A, first)
+                            < reference_least_tuple_value(A, second)):
+            first, second = second, first
+        work.extend((first, second))
     if unresolved:
         dia = max(math.sqrt(float(sum((a - b) ** 2 for a, b in zip(u, v))))
                   for s in unresolved
@@ -394,20 +406,31 @@ class TestRootDecides:
         assert cert.witness_value == F(-1, 3) and cert.stats == PartitionStats(0, 1, 0)
 
 
+def reference_suite(rng):
+    """Matrices and orders 3 and 4 at n = 2..4: random, and diagonally
+    dominant at two off-diagonal scales, beside a 2 x 2 boundary matrix, an
+    order-3 form that vanishes off the dyadic points, and one that vanishes
+    on a segment, which the depth cap and the budget both stop."""
+    suite = [from_matrix([[F(1), F(-1)], [F(-1), F(1)]]),
+             SymTensor(2, 3, {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): 4}),
+             boundary_tensor([1, -1, 0], 3)]
+    for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+        suite.append(rand_rational_tensor(rng, n, d))
+        suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=4))
+        suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=8))
+    return suite
+
+
 class TestCertifyMatchesReference:
+    BUDGETS = ((6, 40), (10, 400))
+
     def test_same_certificate(self, rng):
         # orders 3 and 4 go through branch-and-bound, which must give the
-        # reference's certificate; matrices go through the scan, which must
-        # agree with the reference wherever that decides
-        suite = [from_matrix([[F(1), F(-1)], [F(-1), F(1)]]),
-                 SymTensor(2, 3, {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): 4})]
-        for n, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
-            suite.append(rand_rational_tensor(rng, n, d))
-            suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=4))
-            suite.append(rand_diag_dominant_tensor(rng, n, d, off_scale=8))
+        # depth-first reference's certificate; matrices go through the scan,
+        # which must agree with the reference wherever that decides
         verdicts = {2: set(), 3: set(), 4: set()}
-        for A in suite:
-            for max_depth, budget in ((6, 40), (10, 400)):
+        for A in reference_suite(rng):
+            for max_depth, budget in self.BUDGETS:
                 got = certify_copositivity(A, max_depth, budget)
                 want = reference_certify(A, max_depth, budget)
                 if A.d > 2:
@@ -417,6 +440,118 @@ class TestCertifyMatchesReference:
                     assert want.verdict in (got.verdict, Verdict.INDETERMINATE)
                 verdicts[A.d].add(want.verdict)
         assert verdicts[2] == verdicts[3] == set(Verdict)
+
+    def test_order_changes_only_refutations(self, rng):
+        # a run that ends Copositive, or depth-capped before the budget
+        # stops it, visits the same simplices in any order, so it gives the
+        # first-in-first-out reference's certificate field for field; where
+        # that reference refutes, the depth-first search refutes too
+        kinds = set()
+        for A in reference_suite(rng):
+            if A.d == 2:
+                continue
+            for max_depth, budget in self.BUDGETS:
+                got = certify_copositivity(A, max_depth, budget)
+                fifo = reference_certify(A, max_depth, budget, depth_first=False)
+                if fifo.verdict is Verdict.NOT_COPOSITIVE:
+                    assert got.verdict is Verdict.NOT_COPOSITIVE
+                    assert got.witness_value == eval_form(A, got.witness) < 0
+                    kinds.add("refuted")
+                elif fifo.stats.simplices_processed < budget:
+                    assert got == fifo
+                    kinds.add(fifo.verdict)
+        assert kinds == {"refuted", Verdict.COPOSITIVE, Verdict.INDETERMINATE}
+
+
+def fifo_branch_and_bound(A, max_depth=DEFAULT_MAX_DEPTH,
+                          simplex_budget=DEFAULT_SIMPLEX_BUDGET):
+    """The certifier's search on its own integer tables, first in, first
+    out, for orders d > 2 at budgets where reference_certify is too slow:
+    (verdict, simplices processed)."""
+    diag, steps = _casteljau_tables(A.n, A.d)
+    work = deque([(standard_simplex(A.n), scaled_values(A)[1])])
+    processed, capped = 0, False
+    while work and processed < simplex_budget:
+        s, b = work.popleft()
+        processed += 1
+        if any(b[p] < 0 for p in diag):
+            return Verdict.NOT_COPOSITIVE, processed
+        if min(b) >= 0:
+            continue
+        if s.depth >= max_depth:
+            capped = True
+        else:
+            work.extend(_bisect(s, b, steps))
+    return (Verdict.INDETERMINATE if work or capped else Verdict.COPOSITIVE), processed
+
+
+class TestDepthFirst:
+    """The certifier's branch-and-bound searches depth first, the child with
+    the more negative least coefficient first."""
+
+    @pytest.mark.parametrize("seed, make, want", [
+        # (simplices, depth of the witness) depth first; simplices first in,
+        # first out
+        (4, lambda rng: rand_diag_dominant_tensor(rng, 4, 3, off_scale=8), (8, 7, 74)),
+        (6, lambda rng: boundary_perturbed_tensor(rng, 3, 3), (9, 8, 62)),
+        # the least coefficient leads down along the hyperplane, to the depth
+        # cap, before the refuting corner
+        (1, lambda rng: boundary_perturbed_tensor(rng, 4, 4), (375, 32, 38)),
+    ])
+    def test_pinned_refutations_after_bisection(self, seed, make, want):
+        A = make(random.Random(seed))
+        cert = certify_copositivity(A)
+        assert cert.verdict is Verdict.NOT_COPOSITIVE
+        assert cert.witness_value == eval_form(A, cert.witness) < 0
+        fifo = fifo_branch_and_bound(A)
+        assert fifo[0] is Verdict.NOT_COPOSITIVE
+        assert (cert.stats.simplices_processed, cert.stats.max_depth_reached,
+                fifo[1]) == want
+
+    def test_no_definitive_verdict_lost_at_the_default_budgets(self):
+        # the first-in-first-out search's definitive verdicts stay; a run it
+        # ends Copositive or depth-capped takes the same simplices
+        rng = random.Random(0xDF5)
+        kinds = set()
+        for i in range(80):
+            d = rng.choice((3, 4))
+            if i % 2:
+                A = boundary_perturbed_tensor(rng, rng.choice((2, 3)), d)
+            else:
+                A = rand_diag_dominant_tensor(rng, rng.choice((3, 4)), d,
+                                              off_scale=rng.choice((4, 8)))
+            cert = certify_copositivity(A)
+            verdict, processed = fifo_branch_and_bound(A)
+            if verdict is Verdict.NOT_COPOSITIVE:
+                assert cert.verdict is verdict
+            elif processed < DEFAULT_SIMPLEX_BUDGET:
+                assert (cert.verdict, cert.stats.simplices_processed) == (verdict, processed)
+            if cert.verdict is Verdict.NOT_COPOSITIVE:
+                assert cert.witness_value == eval_form(A, cert.witness) < 0
+                if cert.stats.max_depth_reached > 0:
+                    kinds.add("refuted after bisection")
+            kinds.add(verdict)
+        assert kinds == set(Verdict) | {"refuted after bisection"}
+
+    def test_budget_stop_holds_a_stack_not_a_frontier(self):
+        # (x1 - x2)^2 (x1 + ... + x4)^2 is zero on a plane through the
+        # simplex, so every budget stops it.  First in, first out, the 1000
+        # simplices left a frontier of 391 behind, and the run peaked at
+        # 0.66 MB under tracemalloc (Python 3.11); the stack holds at most 33
+        A = boundary_tensor([1, -1, 0, 0], 4)
+        certify_copositivity(A, simplex_budget=1000)   # builds the edge tables
+        tracemalloc.start()
+        try:
+            cert = certify_copositivity(A, simplex_budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000
+        # the unresolved count adds the simplices capped at depth 32 to those
+        # left on the stack, whose bottom, the root's other child, has the
+        # longest edge
+        assert cert == Certificate(Verdict.INDETERMINATE,
+                                   PartitionStats(32, 1000, 224, math.sqrt(2)))
 
 
 def negative_default_tensor(rng, n, d):
