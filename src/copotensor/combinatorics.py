@@ -32,6 +32,19 @@ COUNT_CAP = 10 ** 12
 # longer per added row.
 MAX_SCAN_DIMENSION = 12
 
+# The bound, in entries, of every cache of a structure that depends only on
+# a shape: an exponent table per (n, d), a level's theta index array and
+# multinomials per (n, s), a falling-factorial column per (s, c, dtype), a
+# basis's exponents 2 theta, parity classes and Gram constraint pairs.  One
+# pass of the benchmark's levels workload (bench/) touches 60 exponent
+# tables, 55 levels and 78 columns, so a repeated sweep hits every time.
+SHAPE_CACHE_SIZE = 256
+
+# The bound, in entries, of the caches per canonical index tuple (its runs
+# and multiplicity, its digest text): the most canonical tuples a tensor may
+# have, so that no tensor evicts its own keys.
+KEY_CACHE_SIZE = MAX_ENUMERATION
+
 # The SOS solver's default iteration budget per level; kept here, with the
 # other limits, so that the CLI parser sets it without loading the solver.
 DEFAULT_MAX_ITERS = 20000
@@ -98,7 +111,7 @@ def index_runs(idx: Iterable[int]) -> list[tuple[int, int]]:
     return list(counts.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All compositions of d into n non-negative parts, lexicographic order.
 

@@ -16,6 +16,7 @@ access to the producing run's state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -23,8 +24,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Any
 
-from .combinatorics import binomial_at_most
-from .tensor import Scalar, SymTensor, canonical_tuples
+from .combinatorics import KEY_CACHE_SIZE, binomial_at_most
+from .tensor import Index, Scalar, SymTensor, canonical_tuples
 
 TOOL_VERSION = "0.2.0"
 # the largest n and d a document may declare: the screen builds n-long
@@ -122,6 +123,14 @@ def emit_tensor(A: SymTensor) -> str:
     return json.dumps(doc, indent=2)
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _key_text(key: Index) -> str:
+    """A key's digest text "i,j,k"; built once per key.  The indices are
+    written as integers ("%d"), so that keys that are equal, such as
+    (True, 2) and (1, 2), get the same text whichever came first."""
+    return ("%d," * len(key))[:-1] % key
+
+
 def tensor_digest(A: SymTensor) -> str:
     """sha256 over a canonical serialization; stable across entry order,
     across storing vs defaulting equal values and across the choice of
@@ -147,7 +156,7 @@ def tensor_digest(A: SymTensor) -> str:
             texts = {key: texts.get(key, default) for key in canonical_tuples(A.n, A.d)}
         default = least
     parts = [f"n={A.n}", f"d={A.d}", f"default={default}"]
-    parts += [f"{','.join(map(str, key))}:{t}" for key, t in sorted(texts.items()) if t != default]
+    parts += [f"{_key_text(key)}:{t}" for key, t in sorted(texts.items()) if t != default]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 

@@ -8,13 +8,14 @@ module (soscone, faces, polycone, gridcone, partition) is imported here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .combinatorics import MAX_SCAN_DIMENSION
+from .combinatorics import MAX_SCAN_DIMENSION, SHAPE_CACHE_SIZE
 from .docio import DocumentError, parse_scalar, scalar_text
 from .tensor import SymTensor, eval_form, scaled_values
 
@@ -124,12 +125,21 @@ def check_copositive(A: SymTensor, cert: dict[str, Any]) -> tuple[bool, str] | N
                    f"witness value {scan.value}")
 
 
-def parity_blocks(basis: Sequence[Exponent]) -> tuple[tuple[int, ...], ...]:
-    """Basis indices per parity class (exponents mod 2), classes in order."""
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def parity_blocks(basis: tuple[Exponent, ...]) -> tuple[tuple[int, ...], ...]:
+    """Basis indices per parity class (exponents mod 2), classes in order;
+    built once per basis."""
     parity: dict[Exponent, list[int]] = {}
     for idx, mono in enumerate(basis):
         parity.setdefault(tuple([e % 2 for e in mono]), []).append(idx)
     return tuple(tuple(v) for _, v in sorted(parity.items()))
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def even_exponents(basis: tuple[Exponent, ...]) -> tuple[Exponent, ...]:
+    """2 theta for each theta of the basis, the exponent of P's monomial
+    y^(2 theta) = (y^theta)^2; built once per basis."""
+    return tuple([tuple([2 * t for t in theta]) for theta in basis])
 
 
 def positive_definite(rows: Sequence[Sequence[Fraction | float]],
@@ -161,7 +171,7 @@ def positive_definite(rows: Sequence[Sequence[Fraction | float]],
     return True
 
 
-def check_refutation(basis: Sequence[Exponent], numerators: Sequence[int],
+def check_refutation(basis: tuple[Exponent, ...], numerators: Sequence[int],
                      blocks: Sequence[Sequence[int]],
                      moments: Mapping[Exponent, Fraction]) -> bool:
     """Whether ``moments`` prove that P^(r) has no Gram decomposition, from
@@ -170,7 +180,7 @@ def check_refutation(basis: Sequence[Exponent], numerators: Sequence[int],
     one value per exponent 2 theta and no other, sum of moment times
     numerator negative (the sign of L(P)) and every block's moment matrix
     [L(y^(b_i + b_j))] positive definite."""
-    keys = [tuple([2 * t for t in theta]) for theta in basis]
+    keys = even_exponents(basis)
     if moments.keys() != set(keys):
         return False
     moments = {g: Fraction(m) for g, m in moments.items()}

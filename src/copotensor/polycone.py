@@ -25,10 +25,19 @@ A level with more than ``combinatorics.MAX_ENUMERATION`` coefficients or
 canonical tuples raises ValueError before anything is enumerated; for
 n = 1 the same limit bounds fall(s, d)'s d factors and each column's s + 1
 entries.
+What depends only on a level's shape, its theta index table and
+multinomials per (n, s) and the falling-factorial columns per (s, c, dtype),
+is built on first use and kept, read-only, in caches of
+``combinatorics.SHAPE_CACHE_SIZE`` entries; the brackets, which read A, are
+formed per call, and so are the factors fall(theta_i, c) gathered from
+those columns: kept as well, they would hold a (n, count) array per column,
+1.3 MB over one pass of the benchmark's levels workload, for no measurable
+gain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import (binomial_at_most, check_enumeration_size,
+from .combinatorics import (SHAPE_CACHE_SIZE, binomial_at_most, check_enumeration_size,
                             enumerate_exponents, falling_factorial_column,
                             multinomials)
 from .tensor import SymTensor, check_tuple_count
@@ -44,6 +53,31 @@ from .tensor import SymTensor, check_tuple_count
 Exponent = tuple[int, ...]
 
 INT64_MAX = 2 ** 63 - 1
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _theta_table(n: int, s: int) -> np.ndarray:
+    """The exponents theta of degree s in n variables, in
+    :func:`enumerate_exponents` order, as a read-only index array of shape
+    (count, n)."""
+    table = np.array(enumerate_exponents(n, s), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _falling_column(s: int, c: int, dtype: type) -> np.ndarray:
+    """fall(t, c) for t = 0..s, a read-only array of ``dtype``."""
+    column = np.array(falling_factorial_column(s, c), dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _multinomials(n: int, s: int) -> tuple[int, ...]:
+    """multinomial(theta) for every theta of degree s in n variables, in
+    :func:`enumerate_exponents` order."""
+    return tuple(multinomials(enumerate_exponents(n, s)))
 
 
 def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, int]:
@@ -60,13 +94,15 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     By Vandermonde's identity the multiplicities times the falling-factorial
     products sum to fall(s, d) over the canonical tuples, so the default
     adds default * L * fall(s, d) to every bracket, and each term of
-    :func:`scaled_terms` adds its weight w times one column product per run,
-    indexed by the theta table.
+    :func:`scaled_terms` adds its weight w times one factor
+    fall(theta_i, c) per run (i, c), read off the kept falling-factorial
+    column of c (:func:`_falling_column`) at column i of the kept theta
+    table (:func:`_theta_table`).
 
     The same identity bounds every value formed here: each product
     prod_i fall(theta_i, c_i) is at most fall(s, d) / multinomial(c), each
     prefix of it (the identity over fewer parts) at most fall(s, d), and
-    each column entry fall(t, c) <= fall(s, c) <= fall(s, d).  Every
+    each factor fall(theta_i, c) <= fall(s, c) <= fall(s, d).  Every
     partial column is then at most |w| * fall(s, d), and every partial sum
     at most (|default * L| + sum |w|) * fall(s, d).  When that is at most
     2^63 - 1 the arrays are np.int64, exact; above it they hold Python
@@ -84,32 +120,32 @@ def _brackets(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], np.ndarray, i
     check_tuple_count(A)   # the tensor's size limit, however few its terms
     scale, default, terms = A.integer_form
     thetas = enumerate_exponents(A.n, s)
-    table = np.array(thetas, dtype=np.intp)
     fall_s = math.perm(s, d)
     bound = (abs(default) + sum(abs(w) for w, _ in terms)) * fall_s
     dtype = np.int64 if bound <= INT64_MAX else object
     brackets = np.full(len(thetas), default * fall_s, dtype=dtype)
+    table = _theta_table(A.n, s)
     columns: dict[int, np.ndarray] = {}   # fall(t, c) for t = 0..s, per c
     factors: dict[tuple[int, int], np.ndarray] = {}   # fall(theta_i, c) per (i, c)
     for column, runs in terms:
         for i, c in runs:
             if (i, c) not in factors:
                 if c not in columns:
-                    columns[c] = np.array(falling_factorial_column(s, c), dtype=dtype)
+                    columns[c] = _falling_column(s, c, dtype)
                 factors[i, c] = columns[c][table[:, i]]
             column = column * factors[i, c]
         brackets += column
     return thetas, brackets, fall_s * scale
 
 
-def _coefficients(thetas: Sequence[Exponent], brackets: Sequence[int],
+def _coefficients(weights: Sequence[int], brackets: Sequence[int],
                   denom: int) -> tuple[list[int], int]:
-    """multinomial(theta) * B / D for each theta and its bracket B, both
-    Python ints, as numerators over one denominator, with the gcd of D and
-    the brackets divided out first and binomial rows shared: a huge order
-    multiplies small factors."""
+    """multinomial(theta) * B / D for each theta's multinomial and bracket
+    B, both Python ints, as numerators over one denominator, with the gcd
+    of D and the brackets divided out first: a huge order multiplies small
+    factors."""
     common = math.gcd(denom, *brackets)
-    numerators = [m * (b // common) for b, m in zip(brackets, multinomials(thetas))]
+    numerators = [m * (b // common) for b, m in zip(brackets, weights)]
     return numerators, denom // common
 
 
@@ -119,7 +155,7 @@ def coefficient_table(A: SymTensor, r: int) -> tuple[tuple[Exponent, ...], list[
     reduced by :func:`_coefficients`, integer numerators over one positive
     denominator."""
     thetas, brackets, denom = _brackets(A, r)
-    return (thetas, *_coefficients(thetas, brackets.tolist(), denom))
+    return (thetas, *_coefficients(_multinomials(A.n, r + A.d), brackets.tolist(), denom))
 
 
 @dataclass(frozen=True)
@@ -142,6 +178,7 @@ def member_C_r(A: SymTensor, r: int) -> CoefficientVerdict:
     if not negative.size:
         return CoefficientVerdict(True, r)
     picked = [thetas[k] for k in negative.tolist()]
-    numerators, denom = _coefficients(picked, brackets[negative].tolist(), denom)
+    numerators, denom = _coefficients(multinomials(picked), brackets[negative].tolist(),
+                                      denom)
     worst = min(range(len(picked)), key=numerators.__getitem__)
     return CoefficientVerdict(False, r, picked[worst], Fraction(numerators[worst], denom))

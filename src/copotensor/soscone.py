@@ -12,7 +12,12 @@ which are also the monomial basis (P's monomial y^(2 theta) is
 (y^theta)^2), P's coefficients as integer numerators over one positive
 denominator, the float targets numerator / denominator and the parity
 blocks.  The exact checks and the fast path read the numerators; only a
-solve or a lift builds the constraints.
+solve or a lift reads the constraints.  The exponents 2 theta, the parity
+blocks and the constraints depend only on the basis, and each is built once
+per basis and kept, read-only, in a cache of
+``combinatorics.SHAPE_CACHE_SIZE`` entries; the constraints are keyed by
+the basis, blocks and target exponents, so a problem built by hand gets
+those of its own blocks.
 
 The solver is untrusted: over-relaxed alternating projections (Bauschke &
 Borwein 1996; any point of the intersection will do, not the nearest) between
@@ -75,14 +80,15 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import faces, gridcone, polycone
-from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, binomial_at_most,
-                            check_enumeration_size)
-from .evidence import check_refutation, parity_blocks, positive_definite
+from .combinatorics import (COUNT_CAP, DEFAULT_MAX_ITERS, SHAPE_CACHE_SIZE,
+                            binomial_at_most, check_enumeration_size)
+from .evidence import check_refutation, even_exponents, parity_blocks, positive_definite
 from .tensor import SymTensor
 
 EIG_TOL = 1e-8      # a certificate's blocks G have G + EIG_TOL s I > 0 and
@@ -92,6 +98,22 @@ CHECK_EVERY = 5     # iterations between offers of the iterate to the checks
 STALL = 0.5         # a residual above STALL times the last check's has stalled
 
 Exponent = tuple[int, ...]
+Pair = tuple[int, int, int]   # (block position, i, j), i <= j inside the block
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _gram_constraints(basis: tuple[Exponent, ...], blocks: tuple[tuple[int, ...], ...],
+                      exponents: tuple[Exponent, ...]) -> Mapping[Exponent, tuple[Pair, ...]]:
+    """Per exponent, in the given order: the (block position, i, j), i <= j
+    inside the block, whose basis monomials multiply to it; a read-only
+    mapping, built once per basis, blocks and exponents."""
+    out: dict[Exponent, list[Pair]] = {g: [] for g in exponents}
+    for b, members in enumerate(blocks):
+        for ai in range(len(members)):
+            for aj in range(ai, len(members)):
+                g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
+                out[g].append((b, ai, aj))
+    return MappingProxyType({g: tuple(pairs) for g, pairs in out.items()})
 
 
 @dataclass(frozen=True)
@@ -108,16 +130,11 @@ class GramProblem:
     blocks: tuple[tuple[int, ...], ...]       # basis indices per parity class
 
     @functools.cached_property
-    def constraints(self) -> dict[Exponent, list[tuple[int, int, int]]]:
+    def constraints(self) -> Mapping[Exponent, tuple[Pair, ...]]:
         """Per target: the (block position, i, j), i <= j inside the block,
-        whose basis monomials multiply to it; built on first use."""
-        basis, out = self.basis, {g: [] for g in self.targets}
-        for b, members in enumerate(self.blocks):
-            for ai in range(len(members)):
-                for aj in range(ai, len(members)):
-                    g = tuple(map(operator.add, basis[members[ai]], basis[members[aj]]))
-                    out[g].append((b, ai, aj))
-        return out
+        whose basis monomials multiply to it (:func:`_gram_constraints`),
+        looked up on first use."""
+        return _gram_constraints(self.basis, self.blocks, tuple(self.targets))
 
 
 @dataclass(frozen=True)
@@ -147,8 +164,7 @@ def build_gram_problem(A: SymTensor, r: int) -> GramProblem:
                            f"level {r} monomial basis size")
     basis, numerators, denominator = polycone.coefficient_table(A, r)
     try:
-        targets = {tuple([2 * t for t in theta]): v / denominator
-                   for theta, v in zip(basis, numerators)}
+        targets = {g: v / denominator for g, v in zip(even_exponents(basis), numerators)}
     except OverflowError:
         raise ValueError(f"a level {r} coefficient is beyond float range") from None
     return GramProblem(A, r, basis, numerators, denominator, targets,

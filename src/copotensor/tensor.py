@@ -26,8 +26,8 @@ from numbers import Rational
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .combinatorics import (binomial_at_most, check_enumeration_size, index_runs,
-                            multinomial)
+from .combinatorics import (KEY_CACHE_SIZE, binomial_at_most, check_enumeration_size,
+                            index_runs)
 
 Scalar = Fraction | int | float
 Index = tuple[int, ...]
@@ -159,11 +159,28 @@ def scaled_values(A: SymTensor) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _key_runs(key: Index) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The runs (i, e) of a canonical key, i its 0-based index and e its
+    count, and the key's multiplicity, the number of index tuples it sorts
+    from, multinomial(e_1, e_2, ...), whose binomial product is formed in the
+    loop that reads the runs; built once per key.  The indices are
+    read as ints (``operator.index``), so a key that equals another, such as
+    (True, 2) and (1, 2), gets the same runs whichever came first."""
+    total, multiplicity, runs = 0, 1, []
+    for i, e in index_runs(key):
+        total += e
+        multiplicity *= math.comb(total, e)
+        runs.append((operator.index(i) - 1, e))
+    return tuple(runs), multiplicity
+
+
 def scaled_terms(A: SymTensor) -> IntegerForm:
     """A's one integer form: the lcm L of the denominators of the default and
     the stored values, default * L, and for each stored a != default, in
     canonical order, (w, runs) with w = multiplicity * (a - default) * L and
-    runs the pairs (i, e) of a 0-based index i and its count e in the key.
+    runs the pairs (i, e) of a 0-based index i and its count e in the key
+    (:func:`_key_runs`).
     L f(x) is then default * L * (sum x)^d plus w * prod x_i^e per term."""
     scale = math.lcm(A.default.denominator, *(a.denominator for a in A.entries.values()))
     default = A.default.numerator * (scale // A.default.denominator)
@@ -171,8 +188,8 @@ def scaled_terms(A: SymTensor) -> IntegerForm:
     for key, a in sorted(A.entries.items()):
         delta = a.numerator * (scale // a.denominator) - default
         if delta:
-            runs = tuple((i - 1, e) for i, e in index_runs(key))
-            terms.append((multinomial([e for _, e in runs]) * delta, runs))
+            runs, multiplicity = _key_runs(key)
+            terms.append((multiplicity * delta, runs))
     return scale, default, tuple(terms)
 
 

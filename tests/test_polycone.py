@@ -156,12 +156,17 @@ class TestMatchesReference:
             assert_route_matches_references(A, r)
 
     def test_one_multinomial_per_coefficient(self, monkeypatch):
+        # built once per level shape: the first call after a clear builds
+        # one per coefficient, and the next call builds none
         tables = []
         monkeypatch.setattr(polycone, "multinomials",
                             lambda thetas: tables.append(list(thetas))
                             or combinatorics.multinomials(tables[-1]))
+        polycone._multinomials.cache_clear()
         exp = coefficients(example31_tensor(), 6)
         assert len(tables) == 1 and sorted(tables[0]) == sorted(exp)
+        assert coefficients(example31_tensor(), 6) == exp
+        assert len(tables) == 1
 
     def test_member_level_builds_no_fraction_and_no_multinomial(self, monkeypatch):
         tables, fractions = [], []

@@ -60,7 +60,7 @@ def full_basis_problem(A, r):
             targets.setdefault(g, 0.0)
             constraints.setdefault(g, []).append((0, i, j))
     full = dataclasses.replace(p, blocks=blocks, targets=targets)
-    assert full.constraints == constraints
+    assert full.constraints == {g: tuple(pairs) for g, pairs in constraints.items()}
     return full
 
 
