@@ -92,7 +92,7 @@ def parse_tensor(text: str) -> SymTensor:
     if not isinstance(rows, list):
         raise DocumentError(f"'entries' must be a JSON array, not {rows!r}")
     # each index is checked once here, and SymTensor only re-reads its
-    # length, order and ends
+    # length, component types, order and ends
     entries: dict[tuple[int, ...], Fraction] = {}
     for entry in rows:
         try:

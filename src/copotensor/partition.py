@@ -4,7 +4,11 @@ I^P, and the branch-and-bound copositivity certifier.
 All geometry is exact rational: vertices are Fraction points, longest-edge
 selection compares squared edge lengths exactly, and every verdict-bearing
 inequality is evaluated exactly.  Floating point appears only in the
-reported diameter.
+reported diameter.  Two checks run on integers while the vertices stay
+Fraction tuples: a simplex tests each vertex (every coordinate >= 0, sum 1)
+on its integer numerators over the lcm of its denominators, and the
+longest-edge rule compares Fraction squared lengths but builds its
+tie-break key, the sorted vertex pair, only when an edge ties the longest.
 
 One integer table serves every per-simplex test: the values
 <A, v_k1 (x) ... (x) v_kd> over the multisets of the simplex's vertex
@@ -56,8 +60,25 @@ class Simplex:
 
     def __post_init__(self):
         for v in self.vertices:
-            if any(c < 0 for c in v) or sum(v) != 1:
+            if not _in_standard_simplex(v):
                 raise ValueError(f"vertex {v} is not in the standard simplex")
+
+
+def _in_standard_simplex(v) -> bool:
+    """Whether every coordinate of v is >= 0 and they sum to 1, decided on
+    integer numerators over the lcm of the denominators.  A float counts at
+    its exact binary value, and an infinite or NaN one is not in it."""
+    try:
+        ratios = [c.as_integer_ratio() for c in v]
+    except (OverflowError, ValueError):   # an infinite or NaN float
+        return False
+    scale = math.lcm(*[q for _, q in ratios])
+    total = 0
+    for p, q in ratios:
+        if p < 0:
+            return False
+        total += p * (scale // q)
+    return total == scale
 
 
 def standard_simplex(n: int) -> Simplex:
@@ -78,18 +99,25 @@ def _longest_edge(s: Simplex) -> tuple[int, int]:
     """
     if len(s.vertices) < 2:
         raise ValueError("cannot bisect a point")
+    verts = s.vertices
     best = None
     best_len = Fraction(-1)
-    for i, j in itertools.combinations(range(len(s.vertices)), 2):
-        u, v = s.vertices[i], s.vertices[j]
+    best_key = None   # built on the first tie with best
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        u, v = verts[i], verts[j]
         d2 = _sq_dist(u, v)
-        key = (min(u, v), max(u, v))
-        if d2 > best_len or (d2 == best_len and key < best[2]):
-            best = (i, j, key)
-            best_len = d2
+        if d2 > best_len:
+            best, best_len, best_key = (i, j), d2, None
+        elif d2 == best_len:
+            if best_key is None:
+                a, b = verts[best[0]], verts[best[1]]
+                best_key = (min(a, b), max(a, b))
+            key = (min(u, v), max(u, v))
+            if key < best_key:
+                best, best_key = (i, j), key
     if best_len == 0:
         raise ValueError("degenerate simplex: longest edge has length 0")
-    return best[0], best[1]
+    return best
 
 
 def _split(s: Simplex, i: int, j: int) -> tuple[Simplex, Simplex]:

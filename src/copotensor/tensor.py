@@ -1,11 +1,13 @@
 """Canonical storage for symmetric tensors of order d and dimension n.
 
-Entries are keyed by sorted (non-decreasing) 1-based index tuples; a single
-default value covers every canonical tuple absent from the map, which matches
-the "value v otherwise" shape of the motivating examples.  Every stored value
-is an exact ``fractions.Fraction``: ints and Fractions convert as they are, a
-float keeps its exact binary value (0.1 is 3602879701896397/2^55), and NaN,
-infinities and non-numbers raise ValueError.
+Entries are keyed by sorted (non-decreasing) 1-based index tuples of ints
+(bools count; a float, Fraction or numpy integer component raises
+ValueError); a single default value covers every canonical tuple absent
+from the map, which matches the "value v otherwise" shape of the motivating
+examples.  Every stored value is an exact ``fractions.Fraction``: ints and
+Fractions convert as they are, a float keeps its exact binary value (0.1 is
+3602879701896397/2^55), and NaN, infinities and non-numbers raise
+ValueError.
 A's one integer form, :func:`scaled_terms` (the default in closed form and
 one term per stored entry that differs), is built once per tensor and kept
 as :attr:`SymTensor.integer_form`.  It serves form evaluation, the grid, the
@@ -77,12 +79,18 @@ class SymTensor:
         for key in self.entries:
             if len(key) != self.d:
                 raise ValueError(f"key {key} has length {len(key)}, expected {self.d}")
-            # a non-decreasing tuple with both ends in 1..n is canonical; any
-            # other key gets canonicalize's range error or the one below
-            if not (type(key) is tuple and all(map(operator.le, key, key[1:]))
-                    and 1 <= key[0] and key[-1] <= self.n) \
-                    and canonicalize(key, self.n) != key:
-                raise ValueError(f"key {key} is not in canonical sorted form")
+            # a non-decreasing tuple of ints (bools count) with both ends in
+            # 1..n is canonical; any other key gets one of the errors below
+            # or canonicalize's range error.  The sum tests the component
+            # types in the same pass: it is an int only if every component
+            # is, and a float, Fraction or numpy integer makes it another type
+            if not (type(key) is tuple and type(sum(key)) is int
+                    and all(map(operator.le, key, key[1:]))
+                    and 1 <= key[0] and key[-1] <= self.n):
+                if not all(isinstance(i, int) for i in key):
+                    raise ValueError(f"key {key} has an index component that is not an int")
+                if canonicalize(key, self.n) != key:
+                    raise ValueError(f"key {key} is not in canonical sorted form")
         object.__setattr__(self, "default", _exact(self.default))
         object.__setattr__(self, "entries", MappingProxyType(
             {key: _exact(v) for key, v in self.entries.items()}))

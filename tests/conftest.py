@@ -15,7 +15,7 @@ from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
 from copotensor.evidence import positive_definite
 from copotensor.gridcone import first_appearances
 from copotensor.oracle import OracleReport, _compositions
-from copotensor.partition import Simplex, _longest_edge, _split, standard_simplex
+from copotensor.partition import Simplex, _split, standard_simplex
 from copotensor.polycone import coefficient_table
 from copotensor import soscone
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
@@ -109,6 +109,24 @@ def float_tensors(draw, max_n: int = 4, max_d: int = 4) -> SymTensor:
         if v is not None:
             entries[key] = v
     return SymTensor(n, d, entries, default)
+
+
+@st.composite
+def simplex_points(draw):
+    """Fraction and int points at or near the standard simplex: n - 1
+    coordinates k/q, q among powers of 2 and other denominators, and a last
+    coordinate that makes the sum 1, moved by 0 or +-2^-k; whole coordinates
+    are ints in about half the points.  Negative coordinates come both from
+    negative k and from a last coordinate that the others overshoot."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    denominators = st.sampled_from([1, 2, 3, 5, 6, 7, 8, 12, 64, 1000])
+    coords = [Fraction(draw(st.integers(min_value=-3, max_value=6)), draw(denominators))
+              for _ in range(n - 1)]
+    shift = draw(st.sampled_from([-1, 0, 0, 1])) * Fraction(1, 2 ** draw(st.integers(1, 80)))
+    coords.append(1 - sum(coords) + shift)
+    whole = draw(st.booleans())
+    return tuple(int(c) if whole and c.denominator == 1 else c
+                 for c in draw(st.permutations(coords)))
 
 
 @st.composite
@@ -355,11 +373,39 @@ def trivial_partition(n: int) -> Partition:
     return Partition([standard_simplex(n)])
 
 
+def reference_in_standard_simplex(v) -> bool:
+    """Literal reference for :class:`copotensor.partition.Simplex`'s vertex
+    check: every coordinate >= 0 and a sum of 1, by Fraction comparisons and
+    a Fraction sum."""
+    return not (any(c < 0 for c in v) or sum(v) != 1)
+
+
+def reference_longest_edge(vertices) -> tuple[int, int]:
+    """Literal reference for :func:`copotensor.partition._longest_edge`:
+    vertex indices (i, j), i < j, of a longest edge by Fraction squared
+    lengths, ties broken by the lexicographically smallest sorted vertex
+    pair, whose key is built for every edge."""
+    if len(vertices) < 2:
+        raise ValueError("cannot bisect a point")
+    best = None
+    best_len = Fraction(-1)
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        u, v = vertices[i], vertices[j]
+        d2 = sum((a - b) ** 2 for a, b in zip(u, v))
+        key = (min(u, v), max(u, v))
+        if d2 > best_len or (d2 == best_len and key < best[2]):
+            best = (i, j, key)
+            best_len = d2
+    if best_len == 0:
+        raise ValueError("degenerate simplex: longest edge has length 0")
+    return best[0], best[1]
+
+
 def refine_once(P: Partition) -> Partition:
-    """Bisect every simplex at the midpoint of its longest edge, children in
-    the certifier's order."""
+    """Bisect every simplex at the midpoint of its longest edge (by
+    :func:`reference_longest_edge`), children in the certifier's order."""
     return Partition([child for s in P.simplices
-                      for child in _split(s, *_longest_edge(s))])
+                      for child in _split(s, *reference_longest_edge(s.vertices))])
 
 
 def refine(P: Partition, rounds: int) -> Partition:

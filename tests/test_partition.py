@@ -7,6 +7,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
 
 from copotensor import evidence, partition
 from copotensor.combinatorics import MAX_SCAN_DIMENSION
@@ -25,9 +26,11 @@ from conftest import (HORN, barycentric_grid_min, boundary_perturbed_tensor,
                       rand_diag_dominant_tensor, rand_float_tensor,
                       rand_nonneg_tensor, rand_rational_tensor, refine,
                       refine_once, reference_inner_test_full,
-                      reference_least_tuple_value,
+                      reference_in_standard_simplex,
+                      reference_least_tuple_value, reference_longest_edge,
                       reference_member_I_P, reference_member_O_P,
-                      reference_principal_refutation, trivial_partition,
+                      reference_principal_refutation, simplex_points,
+                      trivial_partition,
                       vertex_set)
 
 F = Fraction
@@ -48,6 +51,46 @@ class TestSimplex:
     def test_vertex_outside_simplex_rejected(self):
         with pytest.raises(ValueError):
             Simplex(((F(1, 2), F(1, 4)),))
+
+    def test_float_coordinates_count_at_their_exact_binary_values(self):
+        # the vertex check reads a float as the Fraction it equals, as the
+        # rest of the package does: 0.5 and 0.25 are exact, while 0.1 + 0.9
+        # and three 1/3s round to 1.0 as floats but sum past or short of 1
+        Simplex(((0.5, 0.5), (0.25, F(3, 4)), (1.0, 0)))
+        for point in ((0.1, 0.9), (1 / 3, 1 / 3, 1 / 3)):
+            assert sum(point) == 1.0
+            with pytest.raises(ValueError):
+                Simplex((point,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Simplex(((bad, F(1, 2)),))
+
+    def test_boundary_cases_match_the_fraction_sum(self):
+        tiny = F(1, 2 ** 60)
+        for point, inside in (((F(1, 3), F(2, 3)), True),
+                              ((F(1, 3), F(2, 3) + tiny), False),
+                              ((F(1, 3), F(2, 3) - tiny), False),
+                              ((F(-1, 3), F(4, 3)), False),
+                              ((F(2, 7), F(3, 5), F(4, 35)), True),
+                              ((0, 1, 0), True), ((2, -1), False), ((F(0),), False)):
+            assert reference_in_standard_simplex(point) is inside
+            if inside:
+                Simplex((point,))
+            else:
+                with pytest.raises(ValueError):
+                    Simplex((point,))
+
+    @seed(0xC0705)
+    @settings(max_examples=400, deadline=None)
+    @given(simplex_points())
+    def test_vertex_check_matches_the_fraction_reference(self, point):
+        if reference_in_standard_simplex(point):
+            assert Simplex((point,)).vertices == (point,)
+        else:
+            with pytest.raises(ValueError):
+                Simplex((point,))
 
 
 class TestBisection:
@@ -76,6 +119,28 @@ class TestBisection:
             for v in vertex_set(P):
                 for c in v:
                     assert (2 ** k) % c.denominator == 0
+
+
+class TestGeometryMatchesReference:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_simplex_of_the_depth_8_tree(self, n):
+        # every simplex of levels 0..8 of the bisection tree: the same
+        # longest edge as the reference, ties included, and vertices that
+        # the reference accepts as Simplex did
+        ties = reordered = 0
+        P = trivial_partition(n)
+        for _ in range(9):
+            for s in P.simplices:
+                want = reference_longest_edge(s.vertices)
+                assert _longest_edge(s) == want
+                assert all(map(reference_in_standard_simplex, s.vertices))
+                lengths = [_sq_dist(u, v) for u, v in itertools.combinations(s.vertices, 2)]
+                longest = [k for k, d2 in enumerate(lengths) if d2 == max(lengths)]
+                ties += len(longest) > 1
+                # the tie-break picks an edge other than the first longest
+                reordered += list(itertools.combinations(range(n), 2))[longest[0]] != want
+            P = refine_once(P)
+        assert ties and reordered
 
 
 class TestDiameter:
@@ -313,7 +378,7 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000, depth_first=True)
         if s.depth >= max_depth:
             unresolved.append(s)
             continue
-        first, second = _split(s, *_longest_edge(s))
+        first, second = _split(s, *reference_longest_edge(s.vertices))
         # depth first, the top of the stack is taken first
         if depth_first and (reference_least_tuple_value(A, first)
                             < reference_least_tuple_value(A, second)):

@@ -64,6 +64,25 @@ class TestGetSet:
         with pytest.raises(ValueError):
             SymTensor(2, 2, {(2, 1): Fraction(1)})
 
+    def test_non_integer_index_components_rejected(self):
+        with pytest.raises(ValueError, match="not an int"):
+            SymTensorBuilder(2, 2).set((1.5, 2), -1).build()
+        with pytest.raises(ValueError, match="not an int"):
+            SymTensor(2, 2, {(1.0, 2.0): -1}, 1)
+        with pytest.raises(ValueError, match="not an int"):
+            SymTensor(2, 2, {(1, Fraction(2)): -1}, 1)
+
+    def test_rejection_does_not_depend_on_the_int_twin_being_seen(self):
+        # the int twin's runs are cached by member_C_r; a float key that
+        # equals it is still refused, and a bool key, read as an int, is
+        # still accepted and answers as the twin does
+        from copotensor.polycone import member_C_r
+        twin = SymTensor(2, 2, {(1, 2): -1}, 1)
+        want = member_C_r(twin, 1)
+        with pytest.raises(ValueError, match="not an int"):
+            SymTensor(2, 2, {(1.0, 2.0): -1}, 1)
+        assert member_C_r(SymTensor(2, 2, {(True, 2): -1}, 1), 1) == want
+
 
 class TestExactValues:
     def test_values_stored_as_exact_fractions(self):
