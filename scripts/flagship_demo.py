@@ -40,8 +40,8 @@ def main():
     print(f"SOS cone level 0: {kv.verdict} (fast path: {kv.fast_path})")
 
     cert = certify_copositivity(A)
-    print(f"branch-and-bound: {cert.verdict.value} "
-          f"at depth {cert.stats.max_depth_reached}")
+    print(f"certify: {cert.verdict.value} "
+          f"at depth {cert.stats.max_depth}")
 
     ov = member_O_r(A, 6)
     print(f"rational grid level 6: {'Member' if ov.member else 'NotMember'}")

@@ -11,8 +11,8 @@ imported from their submodules, ``copotensor.polycone`` and
 
 from .combinatorics import enumerate_exponents, multinomial
 from .gridcone import member_O_r
-from .partition import (Certificate, Simplex, Verdict, certify_copositivity,
-                        diameter, member_I_P, member_O_P, standard_simplex)
+from .partition import (Certificate, Verdict, certify_copositivity, member_I_P,
+                        member_O_P)
 from .tensor import (SymTensor, SymTensorBuilder, canonicalize, eval_form,
                      from_matrix, necessary_screen)
 

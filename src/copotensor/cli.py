@@ -2,7 +2,9 @@
 
 Exit codes: a verdict exits with its EXIT_CODE entry (0 member, 1 not, 2
 unknown); verify and oracle exit 0 on pass and 1 on fail (verify 2 on a
-verdict it cannot re-check); 3 = usage or parse error.
+verdict it cannot re-check); 3 = usage or parse error.  verify re-runs
+certify's exact routes (evidence.EXACT_ROUTES) on a partition Copositive,
+so only one that came from branch-and-bound is left unchecked.
 Nothing is randomized, so the same inputs always give the same documents.
 numpy is imported only by the subcommands that compute with it (check --method
 coef|sos, expand, compare, verify of a coef or sos document); without numpy
@@ -117,15 +119,8 @@ def _cmd_certify(args) -> int:
     A = _load_tensor(args.tensor)
     cert = certify_copositivity(A, max_depth=args.max_depth,
                                 simplex_budget=args.budget)
-    stats = {"max_depth": cert.stats.max_depth_reached,
-             "simplices": cert.stats.simplices_processed,
-             "unresolved": cert.stats.unresolved}
-    if cert.stats.diameter_unresolved is not None:
-        stats["diameter_unresolved"] = cert.stats.diameter_unresolved
-    if cert.stats.subsets is not None:
-        stats["subsets"] = cert.stats.subsets
-    doc = certificate_document(cert.verdict.value, "partition",
-                               depth=cert.stats.max_depth_reached,
+    stats = {key: v for key, v in vars(cert.stats).items() if v is not None}
+    doc = certificate_document(cert.verdict.value, "partition", depth=cert.stats.max_depth,
                                witness=cert.witness, witness_value=cert.witness_value,
                                stats=stats, tensor=A)
     _emit(doc, args.out)

@@ -1,9 +1,10 @@
 """The exact checks that ``verify`` trusts: a witness re-evaluated on the
-form, a Copositive claim re-derived from the entries' signs or, for a
-matrix, by the principal-submatrix scan that ``certify`` also decides
-matrices with, and an SOS refutation re-checked on a level's exact parts,
-which the SOS solver also calls on its candidates.  No numpy and no solver
-module (soscone, faces, polycone, gridcone, partition) is imported here.
+form; certify's exact routes (:data:`EXACT_ROUTES`: the root table, then,
+for a matrix, the principal-submatrix scan), which ``certify`` runs before
+branch-and-bound and ``verify`` re-runs on a Copositive claim; and an SOS
+refutation re-checked on a level's exact parts, which the SOS solver also
+calls on its candidates.  No numpy and no solver module (soscone, faces,
+polycone, gridcone, partition) is imported here.
 """
 
 from __future__ import annotations
@@ -106,23 +107,60 @@ def scan_principal_submatrices(n: int, scale: int, values: Sequence[int]) -> Sca
     return ScanResult(subsets)
 
 
-def check_copositive(A: SymTensor, cert: dict[str, Any]) -> tuple[bool, str] | None:
-    """A Copositive claim re-derived: true when every entry is non-negative,
-    whatever the order; for a matrix of at most MAX_SCAN_DIMENSION rows,
-    the answer of :func:`scan_principal_submatrices`; else None, with
-    nothing to re-check."""
-    scale, values = scaled_values(A)
-    if min(values) >= 0:
-        return True, "every entry non-negative"
+class Decision(NamedTuple):
+    """An exact route's answer: copositive when there is no witness."""
+    detail: str                                  # the reason, as verify reports it
+    witness: tuple[Fraction, ...] | None = None  # the refuting point, if any
+    value: Fraction | None = None                # the form there
+    subsets: int | None = None                   # principal submatrices the scan inverted
+
+
+def _root_route(A: SymTensor, scale: int, values: Sequence[int]) -> Decision | None:
+    """The root simplex's vertices are the unit vectors and its table is A's
+    values: the first negative diagonal entry a_{k...k} refutes at e_k, and
+    no negative entry proves copositivity."""
+    for k, a in enumerate(A.diag_vector()):
+        if a < 0:
+            return Decision(f"diagonal entry at index {k + 1} is negative, "
+                            f"witness value {a}",
+                            tuple(Fraction(int(j == k)) for j in range(A.n)), a)
+    return Decision("every entry non-negative") if min(values) >= 0 else None
+
+
+def _scan_route(A: SymTensor, scale: int, values: Sequence[int]) -> Decision | None:
+    """:func:`scan_principal_submatrices` on a matrix of at most
+    MAX_SCAN_DIMENSION rows, which always decides."""
     if A.d != 2 or A.n > MAX_SCAN_DIMENSION:
         return None
     scan = scan_principal_submatrices(A.n, scale, values)
     if scan.witness is None:
-        return True, (f"{scan.subsets} principal submatrices inverted, "
-                      "none with a non-positive inverse")
+        return Decision(f"{scan.subsets} principal submatrices inverted, "
+                        "none with a non-positive inverse", subsets=scan.subsets)
     block = [i for i, c in enumerate(scan.witness, start=1) if c]
-    return False, (f"principal submatrix {block} has a non-positive inverse, "
-                   f"witness value {scan.value}")
+    return Decision(f"principal submatrix {block} has a non-positive inverse, "
+                    f"witness value {scan.value}", scan.witness, scan.value, scan.subsets)
+
+
+# certify's exact routes, in the order it tries them before branch-and-bound
+EXACT_ROUTES = (_root_route, _scan_route)
+
+
+def decide(A: SymTensor, scale: int, values: Sequence[int]) -> Decision | None:
+    """The first of :data:`EXACT_ROUTES` that decides A, from its
+    :func:`copotensor.tensor.scaled_values`; None when none does."""
+    for route in EXACT_ROUTES:
+        decision = route(A, scale, values)
+        if decision is not None:
+            return decision
+    return None
+
+
+def check_copositive(A: SymTensor, cert: dict[str, Any]) -> tuple[bool, str] | None:
+    """A Copositive claim re-derived by certify's exact routes (:func:`decide`):
+    true when a route proves copositivity, false when one refutes it, None
+    when none decides, as for a Copositive found by branch-and-bound."""
+    decision = decide(A, *scaled_values(A))
+    return None if decision is None else (decision.witness is None, decision.detail)
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)

@@ -1,14 +1,14 @@
 """Simplicial partitions of the standard simplex, the partition cones O^P and
 I^P, and the branch-and-bound copositivity certifier.
 
-All geometry is exact rational: vertices are Fraction points, longest-edge
-selection compares squared edge lengths exactly, and every verdict-bearing
-inequality is evaluated exactly.  Floating point appears only in the
-reported diameter.  Two checks run on integers while the vertices stay
-Fraction tuples: a simplex tests each vertex (every coordinate >= 0, sum 1)
-on its integer numerators over the lcm of its denominators, and the
-longest-edge rule compares Fraction squared lengths but builds its
-tie-break key, the sorted vertex pair, only when an edge ties the longest.
+All geometry is exact rational: a simplex is a tuple of Fraction vertices,
+the root's the unit vectors, and only bisection makes new ones, each the
+midpoint of two, so every vertex stays in the standard simplex.
+Longest-edge selection compares squared edge lengths exactly and builds its
+tie-break key, the sorted vertex pair, only when an edge ties the longest;
+every verdict-bearing inequality is evaluated exactly.  Floating point
+appears only in the reported diameter.  The searches keep plain nodes
+(vertices, depth, table) on their stacks.
 
 One integer table serves every per-simplex test: the values
 <A, v_k1 (x) ... (x) v_kd> over the multisets of the simplex's vertex
@@ -20,16 +20,16 @@ longest-edge bisection), O^P reads the vertex values (one distinct index)
 and I^P adds the edge splits (two).  The certifier refutes on a negative
 vertex value, reported off that coefficient, and prunes a simplex whose
 whole table is non-negative, the full vertex-tuple test of Bundfuss & Dur
-2008.  Only signs decide, so no Fraction table is ever formed.  The root
-decides before any geometry: its vertices are the unit vectors, so a
-tensor that it refutes or prunes (every order-1 tensor among them) never
-builds the n-by-n Fraction vertices of the standard simplex.
+2008.  Only signs decide, so no Fraction table is ever formed.
 
-The certifier's routes, in order: the root table; for a matrix (d = 2) of
-at most MAX_SCAN_DIMENSION rows, the exact principal-submatrix scan of
-Cottle, Habetler & Lemke (:func:`copotensor.evidence.scan_principal_submatrices`),
-which always decides; everything else, branch-and-bound, which alone reads
-the depth and simplex budgets.
+The certifier first runs the exact routes of
+:data:`copotensor.evidence.EXACT_ROUTES`, which ``verify`` re-runs: the
+root table (its vertices are the unit vectors, so a tensor that it refutes
+or prunes, every order-1 tensor among them, never builds the n-by-n
+Fraction vertices of the standard simplex), then, for a matrix (d = 2) of
+at most MAX_SCAN_DIMENSION rows, the principal-submatrix scan of Cottle,
+Habetler & Lemke, which always decides.  Everything else goes to
+branch-and-bound, which alone reads the depth and simplex budgets.
 """
 
 from __future__ import annotations
@@ -41,65 +41,35 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import (MAX_SCAN_DIMENSION, MAX_TABLE_CELLS, binomial_at_most,
-                            count_text)
-from .evidence import scan_principal_submatrices
+from .combinatorics import MAX_TABLE_CELLS, binomial_at_most, count_text
+from .evidence import decide
 from .tensor import Scalar, SymTensor, scaled_values
 
 Point = tuple[Fraction, ...]
+Vertices = tuple[Point, ...]
+# a search node: a simplex's vertices, its depth and its coefficient table
+Node = tuple[Vertices, int, list[int]]
 
 # certify_copositivity's default budgets, also the CLI's
 DEFAULT_MAX_DEPTH = 32
 DEFAULT_SIMPLEX_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Simplex:
-    vertices: tuple[Point, ...]
-    depth: int = 0
-
-    def __post_init__(self):
-        for v in self.vertices:
-            if not _in_standard_simplex(v):
-                raise ValueError(f"vertex {v} is not in the standard simplex")
-
-
-def _in_standard_simplex(v) -> bool:
-    """Whether every coordinate of v is >= 0 and they sum to 1, decided on
-    integer numerators over the lcm of the denominators.  A float counts at
-    its exact binary value, and an infinite or NaN one is not in it."""
-    try:
-        ratios = [c.as_integer_ratio() for c in v]
-    except (OverflowError, ValueError):   # an infinite or NaN float
-        return False
-    scale = math.lcm(*[q for _, q in ratios])
-    total = 0
-    for p, q in ratios:
-        if p < 0:
-            return False
-        total += p * (scale // q)
-    return total == scale
-
-
-def standard_simplex(n: int) -> Simplex:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    verts = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n))
-                  for i in range(n))
-    return Simplex(verts)
+def _unit_vectors(n: int) -> Vertices:
+    """The vertices of the standard simplex, the root of every partition."""
+    return tuple(tuple(Fraction(int(j == i)) for j in range(n)) for i in range(n))
 
 
 def _sq_dist(u: Point, v: Point) -> Fraction:
     return sum((a - b) ** 2 for a, b in zip(u, v))
 
 
-def _longest_edge(s: Simplex) -> tuple[int, int]:
+def _longest_edge(verts: Vertices) -> tuple[int, int]:
     """Vertex indices (i, j), i < j, of a longest edge; ties broken by the
     lexicographically smallest (sorted) vertex pair, for determinism.
     """
-    if len(s.vertices) < 2:
+    if len(verts) < 2:
         raise ValueError("cannot bisect a point")
-    verts = s.vertices
     best = None
     best_len = Fraction(-1)
     best_key = None   # built on the first tie with best
@@ -120,25 +90,16 @@ def _longest_edge(s: Simplex) -> tuple[int, int]:
     return best
 
 
-def _split(s: Simplex, i: int, j: int) -> tuple[Simplex, Simplex]:
-    """The children of s in which vertex i, respectively j, becomes the
-    midpoint of the edge (i, j)."""
-    u, v = s.vertices[i], s.vertices[j]
-    mid = tuple((a + b) / 2 for a, b in zip(u, v))
-    child_i = tuple(mid if k == i else w for k, w in enumerate(s.vertices))
-    child_j = tuple(mid if k == j else w for k, w in enumerate(s.vertices))
-    return (Simplex(child_i, s.depth + 1), Simplex(child_j, s.depth + 1))
+def _split(verts: Vertices, i: int, j: int) -> tuple[Vertices, Vertices]:
+    """The children of a simplex in which vertex i, respectively j, becomes
+    the midpoint of the edge (i, j)."""
+    mid = tuple((a + b) / 2 for a, b in zip(verts[i], verts[j]))
+    return verts[:i] + (mid,) + verts[i + 1:], verts[:j] + (mid,) + verts[j + 1:]
 
 
-def _sq_diameter(s: Simplex) -> Fraction:
-    """The squared length of s's longest edge."""
-    return max(_sq_dist(u, v) for u, v in itertools.combinations(s.vertices, 2))
-
-
-def diameter(simplices: list[Simplex]) -> float:
-    """Longest edge over the simplices; float is for reporting only, never
-    for branching."""
-    return math.sqrt(float(max(map(_sq_diameter, simplices))))
+def _sq_diameter(verts: Vertices) -> Fraction:
+    """The squared length of a simplex's longest edge."""
+    return max(_sq_dist(u, v) for u, v in itertools.combinations(verts, 2))
 
 
 class _StepTables(dict):
@@ -184,13 +145,15 @@ def _casteljau_step(b: list[int], rows) -> list[int]:
     return [sum([w * b[src] for w, src in row]) for row in rows]
 
 
-def _bisect(s: Simplex, b: list[int], steps) -> tuple[tuple[Simplex, list[int]], ...]:
-    """The two (child, coefficients) pairs of s, split at the midpoint of its
-    longest edge (i, j): first the child in which vertex i moves, then j."""
-    i, j = _longest_edge(s)
-    child_i, child_j = _split(s, i, j)
-    return ((child_i, _casteljau_step(b, steps[i, j])),
-            (child_j, _casteljau_step(b, steps[j, i])))
+def _bisect(node: Node, steps) -> tuple[Node, Node]:
+    """The two children of a search node, split at the midpoint of its
+    simplex's longest edge (i, j): first the child in which vertex i moves,
+    then j."""
+    verts, depth, b = node
+    i, j = _longest_edge(verts)
+    child_i, child_j = _split(verts, i, j)
+    return ((child_i, depth + 1, _casteljau_step(b, steps[i, j])),
+            (child_j, depth + 1, _casteljau_step(b, steps[j, i])))
 
 
 def _level_nonnegative(A: SymTensor, k: int, distinct: int) -> bool:
@@ -218,11 +181,12 @@ def _level_nonnegative(A: SymTensor, k: int, distinct: int) -> bool:
     root = scaled_values(A)[1]
     steps = _casteljau_tables(A.n, A.d)[1]
     positions = [p for key, p in steps.index.items() if len(set(key)) <= distinct]
-    work = [(standard_simplex(A.n), root)]
+    work = [(_unit_vectors(A.n), 0, root)]
     while work:
-        s, b = work.pop()
-        if s.depth < k:
-            work.extend(reversed(_bisect(s, b, steps)))
+        node = work.pop()
+        _, depth, b = node
+        if depth < k:
+            work.extend(reversed(_bisect(node, steps)))
         elif any(b[p] < 0 for p in positions):
             return False
     return True
@@ -250,8 +214,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class PartitionStats:
-    max_depth_reached: int
-    simplices_processed: int
+    max_depth: int
+    simplices: int
     unresolved: int
     diameter_unresolved: float | None = None
     subsets: int | None = None   # principal submatrices the scan inverted
@@ -267,53 +231,46 @@ class Certificate:
 
 def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
                          simplex_budget: int = DEFAULT_SIMPLEX_BUDGET) -> Certificate:
-    """The root table, then the principal-submatrix scan for a matrix of at
-    most MAX_SCAN_DIMENSION rows, else depth-first branch-and-bound over
+    """The exact routes of :func:`copotensor.evidence.decide` (the root
+    table, then the principal-submatrix scan for a matrix of at most
+    MAX_SCAN_DIMENSION rows), else depth-first branch-and-bound over
     longest-edge bisections of the standard simplex.
 
-    The scan always decides, at depth 0 on the one root simplex, and its
-    stats count the principal submatrices it inverted.  In the
-    branch-and-bound, a negative form value at any encountered vertex
-    refutes copositivity with that vertex as witness; a simplex passing the
-    full vertex-tuple test is pruned; everything else is bisected.  Both tests read the simplex's
+    A route decides at depth 0 on the one root simplex, and the scan's stats
+    count the principal submatrices it inverted.  In the branch-and-bound, a
+    negative form value at any encountered vertex refutes copositivity with
+    that vertex as witness; a simplex passing the full vertex-tuple test is
+    pruned; everything else is bisected.  Both tests read the simplex's
     integer Bernstein coefficients (see the module docstring), so float
     entries are decided on their exact binary values.  An empty work list
     certifies copositivity, and running out of depth or simplex budget yields
     StrictlyIndeterminate (boundary tensors may never terminate otherwise);
     the budgets bound nothing else.  More than MAX_ENUMERATION coefficients
-    per simplex raise ValueError.
+    per simplex raise ValueError before any route runs.
 
-    The work list is a stack.  Of a bisection's two children, the one whose
-    table has the smaller least coefficient is taken first, so the search
-    heads for the most negative part of the form; on a tie, the child in
-    which the longest edge's higher-indexed vertex moves goes first (the
-    second of :func:`_bisect`).  Siblings share one scale, so the comparison
-    is exact on ints.  The stack holds at most one unvisited sibling per
-    depth, max_depth + 1 simplices in all.  A run that ends Copositive or
-    depth-capped visits the same simplices in any order, so only a
-    refutation's witness and counts depend on the order.  Unresolved
-    simplices are counted, not kept: the depth-capped ones and, after a
-    budget stop, the ones still on the stack; the diameter reported is the
-    longest edge among them.
+    The work list is a stack of search nodes (vertices, depth, table).  Of a
+    bisection's two children, the one whose table has the smaller least
+    coefficient is taken first, so the search heads for the most negative
+    part of the form; on a tie, the child in which the longest edge's
+    higher-indexed vertex moves goes first (the second of :func:`_bisect`).
+    Siblings share one scale, so the comparison is exact on ints.  The stack
+    holds at most one unvisited sibling per depth, max_depth + 1 nodes in
+    all.  A run that ends Copositive or depth-capped visits the same
+    simplices in any order, so only a refutation's witness and counts depend
+    on the order.  Unresolved simplices are counted, not kept: the
+    depth-capped ones and, after a budget stop, the ones still on the stack;
+    the diameter reported is the longest edge among them.
     """
     if max_depth < 0 or simplex_budget < 1:
         raise ValueError("budgets must be positive")
     scale, root = scaled_values(A)
+    decision = decide(A, scale, root)
+    if decision is not None:
+        verdict = Verdict.COPOSITIVE if decision.witness is None else Verdict.NOT_COPOSITIVE
+        return Certificate(verdict, PartitionStats(0, 1, 0, subsets=decision.subsets),
+                           decision.witness, decision.value)
     diag, steps = _casteljau_tables(A.n, A.d)
-    # the root decides before any geometry: its vertices are the unit vectors
-    for k, p in enumerate(diag):
-        if root[p] < 0:
-            return Certificate(Verdict.NOT_COPOSITIVE, PartitionStats(0, 1, 0),
-                               tuple(Fraction(int(j == k)) for j in range(A.n)),
-                               Fraction(root[p], scale))
-    if min(root) >= 0:
-        return Certificate(Verdict.COPOSITIVE, stats=PartitionStats(0, 1, 0))
-    if A.d == 2 and A.n <= MAX_SCAN_DIMENSION:
-        scan = scan_principal_submatrices(A.n, scale, root)
-        verdict = Verdict.COPOSITIVE if scan.witness is None else Verdict.NOT_COPOSITIVE
-        return Certificate(verdict, PartitionStats(0, 1, 0, subsets=scan.subsets),
-                           scan.witness, scan.value)
-    work = [(standard_simplex(A.n), root)]
+    work = [(_unit_vectors(A.n), 0, root)]
     processed = 0
     max_depth_seen = 0
     unresolved = 0
@@ -321,26 +278,27 @@ def certify_copositivity(A: SymTensor, max_depth: int = DEFAULT_MAX_DEPTH,
     while work:
         if processed >= simplex_budget:
             unresolved += len(work)
-            longest = max(longest, *(_sq_diameter(s) for s, _ in work))
+            longest = max(longest, *(_sq_diameter(verts) for verts, _, _ in work))
             break
-        s, b = work.pop()
+        node = work.pop()
+        verts, depth, b = node
         processed += 1
-        max_depth_seen = max(max_depth_seen, s.depth)
+        max_depth_seen = max(max_depth_seen, depth)
         for k, p in enumerate(diag):
             if b[p] < 0:
                 return Certificate(
                     Verdict.NOT_COPOSITIVE,
                     PartitionStats(max_depth_seen, processed, len(work)),
-                    s.vertices[k], Fraction(b[p], scale << A.d * s.depth))
+                    verts[k], Fraction(b[p], scale << A.d * depth))
         if min(b) >= 0:
             continue
-        if s.depth >= max_depth:
+        if depth >= max_depth:
             unresolved += 1
-            longest = max(longest, _sq_diameter(s))
+            longest = max(longest, _sq_diameter(verts))
             continue
-        child_i, child_j = _bisect(s, b, steps)
+        child_i, child_j = _bisect(node, steps)
         # the top of the stack is taken first
-        work += ((child_j, child_i) if min(child_i[1]) < min(child_j[1])
+        work += ((child_j, child_i) if min(child_i[2]) < min(child_j[2])
                  else (child_i, child_j))
     if unresolved:
         return Certificate(

@@ -107,7 +107,13 @@ class SymTensor:
             yield key, self.entries.get(key, self.default)
 
     def diag_vector(self) -> tuple[Fraction, ...]:
-        return tuple(self.get((i,) * self.d) for i in range(1, self.n + 1))
+        """a_{i...i} for i = 1..n, in O(stored + n): a sorted key is diagonal
+        when its ends agree."""
+        diag = [self.default] * self.n
+        for key, a in self.entries.items():
+            if key[0] == key[-1]:
+                diag[key[0] - 1] = a
+        return tuple(diag)
 
     @functools.cached_property
     def integer_form(self) -> IntegerForm:
@@ -270,11 +276,7 @@ def necessary_screen(A: SymTensor) -> ScreenResult:
         point[i - 1] = Fraction(1)
         return point
 
-    # a sorted key is diagonal when its ends agree
-    diag = [default] * n
-    for key, a in entries.items():
-        if key[0] == key[-1]:
-            diag[key[0] - 1] = a
+    diag = A.diag_vector()
     for i, a in enumerate(diag, start=1):
         if a < 0:
             return ScreenResult(False, f"diagonal entry at index {i} is negative",

@@ -15,7 +15,7 @@ from copotensor.combinatorics import (binomial_at_most, check_enumeration_size,
 from copotensor.evidence import positive_definite
 from copotensor.gridcone import first_appearances
 from copotensor.oracle import OracleReport, _compositions
-from copotensor.partition import Simplex, _split, standard_simplex
+from copotensor.partition import _split
 from copotensor.polycone import coefficient_table
 from copotensor import soscone
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
@@ -109,24 +109,6 @@ def float_tensors(draw, max_n: int = 4, max_d: int = 4) -> SymTensor:
         if v is not None:
             entries[key] = v
     return SymTensor(n, d, entries, default)
-
-
-@st.composite
-def simplex_points(draw):
-    """Fraction and int points at or near the standard simplex: n - 1
-    coordinates k/q, q among powers of 2 and other denominators, and a last
-    coordinate that makes the sum 1, moved by 0 or +-2^-k; whole coordinates
-    are ints in about half the points.  Negative coordinates come both from
-    negative k and from a last coordinate that the others overshoot."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    denominators = st.sampled_from([1, 2, 3, 5, 6, 7, 8, 12, 64, 1000])
-    coords = [Fraction(draw(st.integers(min_value=-3, max_value=6)), draw(denominators))
-              for _ in range(n - 1)]
-    shift = draw(st.sampled_from([-1, 0, 0, 1])) * Fraction(1, 2 ** draw(st.integers(1, 80)))
-    coords.append(1 - sum(coords) + shift)
-    whole = draw(st.booleans())
-    return tuple(int(c) if whole and c.denominator == 1 else c
-                 for c in draw(st.permutations(coords)))
 
 
 @st.composite
@@ -357,26 +339,27 @@ def multi_product(A: SymTensor, vectors):
 class Partition:
     """A list of simplices covering the standard simplex: the references'
     explicit form of the partitions the certifier and the level cones walk
-    one simplex at a time."""
-    simplices: list[Simplex]
+    one simplex at a time, each a tuple of its vertices."""
+    simplices: list[tuple]
 
     @property
     def edge_set(self) -> list[tuple[tuple, tuple]]:
         seen: dict[tuple, None] = {}
         for s in self.simplices:
-            for u, v in itertools.combinations(s.vertices, 2):
+            for u, v in itertools.combinations(s, 2):
                 seen.setdefault((min(u, v), max(u, v)), None)
         return list(seen)
 
 
 def trivial_partition(n: int) -> Partition:
-    return Partition([standard_simplex(n)])
+    """The standard simplex alone: the unit vectors."""
+    return Partition([tuple(tuple(Fraction(int(j == i)) for j in range(n))
+                            for i in range(n))])
 
 
 def reference_in_standard_simplex(v) -> bool:
-    """Literal reference for :class:`copotensor.partition.Simplex`'s vertex
-    check: every coordinate >= 0 and a sum of 1, by Fraction comparisons and
-    a Fraction sum."""
+    """Whether v lies in the standard simplex: every coordinate >= 0 and a
+    sum of 1, by Fraction comparisons and a Fraction sum."""
     return not (any(c < 0 for c in v) or sum(v) != 1)
 
 
@@ -405,7 +388,7 @@ def refine_once(P: Partition) -> Partition:
     """Bisect every simplex at the midpoint of its longest edge (by
     :func:`reference_longest_edge`), children in the certifier's order."""
     return Partition([child for s in P.simplices
-                      for child in _split(s, *reference_longest_edge(s.vertices))])
+                      for child in _split(s, *reference_longest_edge(s))])
 
 
 def refine(P: Partition, rounds: int) -> Partition:
@@ -417,7 +400,7 @@ def refine(P: Partition, rounds: int) -> Partition:
 
 def vertex_set(P: Partition):
     """Every distinct vertex of P's simplices, in first-appearance order."""
-    return list(dict.fromkeys(v for s in P.simplices for v in s.vertices))
+    return list(dict.fromkeys(v for s in P.simplices for v in s))
 
 
 def grid_partition(n: int, m: int) -> Partition:
@@ -431,7 +414,7 @@ def grid_partition(n: int, m: int) -> Partition:
         return trivial_partition(1)
     if n == 2:
         pts = [(Fraction(k, m), Fraction(m - k, m)) for k in range(m + 1)]
-        return Partition([Simplex((pts[k], pts[k + 1])) for k in range(m)])
+        return Partition([(pts[k], pts[k + 1]) for k in range(m)])
     if n == 3:
         def pt(a: int, b: int, c: int):
             return (Fraction(a, m), Fraction(b, m), Fraction(c, m))
@@ -439,11 +422,10 @@ def grid_partition(n: int, m: int) -> Partition:
         for a in range(m):
             for b in range(m - a):
                 c = m - 1 - a - b
-                simplices.append(Simplex((pt(a + 1, b, c), pt(a, b + 1, c),
-                                          pt(a, b, c + 1))))
+                simplices.append((pt(a + 1, b, c), pt(a, b + 1, c), pt(a, b, c + 1)))
                 if a + b + c >= 1 and c >= 1:
-                    simplices.append(Simplex((pt(a + 1, b + 1, c - 1),
-                                              pt(a + 1, b, c), pt(a, b + 1, c))))
+                    simplices.append((pt(a + 1, b + 1, c - 1), pt(a + 1, b, c),
+                                      pt(a, b + 1, c)))
         return Partition(simplices)
     raise ValueError("grid_partition supports n <= 3")
 
@@ -451,20 +433,18 @@ def grid_partition(n: int, m: int) -> Partition:
 # The per-simplex tests as three separate loops over multi_product and
 # eval_form, kept literally as the reference for the integer table.
 
-def reference_inner_test_full(A: SymTensor, s: Simplex) -> bool:
+def reference_inner_test_full(A: SymTensor, verts) -> bool:
     """Full vertex-tuple test (Bundfuss & Dur 2008): every value of the
     simplex's table is non-negative."""
-    verts = s.vertices
     for key in canonical_tuples(len(verts), A.d):
         if multi_product(A, [verts[i - 1] for i in key]) < 0:
             return False
     return True
 
 
-def reference_least_tuple_value(A: SymTensor, s: Simplex) -> Fraction:
+def reference_least_tuple_value(A: SymTensor, verts) -> Fraction:
     """The least value of the simplex's table, over every multiset of its
     vertices: the key the depth-first certifier orders siblings by."""
-    verts = s.vertices
     return min(multi_product(A, [verts[i - 1] for i in key])
                for key in canonical_tuples(len(verts), A.d))
 

@@ -109,7 +109,7 @@ def test_criterion_1_flagship_example():
     assert member_C_r(A, 0).member
     cert = certify_copositivity(A)
     assert cert.verdict is Verdict.COPOSITIVE
-    assert cert.stats.max_depth_reached == 0
+    assert cert.stats.max_depth == 0
     probe_value = eval_form(A, (-2, 0, 1))    # recorded: exact rational
     assert probe_value < 0
     elapsed = time.monotonic() - start

@@ -958,6 +958,30 @@ class TestVerify:
             "verify: FAIL (principal submatrix [1, 2] has a non-positive inverse, " \
             "witness value -1/2)\n"
 
+    @pytest.mark.parametrize("A, detail", [
+        (SymTensor(2, 3, {(1, 1, 2): -1, (2, 2, 2): F(-1, 2)}, 1),
+         "diagonal entry at index 2 is negative, witness value -1/2"),
+        # one row past the scan's cap: tridiagonal 1, -1/2 but for a_{7,7}
+        (from_matrix([[F(-1, 3) if i == j == 6 else 1 if i == j
+                       else F(-1, 2) if abs(i - j) == 1 else 0 for j in range(13)]
+                      for i in range(13)]),
+         "diagonal entry at index 7 is negative, witness value -1/3"),
+    ], ids=["order-3", "13x13"])
+    def test_forged_copositive_on_a_negative_diagonal_fails(self, tmp_path, capsys,
+                                                           A, detail):
+        # certify's refutation with its witness dropped and its verdict
+        # forged: verify re-runs the root route, whatever the order or size
+        tensor_path, cert_path = tmp_path / "t.json", tmp_path / "cert.json"
+        tensor_path.write_text(emit_tensor(A))
+        assert main(["certify", str(tensor_path), "--out", str(cert_path)]) == 1
+        doc = json.loads(cert_path.read_text())
+        doc["verdict"] = "Copositive"
+        del doc["witness"]
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--tensor", str(tensor_path)]) == 1
+        assert capsys.readouterr().out == f"verify: FAIL ({detail})\n"
+
     def test_matrix_copositive_round_trip(self, horn_file, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.json")
         assert main(["certify", horn_file, "--out", cert_path]) == 0

@@ -7,17 +7,15 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
 
 from copotensor import evidence, partition
 from copotensor.combinatorics import MAX_SCAN_DIMENSION
 from copotensor.oracle import simplex_grid_min
 from copotensor.partition import (DEFAULT_MAX_DEPTH, DEFAULT_SIMPLEX_BUDGET,
-                                  Certificate, PartitionStats, Simplex,
-                                  Verdict, _bisect, _casteljau_step, _casteljau_tables,
-                                  _longest_edge, _split, _sq_dist,
-                                  certify_copositivity, diameter, member_I_P,
-                                  member_O_P, standard_simplex)
+                                  Certificate, PartitionStats, Verdict, _bisect,
+                                  _casteljau_step, _casteljau_tables, _longest_edge,
+                                  _split, _sq_diameter, _sq_dist, _unit_vectors,
+                                  certify_copositivity, member_I_P, member_O_P)
 from copotensor.tensor import (SymTensor, SymTensorBuilder, canonical_tuples,
                                eval_form, from_matrix, necessary_screen,
                                scaled_values)
@@ -29,87 +27,50 @@ from conftest import (HORN, barycentric_grid_min, boundary_perturbed_tensor,
                       reference_in_standard_simplex,
                       reference_least_tuple_value, reference_longest_edge,
                       reference_member_I_P, reference_member_O_P,
-                      reference_principal_refutation, simplex_points,
-                      trivial_partition,
+                      reference_principal_refutation, trivial_partition,
                       vertex_set)
 
 F = Fraction
 
 
 class TestSimplex:
+    """The root of every partition: the unit vectors."""
+
     def test_standard_simplex_n2(self):
-        s = standard_simplex(2)
-        assert s.vertices == ((F(1), F(0)), (F(0), F(1)))
+        assert _unit_vectors(2) == ((F(1), F(0)), (F(0), F(1)))
 
     def test_standard_simplex_n3_pairwise_distance(self):
-        s = standard_simplex(3)
+        s = _unit_vectors(3)
         for i in range(3):
             for j in range(i + 1, 3):
-                d2 = sum((a - b) ** 2 for a, b in zip(s.vertices[i], s.vertices[j]))
+                d2 = sum((a - b) ** 2 for a, b in zip(s[i], s[j]))
                 assert d2 == 2
 
-    def test_vertex_outside_simplex_rejected(self):
-        with pytest.raises(ValueError):
-            Simplex(((F(1, 2), F(1, 4)),))
 
-    def test_float_coordinates_count_at_their_exact_binary_values(self):
-        # the vertex check reads a float as the Fraction it equals, as the
-        # rest of the package does: 0.5 and 0.25 are exact, while 0.1 + 0.9
-        # and three 1/3s round to 1.0 as floats but sum past or short of 1
-        Simplex(((0.5, 0.5), (0.25, F(3, 4)), (1.0, 0)))
-        for point in ((0.1, 0.9), (1 / 3, 1 / 3, 1 / 3)):
-            assert sum(point) == 1.0
-            with pytest.raises(ValueError):
-                Simplex((point,))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_float_coordinates_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Simplex(((bad, F(1, 2)),))
-
-    def test_boundary_cases_match_the_fraction_sum(self):
-        tiny = F(1, 2 ** 60)
-        for point, inside in (((F(1, 3), F(2, 3)), True),
-                              ((F(1, 3), F(2, 3) + tiny), False),
-                              ((F(1, 3), F(2, 3) - tiny), False),
-                              ((F(-1, 3), F(4, 3)), False),
-                              ((F(2, 7), F(3, 5), F(4, 35)), True),
-                              ((0, 1, 0), True), ((2, -1), False), ((F(0),), False)):
-            assert reference_in_standard_simplex(point) is inside
-            if inside:
-                Simplex((point,))
-            else:
-                with pytest.raises(ValueError):
-                    Simplex((point,))
-
-    @seed(0xC0705)
-    @settings(max_examples=400, deadline=None)
-    @given(simplex_points())
-    def test_vertex_check_matches_the_fraction_reference(self, point):
-        if reference_in_standard_simplex(point):
-            assert Simplex((point,)).vertices == (point,)
-        else:
-            with pytest.raises(ValueError):
-                Simplex((point,))
+def longest_edge(P) -> Fraction:
+    """The squared length of the longest edge over P's simplices."""
+    return max(map(_sq_diameter, P.simplices))
 
 
 class TestBisection:
     def test_standard_2simplex_children(self):
-        s = standard_simplex(2)
+        s = _unit_vectors(2)
         c1, c2 = _split(s, *_longest_edge(s))
-        sets = {frozenset(c1.vertices), frozenset(c2.vertices)}
+        sets = {frozenset(c1), frozenset(c2)}
         mid = (F(1, 2), F(1, 2))
         assert sets == {frozenset({(F(1), F(0)), mid}),
                         frozenset({(F(0), F(1)), mid})}
-        assert c1.depth == c2.depth == 1
+        # a search node's children are one level deeper, in _split's order
+        nodes = _bisect((s, 0, [1, 0, 1]), _casteljau_tables(2, 2)[1])
+        assert [(verts, depth) for verts, depth, _ in nodes] == [(c1, 1), (c2, 1)]
 
     def test_child_diameters_do_not_grow(self, rng):
         P = trivial_partition(3)
-        prev = diameter(P.simplices)
+        prev = longest_edge(P)
         for _ in range(6):
             P = refine_once(P)
-            cur = diameter(P.simplices)
-            assert cur <= prev + 1e-12
+            cur = longest_edge(P)
+            assert cur <= prev
             prev = cur
 
     def test_dyadic_denominators(self):
@@ -125,16 +86,16 @@ class TestGeometryMatchesReference:
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_simplex_of_the_depth_8_tree(self, n):
         # every simplex of levels 0..8 of the bisection tree: the same
-        # longest edge as the reference, ties included, and vertices that
-        # the reference accepts as Simplex did
+        # longest edge as the reference, ties included, and vertices in the
+        # standard simplex
         ties = reordered = 0
         P = trivial_partition(n)
         for _ in range(9):
             for s in P.simplices:
-                want = reference_longest_edge(s.vertices)
+                want = reference_longest_edge(s)
                 assert _longest_edge(s) == want
-                assert all(map(reference_in_standard_simplex, s.vertices))
-                lengths = [_sq_dist(u, v) for u, v in itertools.combinations(s.vertices, 2)]
+                assert all(map(reference_in_standard_simplex, s))
+                lengths = [_sq_dist(u, v) for u, v in itertools.combinations(s, 2)]
                 longest = [k for k, d2 in enumerate(lengths) if d2 == max(lengths)]
                 ties += len(longest) > 1
                 # the tie-break picks an edge other than the first longest
@@ -144,26 +105,27 @@ class TestGeometryMatchesReference:
 
 
 class TestDiameter:
+    """_sq_diameter, whose square root the certifier reports for its
+    unresolved simplices."""
+
     def test_trivial_n2(self):
-        assert diameter([standard_simplex(2)]) == pytest.approx(math.sqrt(2))
+        assert _sq_diameter(_unit_vectors(2)) == 2
 
     def test_one_bisection_n2(self):
-        assert diameter(refine_once(trivial_partition(2)).simplices) == \
-            pytest.approx(math.sqrt(2) / 2)
+        assert longest_edge(refine_once(trivial_partition(2))) == F(1, 2)
 
     def test_standard_simplex_diameter(self):
         for n in (2, 3, 4):
-            assert diameter([standard_simplex(n)]) == pytest.approx(math.sqrt(2))
+            assert _sq_diameter(_unit_vectors(n)) == 2
 
     def test_equals_the_longest_distinct_edge(self):
-        # every simplex's own vertex pairs give the same float as the
+        # every simplex's own vertex pairs give the same length as the
         # partition's de-duplicated edge set
         for n in (2, 3, 4):
             P = trivial_partition(n)
             for _ in range(4):
                 P = refine_once(P)
-                longest = max(_sq_dist(u, v) for u, v in P.edge_set)
-                assert diameter(P.simplices) == math.sqrt(float(longest))
+                assert longest_edge(P) == max(_sq_dist(u, v) for u, v in P.edge_set)
 
 
 class TestGridPartition:
@@ -189,7 +151,7 @@ class TestGridPartition:
             x = (a, b, 1 - a - b)
             covered = False
             for s in P.simplices:
-                v1, v2, v3 = s.vertices
+                v1, v2, v3 = s
                 det = ((v2[0] - v1[0]) * (v3[1] - v1[1])
                        - (v3[0] - v1[0]) * (v2[1] - v1[1]))
                 l2 = ((x[0] - v1[0]) * (v3[1] - v1[1])
@@ -218,11 +180,11 @@ class TestInnerTestFull:
 
     def test_nonnegative_tensor_true(self, rng):
         A = rand_nonneg_tensor(rng, 3, 3)
-        assert reference_inner_test_full(A, standard_simplex(3))
+        assert reference_inner_test_full(A, _unit_vectors(3))
 
     def test_mixed_negative_false(self):
         A = from_matrix([[1, -2], [-2, 1]])
-        assert not reference_inner_test_full(A, standard_simplex(2))
+        assert not reference_inner_test_full(A, _unit_vectors(2))
 
     def test_true_implies_barycentric_min_nonneg(self, rng):
         # Lemma: passing the full vertex-tuple test bounds the form below
@@ -234,7 +196,7 @@ class TestInnerTestFull:
             for s in P.simplices:
                 if reference_inner_test_full(A, s):
                     hits += 1
-                    rep = barycentric_grid_min(A, s.vertices, 8)
+                    rep = barycentric_grid_min(A, s, 8)
                     assert rep.min_value >= 0
         assert hits > 0
 
@@ -310,7 +272,7 @@ class TestCertify:
     def test_example31_depth0(self, example31):
         cert = certify_copositivity(example31)
         assert cert.verdict is Verdict.COPOSITIVE
-        assert cert.stats.max_depth_reached == 0
+        assert cert.stats.max_depth == 0
 
     def test_copositive_soundness_against_oracle(self, rng):
         for _ in range(6):
@@ -325,11 +287,11 @@ class TestCertify:
         A = SymTensor(2, 3, {(1, 1, 1): 1, (1, 1, 2): -1, (2, 2, 2): 4})
         cert = certify_copositivity(A, max_depth=6)
         assert cert.verdict is Verdict.INDETERMINATE
-        assert cert.stats.max_depth_reached == 6
+        assert cert.stats.max_depth == 6
         assert cert.stats.diameter_unresolved is not None
         cert = certify_copositivity(A, simplex_budget=20)
         assert cert.verdict is Verdict.INDETERMINATE
-        assert cert.stats.simplices_processed == 20
+        assert cert.stats.simplices == 20
 
     def test_d1_shortcut(self):
         # decided at the root: a linear form's Bernstein coefficients are its
@@ -353,19 +315,19 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000, depth_first=True)
     vertex-tuple test, then longest-edge bisection (order d >= 2).  Depth
     first, the child with the smaller least table value goes first, the
     second child on a tie; otherwise first in, first out."""
-    work = deque([standard_simplex(A.n)])
+    work = deque([(trivial_partition(A.n).simplices[0], 0)])
     processed = 0
     max_depth_seen = 0
     unresolved = []
     evaluated = {}
     while work:
         if processed >= simplex_budget:
-            unresolved.extend(work)
+            unresolved.extend(s for s, _ in work)
             break
-        s = work.pop() if depth_first else work.popleft()
+        s, depth = work.pop() if depth_first else work.popleft()
         processed += 1
-        max_depth_seen = max(max_depth_seen, s.depth)
-        for v in s.vertices:
+        max_depth_seen = max(max_depth_seen, depth)
+        for v in s:
             if v not in evaluated:
                 evaluated[v] = eval_form(A, v)
             if evaluated[v] < 0:
@@ -375,19 +337,19 @@ def reference_certify(A, max_depth=32, simplex_budget=100_000, depth_first=True)
                     v, evaluated[v])
         if reference_inner_test_full(A, s):
             continue
-        if s.depth >= max_depth:
+        if depth >= max_depth:
             unresolved.append(s)
             continue
-        first, second = _split(s, *reference_longest_edge(s.vertices))
+        first, second = _split(s, *reference_longest_edge(s))
         # depth first, the top of the stack is taken first
         if depth_first and (reference_least_tuple_value(A, first)
                             < reference_least_tuple_value(A, second)):
             first, second = second, first
-        work.extend((first, second))
+        work.extend(((first, depth + 1), (second, depth + 1)))
     if unresolved:
         dia = max(math.sqrt(float(sum((a - b) ** 2 for a, b in zip(u, v))))
                   for s in unresolved
-                  for u, v in itertools.combinations(s.vertices, 2))
+                  for u, v in itertools.combinations(s, 2))
         return Certificate(
             Verdict.INDETERMINATE,
             stats=PartitionStats(max_depth_seen, processed, len(unresolved), dia))
@@ -402,16 +364,16 @@ class TestBernsteinCoefficients:
             scale = math.lcm(*(F(a).denominator for _, a in A.items()),
                              F(A.default).denominator)
             diag, steps = _casteljau_tables(n, d)
-            s, b = standard_simplex(n), scaled_values(A)[1]
+            s, b = _unit_vectors(n), scaled_values(A)[1]
             assert all(isinstance(c, int) for c in b)
             for depth in range(5 if n > 1 else 1):
                 keys = itertools.combinations_with_replacement(range(n), d)
                 for key, c in zip(keys, b):
-                    expect = multi_product(A, [s.vertices[k] for k in key])
+                    expect = multi_product(A, [s[k] for k in key])
                     assert F(c, scale * 2 ** (d * depth)) == expect
                 for k, p in enumerate(diag):
                     assert F(b[p], scale * 2 ** (d * depth)) == \
-                        eval_form(A, s.vertices[k])
+                        eval_form(A, s[k])
                 if n == 1:
                     break
                 i, j = _longest_edge(s)
@@ -436,7 +398,7 @@ class TestRootDecides:
     def _refuse_geometry(monkeypatch):
         def refuse(n):
             raise AssertionError("the standard simplex was built")
-        monkeypatch.setattr(partition, "standard_simplex", refuse)
+        monkeypatch.setattr(partition, "_unit_vectors", refuse)
 
     def test_root_decided_certificates_match_the_reference(self, rng, monkeypatch):
         suite = [SymTensorBuilder(n, 1).set((rng.randint(1, n),), F(rng.randint(-3, 3), 4))
@@ -522,7 +484,7 @@ class TestCertifyMatchesReference:
                     assert got.verdict is Verdict.NOT_COPOSITIVE
                     assert got.witness_value == eval_form(A, got.witness) < 0
                     kinds.add("refuted")
-                elif fifo.stats.simplices_processed < budget:
+                elif fifo.stats.simplices < budget:
                     assert got == fifo
                     kinds.add(fifo.verdict)
         assert kinds == {"refuted", Verdict.COPOSITIVE, Verdict.INDETERMINATE}
@@ -534,19 +496,20 @@ def fifo_branch_and_bound(A, max_depth=DEFAULT_MAX_DEPTH,
     out, for orders d > 2 at budgets where reference_certify is too slow:
     (verdict, simplices processed)."""
     diag, steps = _casteljau_tables(A.n, A.d)
-    work = deque([(standard_simplex(A.n), scaled_values(A)[1])])
+    work = deque([(_unit_vectors(A.n), 0, scaled_values(A)[1])])
     processed, capped = 0, False
     while work and processed < simplex_budget:
-        s, b = work.popleft()
+        node = work.popleft()
+        _, depth, b = node
         processed += 1
         if any(b[p] < 0 for p in diag):
             return Verdict.NOT_COPOSITIVE, processed
         if min(b) >= 0:
             continue
-        if s.depth >= max_depth:
+        if depth >= max_depth:
             capped = True
         else:
-            work.extend(_bisect(s, b, steps))
+            work.extend(_bisect(node, steps))
     return (Verdict.INDETERMINATE if work or capped else Verdict.COPOSITIVE), processed
 
 
@@ -570,7 +533,7 @@ class TestDepthFirst:
         assert cert.witness_value == eval_form(A, cert.witness) < 0
         fifo = fifo_branch_and_bound(A)
         assert fifo[0] is Verdict.NOT_COPOSITIVE
-        assert (cert.stats.simplices_processed, cert.stats.max_depth_reached,
+        assert (cert.stats.simplices, cert.stats.max_depth,
                 fifo[1]) == want
 
     def test_no_definitive_verdict_lost_at_the_default_budgets(self):
@@ -590,10 +553,10 @@ class TestDepthFirst:
             if verdict is Verdict.NOT_COPOSITIVE:
                 assert cert.verdict is verdict
             elif processed < DEFAULT_SIMPLEX_BUDGET:
-                assert (cert.verdict, cert.stats.simplices_processed) == (verdict, processed)
+                assert (cert.verdict, cert.stats.simplices) == (verdict, processed)
             if cert.verdict is Verdict.NOT_COPOSITIVE:
                 assert cert.witness_value == eval_form(A, cert.witness) < 0
-                if cert.stats.max_depth_reached > 0:
+                if cert.stats.max_depth > 0:
                     kinds.add("refuted after bisection")
             kinds.add(verdict)
         assert kinds == set(Verdict) | {"refuted after bisection"}
@@ -721,7 +684,7 @@ class TestRefutationValues:
                 assert cert.witness_value == eval_form(A, cert.witness) < 0
                 assert type(cert.witness_value) is F
                 kinds.add("certify by the scan" if cert.stats.subsets is not None
-                          else "certify at the root" if cert.stats.max_depth_reached == 0
+                          else "certify at the root" if cert.stats.max_depth == 0
                           else "certify below the root")
         assert kinds == {"screen diagonal", "screen face", "certify at the root",
                          "certify below the root", "certify by the scan"}

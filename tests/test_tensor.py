@@ -300,6 +300,22 @@ class TestDiag:
             b.set((i,) * 4, v)
         assert b.build().diag_vector() == theta
 
+    def test_matches_the_literal_get(self, rng):
+        # default-only, fully stored (rand_rational_tensor stores every
+        # tuple), partly stored with floats, and a few stored keys over a
+        # default, at every order including d = 1
+        kinds = set()
+        for n, d in itertools.product((1, 2, 3, 5), (1, 2, 3, 4)):
+            sparse = {key: Fraction(rng.randint(-4, 4), 3) for key in canonical_tuples(n, d)
+                      if rng.random() < 0.3}
+            for A in (SymTensor(n, d, {}, Fraction(rng.randint(-3, 3), 2)),
+                      rand_rational_tensor(rng, n, d), rand_float_tensor(rng, n, d),
+                      SymTensor(n, d, sparse, Fraction(-1, 7))):
+                want = tuple(A.get((i,) * d) for i in range(1, n + 1))
+                assert A.diag_vector() == want
+                kinds.add(len(A.entries) == math.comb(n + d - 1, d))
+        assert kinds == {True, False}
+
 
 class TestNecessaryScreen:
     def test_negative_diagonal_fails(self):
